@@ -21,7 +21,6 @@ from .groundstate import (
     SubadditivityResult,
     align,
     minimize,
-    orbit_representative_distance,
     require_converged,
     scaling_experiment,
     scaling_exponent,
@@ -34,17 +33,13 @@ from .kernel import (
     hartree_quadratic,
     origin_cell_average,
 )
-from .rearrange import levy_concentration, radial_order, riesz_check, symmetric_rearrange
+from .rearrange import radial_order, riesz_check, symmetric_rearrange
 from .snapshots import read_field, write_csv, write_field, write_json
 from .spectral import (
     energy,
     energy_gradient,
     frac_laplacian,
-    h_alpha_inner,
     h_alpha_norm,
-    hardy_sup_ratio,
-    l2_inner,
-    l2_norm,
     lagrange_multiplier,
     mass,
     sobolev_seminorm_sq,
@@ -79,20 +74,14 @@ __all__ = [
     "evolve",
     "frac_laplacian",
     "gaussian",
-    "h_alpha_inner",
     "h_alpha_norm",
-    "hardy_sup_ratio",
     "hartree_direct",
     "hartree_potential",
     "hartree_quadratic",
-    "l2_inner",
-    "l2_norm",
     "lagrange_multiplier",
-    "levy_concentration",
     "mass",
     "minimize",
     "orbit_distance",
-    "orbit_representative_distance",
     "origin_cell_average",
     "perturb",
     "plane_wave",

@@ -139,14 +139,29 @@ def _require_number(cfg: dict, section: str, key: str, positive: bool = True) ->
     return float(value)
 
 
+def _require_int(cfg: dict, section: str, key: str, minimum: int | None = None) -> int:
+    value = cfg[section][key]
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{section}.{key} must be an integer (got {value!r})")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{section}.{key} must be >= {minimum} (got {value})")
+    return int(value)
+
+
 def validate_config(cfg: dict) -> None:
     """Type/range checks; raises ValueError naming the offending constraint."""
+    _require_int(cfg, "physics", "d")
+    _require_number(cfg, "physics", "alpha", positive=False)
+    _require_number(cfg, "physics", "gamma", positive=False)
+    _require_int(cfg, "grid", "n")
+    _require_number(cfg, "grid", "L", positive=False)
     params_from(cfg)  # validates physics block and alpha/gamma/d coupling
     grid_from(cfg)  # validates grid block
     for key in ("q", "tau0", "residTol"):
         _require_number(cfg, "solver", key)
-    if int(cfg["solver"]["maxIter"]) < 1:
-        raise ValueError("solver.maxIter must be >= 1")
+    _require_int(cfg, "solver", "maxIter", minimum=1)
+    _require_int(cfg, "solver", "seed")
     _require_number(cfg, "solver", "stallTol", positive=False)
     if cfg["solver"]["initWidth"] is not None:
         _require_number(cfg, "solver", "initWidth")
@@ -155,10 +170,12 @@ def validate_config(cfg: dict) -> None:
         t = _require_number(cfg, section, "T", positive=False)
         if t < 0:
             raise ValueError(f"{section}.T must be nonnegative (got {t})")
-        if int(cfg[section]["snapshotStride"]) < 1:
-            raise ValueError(f"{section}.snapshotStride must be >= 1")
+        _require_int(cfg, section, "snapshotStride", minimum=1)
+    _require_int(cfg, "stability", "seed")
     if cfg["dynamics"]["sign"] not in (1, -1):
         raise ValueError(f"dynamics.sign must be 1 or -1 (got {cfg['dynamics']['sign']})")
+    if not isinstance(cfg["dynamics"]["init"], str):
+        raise ValueError(f"dynamics.init must be a string (got {cfg['dynamics']['init']!r})")
     if not isinstance(cfg["dynamics"]["hartree"], bool):
         raise ValueError("dynamics.hartree must be true or false")
     mode = cfg["dynamics"]["planeWaveMode"]
@@ -167,8 +184,8 @@ def validate_config(cfg: dict) -> None:
     delta = _require_number(cfg, "stability", "delta", positive=False)
     if delta < 0:
         raise ValueError(f"stability.delta must be nonnegative (got {delta})")
-    if int(cfg["rearrange"]["count"]) < 1:
-        raise ValueError("rearrange.count must be >= 1")
+    _require_int(cfg, "rearrange", "count", minimum=1)
+    _require_int(cfg, "rearrange", "seed")
     formats = cfg["output"]["formats"]
     allowed = {"json", "csv", "snapshots"}
     if not isinstance(formats, list) or not set(formats) <= allowed:

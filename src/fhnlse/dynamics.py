@@ -26,21 +26,11 @@ from .errors import NumericalAbort
 from .fields import Field
 from .grid import PhysicsParams
 from .kernel import HartreeKernel
-from .spectral import energy, mass, sobolev_seminorm_sq
+from .spectral import check_setup, energy, mass, sobolev_seminorm_sq
 
 __all__ = ["step", "evolve", "Trajectory", "conservation_report", "ConservationReport"]
 
 logger = logging.getLogger(__name__)
-
-
-def _check_setup(psi: Field, p: PhysicsParams, kernel: HartreeKernel | None) -> None:
-    if p.d != psi.grid.d:
-        raise ValueError(f"params have d={p.d} but field lives in d={psi.grid.d}")
-    if kernel is not None:
-        if kernel.grid != psi.grid:
-            raise ValueError("field and kernel live on different grids")
-        if kernel.gamma != p.gamma:
-            raise ValueError("kernel exponent does not match params gamma")
 
 
 def _step_values(
@@ -66,7 +56,7 @@ def step(
 ) -> Field:
     """One Strang step of size ``dt``.  ``kernel=None`` switches the
     nonlinearity off (free fractional evolution)."""
-    _check_setup(psi, p, kernel)
+    check_setup(psi.grid, p, kernel)
     if not dt > 0:
         raise ValueError(f"dt must be positive (got {dt})")
     if sign not in (1, -1):
@@ -114,7 +104,7 @@ def evolve(
     at ``T`` (within one ``dt``).  Raises :class:`NumericalAbort` on
     non-finite values.
     """
-    _check_setup(psi0, p, kernel)
+    check_setup(psi0.grid, p, kernel)
     if not dt > 0:
         raise ValueError(f"dt must be positive (got {dt})")
     if T < 0:
@@ -152,18 +142,17 @@ def evolve(
     vals = psi0.values.copy()
     record(0.0, vals)
     total_steps = n_full + (1 if remainder else 0)
-    for k in range(1, n_full + 1):
-        vals = _step_values(vals, half_linear, kernel, dt, sign)
+    h = dt
+    for k in range(1, total_steps + 1):
+        t = k * dt
+        if k > n_full:  # the shortened final step ends the run exactly at T
+            t, h = T, remainder
+            half_linear = np.exp(0.5j * sign * h * mult)
+        vals = _step_values(vals, half_linear, kernel, h, sign)
         if not np.all(np.isfinite(vals.view(np.float64))):
-            raise NumericalAbort(f"non-finite state at step {k} (t = {k * dt:g})")
+            raise NumericalAbort(f"non-finite state at step {k} (t = {t:g})")
         if k % stride == 0 or k == total_steps:
-            record(k * dt, vals)
-    if remainder:
-        partial = np.exp(0.5j * sign * remainder * mult)
-        vals = _step_values(vals, partial, kernel, remainder, sign)
-        if not np.all(np.isfinite(vals.view(np.float64))):
-            raise NumericalAbort(f"non-finite state at final partial step (t = {T:g})")
-        record(T, vals)
+            record(t, vals)
 
     return Trajectory(
         times=np.asarray(times),

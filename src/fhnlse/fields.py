@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, _axis_sum
 
-__all__ = ["Field", "gaussian", "plane_wave", "random_band_limited"]
+__all__ = ["Field", "gaussian", "plane_wave", "band_limited_noise", "random_band_limited"]
 
 
 @dataclass
@@ -77,11 +77,7 @@ def gaussian(
     c = (0.0,) * grid.d if center is None else tuple(center)
     if len(c) != grid.d:
         raise ValueError("center must have one component per axis")
-    rsq = np.zeros(grid.shape)
-    for axis in range(grid.d):
-        view = [1] * grid.d
-        view[axis] = grid.n
-        rsq = rsq + ((grid.axis_coords - c[axis]) ** 2).reshape(view)
+    rsq = _axis_sum([(grid.axis_coords - c[axis]) ** 2 for axis in range(grid.d)], grid.shape)
     vals = np.exp(-rsq / (2.0 * w * w)).astype(np.complex128)
     field = Field(grid, vals)
     if mass is not None:
@@ -99,34 +95,22 @@ def plane_wave(grid: Grid, mode: tuple[int, ...]) -> Field:
     m = tuple(int(c) for c in mode)
     if len(m) != grid.d:
         raise ValueError("mode must have one integer per axis")
-    phase = np.zeros(grid.shape)
-    for axis in range(grid.d):
-        view = [1] * grid.d
-        view[axis] = grid.n
-        k = 2.0 * np.pi * m[axis] / grid.L
-        phase = phase + (k * grid.axis_coords).reshape(view)
+    phase = _axis_sum(
+        [(2.0 * np.pi * m[axis] / grid.L) * grid.axis_coords for axis in range(grid.d)],
+        grid.shape,
+    )
     return Field(grid, np.exp(1j * phase))
 
 
-def random_band_limited(
-    grid: Grid,
-    seed: int,
-    keep_fraction: float = 1.0 / 3.0,
-    kind: str = "complex",
-) -> Field:
-    """Smooth random field with Fourier support in the low modes.
+def band_limited_noise(grid: Grid, seed: int, keep_fraction: float) -> np.ndarray:
+    """Seeded complex noise with Fourier support in the low modes.
 
     Fourier coefficients are i.i.d. standard complex normals on the modes
     whose per-axis index satisfies ``|m| <= keep_fraction * (n/2)``; all
-    other modes are zeroed.  The result is normalized to unit mass.
-
-    ``kind``: "complex" (default), "real" (real part), or "nonneg"
-    (absolute value of the real part; useful for rearrangement inputs).
+    other modes are zeroed.  Returns the unnormalized inverse transform.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must lie in (0, 1] (got {keep_fraction})")
-    if kind not in ("complex", "real", "nonneg"):
-        raise ValueError(f"unknown kind {kind!r}")
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     m = np.fft.fftfreq(grid.n) * grid.n
@@ -135,7 +119,23 @@ def random_band_limited(
         view = [1] * grid.d
         view[axis] = grid.n
         coeff = coeff * keep.reshape(view)
-    vals = np.fft.ifftn(coeff)
+    return np.fft.ifftn(coeff)
+
+
+def random_band_limited(
+    grid: Grid,
+    seed: int,
+    keep_fraction: float = 1.0 / 3.0,
+    kind: str = "complex",
+) -> Field:
+    """:func:`band_limited_noise` normalized to unit mass.
+
+    ``kind``: "complex" (default), "real" (real part), or "nonneg"
+    (absolute value of the real part; useful for rearrangement inputs).
+    """
+    if kind not in ("complex", "real", "nonneg"):
+        raise ValueError(f"unknown kind {kind!r}")
+    vals = band_limited_noise(grid, seed, keep_fraction)
     if kind == "real":
         vals = vals.real.astype(np.complex128)
     elif kind == "nonneg":

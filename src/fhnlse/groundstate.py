@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +21,10 @@ from .fields import Field, gaussian, random_band_limited
 from .grid import Grid, PhysicsParams
 from .kernel import HartreeKernel
 from .spectral import (
+    check_setup,
     energy,
     energy_gradient,
     h_alpha_norm,
-    lagrange_multiplier,
     mass,
 )
 
@@ -37,7 +37,6 @@ __all__ = [
     "SubadditivityResult",
     "minimize",
     "align",
-    "orbit_representative_distance",
     "scaling_exponent",
     "scaling_experiment",
     "subadditivity_check",
@@ -166,10 +165,7 @@ def minimize(
     """
     opts = opts or SolveOptions()
     opts.validate()
-    if kernel.gamma != p.gamma:
-        raise ValueError("kernel exponent does not match params gamma")
-    if kernel.grid.d != p.d:
-        raise ValueError("kernel grid dimension does not match params d")
+    check_setup(kernel.grid, p, kernel)
 
     u = _initial_field(p, kernel, opts)
     e_now = energy(u, p, kernel)
@@ -314,11 +310,6 @@ def align(f: Field, g: Field, alpha: float) -> AlignResult:
     return AlignResult(shift=signed, phase=theta, distance=dist)
 
 
-def orbit_representative_distance(f: Field, g: Field, alpha: float) -> float:
-    """Shift- and phase-minimized H^alpha distance between ``f`` and ``g``."""
-    return align(f, g, alpha).distance
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 
@@ -382,14 +373,9 @@ def _solve_mass(
     width_scale: float = 1.0,
 ) -> GroundState:
     base = opts or SolveOptions()
-    per = SolveOptions(
+    per = replace(
+        base,
         q=q,
-        tau0=base.tau0,
-        max_iter=base.max_iter,
-        resid_tol=base.resid_tol,
-        stall_tol=base.stall_tol,
-        seed=base.seed,
-        init=base.init,
         init_width=None if base.init_width is None else base.init_width * width_scale,
         keep_history=False,
     )

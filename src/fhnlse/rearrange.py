@@ -14,15 +14,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, random_band_limited
 from .grid import Grid
-from .kernel import HartreeKernel  # noqa: F401  (re-exported context for callers)
+from .spectral import sobolev_seminorm_sq
 
 __all__ = [
     "radial_order",
     "symmetric_rearrange",
-    "levy_concentration",
     "riesz_check",
+    "rearrangement_sweep",
 ]
 
 
@@ -55,28 +55,6 @@ def symmetric_rearrange(u: Field) -> Field:
     out = np.empty(u.grid.size)
     out[order] = mags
     return Field(u.grid, out.reshape(u.grid.shape))
-
-
-def levy_concentration(u: Field, radii) -> np.ndarray:
-    """Largest mass captured by a closed min-image ball of radius r.
-
-    ``Q(r) = max_y sum_{|x - y| <= r} |u(x)|^2 cell_volume`` with the
-    minimum-image distance; the maximum runs over all lattice centers.
-    Radii must satisfy ``0 < r <= L/2``.
-    """
-    grid = u.grid
-    rs = np.atleast_1d(np.asarray(radii, dtype=float))
-    if np.any(rs <= 0.0) or np.any(rs > grid.L / 2.0 + 1e-12):
-        raise ValueError(f"radii must lie in (0, L/2] (got {radii})")
-    rho = np.abs(u.values) ** 2
-    rho_hat = np.fft.fftn(rho)
-    dist = grid.offset_distance
-    out = np.empty(rs.shape)
-    for i, r in enumerate(rs):
-        ball = (dist <= r).astype(float)
-        sums = np.fft.ifftn(rho_hat * np.fft.fftn(ball)).real
-        out[i] = float(np.max(sums)) * grid.cell_volume
-    return out
 
 
 def _to_displacement_layout(vals: np.ndarray) -> np.ndarray:
@@ -113,3 +91,39 @@ def riesz_check(f: Field, g: Field, h: Field) -> tuple[float, float]:
     stars = [symmetric_rearrange(x).values.real for x in (f, g, h)]
     rhs = _triple_product(stars[0], stars[1], stars[2], grid)
     return lhs, rhs
+
+
+def rearrangement_sweep(
+    grid: Grid, alpha: float, count: int, seed: int, pair_seed: int
+) -> tuple[list[int], float, float]:
+    """Test the rearrangement inequalities on ``count`` random fields.
+
+    Fields with seeds ``seed + r`` must keep their magnitude multiset and
+    must not grow in the H^alpha-dot seminorm under rearrangement; the
+    nonnegative triples with seeds ``pair_seed + 3r + (0, 1, 2)`` must not
+    lose triple pairing.  Returns the seeds whose multiset changed, the
+    worst relative seminorm excess ``(s_out - s_in) / s_in`` and the worst
+    relative pairing excess ``(lhs - rhs) / |rhs|``; both excesses are
+    negative when the inequalities hold strictly.
+    """
+    changed = []
+    worst_seminorm = -np.inf
+    for r in range(count):
+        u = random_band_limited(grid, seed=seed + r)
+        out = symmetric_rearrange(u)
+        if not np.array_equal(
+            np.sort(np.abs(u.values).ravel()), np.sort(out.values.real.ravel())
+        ):
+            changed.append(seed + r)
+        s_in = np.sqrt(sobolev_seminorm_sq(u, alpha))
+        s_out = np.sqrt(sobolev_seminorm_sq(out, alpha))
+        worst_seminorm = max(worst_seminorm, (s_out - s_in) / s_in)
+    worst_pairing = -np.inf
+    for r in range(count):
+        f, g, h = (
+            random_band_limited(grid, seed=pair_seed + 3 * r + i, kind="nonneg")
+            for i in range(3)
+        )
+        lhs, rhs = riesz_check(f, g, h)
+        worst_pairing = max(worst_pairing, (lhs - rhs) / abs(rhs))
+    return changed, float(worst_seminorm), float(worst_pairing)

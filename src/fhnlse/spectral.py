@@ -22,24 +22,24 @@ from .grid import Grid, PhysicsParams
 from .kernel import HartreeKernel, hartree_potential, hartree_quadratic
 
 __all__ = [
+    "check_setup",
     "mass",
-    "l2_inner",
-    "l2_norm",
     "frac_laplacian",
     "sobolev_seminorm_sq",
     "h_alpha_norm",
-    "h_alpha_inner",
     "energy",
     "energy_gradient",
     "lagrange_multiplier",
-    "hardy_sup_ratio",
 ]
 
 
-def _check_params(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> None:
-    if p.d != u.grid.d:
-        raise ValueError(f"params have d={p.d} but field lives in d={u.grid.d}")
-    if kernel.grid != u.grid:
+def check_setup(grid: Grid, p: PhysicsParams, kernel: HartreeKernel | None) -> None:
+    """Raise ValueError unless ``p`` and ``kernel`` (if any) match ``grid``."""
+    if p.d != grid.d:
+        raise ValueError(f"params have d={p.d} but the grid has dimension d={grid.d}")
+    if kernel is None:
+        return
+    if kernel.grid != grid:
         raise ValueError("field and kernel live on different grids")
     if kernel.gamma != p.gamma:
         raise ValueError(
@@ -50,16 +50,6 @@ def _check_params(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> None:
 def mass(u: Field) -> float:
     """``sum |u|^2 * cell_volume`` (squared L^2 norm)."""
     return float(np.sum(np.abs(u.values) ** 2) * u.grid.cell_volume)
-
-
-def l2_inner(u: Field, v: Field) -> complex:
-    """``sum conj(u) v * cell_volume``, conjugate-linear in the first slot."""
-    u._check_same_grid(v)
-    return complex(np.sum(np.conj(u.values) * v.values) * u.grid.cell_volume)
-
-
-def l2_norm(u: Field) -> float:
-    return float(np.sqrt(mass(u)))
 
 
 def frac_laplacian(u: Field, alpha: float) -> Field:
@@ -84,24 +74,15 @@ def h_alpha_norm(u: Field, alpha: float) -> float:
     return float(np.sqrt(mass(u) + sobolev_seminorm_sq(u, alpha)))
 
 
-def h_alpha_inner(u: Field, v: Field, alpha: float) -> complex:
-    """Weighted pairing ``sum (1 + |k|^(2*alpha)) conj(u_hat) v_hat`` (Parseval weight)."""
-    u._check_same_grid(v)
-    weight = 1.0 + u.grid.fractional_multiplier(alpha)
-    uhat = np.fft.fftn(u.values)
-    vhat = np.fft.fftn(v.values)
-    return complex(np.sum(weight * np.conj(uhat) * vhat) * _spectral_weight(u.grid))
-
-
 def energy(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> float:
     """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 hartree_quadratic(u)``."""
-    _check_params(u, p, kernel)
+    check_setup(u.grid, p, kernel)
     return 0.5 * sobolev_seminorm_sq(u, p.alpha) - 0.25 * hartree_quadratic(u, kernel)
 
 
 def energy_gradient(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> Field:
     """L^2 gradient ``G(u) = (-Lap)^alpha u - (K * |u|^2) u``."""
-    _check_params(u, p, kernel)
+    check_setup(u.grid, p, kernel)
     lin = frac_laplacian(u, p.alpha)
     pot = hartree_potential(u, kernel)
     return Field(u.grid, lin.values - pot * u.values)
@@ -116,16 +97,6 @@ def lagrange_multiplier(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> fl
     m = mass(u)
     if m == 0.0:
         raise ValueError("lagrange_multiplier undefined for the zero field")
-    _check_params(u, p, kernel)
+    check_setup(u.grid, p, kernel)
     return (sobolev_seminorm_sq(u, p.alpha) - hartree_quadratic(u, kernel)) / m
 
-
-def hardy_sup_ratio(u: Field, alpha: float, kernel: HartreeKernel) -> float:
-    """``sup_y (K * |u|^2)(y) / |u|_{H^alpha}^2`` — a translation-invariant
-    diagnostic for the kernel-vs-Sobolev bound; finite uniformly in u."""
-    if kernel.grid != u.grid:
-        raise ValueError("field and kernel live on different grids")
-    denom_sq = mass(u) + sobolev_seminorm_sq(u, alpha)
-    if denom_sq == 0.0:
-        raise ValueError("hardy_sup_ratio undefined for the zero field")
-    return float(np.max(hartree_potential(u, kernel))) / denom_sq

@@ -9,13 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import conservation_report, evolve
-from .fields import Field
+from .fields import Field, band_limited_noise
 from .grid import PhysicsParams
 from .groundstate import (
     GroundState,
     SolveOptions,
+    align,
     minimize,
-    orbit_representative_distance,
     require_converged,
 )
 from .kernel import HartreeKernel
@@ -41,22 +41,14 @@ def perturb(g: Field, alpha: float, delta: float, seed: int) -> Field:
     if delta < 0:
         raise ValueError(f"delta must be nonnegative (got {delta})")
     grid = g.grid
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    m = np.fft.fftfreq(grid.n) * grid.n
-    keep = np.abs(m) <= NOISE_KEEP_FRACTION * (grid.n / 2.0)
-    for axis in range(grid.d):
-        view = [1] * grid.d
-        view[axis] = grid.n
-        coeff = coeff * keep.reshape(view)
-    w = Field(grid, np.fft.ifftn(coeff))
+    w = Field(grid, band_limited_noise(grid, seed, NOISE_KEEP_FRACTION))
     w = w * (1.0 / h_alpha_norm(w, alpha))
     return Field(grid, g.values + delta * w.values)
 
 
 def orbit_distance(psi: Field, g: Field, alpha: float) -> float:
     """H^alpha distance from ``psi`` to the shift/phase orbit of ``g``."""
-    return orbit_representative_distance(psi, g, alpha)
+    return align(psi, g, alpha).distance
 
 
 @dataclass

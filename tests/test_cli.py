@@ -90,6 +90,30 @@ class TestInvalidInput:
         err = capsys.readouterr().err
         assert "2*alpha" in err
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "solver.maxIter=null",
+            "solver.maxIter=2.7",
+            "grid.n=null",
+            "grid.L=null",
+            "physics.d=null",
+            "physics.alpha=null",
+            "solver.seed=null",
+            "stability.seed=null",
+            "dynamics.snapshotStride=null",
+            "rearrange.count=null",
+            "rearrange.seed=true",
+            "dynamics.init=5",
+        ],
+    )
+    def test_malformed_value_exits_2_naming_the_key(self, setting, tmp_path, capsys):
+        code = run(["groundstate", *SMALL, "--set", setting, "--output-dir", str(tmp_path)])
+        assert code == 2
+        key = setting.split("=")[0]
+        errors = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error:") and key in line for line in errors)
+
     def test_missing_config_file_exits_2(self, tmp_path):
         code = run(["groundstate", "--config", str(tmp_path / "none.json")])
         assert code == 2

@@ -209,6 +209,9 @@ class TestValidationAndAborts:
         other_grid = HartreeKernel(Grid(d=2, n=16, L=13.0), GAMMA)
         with pytest.raises(ValueError, match="different grids"):
             evolve(psi0, P2, other_grid, T=1e-3, dt=1e-3)
+        one_d = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=1)
+        with pytest.raises(ValueError, match="dimension"):
+            evolve(psi0, one_d, HartreeKernel(grid, GAMMA), T=1e-3, dt=1e-3)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_aborts(self):

@@ -1,6 +1,6 @@
 """Symmetric-decreasing rearrangement: exact permutation properties,
-seminorm contraction, concentration functions, and the triple-convolution
-inequality, including strict cases and randomized property checks."""
+seminorm contraction, and the triple-convolution inequality, including
+strict cases and randomized property checks."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from fhnlse import (
     Field,
     Grid,
     gaussian,
-    levy_concentration,
-    mass,
     radial_order,
     random_band_limited,
     riesz_check,
@@ -110,34 +108,6 @@ class TestSeminormContraction:
         s_in = np.sqrt(sobolev_seminorm_sq(u, ALPHA))
         s_out = np.sqrt(sobolev_seminorm_sq(symmetric_rearrange(u), ALPHA))
         assert (s_in - s_out) / s_in > 0.1
-
-
-class TestLevyConcentration:
-    def test_two_separated_bumps_hold_half_the_mass(self):
-        grid = Grid(d=1, n=256, L=40.0)
-        u = two_bumps(grid, separation=20.0, width=1.0)
-        q = levy_concentration(u, [5.0])[0]
-        assert q / mass(u) == pytest.approx(0.5, abs=0.01)
-
-    def test_monotone_in_the_radius(self):
-        grid = Grid(d=1, n=256, L=40.0)
-        u = two_bumps(grid, separation=20.0, width=1.0)
-        qs = levy_concentration(u, [1.0, 2.0, 5.0, 8.0, 12.0, 20.0])
-        assert np.all(np.diff(qs) >= -1e-12)
-
-    def test_half_box_radius_captures_everything_in_1d(self):
-        grid = Grid(d=1, n=128, L=40.0)
-        u = random_band_limited(grid, seed=21)
-        q = levy_concentration(u, [grid.L / 2.0])[0]
-        assert q == pytest.approx(mass(u), rel=1e-12)
-
-    def test_rejects_radii_outside_range(self):
-        grid = Grid(d=1, n=64, L=40.0)
-        u = random_band_limited(grid, seed=22)
-        with pytest.raises(ValueError, match="radii"):
-            levy_concentration(u, [0.0])
-        with pytest.raises(ValueError, match="radii"):
-            levy_concentration(u, [grid.L])
 
 
 class TestRieszPairing:

@@ -14,6 +14,7 @@ from fhnlse import (
     random_band_limited,
     stability_run,
 )
+from fhnlse.fields import band_limited_noise
 from fhnlse.stability import NOISE_KEEP_FRACTION
 
 ALPHA = 0.6
@@ -48,6 +49,13 @@ class TestPerturb:
         for axis, view in ((0, (n, 1)), (1, (1, n))):
             mask = np.broadcast_to(high.reshape(view), (n, n))
             assert np.max(np.abs(noise_hat[mask])) < 1e-12
+
+    def test_noise_is_the_shared_band_limited_generator(self, ground32):
+        grid = ground32.g.grid
+        zero = Field(grid, np.zeros(grid.shape))
+        w = Field(grid, band_limited_noise(grid, 7, NOISE_KEEP_FRACTION))
+        expected = w.values / h_alpha_norm(w, ALPHA)
+        assert np.max(np.abs(perturb(zero, ALPHA, 1.0, seed=7).values - expected)) < 1e-14
 
     def test_rejects_negative_size(self, ground32):
         with pytest.raises(ValueError, match="delta"):
