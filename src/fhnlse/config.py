@@ -172,15 +172,18 @@ def validate_config(cfg: dict) -> None:
             raise ValueError(f"{section}.T must be nonnegative (got {t})")
         _require_int(cfg, section, "snapshotStride", minimum=1)
     _require_int(cfg, "stability", "seed")
-    if cfg["dynamics"]["sign"] not in (1, -1):
-        raise ValueError(f"dynamics.sign must be 1 or -1 (got {cfg['dynamics']['sign']})")
+    sign = cfg["dynamics"]["sign"]
+    if isinstance(sign, bool) or sign not in (1, -1):
+        raise ValueError(f"dynamics.sign must be 1 or -1 (got {sign!r})")
     if not isinstance(cfg["dynamics"]["init"], str):
         raise ValueError(f"dynamics.init must be a string (got {cfg['dynamics']['init']!r})")
     if not isinstance(cfg["dynamics"]["hartree"], bool):
         raise ValueError("dynamics.hartree must be true or false")
     mode = cfg["dynamics"]["planeWaveMode"]
-    if not isinstance(mode, list) or not all(isinstance(c, int) for c in mode):
-        raise ValueError("dynamics.planeWaveMode must be a list of integers")
+    if not isinstance(mode, list) or not all(
+        isinstance(c, int) and not isinstance(c, bool) for c in mode
+    ):
+        raise ValueError(f"dynamics.planeWaveMode must be a list of integers (got {mode!r})")
     delta = _require_number(cfg, "stability", "delta", positive=False)
     if delta < 0:
         raise ValueError(f"stability.delta must be nonnegative (got {delta})")

@@ -1,13 +1,21 @@
-"""Time evolution by Strang splitting.
+"""Time evolution by Strang splitting, with the state held in Fourier space.
 
 The evolution equation, written with the time derivative isolated, is
-``psi_t = i (-Lap)^alpha psi - i (K * |psi|^2) psi``.  One step of size
-``dt`` composes
+``psi_t = i (-Lap)^alpha psi - i (K * |psi|^2) psi``.  One Strang step of
+size ``h`` is half a linear step ``psi_hat <- exp(+i |k|^(2 alpha) h/2)
+psi_hat``, a full nonlinear step ``psi <- exp(-i (K * |psi|^2) h) psi`` —
+exact, because that substep leaves ``|psi|`` (hence the potential)
+unchanged — and half a linear step again.
 
-1. half a linear step: ``psi_hat <- exp(+i |k|^(2 alpha) dt/2) psi_hat``,
-2. a full nonlinear step ``psi <- exp(-i (K * |psi|^2) dt) psi`` — exact,
-   because the substep leaves ``|psi|`` (hence the potential) unchanged,
-3. half a linear step again.
+The closing half-step of one step and the opening half-step of the next
+are both Fourier multipliers, so they merge into one full linear factor.
+Between recorded instants the state therefore stays in Fourier space and
+lags by one closing half-step; a step costs one inverse transform to reach
+the nonlinear substep, the density convolution (a real-to-complex pair,
+see :meth:`HartreeKernel.convolve_density`) and one forward transform back.
+The closing half-step, with one more inverse transform, is applied only
+where a state is recorded.  Without an interaction the flow is the exact
+Fourier multiplication and needs no transform per step.
 
 ``sign=-1`` selects the complex-conjugate convention (both phases flipped),
 for comparison with codes that write the equation with the opposite sign.
@@ -18,6 +26,7 @@ roundoff; the energy error is second order in ``dt``.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +42,65 @@ __all__ = ["step", "evolve", "Trajectory", "conservation_report", "ConservationR
 logger = logging.getLogger(__name__)
 
 
-def _step_values(
-    vals: np.ndarray,
-    half_linear: np.ndarray,
+def _unit_phase(theta: np.ndarray) -> np.ndarray:
+    """``exp(i theta)`` for real ``theta``, as cos and sin written into one
+    complex array: about a quarter faster than the complex ``exp`` of
+    ``1j * theta`` on a 64^2 grid."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def _strang(
+    values: np.ndarray,
+    mult: np.ndarray,
     kernel: HartreeKernel | None,
+    T: float,
     dt: float,
     sign: int,
-) -> np.ndarray:
-    out = np.fft.ifftn(half_linear * np.fft.fftn(vals))
-    if kernel is not None:
-        pot = kernel.convolve_density(np.abs(out) ** 2)
-        out = out * np.exp(-1j * sign * dt * pot)
-    return np.fft.ifftn(half_linear * np.fft.fftn(out))
+    stride: int,
+) -> Iterator[tuple[int, float, np.ndarray]]:
+    """Step from t = 0 to ``T``; yield ``(k, t, values)`` after every
+    ``stride``-th step and after the last one.
+
+    The last step is shortened so the run ends exactly at ``T`` (within one
+    ``dt``).  Raises :class:`NumericalAbort` on non-finite values.
+    """
+    n_full = int(np.floor(T / dt + 1e-9))
+    remainder = T - n_full * dt
+    if remainder <= 1e-9 * dt:
+        remainder = 0.0
+    total_steps = n_full + (1 if remainder else 0)
+
+    def linear(tau: float) -> np.ndarray:
+        """Exact free flow over time ``tau`` as a Fourier multiplier."""
+        return _unit_phase(sign * tau * mult)
+
+    half = linear(0.5 * dt)
+    merged = linear(dt)  # closing half of one step times opening half of the next
+    psi_hat = np.fft.fftn(values)
+    lagging = False  # psi_hat still owes the closing half-step of the last step
+    h = dt
+    for k in range(1, total_steps + 1):
+        t = k * dt
+        if k > n_full:  # the shortened final step ends the run exactly at T
+            t, h = T, remainder
+            merged = linear(0.5 * (dt + h))
+            half = linear(0.5 * h)
+        psi_hat *= merged if lagging else half
+        if kernel is not None:
+            vals = np.fft.ifftn(psi_hat)
+            pot = kernel.convolve_density(vals.real**2 + vals.imag**2)
+            vals *= _unit_phase(-sign * h * pot)
+            psi_hat = np.fft.fftn(vals)
+        if not np.all(np.isfinite(psi_hat.view(np.float64))):
+            raise NumericalAbort(f"non-finite state at step {k} (t = {t:g})")
+        lagging = True
+        if k % stride == 0 or k == total_steps:
+            psi_hat *= half
+            lagging = False
+            yield k, t, np.fft.ifftn(psi_hat)
 
 
 def step(
@@ -62,8 +118,8 @@ def step(
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1 (got {sign})")
     mult = psi.grid.fractional_multiplier(p.alpha)
-    half_linear = np.exp(0.5j * sign * dt * mult)
-    return Field(psi.grid, _step_values(psi.values, half_linear, kernel, dt, sign))
+    _, _, vals = next(_strang(psi.values, mult, kernel, dt, dt, sign, stride=1))
+    return Field(psi.grid, vals)
 
 
 @dataclass
@@ -115,21 +171,13 @@ def evolve(
         raise ValueError(f"sign must be +1 or -1 (got {sign})")
 
     grid = psi0.grid
-    mult = grid.fractional_multiplier(p.alpha)
-    half_linear = np.exp(0.5j * sign * dt * mult)
-
-    n_full = int(np.floor(T / dt + 1e-9))
-    remainder = T - n_full * dt
-    if remainder <= 1e-9 * dt:
-        remainder = 0.0
-
     times: list[float] = []
     snapshots: list[Field] = []
     masses: list[float] = []
     energies: list[float] = []
 
     def record(t: float, vals: np.ndarray) -> None:
-        f = Field(grid, vals.copy())
+        f = Field(grid, vals)
         times.append(t)
         masses.append(mass(f))
         energies.append(
@@ -139,20 +187,11 @@ def evolve(
         )
         snapshots.append(f)
 
-    vals = psi0.values.copy()
-    record(0.0, vals)
-    total_steps = n_full + (1 if remainder else 0)
-    h = dt
-    for k in range(1, total_steps + 1):
-        t = k * dt
-        if k > n_full:  # the shortened final step ends the run exactly at T
-            t, h = T, remainder
-            half_linear = np.exp(0.5j * sign * h * mult)
-        vals = _step_values(vals, half_linear, kernel, h, sign)
-        if not np.all(np.isfinite(vals.view(np.float64))):
-            raise NumericalAbort(f"non-finite state at step {k} (t = {t:g})")
-        if k % stride == 0 or k == total_steps:
-            record(t, vals)
+    record(0.0, psi0.values.copy())
+    total_steps = 0
+    mult = grid.fractional_multiplier(p.alpha)
+    for total_steps, t, vals in _strang(psi0.values, mult, kernel, T, dt, sign, stride):
+        record(t, vals)
 
     return Trajectory(
         times=np.asarray(times),

@@ -111,11 +111,21 @@ class Grid:
         sq = [self.axis_coords**2] * self.d
         return _frozen(np.sqrt(_axis_sum(sq, self.shape)))
 
+    @cached_property
+    def _multipliers(self) -> dict[float, np.ndarray]:
+        return {}
+
     def fractional_multiplier(self, alpha: float) -> np.ndarray:
-        """Fourier multiplier ``|k|^(2*alpha)`` (zero mode maps to 0)."""
+        """Fourier multiplier ``|k|^(2*alpha)`` (zero mode maps to 0).
+
+        Computed once per ``alpha`` and returned read-only thereafter.
+        """
         if not alpha > 0:
             raise ValueError(f"alpha must be positive (got {alpha})")
-        return self.k_squared**alpha
+        mult = self._multipliers.get(alpha)
+        if mult is None:
+            mult = self._multipliers[alpha] = _frozen(self.k_squared**alpha)
+        return mult
 
 
 @dataclass(frozen=True)

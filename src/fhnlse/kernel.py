@@ -6,9 +6,9 @@ replaced by the average of ``|x|^(-gamma)`` over the origin cell; because
 that average scales exactly like ``h^(-gamma)``, one dimensionless constant
 per ``(d, gamma)`` serves every grid spacing.
 
-Both the fast convolution path (cached real spectrum + FFT) and the brute
-force double sum read the same sample array, so they agree by construction
-up to floating-point roundoff.
+Both the fast convolution path (cached real spectrum + real FFT) and the
+brute force double sum read the same sample array, so they agree by
+construction up to floating-point roundoff.
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ class HartreeKernel:
     grid : the grid the kernel was built for
     gamma : decay exponent, ``0 < gamma < d``
     samples : real samples in displacement (FFT) layout, origin regularized
-    spectrum : cached real DFT of ``samples`` used by the fast pairing
+    spectrum : cached real DFT of ``samples``; its half ``[..., : n//2 + 1]``
+        (scaled by the cell volume) drives the fast pairing
     """
 
     def __init__(self, grid: Grid, gamma: float):
@@ -133,6 +134,9 @@ class HartreeKernel:
         self.samples.flags.writeable = False
         self.spectrum = kernel_spectrum(self.samples)
         self.spectrum.flags.writeable = False
+        # a real density has a Hermitian DFT, so the last axis needs only
+        # its nonnegative half; the quadrature weight is folded in here
+        self._half_spectrum = self.spectrum[..., : grid.n // 2 + 1] * grid.cell_volume
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         g = self.grid
@@ -143,9 +147,11 @@ class HartreeKernel:
             raise ValueError("field and kernel live on different grids")
 
     def convolve_density(self, rho: np.ndarray) -> np.ndarray:
-        """``(K * rho)(x) = sum_y K(x - y) rho(y) cell_volume`` via FFT."""
-        conv = np.fft.ifftn(np.fft.fftn(rho) * self.spectrum).real
-        return conv * self.grid.cell_volume
+        """``(K * rho)(x) = sum_y K(x - y) rho(y) cell_volume`` for a real
+        density ``rho``, via a real-to-complex FFT pair."""
+        axes = tuple(range(self.grid.d))
+        rho_hat = np.fft.rfftn(rho, axes=axes)
+        return np.fft.irfftn(rho_hat * self._half_spectrum, s=self.grid.shape, axes=axes)
 
 
 def hartree_potential(u: Field, kernel: HartreeKernel) -> np.ndarray:

@@ -55,6 +55,11 @@ class CheckResult:
     seconds: float = 0.0
     values: dict = dataclass_field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # comparisons of NumPy scalars yield np.bool_, which the JSON report
+        # cannot serialize
+        self.passed = bool(self.passed)
+
 
 @dataclass
 class VerifyContext:

@@ -105,6 +105,8 @@ class TestInvalidInput:
             "rearrange.count=null",
             "rearrange.seed=true",
             "dynamics.init=5",
+            "dynamics.planeWaveMode=[true,0]",
+            "dynamics.sign=true",
         ],
     )
     def test_malformed_value_exits_2_naming_the_key(self, setting, tmp_path, capsys):

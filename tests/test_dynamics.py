@@ -32,6 +32,39 @@ def _box(n=32, L=25.0):
     return grid, HartreeKernel(grid, GAMMA)
 
 
+def _real_space_strang(psi0, p, kernel, T, dt, stride, sign):
+    """Reference composition with every substep taken in real space: each
+    step is ``ifftn(half fftn)``, the nonlinear phase with a complex-FFT
+    convolution, and ``ifftn(half fftn)`` again.  Returns the recorded
+    times, the recorded values and the step count."""
+    grid = psi0.grid
+    mult = grid.k_squared**p.alpha
+
+    def one_step(vals, h):
+        half = np.exp(0.5j * sign * h * mult)
+        out = np.fft.ifftn(half * np.fft.fftn(vals))
+        if kernel is not None:
+            rho = np.abs(out) ** 2
+            pot = np.fft.ifftn(np.fft.fftn(rho) * kernel.spectrum).real * grid.cell_volume
+            out = out * np.exp(-1j * sign * h * pot)
+        return np.fft.ifftn(half * np.fft.fftn(out))
+
+    n_full = int(np.floor(T / dt + 1e-9))
+    remainder = T - n_full * dt
+    if remainder <= 1e-9 * dt:
+        remainder = 0.0
+    total = n_full + (1 if remainder else 0)
+    vals = psi0.values.copy()
+    times, snaps = [0.0], [vals]
+    for k in range(1, total + 1):
+        t, h = (k * dt, dt) if k <= n_full else (T, remainder)
+        vals = one_step(vals, h)
+        if k % stride == 0 or k == total:
+            times.append(t)
+            snaps.append(vals)
+    return np.asarray(times), snaps, total
+
+
 class TestExactSolutions:
     def test_free_plane_wave_accumulates_the_dispersive_phase(self):
         grid = Grid(d=2, n=32, L=25.0)
@@ -124,6 +157,27 @@ class TestSymmetries:
                    stride=200, sign=-1)
         expected = np.conj(a.snapshots[-1].values)
         assert np.max(np.abs(b.snapshots[-1].values - expected)) < 1e-13
+
+
+class TestAgainstRealSpaceComposition:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("interacting", [True, False], ids=["hartree", "free"])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_fourier_resident_loop_matches_the_real_space_steps(
+        self, sign, interacting, stride
+    ):
+        grid, kernel = _box()
+        kernel = kernel if interacting else None
+        psi0 = random_band_limited(grid, seed=16) * 2.0  # mass 4: strongly nonlinear
+        dt = 1e-2
+        T = 23.4 * dt  # 23 full steps and a shortened last one
+        times, snaps, total = _real_space_strang(psi0, P2, kernel, T, dt, stride, sign)
+        traj = evolve(psi0, P2, kernel, T=T, dt=dt, stride=stride, sign=sign)
+        assert traj.steps == total == 24
+        assert np.array_equal(traj.times, times)
+        assert len(traj.snapshots) == len(snaps)
+        for got, want in zip(traj.snapshots, snaps):
+            assert np.max(np.abs(got.values - want)) < 1e-12
 
 
 class TestBookkeeping:

@@ -57,6 +57,20 @@ class TestGridGeometry:
         with pytest.raises(ValueError, match="alpha"):
             grid.fractional_multiplier(-0.3)
 
+    def test_fractional_multiplier_is_cached_read_only_per_alpha(self):
+        grid = Grid(d=2, n=16, L=10.0)
+        mult = grid.fractional_multiplier(0.6)
+        assert grid.fractional_multiplier(0.6) is mult
+        assert not mult.flags.writeable
+        with pytest.raises(ValueError):
+            mult[1, 1] = 0.0
+        other = grid.fractional_multiplier(0.7)
+        assert other is not mult
+        assert np.array_equal(other, grid.k_squared**0.7)
+        assert np.array_equal(mult, grid.k_squared**0.6)
+        with pytest.raises(ValueError, match="alpha"):
+            grid.fractional_multiplier(0.0)
+
     def test_point_distance_vanishes_at_center(self):
         grid = Grid(d=2, n=16, L=10.0)
         assert grid.point_distance[8, 8] == 0.0

@@ -16,6 +16,7 @@ from fhnlse import (
     origin_cell_average,
     random_band_limited,
 )
+from fhnlse import kernel as kernel_module
 from fhnlse.kernel import DIRECT_SITE_LIMIT, kernel_spectrum
 
 
@@ -184,6 +185,31 @@ class TestHartreePairings:
         delta[0, 0] = 1.0
         conv = kernel.convolve_density(delta)
         assert np.allclose(conv, kernel.samples * grid.cell_volume, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid(d=1, n=64, L=40.0), Grid(d=2, n=32, L=20.0), Grid(d=3, n=16, L=10.0)],
+        ids=["d1", "d2", "d3"],
+    )
+    def test_real_fft_convolution_matches_full_complex_fft(self, grid):
+        kernel = HartreeKernel(grid, 0.5)
+        rho = np.abs(random_band_limited(grid, seed=21).values) ** 2
+        full = np.fft.ifftn(np.fft.fftn(rho) * kernel.spectrum).real * grid.cell_volume
+        conv = kernel.convolve_density(rho)
+        assert conv.shape == grid.shape
+        assert np.isrealobj(conv)
+        assert np.max(np.abs(conv - full)) <= 1e-13 * np.max(np.abs(full))
+
+    def test_doubled_spectrum_desynchronizes_the_fast_pairing(self, monkeypatch):
+        """The fast path must read ``spectrum`` as built by ``kernel_spectrum``,
+        so a broken transform shows up against the direct double sum."""
+        grid = Grid(d=2, n=16, L=20.0)
+        u = random_band_limited(grid, seed=22)
+        real = kernel_module.kernel_spectrum
+        monkeypatch.setattr(kernel_module, "kernel_spectrum", lambda s: 2.0 * real(s))
+        kernel = HartreeKernel(grid, 0.5)
+        fast = hartree_quadratic(u, kernel)
+        assert fast == pytest.approx(2.0 * hartree_direct(u, kernel), rel=1e-10)
 
     def test_potential_is_translation_covariant(self):
         grid = Grid(d=2, n=16, L=10.0)

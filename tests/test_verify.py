@@ -2,6 +2,9 @@
 progress callback.  The individual checks are exercised one-per-criterion in
 test_acceptance.py."""
 
+import json
+
+import numpy as np
 import pytest
 
 from fhnlse.verify import CHECK_NAMES, _QUICK_CHECKS, CheckResult, run_checks
@@ -14,6 +17,13 @@ class TestRegistry:
 
     def test_quick_subset_is_registered(self):
         assert set(_QUICK_CHECKS) <= set(CHECK_NAMES)
+
+
+class TestCheckResult:
+    def test_numpy_verdict_becomes_a_json_serializable_bool(self):
+        result = CheckResult(name="x", passed=np.float64(1.0) < 2.0, detail="")
+        assert type(result.passed) is bool
+        assert json.loads(json.dumps({"passed": result.passed})) == {"passed": True}
 
 
 class TestRunChecks:
