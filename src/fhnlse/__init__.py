@@ -8,7 +8,7 @@ probes orbital stability by evolving perturbed minimizers with a Strang
 splitting integrator.
 """
 
-from .dynamics import ConservationReport, Trajectory, conservation_report, evolve, step
+from .dynamics import ConservationReport, Trajectory, conservation_report, evolve
 from .errors import NonConvergenceError, NumericalAbort
 from .fields import Field, gaussian, plane_wave, random_band_limited
 from .grid import Grid, PhysicsParams
@@ -95,7 +95,6 @@ __all__ = [
     "scaling_exponent",
     "sobolev_seminorm_sq",
     "stability_run",
-    "step",
     "subadditivity_check",
     "symmetric_rearrange",
     "write_csv",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import sys
 from pathlib import Path
 
 from .grid import Grid, PhysicsParams
@@ -134,6 +135,8 @@ def _require_number(cfg: dict, section: str, key: str, positive: bool = True) ->
     value = cfg[section][key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{section}.{key} must be a number (got {value!r})")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
+        raise ValueError(f"{section}.{key} must be finite (got {value!r})")
     if positive and not value > 0:
         raise ValueError(f"{section}.{key} must be positive (got {value})")
     return float(value)

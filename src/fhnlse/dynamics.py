@@ -37,7 +37,7 @@ from .grid import PhysicsParams
 from .kernel import HartreeKernel
 from .spectral import check_setup, energy, mass, sobolev_seminorm_sq
 
-__all__ = ["step", "evolve", "Trajectory", "conservation_report", "ConservationReport"]
+__all__ = ["evolve", "Trajectory", "conservation_report", "ConservationReport"]
 
 logger = logging.getLogger(__name__)
 
@@ -103,25 +103,6 @@ def _strang(
             yield k, t, np.fft.ifftn(psi_hat)
 
 
-def step(
-    psi: Field,
-    p: PhysicsParams,
-    kernel: HartreeKernel | None,
-    dt: float,
-    sign: int = 1,
-) -> Field:
-    """One Strang step of size ``dt``.  ``kernel=None`` switches the
-    nonlinearity off (free fractional evolution)."""
-    check_setup(psi.grid, p, kernel)
-    if not dt > 0:
-        raise ValueError(f"dt must be positive (got {dt})")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1 (got {sign})")
-    mult = psi.grid.fractional_multiplier(p.alpha)
-    _, _, vals = next(_strang(psi.values, mult, kernel, dt, dt, sign, stride=1))
-    return Field(psi.grid, vals)
-
-
 @dataclass
 class Trajectory:
     """Recorded states and conserved-quantity series of one evolution.
@@ -161,10 +142,10 @@ def evolve(
     non-finite values.
     """
     check_setup(psi0.grid, p, kernel)
-    if not dt > 0:
-        raise ValueError(f"dt must be positive (got {dt})")
-    if T < 0:
-        raise ValueError(f"T must be nonnegative (got {T})")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite (got {dt})")
+    if not 0 <= T < np.inf:
+        raise ValueError(f"T must be nonnegative and finite (got {T})")
     if stride < 1:
         raise ValueError(f"stride must be >= 1 (got {stride})")
     if sign not in (1, -1):

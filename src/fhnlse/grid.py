@@ -53,8 +53,8 @@ class Grid:
             raise ValueError(f"d must be 1, 2 or 3 (got {self.d})")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8 (got {self.n})")
-        if not (self.L > 0):
-            raise ValueError(f"L must be positive (got {self.L})")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"L must be positive and finite (got {self.L})")
         object.__setattr__(self, "L", float(self.L))
 
     # -- scalar geometry -------------------------------------------------

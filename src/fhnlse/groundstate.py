@@ -172,9 +172,7 @@ def minimize(
     tau = opts.tau0
     energies = [e_now]
     residuals: list[float] = []
-    best: tuple[float, Field, float, float] | None = None
     iterations = 0
-    converged = False
     stop_reason = "max_iter"
 
     def diagnostics(v: Field) -> tuple[float, float, Field]:
@@ -188,7 +186,7 @@ def minimize(
 
     omega, resid, grad = diagnostics(u)
     residuals.append(resid)
-    best = (resid, u.copy(), e_now, omega)
+    best: tuple[float, Field, float, float] = (resid, u.copy(), e_now, omega)
 
     for iterations in range(1, opts.max_iter + 1):
         if not np.isfinite(resid) or not np.isfinite(e_now):
@@ -197,7 +195,6 @@ def minimize(
                 f"(energy={e_now}, residual={resid})"
             )
         if resid < opts.resid_tol:
-            converged = True
             stop_reason = "residual"
             iterations -= 1
             break
@@ -234,11 +231,9 @@ def minimize(
     else:
         iterations = opts.max_iter
 
-    if converged:
-        final = (resid, u, e_now, omega)
-    else:
-        final = best
-    resid_f, g, e_f, omega_f = final
+    # the iterate that first met resid_tol has the smallest residual so far,
+    # so the best iterate is the returned one in every case
+    resid_f, g, e_f, omega_f = best
     converged = resid_f < opts.resid_tol
 
     ratio = _boundary_ratio(g)
@@ -347,22 +342,6 @@ class ScalingResult:
     exponent: float
     slope: float
     rows: list[ScalingRow]
-
-    def table_rows(self) -> list[dict]:
-        return [
-            {
-                "lambda": r.lam,
-                "q": r.q,
-                "L": r.L,
-                "energy": r.energy,
-                "predicted": r.predicted,
-                "ratio": r.ratio,
-                "converged": r.converged,
-                "residual": r.residual,
-                "iterations": r.iterations,
-            }
-            for r in self.rows
-        ]
 
 
 def _solve_mass(

@@ -10,7 +10,9 @@ l^p norm exactly (it is a permutation of ``|u|``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,6 +25,7 @@ __all__ = [
     "symmetric_rearrange",
     "riesz_check",
     "rearrangement_sweep",
+    "SweepResult",
 ]
 
 
@@ -93,18 +96,42 @@ def riesz_check(f: Field, g: Field, h: Field) -> tuple[float, float]:
     return lhs, rhs
 
 
+@dataclass(frozen=True)
+class SweepResult:
+    """Outcome of :func:`rearrangement_sweep`.
+
+    ``changed`` lists the seeds whose magnitude multiset changed;
+    ``worst_seminorm`` is the worst relative seminorm excess
+    ``(s_out - s_in) / s_in`` and ``worst_pairing`` the worst relative
+    pairing excess ``(lhs - rhs) / |rhs|``.  Both excesses are negative when
+    the inequalities hold strictly; the sweep passes when no multiset
+    changed and neither excess exceeds ``slack``.
+    """
+
+    slack: ClassVar[float] = 1e-9  # roundoff allowance on either excess
+
+    changed: list[int]
+    worst_seminorm: float
+    worst_pairing: float
+
+    @property
+    def passed(self) -> bool:
+        return (
+            not self.changed
+            and self.worst_seminorm <= self.slack
+            and self.worst_pairing <= self.slack
+        )
+
+
 def rearrangement_sweep(
     grid: Grid, alpha: float, count: int, seed: int, pair_seed: int
-) -> tuple[list[int], float, float]:
+) -> SweepResult:
     """Test the rearrangement inequalities on ``count`` random fields.
 
     Fields with seeds ``seed + r`` must keep their magnitude multiset and
     must not grow in the H^alpha-dot seminorm under rearrangement; the
     nonnegative triples with seeds ``pair_seed + 3r + (0, 1, 2)`` must not
-    lose triple pairing.  Returns the seeds whose multiset changed, the
-    worst relative seminorm excess ``(s_out - s_in) / s_in`` and the worst
-    relative pairing excess ``(lhs - rhs) / |rhs|``; both excesses are
-    negative when the inequalities hold strictly.
+    lose triple pairing.
     """
     changed = []
     worst_seminorm = -np.inf
@@ -126,4 +153,4 @@ def rearrangement_sweep(
         )
         lhs, rhs = riesz_check(f, g, h)
         worst_pairing = max(worst_pairing, (lhs - rhs) / abs(rhs))
-    return changed, float(worst_seminorm), float(worst_pairing)
+    return SweepResult(changed, float(worst_seminorm), float(worst_pairing))

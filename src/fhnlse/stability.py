@@ -38,8 +38,8 @@ def perturb(g: Field, alpha: float, delta: float, seed: int) -> Field:
     field is normalized in the H^alpha norm, so the injected perturbation
     size is exactly ``delta``.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative (got {delta})")
+    if not 0 <= delta < np.inf:
+        raise ValueError(f"delta must be nonnegative and finite (got {delta})")
     grid = g.grid
     w = Field(grid, band_limited_noise(grid, seed, NOISE_KEEP_FRACTION))
     w = w * (1.0 / h_alpha_norm(w, alpha))

@@ -107,6 +107,10 @@ class TestInvalidInput:
             "dynamics.init=5",
             "dynamics.planeWaveMode=[true,0]",
             "dynamics.sign=true",
+            "grid.L=Infinity",
+            "stability.delta=NaN",
+            "dynamics.T=Infinity",
+            "solver.stallTol=NaN",
         ],
     )
     def test_malformed_value_exits_2_naming_the_key(self, setting, tmp_path, capsys):

@@ -19,7 +19,6 @@ from fhnlse import (
     mass,
     plane_wave,
     random_band_limited,
-    step,
 )
 
 ALPHA = 0.6
@@ -217,14 +216,6 @@ class TestBookkeeping:
         report = conservation_report(traj)
         assert report == ConservationReport(0.0, 0.0)
 
-    def test_single_step_matches_evolve_with_one_step_horizon(self):
-        grid, kernel = _box(n=16, L=12.0)
-        psi0 = random_band_limited(grid, seed=13)
-        dt = 1e-3
-        one = step(psi0, P2, kernel, dt)
-        traj = evolve(psi0, P2, kernel, T=dt, dt=dt)
-        assert np.array_equal(one.values, traj.snapshots[-1].values)
-
     def test_trajectory_rejects_mismatched_series_lengths(self):
         grid = Grid(d=2, n=16, L=12.0)
         f = Field(grid, np.zeros(grid.shape, dtype=complex))
@@ -252,7 +243,12 @@ class TestValidationAndAborts:
         with pytest.raises(ValueError, match="sign"):
             evolve(psi0, P2, kernel, T=1.0, dt=1e-3, sign=2)
         with pytest.raises(ValueError, match="dt"):
-            step(psi0, P2, kernel, dt=-1e-3)
+            evolve(psi0, P2, kernel, T=1.0, dt=-1e-3)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="T must be nonnegative and finite"):
+                evolve(psi0, P2, kernel, T=bad, dt=1e-3)
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                evolve(psi0, P2, kernel, T=1.0, dt=bad)
 
     def test_rejects_mismatched_kernel(self):
         grid, _ = _box(n=16, L=12.0)

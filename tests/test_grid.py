@@ -110,9 +110,9 @@ class TestGridValidation:
     def test_accepts_minimum_point_count(self):
         assert Grid(d=1, n=8, L=1.0).n == 8
 
-    @pytest.mark.parametrize("L", [0.0, -2.0])
-    def test_rejects_nonpositive_length(self, L):
-        with pytest.raises(ValueError, match="L must be positive"):
+    @pytest.mark.parametrize("L", [0.0, -2.0, float("inf"), float("nan")])
+    def test_rejects_nonpositive_or_non_finite_length(self, L):
+        with pytest.raises(ValueError, match="L must be positive and finite"):
             Grid(d=1, n=8, L=L)
 
 

@@ -156,14 +156,6 @@ class TestScalingLaw:
         assert res.rows[0].energy == res.base_energy
         assert res.rows[1].q == 2.0
 
-    def test_table_rows_carry_all_columns(self, ref_params, kernel32):
-        res = scaling_experiment(ref_params, kernel32, base_q=1.0, lambdas=(1.0,))
-        (row,) = res.table_rows()
-        assert set(row) == {
-            "lambda", "q", "L", "energy", "predicted", "ratio",
-            "converged", "residual", "iterations",
-        }
-
     def test_rejects_nonpositive_masses(self, ref_params, kernel32):
         with pytest.raises(ValueError, match="positive"):
             scaling_experiment(ref_params, kernel32, base_q=0.0)

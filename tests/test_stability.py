@@ -58,8 +58,9 @@ class TestPerturb:
         assert np.max(np.abs(perturb(zero, ALPHA, 1.0, seed=7).values - expected)) < 1e-14
 
     def test_rejects_negative_size(self, ground32):
-        with pytest.raises(ValueError, match="delta"):
-            perturb(ground32.g, ALPHA, -1e-3, seed=1)
+        for bad in (-1e-3, np.inf, np.nan):
+            with pytest.raises(ValueError, match="delta"):
+                perturb(ground32.g, ALPHA, bad, seed=1)
 
 
 class TestOrbitDistance:

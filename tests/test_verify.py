@@ -1,4 +1,4 @@
-"""The verification runner itself: check registry, filtering, and the
+"""The verification runner itself: check table, filtering, and the
 progress callback.  The individual checks are exercised one-per-criterion in
 test_acceptance.py."""
 
@@ -7,16 +7,41 @@ import json
 import numpy as np
 import pytest
 
-from fhnlse.verify import CHECK_NAMES, _QUICK_CHECKS, CheckResult, run_checks
+import fhnlse.rearrange as rearrange_module
+from fhnlse.cli import main
+from fhnlse.verify import (
+    CHECKS,
+    CheckResult,
+    VerifyContext,
+    check_rearrangement_suite,
+    run_checks,
+)
 
 
-class TestRegistry:
-    def test_twelve_uniquely_named_checks(self):
-        assert len(CHECK_NAMES) == 12
-        assert len(set(CHECK_NAMES)) == 12
+class TestCheckTable:
+    def test_twelve_checks_in_report_order(self):
+        assert list(CHECKS) == [
+            "hartree-oracle-equivalence",
+            "gradient-pairing",
+            "groundstate-convergence",
+            "euler-lagrange-residual",
+            "radial-symmetry",
+            "mass-scaling-slope",
+            "subadditivity",
+            "rearrangement-suite",
+            "conservation",
+            "standing-wave-orbit",
+            "stability-sweep",
+            "reproducibility",
+        ]
 
-    def test_quick_subset_is_registered(self):
-        assert set(_QUICK_CHECKS) <= set(CHECK_NAMES)
+    def test_quick_subset(self):
+        assert [name for name, (_, quick) in CHECKS.items() if quick] == [
+            "hartree-oracle-equivalence",
+            "gradient-pairing",
+            "rearrangement-suite",
+            "conservation",
+        ]
 
 
 class TestCheckResult:
@@ -42,3 +67,32 @@ class TestRunChecks:
         assert results[0].passed, results[0].detail
         assert results[0].seconds >= 0.0
         assert seen == results
+
+
+class TestRearrangementVerdict:
+    def test_excess_above_the_slack_fails_the_command_and_the_check(
+        self, tmp_path, monkeypatch
+    ):
+        """A pairing excess just above the sweep's slack must fail both the
+        ``rearrange-test`` command and the ``rearrangement-suite`` check,
+        which read the one verdict of ``rearrangement_sweep``."""
+        real = rearrange_module.riesz_check
+        excess = 2 * rearrange_module.SweepResult.slack
+
+        def inflated(f, g, h):
+            lhs, rhs = real(f, g, h)
+            return rhs + excess * abs(rhs), rhs
+
+        monkeypatch.setattr(rearrange_module, "riesz_check", inflated)
+        code = main(
+            ["rearrange-test", "--set", "grid.n=16", "--set", "grid.L=12.0",
+             "--set", "rearrange.count=3", "--output-dir", str(tmp_path)]
+        )
+        assert code == 1
+        report = json.loads((tmp_path / "rearrange.json").read_text())
+        assert report["pass"] is False
+        assert report["worstPairingExcess"] > report["slack"]
+        result = check_rearrangement_suite(VerifyContext(seed=1), "quick")
+        assert result.name == "rearrangement-suite"
+        assert not result.passed
+        assert result.values["worst_riesz_excess"] > result.values["slack"]
