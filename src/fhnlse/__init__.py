@@ -1,8 +1,8 @@
 """Spectral laboratory for a fractional Schrodinger equation with a
 Hartree-type nonlocal interaction on a periodic box.
 
-The package computes mass-constrained energy minimizers by projected
-gradient descent, checks their qualitative properties (negative energy,
+The package computes mass-constrained energy minimizers by preconditioned
+descent on the mass sphere, checks their qualitative properties (negative energy,
 mass-scaling law, radial symmetry via rearrangement, subadditivity), and
 probes orbital stability by evolving perturbed minimizers with a Strang
 splitting integrator.

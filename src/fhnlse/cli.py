@@ -87,11 +87,15 @@ def _cmd_groundstate(args) -> int:
     if _wants(cfg, "json"):
         write_json(outdir / "summary.json", gs.summary())
     if _wants(cfg, "csv") and gs.energy_history is not None:
-        rows = [
-            (i, e, r)
-            for i, (e, r) in enumerate(zip(gs.energy_history, gs.residual_history))
-        ]
-        write_csv(outdir / "convergence.csv", ["iteration", "energy", "residual"], rows)
+        columns = zip(
+            gs.energy_history, gs.residual_history, gs.step_history, gs.backtrack_history
+        )
+        rows = [(i, *row) for i, row in enumerate(columns)]
+        write_csv(
+            outdir / "convergence.csv",
+            ["iteration", "energy", "residual", "step", "backtracks"],
+            rows,
+        )
     if _wants(cfg, "snapshots"):
         write_field(outdir / "ground_state", gs.g, p.alpha, p.gamma, label="ground_state")
     require_converged(gs, "groundstate command")

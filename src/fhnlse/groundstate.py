@@ -1,10 +1,16 @@
 """Mass-constrained energy minimization and ground-state experiments.
 
-The minimizer runs a projected gradient flow: each iteration takes an
-explicit gradient step and rescales back to the mass sphere, with a
-backtracking step size that never lets the post-projection energy increase.
-Convergence is declared on the constrained Euler-Lagrange residual
-``|G(u) - omega u|_2 / |u|_2``.
+The minimizer descends on the mass sphere along the H^alpha-preconditioned
+Euler-Lagrange residual: the direction is ``P (G(u) - omega u)`` with
+``P = (s + |k|^(2 alpha))^(-1)`` and the shift ``s = max(|omega|, smallest
+nonzero |k|^(2 alpha))``, projected onto the sphere's tangent space.  Each
+iteration steps along it and rescales back to the mass sphere, with a
+backtracking step size that never lets the post-projection energy increase
+(Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017); the gradient-flow
+setting is that of Bao & Du, SIAM J. Sci. Comput. 25 (2004)).  One
+transform of a trial field and one convolution of its density give its
+energy and, once it is accepted, its gradient.  Convergence is declared on
+the constrained Euler-Lagrange residual ``|G(u) - omega u|_2 / |u|_2``.
 """
 
 from __future__ import annotations
@@ -20,13 +26,7 @@ from .errors import NonConvergenceError, NumericalAbort
 from .fields import Field, gaussian, random_band_limited
 from .grid import Grid, PhysicsParams
 from .kernel import HartreeKernel
-from .spectral import (
-    check_setup,
-    energy,
-    energy_gradient,
-    h_alpha_norm,
-    mass,
-)
+from .spectral import EnergyTerms, check_setup, energy, h_alpha_norm, mass
 
 __all__ = [
     "SolveOptions",
@@ -53,6 +53,8 @@ _BOUNDARY_WARN_RATIO = 1e-8
 class SolveOptions:
     """Knobs for :func:`minimize`.
 
+    tau0: the first trial step size; later trials start at 1.2x the last
+    accepted step, which may grow past ``tau0``.
     init: "gaussian" (default; width ``init_width`` or L/8, centered at the
     box center), "random" (band-limited noise from ``seed``), a Field, or a
     path to a field snapshot (base path without extension).
@@ -91,8 +93,12 @@ class GroundState:
     iterations: int
     converged: bool
     stop_reason: str
+    # one entry per accepted iterate, the start included (step 0, no
+    # backtracks); kept only under ``SolveOptions.keep_history``
     energy_history: np.ndarray = dataclass_field(repr=False, default=None)
     residual_history: np.ndarray = dataclass_field(repr=False, default=None)
+    step_history: np.ndarray = dataclass_field(repr=False, default=None)
+    backtrack_history: np.ndarray = dataclass_field(repr=False, default=None)
 
     def summary(self) -> dict:
         g = self.g.grid
@@ -152,41 +158,67 @@ def _boundary_ratio(g: Field) -> float:
     return worst / peak
 
 
+def _descent(terms: EnergyTerms, shift_floor: float) -> tuple[float, float, np.ndarray]:
+    """``(omega, residual, d)`` at the field of ``terms``.
+
+    ``d = P r`` is the preconditioned Euler-Lagrange residual
+    ``r = G(u) - omega u`` with ``P = (s + |k|^(2 alpha))^(-1)``,
+    ``s = max(|omega|, shift_floor)``, projected onto the tangent space of
+    the mass sphere so that ``Re <u, d> = 0``.
+    """
+    u = terms.u.values
+    omega = terms.omega
+    r = terms.gradient() - omega * u
+    u_sq = float(np.sum(np.abs(u) ** 2))
+    resid = float(np.sqrt(np.sum(np.abs(r) ** 2) / u_sq))
+    shift = max(abs(omega), shift_floor)
+    d = np.fft.ifftn(np.fft.fftn(r) / (shift + terms.multiplier))
+    d -= (float(np.real(np.vdot(u, d))) / u_sq) * u
+    return omega, resid, d
+
+
+def _history_columns(history: list[tuple[float, float, float, int]]) -> dict:
+    energies, residuals, steps, backtracks = zip(*history)
+    return {
+        "energy_history": np.asarray(energies),
+        "residual_history": np.asarray(residuals),
+        "step_history": np.asarray(steps),
+        "backtrack_history": np.asarray(backtracks),
+    }
+
+
 def minimize(
     p: PhysicsParams, kernel: HartreeKernel, opts: SolveOptions | None = None
 ) -> GroundState:
     """Minimize the energy over the sphere ``mass(u) == q``.
 
-    Iterates ``u <- rescale(u - tau * G(u))`` with backtracking on ``tau``
-    (halved until the post-projection energy does not increase, regrown by
-    1.2x after success, capped at ``tau0``).  Stops when the Euler-Lagrange
-    residual drops below ``resid_tol``, the iterate stalls, or ``max_iter``
-    is reached; returns the best (smallest-residual) accepted iterate.
+    Iterates ``u <- rescale(u - tau * d)`` along the preconditioned,
+    tangent-projected residual ``d`` of :func:`_descent`, with backtracking
+    on ``tau``: the first trial step is ``tau0``, a step is halved until the
+    post-projection energy does not increase, and the next trial is 1.2x the
+    accepted step.  Each trial field is evaluated once, by
+    ``energy(..., with_terms=True)``: its one transform and one convolution
+    give its energy and, once it is accepted, its gradient.
+    Stops when the Euler-Lagrange residual drops below ``resid_tol``, the
+    iterate stalls, or ``max_iter`` is reached; returns the best
+    (smallest-residual) accepted iterate.
     """
     opts = opts or SolveOptions()
     opts.validate()
     check_setup(kernel.grid, p, kernel)
+    # the smallest nonzero |k|^(2 alpha) of the grid keeps the
+    # preconditioner finite on the zero mode when omega is near 0
+    shift_floor = float((2.0 * np.pi / kernel.grid.L) ** (2.0 * p.alpha))
 
-    u = _initial_field(p, kernel, opts)
-    e_now = energy(u, p, kernel)
+    e_now, cur = energy(_initial_field(p, kernel, opts), p, kernel, with_terms=True)
     tau = opts.tau0
-    energies = [e_now]
-    residuals: list[float] = []
     iterations = 0
     stop_reason = "max_iter"
 
-    def diagnostics(v: Field) -> tuple[float, float, Field]:
-        grad = energy_gradient(v, p, kernel)
-        omega = float(np.real(np.vdot(grad.values, v.values)) / np.sum(np.abs(v.values) ** 2))
-        resid_vals = grad.values - omega * v.values
-        resid = float(
-            np.sqrt(np.sum(np.abs(resid_vals) ** 2) / np.sum(np.abs(v.values) ** 2))
-        )
-        return omega, resid, grad
-
-    omega, resid, grad = diagnostics(u)
-    residuals.append(resid)
-    best: tuple[float, Field, float, float] = (resid, u.copy(), e_now, omega)
+    omega, resid, direction = _descent(cur, shift_floor)
+    # per accepted iterate: energy, residual, step, backtracks
+    history: list[tuple[float, float, float, int]] = [(e_now, resid, 0.0, 0)]
+    best: tuple[float, Field, float, float] = (resid, cur.u, e_now, omega)
 
     for iterations in range(1, opts.max_iter + 1):
         if not np.isfinite(resid) or not np.isfinite(e_now):
@@ -199,32 +231,30 @@ def minimize(
             iterations -= 1
             break
 
+        u = cur.u
         step = tau
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            trial = _project_mass(Field(u.grid, u.values - step * grad.values), opts.q)
-            e_trial = energy(trial, p, kernel)
+        for backtracks in range(_MAX_BACKTRACKS):
+            v = _project_mass(Field(u.grid, u.values - step * direction), opts.q)
+            e_trial, trial = energy(v, p, kernel, with_terms=True)
             if np.isfinite(e_trial) and e_trial <= e_now:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             stop_reason = "backtracking_floor"
             break
 
         rel_change = float(
             np.sqrt(
-                np.sum(np.abs(trial.values - u.values) ** 2)
+                np.sum(np.abs(trial.u.values - u.values) ** 2)
                 / np.sum(np.abs(u.values) ** 2)
             )
         )
-        u, e_now = trial, e_trial
-        tau = min(1.2 * step, opts.tau0)
-        energies.append(e_now)
-        omega, resid, grad = diagnostics(u)
-        residuals.append(resid)
+        cur, e_now = trial, e_trial
+        tau = 1.2 * step
+        omega, resid, direction = _descent(cur, shift_floor)
+        history.append((e_now, resid, step, backtracks))
         if resid < best[0]:
-            best = (resid, u.copy(), e_now, omega)
+            best = (resid, cur.u, e_now, omega)
         if rel_change < opts.stall_tol:
             stop_reason = "stalled"
             break
@@ -257,8 +287,7 @@ def minimize(
         iterations=iterations,
         converged=converged,
         stop_reason=stop_reason,
-        energy_history=np.asarray(energies) if opts.keep_history else None,
-        residual_history=np.asarray(residuals) if opts.keep_history else None,
+        **(_history_columns(history) if opts.keep_history else {}),
     )
 
 

@@ -88,5 +88,5 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+            writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
     return path

@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import Field
 from .grid import Grid, PhysicsParams
-from .kernel import HartreeKernel, hartree_potential, hartree_quadratic
+from .kernel import HartreeKernel
 
 __all__ = [
     "check_setup",
@@ -27,6 +27,7 @@ __all__ = [
     "frac_laplacian",
     "sobolev_seminorm_sq",
     "h_alpha_norm",
+    "EnergyTerms",
     "energy",
     "energy_gradient",
     "lagrange_multiplier",
@@ -74,29 +75,68 @@ def h_alpha_norm(u: Field, alpha: float) -> float:
     return float(np.sqrt(mass(u) + sobolev_seminorm_sq(u, alpha)))
 
 
-def energy(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> float:
-    """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 hartree_quadratic(u)``."""
-    check_setup(u.grid, p, kernel)
-    return 0.5 * sobolev_seminorm_sq(u, p.alpha) - 0.25 * hartree_quadratic(u, kernel)
+class EnergyTerms:
+    """The parts of ``E``, ``omega`` and ``G`` at one field, from one transform
+    of ``u`` and one convolution of its density.
+
+    ``u_hat`` is the unnormalized DFT of ``u``, ``potential`` is
+    ``K * |u|^2``, ``seminorm_sq`` is ``|u|_{H^alpha-dot}^2``, ``pairing`` is
+    ``hartree_quadratic(u)`` and ``mass`` is ``|u|_2^2``.
+    """
+
+    def __init__(self, u: Field, p: PhysicsParams, kernel: HartreeKernel):
+        check_setup(u.grid, p, kernel)
+        grid = u.grid
+        self.u = u
+        self.multiplier = grid.fractional_multiplier(p.alpha)
+        self.u_hat = np.fft.fftn(u.values)
+        rho = np.abs(u.values) ** 2
+        self.potential = kernel.convolve_density(rho)
+        self.seminorm_sq = float(
+            np.sum(self.multiplier * np.abs(self.u_hat) ** 2) * _spectral_weight(grid)
+        )
+        self.pairing = float(np.sum(rho * self.potential) * grid.cell_volume)
+        self.mass = float(np.sum(rho) * grid.cell_volume)
+
+    @property
+    def energy(self) -> float:
+        """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 hartree_quadratic(u)``."""
+        return 0.5 * self.seminorm_sq - 0.25 * self.pairing
+
+    @property
+    def omega(self) -> float:
+        """Frequency ``omega = (|u|_{H^alpha-dot}^2 - hartree_quadratic(u)) / mass(u)``.
+
+        Pairing the gradient with ``u`` shows ``omega * mass == Re <G(u), u>``,
+        so at a constrained critical point ``G(u) = omega * u``.
+        """
+        if self.mass == 0.0:
+            raise ValueError("lagrange_multiplier undefined for the zero field")
+        return (self.seminorm_sq - self.pairing) / self.mass
+
+    def gradient(self) -> np.ndarray:
+        """Values of ``G(u) = (-Lap)^alpha u - (K * |u|^2) u``."""
+        return np.fft.ifftn(self.multiplier * self.u_hat) - self.potential * self.u.values
+
+
+def energy(
+    u: Field, p: PhysicsParams, kernel: HartreeKernel, *, with_terms: bool = False
+) -> float | tuple[float, EnergyTerms]:
+    """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 hartree_quadratic(u)``.
+
+    With ``with_terms`` the result is ``(E, terms)``: a caller that goes on to
+    need the gradient or ``omega`` at ``u`` reads them from ``terms`` without
+    a second transform or convolution.
+    """
+    terms = EnergyTerms(u, p, kernel)
+    return (terms.energy, terms) if with_terms else terms.energy
 
 
 def energy_gradient(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> Field:
     """L^2 gradient ``G(u) = (-Lap)^alpha u - (K * |u|^2) u``."""
-    check_setup(u.grid, p, kernel)
-    lin = frac_laplacian(u, p.alpha)
-    pot = hartree_potential(u, kernel)
-    return Field(u.grid, lin.values - pot * u.values)
+    return Field(u.grid, EnergyTerms(u, p, kernel).gradient())
 
 
 def lagrange_multiplier(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> float:
-    """Frequency ``omega = (|u|_{H^alpha-dot}^2 - hartree_quadratic(u)) / mass(u)``.
-
-    Pairing the gradient with ``u`` shows ``omega * mass == Re <G(u), u>``,
-    so at a constrained critical point ``G(u) = omega * u``.
-    """
-    m = mass(u)
-    if m == 0.0:
-        raise ValueError("lagrange_multiplier undefined for the zero field")
-    check_setup(u.grid, p, kernel)
-    return (sobolev_seminorm_sq(u, p.alpha) - hartree_quadratic(u, kernel)) / m
-
+    """Frequency ``omega`` of :attr:`EnergyTerms.omega`; zero mass raises ValueError."""
+    return EnergyTerms(u, p, kernel).omega

@@ -29,8 +29,14 @@ class TestGroundstateCommand:
         assert summary["E"] < 0.0
         assert summary["params"] == {"d": 2, "n": 16, "L": 12.0}
         lines = (tmp_path / "convergence.csv").read_text().splitlines()
-        assert lines[0] == "iteration,energy,residual"
+        assert lines[0] == "iteration,energy,residual,step,backtracks"
         assert len(lines) == summary["iterations"] + 2  # header + initial state
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(row[0]) for row in rows] == list(range(len(rows)))
+        assert rows[0][3:] == ["0.0", "0"]  # the start takes no step
+        assert all(float(row[3]) > 0.0 and int(row[4]) >= 0 for row in rows[1:])
+        assert float(rows[-1][1]) == summary["E"]
+        assert float(rows[-1][2]) == summary["residual"]
         assert "ground state" in capsys.readouterr().out
 
     def test_manifest_records_the_run_but_not_the_directory(self, tmp_path):

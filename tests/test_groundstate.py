@@ -14,6 +14,7 @@ from fhnlse import (
     PhysicsParams,
     SolveOptions,
     align,
+    energy,
     energy_gradient,
     gaussian,
     h_alpha_norm,
@@ -29,6 +30,8 @@ from fhnlse import (
     symmetric_rearrange,
     write_field,
 )
+from fhnlse.groundstate import _descent
+from fhnlse.spectral import EnergyTerms
 
 ALPHA = 0.6
 GAMMA = 0.5
@@ -72,6 +75,18 @@ class TestMinimizeDiagnostics:
         assert hist[-1] < hist[0]
         assert len(ground32.residual_history) == len(hist)
 
+    def test_step_history_follows_the_backtracking_rule(self, ground32):
+        """The first trial step is tau0, a backtrack halves it, and each
+        next trial is 1.2x the accepted step, with no cap at tau0."""
+        steps, backtracks = ground32.step_history, ground32.backtrack_history
+        assert len(steps) == len(backtracks) == len(ground32.energy_history)
+        assert steps[0] == 0.0 and backtracks[0] == 0
+        trial = SolveOptions().tau0
+        for step, halvings in zip(steps[1:], backtracks[1:]):
+            assert step == pytest.approx(trial * 0.5**halvings, rel=1e-12)
+            trial = 1.2 * step
+        assert steps.max() > SolveOptions().tau0
+
     def test_summary_reports_the_run(self, ground32, box32):
         s = ground32.summary()
         assert s["q"] == 1.0
@@ -85,6 +100,8 @@ class TestMinimizeDiagnostics:
         gs = minimize(ref_params, kernel, SolveOptions(q=1.0, keep_history=False))
         assert gs.energy_history is None
         assert gs.residual_history is None
+        assert gs.step_history is None
+        assert gs.backtrack_history is None
 
     def test_warns_when_minimizer_touches_the_box_seam(self, ref_params):
         # at unit mass on a moderate box the minimizer spreads over the whole
@@ -93,6 +110,66 @@ class TestMinimizeDiagnostics:
         kernel = HartreeKernel(grid, GAMMA)
         with pytest.warns(RuntimeWarning, match="box seam"):
             minimize(ref_params, kernel, SolveOptions(q=1.0))
+
+
+class TestPinnedSolves:
+    """Localized q = 3 minimizers in d = 1, 2, 3 from the centred Gaussian
+    start: the energies are those of the plain projected-gradient solver
+    this one replaced, and the iteration count is that of the
+    preconditioned direction (the plain direction took 35 to 262)."""
+
+    @pytest.mark.parametrize(
+        "d, n, L, expected",
+        [
+            (2, 64, 40.0, -1.092818852867142),
+            (1, 64, 40.0, -4.2140143577092255),
+            (3, 16, 12.0, -0.9786812770364094),
+        ],
+    )
+    def test_energy_and_iterations(self, d, n, L, expected):
+        p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
+        kernel = HartreeKernel(Grid(d=d, n=n, L=L), GAMMA)
+        gs = minimize(p, kernel, SolveOptions(q=3.0, keep_history=False))
+        assert gs.converged
+        assert gs.iterations <= 60
+        assert gs.energy == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.fixture(scope="module")
+def localized(ref_params):
+    """The q = 3 minimizer on the 64^2, L = 40 box, with its kernel."""
+    kernel = HartreeKernel(Grid(d=2, n=64, L=40.0), GAMMA)
+    return minimize(ref_params, kernel, SolveOptions(q=3.0)), kernel
+
+
+class TestFusedBookkeeping:
+    """The energy, frequency and residual the solver reports were formed
+    from the returned field's own transform and potential."""
+
+    @pytest.mark.parametrize("max_iter", [3, 40000])
+    def test_reported_values_match_a_fresh_evaluation(self, ref_params, localized, max_iter):
+        _, kernel = localized
+        gs = minimize(ref_params, kernel, SolveOptions(q=3.0, max_iter=max_iter))
+        g = gs.g
+        omega = lagrange_multiplier(g, ref_params, kernel)
+        resid = Field(g.grid, energy_gradient(g, ref_params, kernel).values - omega * g.values)
+        assert gs.energy == pytest.approx(energy(g, ref_params, kernel), rel=1e-12)
+        assert gs.omega == pytest.approx(omega, rel=1e-12)
+        assert gs.residual == pytest.approx(np.sqrt(mass(resid) / mass(g)), rel=1e-12)
+        # the returned iterate is the accepted one with the smallest residual
+        best = int(np.argmin(gs.residual_history))
+        assert gs.energy_history[best] == gs.energy
+        assert gs.residual_history[best] == gs.residual
+
+    @pytest.mark.parametrize("which", ["random", "ground"])
+    def test_direction_is_a_tangent_descent_direction(self, ref_params, localized, which):
+        ground, kernel = localized
+        u = random_band_limited(kernel.grid, seed=3) if which == "random" else ground.g
+        terms = EnergyTerms(u, ref_params, kernel)
+        _, _, d = _descent(terms, shift_floor=1e-3)
+        tangent = abs(np.real(np.vdot(u.values, d)))
+        assert tangent <= 1e-12 * np.linalg.norm(u.values) * np.linalg.norm(d)
+        assert np.real(np.vdot(terms.gradient(), d)) > 0.0
 
 
 class TestClosedFormCriticalPoint:

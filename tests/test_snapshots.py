@@ -76,7 +76,9 @@ class TestDeterministicWriters:
         assert raw.endswith(b"\n")
 
     def test_csv_floats_round_trip_through_repr(self, tmp_path):
-        values = [0.1 + 0.2, 1e-17, -3.141592653589793]
+        # NumPy float scalars (rows built from arrays) must not print as
+        # ``np.float64(...)``
+        values = [0.1 + 0.2, 1e-17, -3.141592653589793, np.float64(2.0) / 3.0]
         rows = [(i, v) for i, v in enumerate(values)]
         path = write_csv(tmp_path / "table.csv", ["index", "value"], rows)
         with path.open() as fh:

@@ -155,6 +155,14 @@ class TestEnergyFunctionals:
         pairing = float(np.real(np.sum(np.conj(grad.values) * u.values)) * grid.cell_volume)
         assert lagrange_multiplier(u, p, kernel) == pytest.approx(pairing / mass(u), rel=1e-12)
 
+    def test_energy_with_terms_carries_the_same_field_values(self):
+        p, grid, kernel = self._setup(n=16, L=12.0)
+        u = random_band_limited(grid, seed=7)
+        e, terms = energy(u, p, kernel, with_terms=True)
+        assert e == terms.energy == energy(u, p, kernel)
+        assert terms.omega == lagrange_multiplier(u, p, kernel)
+        np.testing.assert_array_equal(terms.gradient(), energy_gradient(u, p, kernel).values)
+
     def test_rejects_mismatched_kernel_exponent(self):
         p, grid, _ = self._setup(n=16, L=12.0)
         wrong = HartreeKernel(grid, 0.4)
