@@ -10,7 +10,7 @@ splitting integrator.
 
 from .dynamics import ConservationReport, Trajectory, conservation_report, evolve
 from .errors import NonConvergenceError, NumericalAbort
-from .fields import Field, gaussian, plane_wave, random_band_limited
+from .fields import Field, gaussian, mass, plane_wave, random_band_limited
 from .grid import Grid, PhysicsParams
 from .groundstate import (
     AlignResult,
@@ -26,22 +26,14 @@ from .groundstate import (
     scaling_exponent,
     subadditivity_check,
 )
-from .kernel import (
-    HartreeKernel,
-    hartree_direct,
-    hartree_potential,
-    hartree_quadratic,
-    origin_cell_average,
-)
+from .kernel import HartreeKernel, hartree_direct, origin_cell_average
 from .rearrange import radial_order, riesz_check, symmetric_rearrange
 from .snapshots import read_field, write_csv, write_field, write_json
 from .spectral import (
     energy,
     energy_gradient,
-    frac_laplacian,
     h_alpha_norm,
     lagrange_multiplier,
-    mass,
     sobolev_seminorm_sq,
 )
 from .stability import StabilityReport, orbit_distance, perturb, stability_run
@@ -72,12 +64,9 @@ __all__ = [
     "energy",
     "energy_gradient",
     "evolve",
-    "frac_laplacian",
     "gaussian",
     "h_alpha_norm",
     "hartree_direct",
-    "hartree_potential",
-    "hartree_quadratic",
     "lagrange_multiplier",
     "mass",
     "minimize",

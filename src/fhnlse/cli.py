@@ -20,8 +20,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import (
     grid_from,
@@ -32,7 +30,7 @@ from .config import (
 )
 from .dynamics import conservation_report, evolve
 from .errors import NonConvergenceError, NumericalAbort
-from .fields import gaussian, plane_wave
+from .fields import gaussian, plane_wave, with_mass
 from .groundstate import minimize, require_converged
 from .rearrange import rearrangement_sweep
 from .snapshots import read_field, write_csv, write_field, write_json
@@ -120,22 +118,14 @@ def _initial_state(cfg, p, kernel):
         require_converged(gs, "evolve initial state")
         return gs.g
     if init == "gaussian":
-        width = cfg["solver"]["initWidth"]
-        return gaussian(
-            grid,
-            width=float(width) if width is not None else grid.L / 8.0,
-            mass=q,
-        )
+        return gaussian(grid, width=cfg["solver"]["initWidth"], mass=q)
     if init == "planeWave":
         mode = tuple(int(c) for c in dyn["planeWaveMode"])
         if len(mode) != grid.d:
             raise ValueError(
                 f"dynamics.planeWaveMode must have {grid.d} components (got {mode})"
             )
-        from .spectral import mass as field_mass
-
-        psi = plane_wave(grid, mode)
-        return psi * float(np.sqrt(q / field_mass(psi)))
+        return with_mass(plane_wave(grid, mode), q)
     # anything else is a snapshot base path
     psi, _ = read_field(init)
     if psi.grid != grid:

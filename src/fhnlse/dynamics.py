@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalAbort
-from .fields import Field
+from .fields import Field, mass
 from .grid import PhysicsParams
 from .kernel import HartreeKernel
-from .spectral import check_setup, energy, mass, sobolev_seminorm_sq
+from .spectral import check_setup, energy, sobolev_seminorm_sq
 
 __all__ = ["evolve", "Trajectory", "conservation_report", "ConservationReport"]
 

@@ -6,9 +6,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalAbort
 from .grid import Grid, _axis_sum
 
-__all__ = ["Field", "gaussian", "plane_wave", "band_limited_noise", "random_band_limited"]
+__all__ = [
+    "Field",
+    "mass",
+    "with_mass",
+    "gaussian",
+    "plane_wave",
+    "band_limited_noise",
+    "random_band_limited",
+]
 
 
 @dataclass
@@ -59,6 +68,20 @@ class Field:
         return Field(self.grid, -self.values)
 
 
+def mass(u: Field) -> float:
+    """``sum |u|^2 * cell_volume`` (squared L^2 norm)."""
+    return float(np.sum(np.abs(u.values) ** 2) * u.grid.cell_volume)
+
+
+def with_mass(u: Field, q: float) -> Field:
+    """``u`` rescaled so that ``mass(u) == q``; a zero or non-finite mass
+    raises :class:`NumericalAbort`."""
+    m = mass(u)
+    if m == 0.0 or not np.isfinite(m):
+        raise NumericalAbort(f"cannot rescale field with mass {m} to mass {q}")
+    return u * float(np.sqrt(q / m))
+
+
 def gaussian(
     grid: Grid,
     width: float | None = None,
@@ -68,8 +91,8 @@ def gaussian(
     """Real Gaussian bump ``exp(-|x - c|^2 / (2 width^2))``.
 
     ``width`` defaults to ``L/8`` and ``center`` to the coordinate origin
-    (the box center).  If ``mass`` is given the result is rescaled so that
-    ``sum |u|^2 * cell_volume == mass``.
+    (the box center).  If ``mass`` is given the result is rescaled to it by
+    :func:`with_mass`.
     """
     w = grid.L / 8.0 if width is None else float(width)
     if not w > 0:
@@ -80,10 +103,7 @@ def gaussian(
     rsq = _axis_sum([(grid.axis_coords - c[axis]) ** 2 for axis in range(grid.d)], grid.shape)
     vals = np.exp(-rsq / (2.0 * w * w)).astype(np.complex128)
     field = Field(grid, vals)
-    if mass is not None:
-        current = np.sum(np.abs(field.values) ** 2) * grid.cell_volume
-        field = field * np.sqrt(mass / current)
-    return field
+    return field if mass is None else with_mass(field, mass)
 
 
 def plane_wave(grid: Grid, mode: tuple[int, ...]) -> Field:

@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonConvergenceError, NumericalAbort
-from .fields import Field, gaussian, random_band_limited
+from .fields import Field, gaussian, random_band_limited, with_mass
 from .grid import Grid, PhysicsParams
 from .kernel import HartreeKernel
-from .spectral import EnergyTerms, check_setup, energy, h_alpha_norm, mass
+from .spectral import EnergyTerms, check_setup, energy, h_alpha_norm
 
 __all__ = [
     "SolveOptions",
@@ -114,13 +114,6 @@ class GroundState:
         }
 
 
-def _project_mass(u: Field, q: float) -> Field:
-    m = mass(u)
-    if m == 0.0 or not np.isfinite(m):
-        raise NumericalAbort(f"cannot rescale field with mass {m} to mass {q}")
-    return u * float(np.sqrt(q / m))
-
-
 def _initial_field(p: PhysicsParams, kernel: HartreeKernel, opts: SolveOptions) -> Field:
     grid = kernel.grid
     init = opts.init
@@ -129,8 +122,7 @@ def _initial_field(p: PhysicsParams, kernel: HartreeKernel, opts: SolveOptions) 
             raise ValueError("initial field lives on a different grid")
         u = init.copy()
     elif init == "gaussian" or init is None:
-        width = opts.init_width if opts.init_width is not None else grid.L / 8.0
-        u = gaussian(grid, width=width)
+        u = gaussian(grid, width=opts.init_width)
     elif init == "random":
         u = random_band_limited(grid, seed=opts.seed)
     elif isinstance(init, (str, Path)):
@@ -143,7 +135,7 @@ def _initial_field(p: PhysicsParams, kernel: HartreeKernel, opts: SolveOptions) 
             )
     else:
         raise ValueError(f"unrecognized init {init!r}")
-    return _project_mass(u, opts.q)
+    return with_mass(u, opts.q)
 
 
 def _boundary_ratio(g: Field) -> float:
@@ -234,7 +226,7 @@ def minimize(
         u = cur.u
         step = tau
         for backtracks in range(_MAX_BACKTRACKS):
-            v = _project_mass(Field(u.grid, u.values - step * direction), opts.q)
+            v = with_mass(Field(u.grid, u.values - step * direction), opts.q)
             e_trial, trial = energy(v, p, kernel, with_terms=True)
             if np.isfinite(e_trial) and e_trial <= e_now:
                 break

@@ -1,4 +1,5 @@
-"""Minimum-image interaction kernel ``K(x) = |x|^(-gamma)`` and its pairings.
+"""Minimum-image interaction kernel ``K(x) = |x|^(-gamma)``, its density
+convolution and the brute-force double sum that cross-checks it.
 
 The kernel is sampled on the displacement lattice (aliased FFT layout) with
 every component reduced to the minimum image.  The singular origin sample is
@@ -6,9 +7,10 @@ replaced by the average of ``|x|^(-gamma)`` over the origin cell; because
 that average scales exactly like ``h^(-gamma)``, one dimensionless constant
 per ``(d, gamma)`` serves every grid spacing.
 
-Both the fast convolution path (cached real spectrum + real FFT) and the
-brute force double sum read the same sample array, so they agree by
-construction up to floating-point roundoff.
+Both the fast convolution (cached real spectrum + real FFT), from which
+``spectral.EnergyTerms`` forms the Hartree pairing, and the brute force
+double sum read the same sample array, so they agree by construction up to
+floating-point roundoff.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .grid import Grid
 
 __all__ = [
     "HartreeKernel",
-    "hartree_potential",
-    "hartree_quadratic",
     "hartree_direct",
     "DIRECT_SITE_LIMIT",
 ]
@@ -142,10 +142,6 @@ class HartreeKernel:
         g = self.grid
         return f"HartreeKernel(d={g.d}, n={g.n}, L={g.L}, gamma={self.gamma})"
 
-    def _check_field(self, u: Field) -> None:
-        if u.grid != self.grid:
-            raise ValueError("field and kernel live on different grids")
-
     def convolve_density(self, rho: np.ndarray) -> np.ndarray:
         """``(K * rho)(x) = sum_y K(x - y) rho(y) cell_volume`` for a real
         density ``rho``, via a real-to-complex FFT pair."""
@@ -154,36 +150,19 @@ class HartreeKernel:
         return np.fft.irfftn(rho_hat * self._half_spectrum, s=self.grid.shape, axes=axes)
 
 
-def hartree_potential(u: Field, kernel: HartreeKernel) -> np.ndarray:
-    """Nonlocal potential ``(K * |u|^2)(x)`` (real array)."""
-    kernel._check_field(u)
-    rho = np.abs(u.values) ** 2
-    return kernel.convolve_density(rho)
-
-
-def hartree_quadratic(u: Field, kernel: HartreeKernel) -> float:
-    """Interaction pairing ``sum_x sum_y K(x-y) |u(x)|^2 |u(y)|^2 cell_volume^2``.
-
-    Fast path: one FFT convolution against the cached kernel spectrum.
-    """
-    kernel._check_field(u)
-    rho = np.abs(u.values) ** 2
-    conv = kernel.convolve_density(rho)
-    return float(np.sum(rho * conv) * u.grid.cell_volume)
-
-
 def hartree_direct(u: Field, kernel: HartreeKernel, block: int = 256) -> float:
     """Brute-force double sum over all site pairs (cross-check path).
 
     Evaluates exactly the same kernel samples as the fast path, pair by
     pair.  Guarded to grids with at most ``DIRECT_SITE_LIMIT`` sites.
     """
-    kernel._check_field(u)
     grid = u.grid
+    if grid != kernel.grid:
+        raise ValueError("field and kernel live on different grids")
     if grid.size > DIRECT_SITE_LIMIT:
         raise ValueError(
             f"direct double sum limited to {DIRECT_SITE_LIMIT} sites "
-            f"(grid has {grid.size}); use hartree_quadratic instead"
+            f"(grid has {grid.size}); use spectral.EnergyTerms instead"
         )
     n, d = grid.n, grid.d
     rho = (np.abs(u.values) ** 2).ravel()

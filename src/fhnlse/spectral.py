@@ -8,7 +8,8 @@ asserted about these functionals (multiplier action, self-adjointness,
 gradient pairing) is independent of the transform normalization.
 
 Sign conventions: the energy is ``E(u) = 1/2 |u|_{H^alpha-dot}^2 -
-1/4 * hartree_quadratic(u)`` (focusing), and its L^2 gradient is
+1/4 P(u)`` (focusing), where ``P(u) = sum_x sum_y K(x-y) |u(x)|^2 |u(y)|^2
+cell_volume^2`` is the Hartree pairing, and its L^2 gradient is
 ``G(u) = (-Lap)^alpha u - (K * |u|^2) u`` so that
 ``d/de E(u + e v)|_0 = Re <G(u), v>_{L^2}``.
 """
@@ -17,14 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, mass
 from .grid import Grid, PhysicsParams
 from .kernel import HartreeKernel
 
 __all__ = [
     "check_setup",
-    "mass",
-    "frac_laplacian",
     "sobolev_seminorm_sq",
     "h_alpha_norm",
     "EnergyTerms",
@@ -46,17 +45,6 @@ def check_setup(grid: Grid, p: PhysicsParams, kernel: HartreeKernel | None) -> N
         raise ValueError(
             f"kernel exponent {kernel.gamma} does not match params gamma {p.gamma}"
         )
-
-
-def mass(u: Field) -> float:
-    """``sum |u|^2 * cell_volume`` (squared L^2 norm)."""
-    return float(np.sum(np.abs(u.values) ** 2) * u.grid.cell_volume)
-
-
-def frac_laplacian(u: Field, alpha: float) -> Field:
-    """Fractional Laplacian: Fourier multiplier ``|k|^(2*alpha)``, zero mode -> 0."""
-    mult = u.grid.fractional_multiplier(alpha)
-    return Field(u.grid, np.fft.ifftn(mult * np.fft.fftn(u.values)))
 
 
 def _spectral_weight(grid: Grid) -> float:
@@ -81,7 +69,7 @@ class EnergyTerms:
 
     ``u_hat`` is the unnormalized DFT of ``u``, ``potential`` is
     ``K * |u|^2``, ``seminorm_sq`` is ``|u|_{H^alpha-dot}^2``, ``pairing`` is
-    ``hartree_quadratic(u)`` and ``mass`` is ``|u|_2^2``.
+    the Hartree pairing ``P(u)`` and ``mass`` is ``|u|_2^2``.
     """
 
     def __init__(self, u: Field, p: PhysicsParams, kernel: HartreeKernel):
@@ -100,12 +88,12 @@ class EnergyTerms:
 
     @property
     def energy(self) -> float:
-        """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 hartree_quadratic(u)``."""
+        """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 P(u)``."""
         return 0.5 * self.seminorm_sq - 0.25 * self.pairing
 
     @property
     def omega(self) -> float:
-        """Frequency ``omega = (|u|_{H^alpha-dot}^2 - hartree_quadratic(u)) / mass(u)``.
+        """Frequency ``omega = (|u|_{H^alpha-dot}^2 - P(u)) / mass(u)``.
 
         Pairing the gradient with ``u`` shows ``omega * mass == Re <G(u), u>``,
         so at a constrained critical point ``G(u) = omega * u``.
@@ -122,7 +110,7 @@ class EnergyTerms:
 def energy(
     u: Field, p: PhysicsParams, kernel: HartreeKernel, *, with_terms: bool = False
 ) -> float | tuple[float, EnergyTerms]:
-    """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 hartree_quadratic(u)``.
+    """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 P(u)``.
 
     With ``with_terms`` the result is ``(E, terms)``: a caller that goes on to
     need the gradient or ``omega`` at ``u`` reads them from ``terms`` without

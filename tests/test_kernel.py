@@ -1,6 +1,6 @@
 """Interaction kernel: origin-cell regularization against independent
-quadrature oracles, hand-computed pairings, and fast-path/direct-path
-equivalence."""
+quadrature oracles, hand-computed pairings, and equivalence of the pairing
+``EnergyTerms`` forms with the direct double sum."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,20 @@ from fhnlse import (
     Field,
     Grid,
     HartreeKernel,
+    PhysicsParams,
     hartree_direct,
-    hartree_potential,
-    hartree_quadratic,
     origin_cell_average,
     random_band_limited,
 )
 from fhnlse import kernel as kernel_module
 from fhnlse.kernel import DIRECT_SITE_LIMIT, kernel_spectrum
+from fhnlse.spectral import EnergyTerms
+
+
+def terms(u: Field, kernel: HartreeKernel) -> EnergyTerms:
+    """The production evaluation of ``u``, whose ``pairing`` and ``potential``
+    ``energy`` and the solver read (``alpha`` does not enter either)."""
+    return EnergyTerms(u, PhysicsParams(0.6, kernel.gamma, kernel.grid.d), kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +153,7 @@ class TestHartreePairings:
         k_sep = kernel.samples[(2 - 6) % 8]
         hand = (rho_a**2 + rho_b**2) * k0 + 2.0 * rho_a * rho_b * k_sep
         hand *= grid.cell_volume**2
-        assert hartree_quadratic(u, kernel) == pytest.approx(hand, rel=1e-13)
+        assert terms(u, kernel).pairing == pytest.approx(hand, rel=1e-13)
         assert hartree_direct(u, kernel) == pytest.approx(hand, rel=1e-13)
 
     @pytest.mark.parametrize(
@@ -159,7 +165,7 @@ class TestHartreePairings:
         kernel = HartreeKernel(grid, 0.5)
         for rep in range(4):
             u = random_band_limited(grid, seed=50 + rep)
-            fast = hartree_quadratic(u, kernel)
+            fast = terms(u, kernel).pairing
             direct = hartree_direct(u, kernel)
             assert fast == pytest.approx(direct, rel=1e-10)
 
@@ -176,7 +182,7 @@ class TestHartreePairings:
         kernel = HartreeKernel(grid, 0.5)
         for rep in range(3):
             u = random_band_limited(grid, seed=80 + rep)
-            assert hartree_quadratic(u, kernel) > 0.0
+            assert terms(u, kernel).pairing > 0.0
 
     def test_convolving_a_lattice_delta_reproduces_the_samples(self):
         grid = Grid(d=2, n=16, L=8.0)
@@ -208,7 +214,7 @@ class TestHartreePairings:
         real = kernel_module.kernel_spectrum
         monkeypatch.setattr(kernel_module, "kernel_spectrum", lambda s: 2.0 * real(s))
         kernel = HartreeKernel(grid, 0.5)
-        fast = hartree_quadratic(u, kernel)
+        fast = terms(u, kernel).pairing
         assert fast == pytest.approx(2.0 * hartree_direct(u, kernel), rel=1e-10)
 
     def test_potential_is_translation_covariant(self):
@@ -216,12 +222,14 @@ class TestHartreePairings:
         kernel = HartreeKernel(grid, 0.5)
         u = random_band_limited(grid, seed=7)
         shifted = Field(grid, np.roll(u.values, shift=(3, -5), axis=(0, 1)))
-        pot_shifted = hartree_potential(shifted, kernel)
-        expected = np.roll(hartree_potential(u, kernel), shift=(3, -5), axis=(0, 1))
+        pot_shifted = terms(shifted, kernel).potential
+        expected = np.roll(terms(u, kernel).potential, shift=(3, -5), axis=(0, 1))
         assert np.allclose(pot_shifted, expected, rtol=1e-12, atol=1e-12)
 
     def test_rejects_field_from_another_grid(self):
         kernel = HartreeKernel(Grid(d=2, n=16, L=10.0), 0.5)
         u = random_band_limited(Grid(d=2, n=16, L=12.0), seed=1)
         with pytest.raises(ValueError, match="different grids"):
-            hartree_quadratic(u, kernel)
+            terms(u, kernel)
+        with pytest.raises(ValueError, match="different grids"):
+            hartree_direct(u, kernel)
