@@ -35,7 +35,7 @@ DEFAULTS: dict = {
     "physics": {"alpha": 0.6, "gamma": 0.5, "d": 2},
     "grid": {"n": 64, "L": 40.0},
     "solver": {
-        "q": 1.0,
+        "q": 3.0,
         "tau0": 0.5,
         "maxIter": 40000,
         "residTol": 1e-6,

@@ -16,7 +16,6 @@ the constrained Euler-Lagrange residual ``|G(u) - omega u|_2 / |u|_2``.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 
@@ -46,7 +45,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _MAX_BACKTRACKS = 60
-_BOUNDARY_WARN_RATIO = 1e-8
 
 
 @dataclass
@@ -93,6 +91,11 @@ class GroundState:
     iterations: int
     converged: bool
     stop_reason: str
+    # max |g| on the box seam over max |g|: near 1 for a box-filling state,
+    # small for a localized one
+    seam_ratio: float
+    # max |g| over the box average of |g|: 1 for the flat state
+    peak_over_mean: float
     # one entry per accepted iterate, the start included (step 0, no
     # backtracks); kept only under ``SolveOptions.keep_history``
     energy_history: np.ndarray = dataclass_field(repr=False, default=None)
@@ -110,6 +113,8 @@ class GroundState:
             "iterations": self.iterations,
             "converged": self.converged,
             "stop_reason": self.stop_reason,
+            "seam_ratio": self.seam_ratio,
+            "peak_over_mean": self.peak_over_mean,
             "params": {"d": g.d, "n": g.n, "L": g.L},
         }
 
@@ -138,16 +143,13 @@ def _initial_field(p: PhysicsParams, kernel: HartreeKernel, opts: SolveOptions) 
     return with_mass(u, opts.q)
 
 
-def _boundary_ratio(g: Field) -> float:
-    """Largest magnitude on the box seam relative to the global peak."""
+def _profile(g: Field) -> tuple[float, float]:
+    """``(seam_ratio, peak_over_mean)`` of ``g``, as :class:`GroundState`
+    defines them."""
     vals = np.abs(g.values)
     peak = float(np.max(vals))
-    if peak == 0.0:
-        return 0.0
-    worst = 0.0
-    for axis in range(g.grid.d):
-        worst = max(worst, float(np.max(np.take(vals, 0, axis=axis))))
-    return worst / peak
+    seam = max(float(np.max(np.take(vals, 0, axis=axis))) for axis in range(g.grid.d))
+    return seam / peak, peak / float(np.mean(vals))
 
 
 def _descent(terms: EnergyTerms, shift_floor: float) -> tuple[float, float, np.ndarray]:
@@ -258,17 +260,11 @@ def minimize(
     resid_f, g, e_f, omega_f = best
     converged = resid_f < opts.resid_tol
 
-    ratio = _boundary_ratio(g)
-    if ratio > _BOUNDARY_WARN_RATIO:
-        warnings.warn(
-            f"minimizer magnitude at the box seam is {ratio:.2e} of its peak "
-            f"(> {_BOUNDARY_WARN_RATIO:.0e}); consider a larger box length L",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    seam_ratio, peak_over_mean = _profile(g)
     logger.info(
-        "minimize: q=%g E=%.10g omega=%.6g residual=%.3e iters=%d (%s)",
-        opts.q, e_f, omega_f, resid_f, iterations, stop_reason,
+        "minimize: q=%g E=%.10g omega=%.6g residual=%.3e iters=%d (%s) "
+        "seam ratio %.3e, peak/mean %.4g",
+        opts.q, e_f, omega_f, resid_f, iterations, stop_reason, seam_ratio, peak_over_mean,
     )
     return GroundState(
         g=g,
@@ -279,6 +275,8 @@ def minimize(
         iterations=iterations,
         converged=converged,
         stop_reason=stop_reason,
+        seam_ratio=seam_ratio,
+        peak_over_mean=peak_over_mean,
         **(_history_columns(history) if opts.keep_history else {}),
     )
 

@@ -1,10 +1,10 @@
 """Acceptance gate: one test per verification criterion, at full depth.
 
 Each test runs the corresponding built-in check against the shared reference
-context (alpha = 0.6, gamma = 0.5, d = 2, q = 1 on a 64-point box of length
-40) and prints a single pass/fail line with the measured numbers.  The
-tolerances live inside the checks themselves; a failure message carries the
-check's own diagnostic detail.
+context (alpha = 0.6, gamma = 0.5, d = 2, q = 3 on a 64-point box of length
+40, whose ground state is localized) and prints a single pass/fail line with
+the measured numbers.  The tolerances live inside the checks themselves; a
+failure message carries the check's own diagnostic detail.
 """
 
 from fhnlse.verify import (

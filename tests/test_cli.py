@@ -10,6 +10,7 @@ import pytest
 import fhnlse.kernel as kernel_module
 from fhnlse import Grid, gaussian, read_field, write_field
 from fhnlse.cli import main
+from fhnlse.config import DEFAULTS
 
 # exit codes: 0 success, 1 check failed, 2 invalid input,
 # 3 no convergence, 4 non-finite values
@@ -170,7 +171,7 @@ class TestEvolveCommand:
         grid = final.grid
         x = grid.axis_coords.reshape(-1, 1)
         k = 2.0 * np.pi / grid.L
-        amplitude = np.sqrt(1.0 / grid.L**2)  # unit mass
+        amplitude = np.sqrt(DEFAULTS["solver"]["q"]) / grid.L  # the default mass
         expected = amplitude * np.exp(1j * (k * x + k ** (2 * 0.6) * T))
         expected = np.broadcast_to(expected, grid.shape)
         assert np.max(np.abs(final.values - expected)) < 1e-10

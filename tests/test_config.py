@@ -24,7 +24,7 @@ class TestLoadConfig:
         cfg = load_config(env={})
         assert cfg["physics"] == {"alpha": 0.6, "gamma": 0.5, "d": 2}
         assert cfg["grid"] == {"n": 64, "L": 40.0}
-        assert cfg["solver"]["q"] == 1.0
+        assert cfg["solver"]["q"] == 3.0
         assert cfg["output"]["directory"] == "out"
 
     def test_returns_an_independent_copy(self):

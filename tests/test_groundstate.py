@@ -92,6 +92,8 @@ class TestMinimizeDiagnostics:
         assert s["q"] == 1.0
         assert s["converged"] is True
         assert s["E"] == ground32.energy
+        assert s["seam_ratio"] == ground32.seam_ratio
+        assert s["peak_over_mean"] == ground32.peak_over_mean
         assert s["params"] == {"d": box32.d, "n": box32.n, "L": box32.L}
 
     def test_history_suppressed_on_request(self, ref_params):
@@ -103,13 +105,22 @@ class TestMinimizeDiagnostics:
         assert gs.step_history is None
         assert gs.backtrack_history is None
 
-    def test_warns_when_minimizer_touches_the_box_seam(self, ref_params):
-        # at unit mass on a moderate box the minimizer spreads over the whole
-        # box, so its magnitude at the seam is comparable to its peak
+    def test_reports_the_seam_ratio_and_peak_over_mean(self, ref_params):
+        """At unit mass on a moderate box the minimizer spreads over the whole
+        box, so its magnitude at the seam equals its peak and its box average;
+        at q = 3 it localizes on the same box."""
         grid = Grid(d=2, n=16, L=12.0)
         kernel = HartreeKernel(grid, GAMMA)
-        with pytest.warns(RuntimeWarning, match="box seam"):
-            minimize(ref_params, kernel, SolveOptions(q=1.0))
+        flat = minimize(ref_params, kernel, SolveOptions(q=1.0))
+        assert flat.seam_ratio == pytest.approx(1.0, abs=1e-4)
+        assert flat.peak_over_mean == pytest.approx(1.0, abs=1e-4)
+        localized = minimize(ref_params, kernel, SolveOptions(q=3.0))
+        assert localized.seam_ratio < 0.2
+        assert localized.peak_over_mean > 4.0
+        vals = np.abs(localized.g.values)
+        peak, seam = vals.max(), max(vals[0, :].max(), vals[:, 0].max())
+        assert localized.seam_ratio == pytest.approx(seam / peak, rel=1e-14)
+        assert localized.peak_over_mean == pytest.approx(peak / vals.mean(), rel=1e-14)
 
 
 class TestPinnedSolves:

@@ -21,8 +21,8 @@ from fhnlse.spectral import EnergyTerms
 
 
 def terms(u: Field, kernel: HartreeKernel) -> EnergyTerms:
-    """The production evaluation of ``u``, whose ``pairing`` and ``potential``
-    ``energy`` and the solver read (``alpha`` does not enter either)."""
+    """``EnergyTerms`` of ``u``: the pairing and potential that ``energy`` and
+    the solver read (``alpha`` enters neither)."""
     return EnergyTerms(u, PhysicsParams(0.6, kernel.gamma, kernel.grid.d), kernel)
 
 

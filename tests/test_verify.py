@@ -3,16 +3,20 @@ progress callback.  The individual checks are exercised one-per-criterion in
 test_acceptance.py."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fhnlse.rearrange as rearrange_module
 from fhnlse.cli import main
+from fhnlse.spectral import EnergyTerms
 from fhnlse.verify import (
     CHECKS,
     CheckResult,
     VerifyContext,
+    check_groundstate_convergence,
+    check_hartree_oracle,
     check_rearrangement_suite,
     run_checks,
 )
@@ -96,3 +100,34 @@ class TestRearrangementVerdict:
         assert result.name == "rearrangement-suite"
         assert not result.passed
         assert result.values["worst_riesz_excess"] > result.values["slack"]
+
+
+class TestHartreeOracle:
+    def test_a_corrupted_production_pairing_fails_the_oracle(self, monkeypatch):
+        """The oracle reads the pairing ``EnergyTerms`` forms for ``energy``
+        and the solver, so doubling it there must fail the check."""
+        real_init = EnergyTerms.__init__
+
+        def doubled(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            self.pairing *= 2.0
+
+        monkeypatch.setattr(EnergyTerms, "__init__", doubled)
+        result = check_hartree_oracle(VerifyContext(seed=1), "quick")
+        assert not result.passed
+        assert result.values["max_rel_err"] == pytest.approx(1.0, rel=1e-9)
+
+
+class TestGroundstateConvergence:
+    def test_the_flat_unit_mass_state_fails(self):
+        """At q = 1 the reference box's solve converges to the box-filling
+        constant state; the check must reject it for being flat, though the
+        solve itself converged."""
+        ctx = VerifyContext(seed=1)
+        ctx.solve_options = replace(ctx.solve_options, q=1.0)
+        result = check_groundstate_convergence(ctx, "full")
+        gs = ctx.ground
+        assert gs.converged and gs.residual < 1e-6 and gs.energy < 0.0
+        assert not result.passed
+        assert abs(result.values["drop"]) < 1e-9
+        assert result.values["peak_over_mean"] < 1.001
