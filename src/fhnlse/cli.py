@@ -190,7 +190,7 @@ def _cmd_stability(args) -> int:
         dt=float(st["dt"]),
         seed=int(st["seed"]),
         stride=int(st["snapshotStride"]),
-        solver_opts=solve_options_from(cfg),
+        ground=minimize(p, kernel, solve_options_from(cfg)),
     )
     _write_manifest(outdir, cfg, "stability")
     if _wants(cfg, "json"):

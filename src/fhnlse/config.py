@@ -40,7 +40,6 @@ DEFAULTS: dict = {
         "maxIter": 40000,
         "residTol": 1e-6,
         "stallTol": 1e-11,
-        "seed": 1,
         "init": "gaussian",
         "initWidth": None,
     },
@@ -164,7 +163,6 @@ def validate_config(cfg: dict) -> None:
     for key in ("q", "tau0", "residTol"):
         _require_number(cfg, "solver", key)
     _require_int(cfg, "solver", "maxIter", minimum=1)
-    _require_int(cfg, "solver", "seed")
     _require_number(cfg, "solver", "stallTol", positive=False)
     if cfg["solver"]["initWidth"] is not None:
         _require_number(cfg, "solver", "initWidth")
@@ -178,8 +176,9 @@ def validate_config(cfg: dict) -> None:
     sign = cfg["dynamics"]["sign"]
     if isinstance(sign, bool) or sign not in (1, -1):
         raise ValueError(f"dynamics.sign must be 1 or -1 (got {sign!r})")
-    if not isinstance(cfg["dynamics"]["init"], str):
-        raise ValueError(f"dynamics.init must be a string (got {cfg['dynamics']['init']!r})")
+    for section in ("solver", "dynamics"):
+        if not isinstance(cfg[section]["init"], str):
+            raise ValueError(f"{section}.init must be a string (got {cfg[section]['init']!r})")
     if not isinstance(cfg["dynamics"]["hartree"], bool):
         raise ValueError("dynamics.hartree must be true or false")
     mode = cfg["dynamics"]["planeWaveMode"]
@@ -219,7 +218,6 @@ def solve_options_from(cfg: dict) -> SolveOptions:
         max_iter=int(s["maxIter"]),
         resid_tol=float(s["residTol"]),
         stall_tol=float(s["stallTol"]),
-        seed=int(s["seed"]),
         init=s["init"],
         init_width=None if s["initWidth"] is None else float(s["initWidth"]),
     )

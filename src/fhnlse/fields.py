@@ -82,25 +82,17 @@ def with_mass(u: Field, q: float) -> Field:
     return u * float(np.sqrt(q / m))
 
 
-def gaussian(
-    grid: Grid,
-    width: float | None = None,
-    center: tuple[float, ...] | None = None,
-    mass: float | None = None,
-) -> Field:
-    """Real Gaussian bump ``exp(-|x - c|^2 / (2 width^2))``.
+def gaussian(grid: Grid, width: float | None = None, mass: float | None = None) -> Field:
+    """Real Gaussian bump ``exp(-|x|^2 / (2 width^2))`` centered at the
+    coordinate origin (the box center).
 
-    ``width`` defaults to ``L/8`` and ``center`` to the coordinate origin
-    (the box center).  If ``mass`` is given the result is rescaled to it by
-    :func:`with_mass`.
+    ``width`` defaults to ``L/8``.  If ``mass`` is given the result is
+    rescaled to it by :func:`with_mass`.
     """
     w = grid.L / 8.0 if width is None else float(width)
     if not w > 0:
         raise ValueError(f"width must be positive (got {w})")
-    c = (0.0,) * grid.d if center is None else tuple(center)
-    if len(c) != grid.d:
-        raise ValueError("center must have one component per axis")
-    rsq = _axis_sum([(grid.axis_coords - c[axis]) ** 2 for axis in range(grid.d)], grid.shape)
+    rsq = _axis_sum([grid.axis_coords**2] * grid.d, grid.shape)
     vals = np.exp(-rsq / (2.0 * w * w)).astype(np.complex128)
     field = Field(grid, vals)
     return field if mass is None else with_mass(field, mass)
@@ -142,23 +134,16 @@ def band_limited_noise(grid: Grid, seed: int, keep_fraction: float) -> np.ndarra
     return np.fft.ifftn(coeff)
 
 
-def random_band_limited(
-    grid: Grid,
-    seed: int,
-    keep_fraction: float = 1.0 / 3.0,
-    kind: str = "complex",
-) -> Field:
-    """:func:`band_limited_noise` normalized to unit mass.
+def random_band_limited(grid: Grid, seed: int, kind: str = "complex") -> Field:
+    """:func:`band_limited_noise` with ``keep_fraction = 1/3``, normalized to unit mass.
 
-    ``kind``: "complex" (default), "real" (real part), or "nonneg"
-    (absolute value of the real part; useful for rearrangement inputs).
+    ``kind``: "complex" (default) or "nonneg" (absolute value of the real
+    part; the rearrangement inputs).
     """
-    if kind not in ("complex", "real", "nonneg"):
+    if kind not in ("complex", "nonneg"):
         raise ValueError(f"unknown kind {kind!r}")
-    vals = band_limited_noise(grid, seed, keep_fraction)
-    if kind == "real":
-        vals = vals.real.astype(np.complex128)
-    elif kind == "nonneg":
+    vals = band_limited_noise(grid, seed, 1.0 / 3.0)
+    if kind == "nonneg":
         vals = np.abs(vals.real).astype(np.complex128)
     norm_sq = np.sum(np.abs(vals) ** 2) * grid.cell_volume
     if norm_sq == 0.0:

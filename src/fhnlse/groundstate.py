@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonConvergenceError, NumericalAbort
-from .fields import Field, gaussian, random_band_limited, with_mass
+from .fields import Field, gaussian, with_mass
 from .grid import Grid, PhysicsParams
 from .kernel import HartreeKernel
 from .spectral import EnergyTerms, check_setup, energy, h_alpha_norm
@@ -49,21 +49,20 @@ _MAX_BACKTRACKS = 60
 
 @dataclass
 class SolveOptions:
-    """Knobs for :func:`minimize`.
+    """Knobs for :func:`minimize`; the defaults are ``config.DEFAULTS["solver"]``.
 
     tau0: the first trial step size; later trials start at 1.2x the last
     accepted step, which may grow past ``tau0``.
     init: "gaussian" (default; width ``init_width`` or L/8, centered at the
-    box center), "random" (band-limited noise from ``seed``), a Field, or a
-    path to a field snapshot (base path without extension).
+    box center), a Field, or a path to a field snapshot (base path without
+    extension).
     """
 
-    q: float = 1.0
+    q: float = 3.0
     tau0: float = 0.5
     max_iter: int = 40000
     resid_tol: float = 1e-6
     stall_tol: float = 1e-11
-    seed: int = 1
     init: object = "gaussian"
     init_width: float | None = None
     keep_history: bool = True
@@ -126,10 +125,8 @@ def _initial_field(p: PhysicsParams, kernel: HartreeKernel, opts: SolveOptions) 
         if init.grid != grid:
             raise ValueError("initial field lives on a different grid")
         u = init.copy()
-    elif init == "gaussian" or init is None:
+    elif init == "gaussian":
         u = gaussian(grid, width=opts.init_width)
-    elif init == "random":
-        u = random_band_limited(grid, seed=opts.seed)
     elif isinstance(init, (str, Path)):
         from .snapshots import read_field
 
@@ -186,11 +183,12 @@ def minimize(
 ) -> GroundState:
     """Minimize the energy over the sphere ``mass(u) == q``.
 
-    Iterates ``u <- rescale(u - tau * d)`` along the preconditioned,
-    tangent-projected residual ``d`` of :func:`_descent`, with backtracking
-    on ``tau``: the first trial step is ``tau0``, a step is halved until the
-    post-projection energy does not increase, and the next trial is 1.2x the
-    accepted step.  Each trial field is evaluated once, by
+    Rescales the start ``opts.init`` (``opts`` defaults to ``SolveOptions()``)
+    to mass ``q``, then iterates ``u <- rescale(u - tau * d)`` along the
+    preconditioned, tangent-projected residual ``d`` of :func:`_descent`,
+    with backtracking on ``tau``: the first trial step is ``tau0``, a step is
+    halved until the post-projection energy does not increase, and the next
+    trial is 1.2x the accepted step.  Each trial field is evaluated once, by
     ``energy(..., with_terms=True)``: its one transform and one convolution
     give its energy and, once it is accepted, its gradient.
     Stops when the Euler-Lagrange residual drops below ``resid_tol``, the
@@ -383,7 +381,7 @@ def _solve_mass(
 def scaling_experiment(
     p: PhysicsParams,
     kernel: HartreeKernel,
-    base_q: float = 1.0,
+    base_q: float,
     lambdas: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0),
     opts: SolveOptions | None = None,
 ) -> ScalingResult:

@@ -150,7 +150,7 @@ class HartreeKernel:
         return np.fft.irfftn(rho_hat * self._half_spectrum, s=self.grid.shape, axes=axes)
 
 
-def hartree_direct(u: Field, kernel: HartreeKernel, block: int = 256) -> float:
+def hartree_direct(u: Field, kernel: HartreeKernel) -> float:
     """Brute-force double sum over all site pairs (cross-check path).
 
     Evaluates exactly the same kernel samples as the fast path, pair by
@@ -170,6 +170,7 @@ def hartree_direct(u: Field, kernel: HartreeKernel, block: int = 256) -> float:
     idx = np.indices(grid.shape).reshape(d, grid.size)  # per-axis index of each site
     strides = np.array([n ** (d - 1 - a) for a in range(d)])
     total = 0.0
+    block = 256  # sites per pass: the index matrix holds d * block * N entries
     for start in range(0, grid.size, block):
         sl = slice(start, min(start + block, grid.size))
         diff = (idx[:, sl, None] - idx[:, None, :]) % n  # (d, b, N)

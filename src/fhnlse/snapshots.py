@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -56,11 +57,28 @@ def read_field(base: str | Path) -> tuple[Field, dict]:
     header_path = base.with_suffix(base.suffix + _HEADER_SUFFIX)
     if not data_path.exists() or not header_path.exists():
         raise FileNotFoundError(f"no field snapshot at base path {base}")
-    header = json.loads(header_path.read_text())
+    try:
+        header = json.loads(header_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"snapshot header {header_path} is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"snapshot header {header_path} must hold a JSON object")
     for key in ("d", "n", "L", "alpha", "gamma", "label"):
         if key not in header:
             raise ValueError(f"snapshot header {header_path} misses key {key!r}")
-    grid = Grid(d=int(header["d"]), n=int(header["n"]), L=float(header["L"]))
+    for key in ("d", "n"):
+        if isinstance(header[key], bool) or not isinstance(header[key], int):
+            raise ValueError(
+                f"snapshot header {header_path}: {key} must be an integer (got {header[key]!r})"
+            )
+    box = header["L"]
+    if (
+        isinstance(box, bool)
+        or not isinstance(box, (int, float))
+        or not abs(box) <= sys.float_info.max  # NaN, infinities, ints beyond float range
+    ):
+        raise ValueError(f"snapshot header {header_path}: L must be a finite number (got {box!r})")
+    grid = Grid(d=header["d"], n=header["n"], L=float(box))
     raw = data_path.read_bytes()
     expected = grid.size * 16  # two little-endian float64s per sample
     if len(raw) != expected:

@@ -11,13 +11,7 @@ import numpy as np
 from .dynamics import conservation_report, evolve
 from .fields import Field, band_limited_noise
 from .grid import PhysicsParams
-from .groundstate import (
-    GroundState,
-    SolveOptions,
-    align,
-    minimize,
-    require_converged,
-)
+from .groundstate import GroundState, align, require_converged
 from .kernel import HartreeKernel
 from .spectral import h_alpha_norm
 
@@ -100,17 +94,16 @@ def stability_run(
     dt: float,
     seed: int = 1,
     stride: int = 200,
-    solver_opts: SolveOptions | None = None,
-    ground: GroundState | None = None,
+    *,
+    ground: GroundState,
 ) -> StabilityReport:
-    """Perturb the ground state by ``delta`` and track the orbit distance.
+    """Perturb the minimizer ``ground`` by ``delta`` and track the orbit distance.
 
-    Solves for the ground state unless one is supplied; requires the solve
-    to have converged.  Distances are evaluated at every recorded instant
-    of the evolution (stride steps apart).
+    ``ground`` comes from :func:`~fhnlse.groundstate.minimize` and must have
+    converged (else :class:`NonConvergenceError`).  Distances are evaluated
+    at every recorded instant of the evolution (stride steps apart).
     """
-    gs = ground if ground is not None else minimize(p, kernel, solver_opts)
-    require_converged(gs, "stability_run")
+    gs = require_converged(ground, "stability_run")
     psi0 = perturb(gs.g, p.alpha, delta, seed)
     traj = evolve(psi0, p, kernel, T=T, dt=dt, stride=stride)
     distances = np.array(

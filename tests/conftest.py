@@ -32,8 +32,9 @@ def kernel32(box32) -> HartreeKernel:
 
 @pytest.fixture(scope="session")
 def ground32(ref_params, kernel32):
-    """Converged unit-mass minimizer on the small box (fast to solve)."""
-    gs = minimize(ref_params, kernel32, SolveOptions(q=1.0))
+    """Converged q = 3 minimizer on the small box (fast to solve); localized,
+    where q = 1 fills this box with the flat state."""
+    gs = minimize(ref_params, kernel32, SolveOptions(q=3.0))
     assert gs.converged
     return gs
 

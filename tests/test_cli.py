@@ -106,7 +106,9 @@ class TestInvalidInput:
             "grid.L=null",
             "physics.d=null",
             "physics.alpha=null",
-            "solver.seed=null",
+            "solver.seed=null",  # deleted key: rejected as unknown
+            "solver.init=5",
+            "solver.init=null",
             "stability.seed=null",
             "dynamics.snapshotStride=null",
             "rearrange.count=null",
@@ -142,6 +144,20 @@ class TestInvalidInput:
              "--set", "dynamics.T=0.01", "--output-dir", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("key", ["dynamics.init", "solver.init"])
+    def test_malformed_snapshot_header_exits_2_naming_the_file(self, key, tmp_path, capsys):
+        grid = Grid(d=2, n=16, L=12.0)
+        _, header = write_field(tmp_path / "start", gaussian(grid), alpha=0.6, gamma=0.5)
+        header.write_text(header.read_text().replace('"L": 12.0', '"L": null'))
+        code = run(
+            ["groundstate" if key == "solver.init" else "evolve", *SMALL,
+             "--set", f'{key}="{tmp_path / "start"}"', "--set", "dynamics.T=0.01",
+             "--output-dir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and str(header) in err and "L must be" in err
 
     def test_groundstate_init_without_interaction_exits_2(self, tmp_path, capsys):
         code = run(
@@ -227,6 +243,14 @@ class TestStabilityCommand:
         lines = (tmp_path / "distance_series.csv").read_text().splitlines()
         assert lines[0] == "time,distance"
         assert len(lines) == len(report["times"]) + 1
+
+    def test_unconverged_ground_state_exits_3(self, tmp_path, capsys):
+        code = run(
+            ["stability", *SMALL, "--set", "solver.maxIter=1", "--set", "stability.T=0.01",
+             "--output-dir", str(tmp_path)]
+        )
+        assert code == 3
+        assert "error: stability_run: ground-state solve stopped" in capsys.readouterr().err
 
 
 class TestRearrangeCommand:

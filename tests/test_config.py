@@ -2,6 +2,8 @@
 command-line overrides, validation messages, and object builders."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,13 @@ from fhnlse.config import (
 
 
 class TestLoadConfig:
+    def test_readme_lists_the_defaults(self):
+        """The ``jsonc`` block of README.md, its ``//`` comments stripped,
+        is ``DEFAULTS``."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        assert json.loads(re.sub(r"//[^\n]*", "", block)) == DEFAULTS
+
     def test_defaults_resolve_to_the_reference_setup(self):
         cfg = load_config(env={})
         assert cfg["physics"] == {"alpha": 0.6, "gamma": 0.5, "d": 2}
@@ -97,8 +106,8 @@ class TestOverrides:
         assert cfg["solver"]["initWidth"] == 2.5
 
     def test_unparseable_values_stay_strings(self):
-        cfg = apply_overrides(load_config(env={}), ["solver.init=random"])
-        assert cfg["solver"]["init"] == "random"
+        cfg = apply_overrides(load_config(env={}), ["solver.init=warm/ground_state"])
+        assert cfg["solver"]["init"] == "warm/ground_state"
 
     def test_malformed_overrides_raise(self):
         base = load_config(env={})
@@ -170,7 +179,7 @@ class TestBuilders:
     def test_solve_options_builder(self):
         cfg = load_config(env={})
         cfg["solver"].update(
-            {"q": 2.0, "maxIter": 100, "seed": 7, "init": "random", "initWidth": 3.0}
+            {"q": 2.0, "maxIter": 100, "init": "warm/ground_state", "initWidth": 3.0}
         )
         opts = solve_options_from(cfg)
         assert opts == SolveOptions(
@@ -179,7 +188,11 @@ class TestBuilders:
             max_iter=100,
             resid_tol=1e-6,
             stall_tol=1e-11,
-            seed=7,
-            init="random",
+            init="warm/ground_state",
             init_width=3.0,
         )
+
+    def test_solve_options_defaults_are_the_configured_defaults(self):
+        """``minimize`` without options solves the reference problem of the
+        CLI and of ``verify``."""
+        assert SolveOptions() == solve_options_from(load_config(env={}))

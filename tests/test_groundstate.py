@@ -89,7 +89,7 @@ class TestMinimizeDiagnostics:
 
     def test_summary_reports_the_run(self, ground32, box32):
         s = ground32.summary()
-        assert s["q"] == 1.0
+        assert s["q"] == 3.0
         assert s["converged"] is True
         assert s["E"] == ground32.energy
         assert s["seam_ratio"] == ground32.seam_ratio
@@ -248,7 +248,7 @@ class TestScalingLaw:
         with pytest.raises(ValueError, match="positive"):
             scaling_experiment(ref_params, kernel32, base_q=0.0)
         with pytest.raises(ValueError, match="positive"):
-            scaling_experiment(ref_params, kernel32, lambdas=(1.0, -2.0))
+            scaling_experiment(ref_params, kernel32, base_q=1.0, lambdas=(1.0, -2.0))
 
 
 class TestSubadditivity:
@@ -268,12 +268,12 @@ class TestSubadditivity:
 
 
 class TestInitialization:
-    def test_minimizer_independent_of_initialization(self, ref_params, kernel32):
+    def test_minimizer_independent_of_initialization(self, ref_params, kernel32, box32):
+        translated = np.roll(gaussian(box32, width=3.0).values, (5, -9), axis=(0, 1))
         options = [
-            SolveOptions(q=1.0, init="gaussian", init_width=2.0),
-            SolveOptions(q=1.0, init="gaussian", init_width=5.0),
-            SolveOptions(q=1.0, init="random", seed=1),
-            SolveOptions(q=1.0, init="random", seed=2),
+            SolveOptions(q=3.0, init="gaussian", init_width=2.0),
+            SolveOptions(q=3.0, init="gaussian", init_width=5.0),
+            SolveOptions(q=3.0, init=Field(box32, translated)),
         ]
         states = [minimize(ref_params, kernel32, o) for o in options]
         assert all(s.converged for s in states)
@@ -292,7 +292,7 @@ class TestInitialization:
     ):
         base = tmp_path / "warm_start"
         write_field(base, ground32.g, ALPHA, GAMMA)
-        gs = minimize(ref_params, kernel32, SolveOptions(q=1.0, init=str(base)))
+        gs = minimize(ref_params, kernel32, SolveOptions(q=3.0, init=str(base)))
         assert gs.converged
         assert gs.iterations < ground32.iterations // 2
 
@@ -311,8 +311,9 @@ class TestInitialization:
             minimize(ref_params, kernel32, SolveOptions(q=1.0, init=str(base)))
 
     def test_rejects_unrecognized_initializer(self, ref_params, kernel32):
-        with pytest.raises(ValueError, match="unrecognized init"):
-            minimize(ref_params, kernel32, SolveOptions(q=1.0, init=42))
+        for init in (42, None):
+            with pytest.raises(ValueError, match="unrecognized init"):
+                minimize(ref_params, kernel32, SolveOptions(q=1.0, init=init))
 
 
 class TestConcentratedBranch:

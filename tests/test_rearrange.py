@@ -9,23 +9,26 @@ from hypothesis import given, strategies as st
 from fhnlse import (
     Field,
     Grid,
-    gaussian,
     radial_order,
     random_band_limited,
     riesz_check,
     sobolev_seminorm_sq,
     symmetric_rearrange,
 )
+from fhnlse.fields import with_mass
 
 ALPHA = 0.6
 
 
 def two_bumps(grid: Grid, separation: float, width: float = 1.5) -> Field:
-    half = separation / 2.0
-    centers = [(-half,) + (0.0,) * (grid.d - 1), (half,) + (0.0,) * (grid.d - 1)]
-    a = gaussian(grid, width=width, center=centers[0], mass=0.5)
-    b = gaussian(grid, width=width, center=centers[1], mass=0.5)
-    return Field(grid, a.values + b.values)
+    """Gaussians of mass 1/2 each, centered at -+separation/2 on the first axis."""
+    coords = np.meshgrid(*[grid.axis_coords] * grid.d, indexing="ij")
+
+    def bump(center: float) -> Field:
+        rsq = (coords[0] - center) ** 2 + sum(x**2 for x in coords[1:])
+        return with_mass(Field(grid, np.exp(-rsq / (2.0 * width * width))), 0.5)
+
+    return bump(-separation / 2.0) + bump(separation / 2.0)
 
 
 class TestRadialOrder:
@@ -152,7 +155,7 @@ class TestRieszPairing:
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     n=st.sampled_from([8, 16]),
-    kind=st.sampled_from(["complex", "real", "nonneg"]),
+    kind=st.sampled_from(["complex", "nonneg"]),
 )
 def test_rearrange_properties_hold_for_arbitrary_fields(seed, n, kind):
     grid = Grid(d=1, n=n, L=10.0)

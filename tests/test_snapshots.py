@@ -56,6 +56,32 @@ class TestReadValidation:
         with pytest.raises(ValueError, match="misses key"):
             read_field(base)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ('{"d": 1, "n": 8, "L": null, "alpha": 0.6, "gamma": 0.5, "label": ""}',
+             "L must be a finite number"),
+            ('{"d": 1, "n": 8, "L": Infinity, "alpha": 0.6, "gamma": 0.5, "label": ""}',
+             "L must be a finite number"),
+            ('{"d": 1, "n": [8], "L": 4.0, "alpha": 0.6, "gamma": 0.5, "label": ""}',
+             "n must be an integer"),
+            ('{"d": true, "n": 8, "L": 4.0, "alpha": 0.6, "gamma": 0.5, "label": ""}',
+             "d must be an integer"),
+            ('{"d": 1, "n": 8.5, "L": 4.0, "alpha": 0.6, "gamma": 0.5, "label": ""}',
+             "n must be an integer"),
+            ('{d: 1}', "is not valid JSON"),
+            ("[1, 8, 4.0]", "must hold a JSON object"),
+        ],
+    )
+    def test_malformed_header_raises_naming_the_file(self, tmp_path, header, message):
+        grid = Grid(d=1, n=8, L=4.0)
+        base = tmp_path / "state"
+        _, header_path = write_field(base, random_band_limited(grid, seed=8), alpha=0.6, gamma=0.5)
+        header_path.write_text(header)
+        with pytest.raises(ValueError, match=message) as info:
+            read_field(base)
+        assert str(header_path) in str(info.value)
+
     def test_byte_count_mismatch_raises(self, tmp_path):
         grid = Grid(d=1, n=8, L=4.0)
         u = random_band_limited(grid, seed=9)

@@ -9,6 +9,7 @@ from fhnlse import (
     NonConvergenceError,
     SolveOptions,
     h_alpha_norm,
+    minimize,
     orbit_distance,
     perturb,
     random_band_limited,
@@ -123,8 +124,6 @@ class TestStabilityRun:
         assert report.sup_distance < 1e-5
 
     def test_requires_a_converged_ground_state(self, ref_params, kernel32):
-        opts = SolveOptions(q=1.0, max_iter=1)
-        with pytest.raises(NonConvergenceError):
-            stability_run(
-                ref_params, kernel32, delta=1e-2, T=0.1, dt=1e-3, solver_opts=opts
-            )
+        ground = minimize(ref_params, kernel32, SolveOptions(max_iter=1))
+        with pytest.raises(NonConvergenceError, match="stability_run"):
+            stability_run(ref_params, kernel32, delta=1e-2, T=0.1, dt=1e-3, ground=ground)
