@@ -8,7 +8,7 @@ probes orbital stability by evolving perturbed minimizers with a Strang
 splitting integrator.
 """
 
-from .dynamics import ConservationReport, Trajectory, conservation_report, evolve
+from .dynamics import Trajectory, evolve
 from .errors import NonConvergenceError, NumericalAbort
 from .fields import Field, gaussian, mass, plane_wave, random_band_limited
 from .grid import Grid, PhysicsParams
@@ -45,7 +45,6 @@ __all__ = [
     "__version__",
     "AlignResult",
     "CheckResult",
-    "ConservationReport",
     "Field",
     "Grid",
     "GroundState",
@@ -60,7 +59,6 @@ __all__ = [
     "SubadditivityResult",
     "Trajectory",
     "align",
-    "conservation_report",
     "energy",
     "energy_gradient",
     "evolve",

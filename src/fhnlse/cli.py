@@ -28,12 +28,12 @@ from .config import (
     params_from,
     solve_options_from,
 )
-from .dynamics import conservation_report, evolve
+from .dynamics import evolve
 from .errors import NonConvergenceError, NumericalAbort
 from .fields import gaussian, plane_wave, with_mass
 from .groundstate import minimize, require_converged
 from .rearrange import rearrangement_sweep
-from .snapshots import read_field, write_csv, write_field, write_json
+from .snapshots import read_start, write_csv, write_field, write_json
 from .stability import stability_run
 from .verify import run_checks
 
@@ -127,12 +127,7 @@ def _initial_state(cfg, p, kernel):
             )
         return with_mass(plane_wave(grid, mode), q)
     # anything else is a snapshot base path
-    psi, _ = read_field(init)
-    if psi.grid != grid:
-        raise ValueError(
-            f"snapshot grid {psi.grid} does not match configured grid {grid}"
-        )
-    return psi
+    return read_start(init, grid, p.alpha, p.gamma)
 
 
 def _cmd_evolve(args) -> int:
@@ -148,9 +143,7 @@ def _cmd_evolve(args) -> int:
         T=float(dyn["T"]),
         dt=float(dyn["dt"]),
         stride=int(dyn["snapshotStride"]),
-        sign=int(dyn["sign"]),
     )
-    report = conservation_report(traj)
     _write_manifest(outdir, cfg, "evolve")
     if _wants(cfg, "json"):
         write_json(
@@ -159,8 +152,8 @@ def _cmd_evolve(args) -> int:
                 "T": float(dyn["T"]),
                 "dt": float(dyn["dt"]),
                 "steps": traj.steps,
-                "massDrift": report.mass_drift,
-                "energyDrift": report.energy_drift,
+                "massDrift": traj.mass_drift,
+                "energyDrift": traj.energy_drift,
             },
         )
     if _wants(cfg, "csv"):
@@ -172,7 +165,7 @@ def _cmd_evolve(args) -> int:
         )
     print(
         f"evolved {traj.steps} steps to T={traj.times[-1]:g}: "
-        f"mass drift {report.mass_drift:.3e}, energy drift {report.energy_drift:.3e}"
+        f"mass drift {traj.mass_drift:.3e}, energy drift {traj.energy_drift:.3e}"
     )
     return 0
 

@@ -36,10 +36,8 @@ DEFAULTS: dict = {
     "grid": {"n": 64, "L": 40.0},
     "solver": {
         "q": 3.0,
-        "tau0": 0.5,
         "maxIter": 40000,
         "residTol": 1e-6,
-        "stallTol": 1e-11,
         "init": "gaussian",
         "initWidth": None,
     },
@@ -47,7 +45,6 @@ DEFAULTS: dict = {
         "T": 10.0,
         "dt": 1e-3,
         "snapshotStride": 100,
-        "sign": 1,
         "hartree": True,
         "init": "groundstate",
         "planeWaveMode": [1, 0],
@@ -160,10 +157,9 @@ def validate_config(cfg: dict) -> None:
     _require_number(cfg, "grid", "L", positive=False)
     params_from(cfg)  # validates physics block and alpha/gamma/d coupling
     grid_from(cfg)  # validates grid block
-    for key in ("q", "tau0", "residTol"):
+    for key in ("q", "residTol"):
         _require_number(cfg, "solver", key)
     _require_int(cfg, "solver", "maxIter", minimum=1)
-    _require_number(cfg, "solver", "stallTol", positive=False)
     if cfg["solver"]["initWidth"] is not None:
         _require_number(cfg, "solver", "initWidth")
     for section in ("dynamics", "stability"):
@@ -173,9 +169,6 @@ def validate_config(cfg: dict) -> None:
             raise ValueError(f"{section}.T must be nonnegative (got {t})")
         _require_int(cfg, section, "snapshotStride", minimum=1)
     _require_int(cfg, "stability", "seed")
-    sign = cfg["dynamics"]["sign"]
-    if isinstance(sign, bool) or sign not in (1, -1):
-        raise ValueError(f"dynamics.sign must be 1 or -1 (got {sign!r})")
     for section in ("solver", "dynamics"):
         if not isinstance(cfg[section]["init"], str):
             raise ValueError(f"{section}.init must be a string (got {cfg[section]['init']!r})")
@@ -214,10 +207,8 @@ def solve_options_from(cfg: dict) -> SolveOptions:
     s = cfg["solver"]
     return SolveOptions(
         q=float(s["q"]),
-        tau0=float(s["tau0"]),
         max_iter=int(s["maxIter"]),
         resid_tol=float(s["residTol"]),
-        stall_tol=float(s["stallTol"]),
         init=s["init"],
         init_width=None if s["initWidth"] is None else float(s["initWidth"]),
     )

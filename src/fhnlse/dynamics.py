@@ -17,10 +17,11 @@ The closing half-step, with one more inverse transform, is applied only
 where a state is recorded.  Without an interaction the flow is the exact
 Fourier multiplication and needs no transform per step.
 
-``sign=-1`` selects the complex-conjugate convention (both phases flipped),
-for comparison with codes that write the equation with the opposite sign.
-Every substep is pointwise unimodular, so the scheme conserves mass to
-roundoff; the energy error is second order in ``dt``.
+The equation written with the opposite sign is the conjugate flow: its
+solution from ``psi0`` is ``conj(evolve(conj(psi0)))``, which also runs
+this flow backward in time.  Every substep is pointwise unimodular, so the
+scheme conserves mass to roundoff; the energy error is second order in
+``dt``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .grid import PhysicsParams
 from .kernel import HartreeKernel
 from .spectral import check_setup, energy, sobolev_seminorm_sq
 
-__all__ = ["evolve", "Trajectory", "conservation_report", "ConservationReport"]
+__all__ = ["evolve", "Trajectory"]
 
 logger = logging.getLogger(__name__)
 
@@ -58,7 +59,6 @@ def _strang(
     kernel: HartreeKernel | None,
     T: float,
     dt: float,
-    sign: int,
     stride: int,
 ) -> Iterator[tuple[int, float, np.ndarray]]:
     """Step from t = 0 to ``T``; yield ``(k, t, values)`` after every
@@ -75,7 +75,7 @@ def _strang(
 
     def linear(tau: float) -> np.ndarray:
         """Exact free flow over time ``tau`` as a Fourier multiplier."""
-        return _unit_phase(sign * tau * mult)
+        return _unit_phase(tau * mult)
 
     half = linear(0.5 * dt)
     merged = linear(dt)  # closing half of one step times opening half of the next
@@ -92,7 +92,7 @@ def _strang(
         if kernel is not None:
             vals = np.fft.ifftn(psi_hat)
             pot = kernel.convolve_density(vals.real**2 + vals.imag**2)
-            vals *= _unit_phase(-sign * h * pot)
+            vals *= _unit_phase(-h * pot)
             psi_hat = np.fft.fftn(vals)
         if not np.all(np.isfinite(psi_hat.view(np.float64))):
             raise NumericalAbort(f"non-finite state at step {k} (t = {t:g})")
@@ -116,13 +116,21 @@ class Trajectory:
     snapshots: list[Field]
     mass_series: np.ndarray
     energy_series: np.ndarray
-    dt: float
     steps: int
 
-    def __post_init__(self) -> None:
-        k = len(self.times)
-        if not (len(self.snapshots) == len(self.mass_series) == len(self.energy_series) == k):
-            raise ValueError("trajectory series lengths differ")
+    @property
+    def mass_drift(self) -> float:
+        """Largest change of the mass over the recorded instants, relative to
+        the initial mass."""
+        m = self.mass_series
+        return float(np.max(np.abs(m - m[0])) / abs(m[0]))
+
+    @property
+    def energy_drift(self) -> float:
+        """Largest change of the energy over the recorded instants, relative
+        to ``|E(0)|``; absolute when ``E(0) = 0``."""
+        e = self.energy_series
+        return float(np.max(np.abs(e - e[0])) / (abs(e[0]) if e[0] != 0.0 else 1.0))
 
 
 def evolve(
@@ -132,7 +140,6 @@ def evolve(
     T: float,
     dt: float,
     stride: int = 1,
-    sign: int = 1,
 ) -> Trajectory:
     """Advance from t = 0 to ``T`` in steps of ``dt``.
 
@@ -148,8 +155,6 @@ def evolve(
         raise ValueError(f"T must be nonnegative and finite (got {T})")
     if stride < 1:
         raise ValueError(f"stride must be >= 1 (got {stride})")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1 (got {sign})")
 
     grid = psi0.grid
     times: list[float] = []
@@ -171,7 +176,7 @@ def evolve(
     record(0.0, psi0.values.copy())
     total_steps = 0
     mult = grid.fractional_multiplier(p.alpha)
-    for total_steps, t, vals in _strang(psi0.values, mult, kernel, T, dt, sign, stride):
+    for total_steps, t, vals in _strang(psi0.values, mult, kernel, T, dt, stride):
         record(t, vals)
 
     return Trajectory(
@@ -179,24 +184,6 @@ def evolve(
         snapshots=snapshots,
         mass_series=np.asarray(masses),
         energy_series=np.asarray(energies),
-        dt=dt,
         steps=total_steps,
     )
 
-
-@dataclass(frozen=True)
-class ConservationReport:
-    mass_drift: float
-    energy_drift: float
-
-
-def conservation_report(traj: Trajectory) -> ConservationReport:
-    """Maximum relative drift of mass and energy over the recorded series."""
-    m0 = traj.mass_series[0]
-    e0 = traj.energy_series[0]
-    if len(traj.times) == 1:
-        return ConservationReport(0.0, 0.0)
-    mass_drift = float(np.max(np.abs(traj.mass_series - m0)) / abs(m0))
-    scale = abs(e0) if e0 != 0.0 else 1.0
-    energy_drift = float(np.max(np.abs(traj.energy_series - e0)) / scale)
-    return ConservationReport(mass_drift, energy_drift)

@@ -25,6 +25,7 @@ from .errors import NonConvergenceError, NumericalAbort
 from .fields import Field, gaussian, with_mass
 from .grid import Grid, PhysicsParams
 from .kernel import HartreeKernel
+from .snapshots import read_start
 from .spectral import EnergyTerms, check_setup, energy, h_alpha_norm
 
 __all__ = [
@@ -45,24 +46,22 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _MAX_BACKTRACKS = 60
+_TAU0 = 0.5  # first trial step size
+_STALL_TOL = 1e-11  # an accepted step moving u by less, relative to |u|, stalls
 
 
 @dataclass
 class SolveOptions:
     """Knobs for :func:`minimize`; the defaults are ``config.DEFAULTS["solver"]``.
 
-    tau0: the first trial step size; later trials start at 1.2x the last
-    accepted step, which may grow past ``tau0``.
     init: "gaussian" (default; width ``init_width`` or L/8, centered at the
     box center), a Field, or a path to a field snapshot (base path without
     extension).
     """
 
     q: float = 3.0
-    tau0: float = 0.5
     max_iter: int = 40000
     resid_tol: float = 1e-6
-    stall_tol: float = 1e-11
     init: object = "gaussian"
     init_width: float | None = None
     keep_history: bool = True
@@ -70,8 +69,6 @@ class SolveOptions:
     def validate(self) -> None:
         if not self.q > 0:
             raise ValueError(f"q must be positive (got {self.q})")
-        if not self.tau0 > 0:
-            raise ValueError(f"tau0 must be positive (got {self.tau0})")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1 (got {self.max_iter})")
         if not self.resid_tol > 0:
@@ -128,13 +125,7 @@ def _initial_field(p: PhysicsParams, kernel: HartreeKernel, opts: SolveOptions) 
     elif init == "gaussian":
         u = gaussian(grid, width=opts.init_width)
     elif isinstance(init, (str, Path)):
-        from .snapshots import read_field
-
-        u, _ = read_field(init)
-        if u.grid != grid:
-            raise ValueError(
-                f"snapshot grid {u.grid} does not match solver grid {grid}"
-            )
+        u = read_start(init, grid, p.alpha, p.gamma)
     else:
         raise ValueError(f"unrecognized init {init!r}")
     return with_mass(u, opts.q)
@@ -186,14 +177,15 @@ def minimize(
     Rescales the start ``opts.init`` (``opts`` defaults to ``SolveOptions()``)
     to mass ``q``, then iterates ``u <- rescale(u - tau * d)`` along the
     preconditioned, tangent-projected residual ``d`` of :func:`_descent`,
-    with backtracking on ``tau``: the first trial step is ``tau0``, a step is
+    with backtracking on ``tau``: the first trial step is ``_TAU0``, a step is
     halved until the post-projection energy does not increase, and the next
-    trial is 1.2x the accepted step.  Each trial field is evaluated once, by
-    ``energy(..., with_terms=True)``: its one transform and one convolution
-    give its energy and, once it is accepted, its gradient.
+    trial is 1.2x the accepted step, which may grow past ``_TAU0``.  Each
+    trial field is evaluated once, by ``energy(..., with_terms=True)``: its
+    one transform and one convolution give its energy and, once it is
+    accepted, its gradient.
     Stops when the Euler-Lagrange residual drops below ``resid_tol``, the
-    iterate stalls, or ``max_iter`` is reached; returns the best
-    (smallest-residual) accepted iterate.
+    iterate stalls (``_STALL_TOL``), or ``max_iter`` is reached; returns the
+    best (smallest-residual) accepted iterate.
     """
     opts = opts or SolveOptions()
     opts.validate()
@@ -203,7 +195,7 @@ def minimize(
     shift_floor = float((2.0 * np.pi / kernel.grid.L) ** (2.0 * p.alpha))
 
     e_now, cur = energy(_initial_field(p, kernel, opts), p, kernel, with_terms=True)
-    tau = opts.tau0
+    tau = _TAU0
     iterations = 0
     stop_reason = "max_iter"
 
@@ -247,7 +239,7 @@ def minimize(
         history.append((e_now, resid, step, backtracks))
         if resid < best[0]:
             best = (resid, cur.u, e_now, omega)
-        if rel_change < opts.stall_tol:
+        if rel_change < _STALL_TOL:
             stop_reason = "stalled"
             break
     else:

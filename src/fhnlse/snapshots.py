@@ -18,10 +18,18 @@ import numpy as np
 from .fields import Field
 from .grid import Grid
 
-__all__ = ["write_field", "read_field", "write_json", "write_csv"]
+__all__ = ["write_field", "read_field", "read_start", "write_json", "write_csv"]
 
 _DATA_SUFFIX = ".f64"
 _HEADER_SUFFIX = ".json"
+
+
+def _paths(base: Path) -> tuple[Path, Path]:
+    """``(<base>.f64, <base>.json)``."""
+    return (
+        base.with_suffix(base.suffix + _DATA_SUFFIX),
+        base.with_suffix(base.suffix + _HEADER_SUFFIX),
+    )
 
 
 def write_field(
@@ -34,8 +42,7 @@ def write_field(
     """Write ``<base>.f64`` + ``<base>.json``; returns both paths."""
     base = Path(base)
     base.parent.mkdir(parents=True, exist_ok=True)
-    data_path = base.with_suffix(base.suffix + _DATA_SUFFIX)
-    header_path = base.with_suffix(base.suffix + _HEADER_SUFFIX)
+    data_path, header_path = _paths(base)
     grid = field.grid
     data_path.write_bytes(np.ascontiguousarray(field.values, dtype="<c16").tobytes())
     header = {
@@ -52,9 +59,7 @@ def write_field(
 
 def read_field(base: str | Path) -> tuple[Field, dict]:
     """Read a snapshot written by :func:`write_field`; returns (field, header)."""
-    base = Path(base)
-    data_path = base.with_suffix(base.suffix + _DATA_SUFFIX)
-    header_path = base.with_suffix(base.suffix + _HEADER_SUFFIX)
+    data_path, header_path = _paths(Path(base))
     if not data_path.exists() or not header_path.exists():
         raise FileNotFoundError(f"no field snapshot at base path {base}")
     try:
@@ -78,7 +83,10 @@ def read_field(base: str | Path) -> tuple[Field, dict]:
         or not abs(box) <= sys.float_info.max  # NaN, infinities, ints beyond float range
     ):
         raise ValueError(f"snapshot header {header_path}: L must be a finite number (got {box!r})")
-    grid = Grid(d=header["d"], n=header["n"], L=float(box))
+    try:
+        grid = Grid(d=header["d"], n=header["n"], L=float(box))
+    except ValueError as exc:
+        raise ValueError(f"snapshot header {header_path}: {exc}") from exc
     raw = data_path.read_bytes()
     expected = grid.size * 16  # two little-endian float64s per sample
     if len(raw) != expected:
@@ -88,6 +96,21 @@ def read_field(base: str | Path) -> tuple[Field, dict]:
         )
     vals = np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(grid.shape)
     return Field(grid, vals), header
+
+
+def read_start(base: str | Path, grid: Grid, alpha: float, gamma: float) -> Field:
+    """The snapshot at ``base`` as the start of a run on ``grid`` with
+    exponents ``alpha`` and ``gamma``; raises ``ValueError`` naming the
+    header file when its grid or exponents differ from the run's."""
+    field, header = read_field(base)
+    run = {"d": grid.d, "n": grid.n, "L": grid.L, "alpha": alpha, "gamma": gamma}
+    for key, value in run.items():
+        if header[key] != value:
+            raise ValueError(
+                f"snapshot header {_paths(Path(base))[1]}: {key} {header[key]!r} "
+                f"does not match the run's {value!r}"
+            )
+    return field
 
 
 def write_json(path: str | Path, obj: dict) -> Path:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import conservation_report, evolve
+from .dynamics import evolve
 from .fields import Field, band_limited_noise
 from .grid import PhysicsParams
 from .groundstate import GroundState, align, require_converged
@@ -109,10 +109,9 @@ def stability_run(
     distances = np.array(
         [orbit_distance(snap, gs.g, p.alpha) for snap in traj.snapshots]
     )
-    report = conservation_report(traj)
     logger.info(
         "stability_run: delta=%g sup=%.4e massDrift=%.2e energyDrift=%.2e",
-        delta, float(np.max(distances)), report.mass_drift, report.energy_drift,
+        delta, float(np.max(distances)), traj.mass_drift, traj.energy_drift,
     )
     return StabilityReport(
         delta=float(delta),
@@ -123,8 +122,8 @@ def stability_run(
         times=traj.times,
         distances=distances,
         sup_distance=float(np.max(distances)),
-        mass_drift=report.mass_drift,
-        energy_drift=report.energy_drift,
+        mass_drift=traj.mass_drift,
+        energy_drift=traj.energy_drift,
         ground_energy=gs.energy,
         ground_omega=gs.omega,
         ground_residual=gs.residual,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULTS, kernel_from, params_from, solve_options_from
-from .dynamics import conservation_report, evolve
+from .dynamics import evolve
 from .fields import Field, gaussian, mass, random_band_limited
 from .grid import Grid, PhysicsParams
 from .groundstate import (
@@ -332,11 +332,9 @@ def check_rearrangement_suite(ctx: VerifyContext, level: str):
 def _dt_halving(psi0: Field, p: PhysicsParams, kernel: HartreeKernel, T: float,
                 dt: float, stride: int):
     """Energy drift at ``2 dt`` over that at ``dt``, both recorded at the same
-    instants, and the conservation report of the run at ``dt``."""
-    fine = conservation_report(evolve(psi0, p, kernel, T=T, dt=dt, stride=stride))
-    coarse = conservation_report(
-        evolve(psi0, p, kernel, T=T, dt=2 * dt, stride=stride // 2)
-    )
+    instants, and the trajectory at ``dt``."""
+    fine = evolve(psi0, p, kernel, T=T, dt=dt, stride=stride)
+    coarse = evolve(psi0, p, kernel, T=T, dt=2 * dt, stride=stride // 2)
     return coarse.energy_drift / fine.energy_drift, fine
 
 

@@ -115,11 +115,12 @@ class TestInvalidInput:
             "rearrange.seed=true",
             "dynamics.init=5",
             "dynamics.planeWaveMode=[true,0]",
-            "dynamics.sign=true",
+            "dynamics.sign=true",  # deleted key: rejected as unknown
             "grid.L=Infinity",
             "stability.delta=NaN",
             "dynamics.T=Infinity",
-            "solver.stallTol=NaN",
+            "solver.stallTol=NaN",  # deleted key: rejected as unknown
+            "solver.tau0=0.5",  # deleted key: rejected as unknown
         ],
     )
     def test_malformed_value_exits_2_naming_the_key(self, setting, tmp_path, capsys):
@@ -128,6 +129,8 @@ class TestInvalidInput:
         key = setting.split("=")[0]
         errors = capsys.readouterr().err.splitlines()
         assert any(line.startswith("error:") and key in line for line in errors)
+        if key in ("solver.seed", "dynamics.sign", "solver.stallTol", "solver.tau0"):
+            assert f"error: unknown config key: {key}" in errors
 
     def test_missing_config_file_exits_2(self, tmp_path):
         code = run(["groundstate", "--config", str(tmp_path / "none.json")])
@@ -138,6 +141,17 @@ class TestInvalidInput:
         assert code == 2
         assert "grid.points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("solver", "tau0", 0.5), ("solver", "stallTol", 1e-11), ("dynamics", "sign", 1)],
+    )
+    def test_deleted_key_in_a_config_file_exits_2(self, section, key, value, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        code = run(["groundstate", *SMALL, "--config", str(path), "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert f"error: unknown config key: {section}.{key}" in capsys.readouterr().err
+
     def test_missing_snapshot_initial_state_exits_2(self, tmp_path):
         code = run(
             ["evolve", *SMALL, "--set", f'dynamics.init="{tmp_path / "nope"}"',
@@ -146,10 +160,24 @@ class TestInvalidInput:
         assert code == 2
 
     @pytest.mark.parametrize("key", ["dynamics.init", "solver.init"])
-    def test_malformed_snapshot_header_exits_2_naming_the_file(self, key, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "entry, bad, message",
+        [
+            ('"L": 12.0', '"L": null', "L must be a finite number"),
+            ('"n": 16', '"n": 31', "n must be a power of two"),
+            ('"d": 2', '"d": 4', "d must be 1, 2 or 3"),
+            ('"L": 12.0', '"L": -1', "L must be positive"),
+            ('"alpha": 0.6', '"alpha": 0.9', "alpha 0.9 does not match the run's 0.6"),
+            ('"gamma": 0.5', '"gamma": 1.5', "gamma 1.5 does not match the run's 0.5"),
+        ],
+        ids=["L-null", "n-31", "d-4", "L-negative", "alpha-differs", "gamma-differs"],
+    )
+    def test_malformed_snapshot_header_exits_2_naming_the_file(
+        self, key, entry, bad, message, tmp_path, capsys
+    ):
         grid = Grid(d=2, n=16, L=12.0)
         _, header = write_field(tmp_path / "start", gaussian(grid), alpha=0.6, gamma=0.5)
-        header.write_text(header.read_text().replace('"L": 12.0', '"L": null'))
+        header.write_text(header.read_text().replace(entry, bad))
         code = run(
             ["groundstate" if key == "solver.init" else "evolve", *SMALL,
              "--set", f'{key}="{tmp_path / "start"}"', "--set", "dynamics.T=0.01",
@@ -157,7 +185,7 @@ class TestInvalidInput:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "error:" in err and str(header) in err and "L must be" in err
+        assert "error:" in err and str(header) in err and message in err
 
     def test_groundstate_init_without_interaction_exits_2(self, tmp_path, capsys):
         code = run(

@@ -147,8 +147,6 @@ class TestValidation:
             validate_config(self._cfg(solver__maxIter=0))
         with pytest.raises(ValueError, match="dynamics.dt"):
             validate_config(self._cfg(dynamics__dt=-1e-3))
-        with pytest.raises(ValueError, match="dynamics.sign"):
-            validate_config(self._cfg(dynamics__sign=2))
         with pytest.raises(ValueError, match="hartree"):
             validate_config(self._cfg(dynamics__hartree="yes"))
         with pytest.raises(ValueError, match="planeWaveMode"):
@@ -184,10 +182,8 @@ class TestBuilders:
         opts = solve_options_from(cfg)
         assert opts == SolveOptions(
             q=2.0,
-            tau0=0.5,
             max_iter=100,
             resid_tol=1e-6,
-            stall_tol=1e-11,
             init="warm/ground_state",
             init_width=3.0,
         )

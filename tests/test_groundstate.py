@@ -30,7 +30,7 @@ from fhnlse import (
     symmetric_rearrange,
     write_field,
 )
-from fhnlse.groundstate import _descent
+from fhnlse.groundstate import _TAU0, _descent
 from fhnlse.spectral import EnergyTerms
 
 ALPHA = 0.6
@@ -76,16 +76,16 @@ class TestMinimizeDiagnostics:
         assert len(ground32.residual_history) == len(hist)
 
     def test_step_history_follows_the_backtracking_rule(self, ground32):
-        """The first trial step is tau0, a backtrack halves it, and each
-        next trial is 1.2x the accepted step, with no cap at tau0."""
+        """The first trial step is _TAU0, a backtrack halves it, and each
+        next trial is 1.2x the accepted step, with no cap at _TAU0."""
         steps, backtracks = ground32.step_history, ground32.backtrack_history
         assert len(steps) == len(backtracks) == len(ground32.energy_history)
         assert steps[0] == 0.0 and backtracks[0] == 0
-        trial = SolveOptions().tau0
+        trial = _TAU0
         for step, halvings in zip(steps[1:], backtracks[1:]):
             assert step == pytest.approx(trial * 0.5**halvings, rel=1e-12)
             trial = 1.2 * step
-        assert steps.max() > SolveOptions().tau0
+        assert steps.max() > _TAU0
 
     def test_summary_reports_the_run(self, ground32, box32):
         s = ground32.summary()
@@ -359,8 +359,6 @@ class TestFailureModes:
     def test_option_validation(self):
         with pytest.raises(ValueError, match="q"):
             SolveOptions(q=0.0).validate()
-        with pytest.raises(ValueError, match="tau0"):
-            SolveOptions(tau0=-1.0).validate()
         with pytest.raises(ValueError, match="max_iter"):
             SolveOptions(max_iter=0).validate()
         with pytest.raises(ValueError, match="resid_tol"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fhnlse import Field, Grid, random_band_limited, read_field, write_csv, write_field, write_json
+from fhnlse.snapshots import read_start
 
 
 class TestFieldRoundTrip:
@@ -69,6 +70,12 @@ class TestReadValidation:
              "d must be an integer"),
             ('{"d": 1, "n": 8.5, "L": 4.0, "alpha": 0.6, "gamma": 0.5, "label": ""}',
              "n must be an integer"),
+            ('{"d": 1, "n": 31, "L": 4.0, "alpha": 0.6, "gamma": 0.5, "label": ""}',
+             "n must be a power of two"),
+            ('{"d": 4, "n": 8, "L": 4.0, "alpha": 0.6, "gamma": 0.5, "label": ""}',
+             "d must be 1, 2 or 3"),
+            ('{"d": 1, "n": 8, "L": -1, "alpha": 0.6, "gamma": 0.5, "label": ""}',
+             "L must be positive"),
             ('{d: 1}', "is not valid JSON"),
             ("[1, 8, 4.0]", "must hold a JSON object"),
         ],
@@ -81,6 +88,27 @@ class TestReadValidation:
         with pytest.raises(ValueError, match=message) as info:
             read_field(base)
         assert str(header_path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "grid, alpha, gamma, message",
+        [
+            (Grid(d=1, n=16, L=4.0), 0.6, 0.5, "n 8 does not match the run's 16"),
+            (Grid(d=2, n=8, L=4.0), 0.6, 0.5, "d 1 does not match the run's 2"),
+            (Grid(d=1, n=8, L=5.0), 0.6, 0.5, "L 4.0 does not match the run's 5.0"),
+            (Grid(d=1, n=8, L=4.0), 0.7, 0.5, "alpha 0.6 does not match the run's 0.7"),
+            (Grid(d=1, n=8, L=4.0), 0.6, 0.4, "gamma 0.5 does not match the run's 0.4"),
+        ],
+    )
+    def test_start_on_another_run_raises_naming_the_file(
+        self, tmp_path, grid, alpha, gamma, message
+    ):
+        base = tmp_path / "state"
+        u = random_band_limited(Grid(d=1, n=8, L=4.0), seed=8)
+        _, header_path = write_field(base, u, alpha=0.6, gamma=0.5)
+        with pytest.raises(ValueError, match=message) as info:
+            read_start(base, grid, alpha, gamma)
+        assert str(header_path) in str(info.value)
+        assert np.array_equal(read_start(base, u.grid, 0.6, 0.5).values, u.values)
 
     def test_byte_count_mismatch_raises(self, tmp_path):
         grid = Grid(d=1, n=8, L=4.0)
