@@ -44,12 +44,24 @@ logger = logging.getLogger(__name__)
 
 
 def _unit_phase(theta: np.ndarray) -> np.ndarray:
-    """``exp(i theta)`` for real ``theta``, as cos and sin written into one
-    complex array: about a quarter faster than the complex ``exp`` of
-    ``1j * theta`` on a 64^2 grid."""
+    """``exp(i theta)`` for real ``theta``, from the half-angle tangent
+    ``t = tan(theta / 2)``: ``cos theta = (1 - t^2) / (1 + t^2)`` and
+    ``sin theta = 2 t / (1 + t^2)``.
+
+    One vectorized ``tan`` replaces a ``cos`` and a ``sin``, each several
+    times its cost; the result is unimodular for every finite ``t`` and
+    agrees with ``cos + i sin`` to a few ulps.  NaN and infinite ``theta``
+    give NaN.
+    """
+    t = np.tan(0.5 * theta)
+    t_sq = t * t
+    inv = 1.0 + t_sq
+    np.reciprocal(inv, out=inv)
     out = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
+    np.subtract(1.0, t_sq, out=out.real)
+    out.real *= inv
+    t += t
+    np.multiply(t, inv, out=out.imag)
     return out
 
 
@@ -91,8 +103,11 @@ def _strang(
         psi_hat *= merged if lagging else half
         if kernel is not None:
             vals = np.fft.ifftn(psi_hat)
-            pot = kernel.convolve_density(vals.real**2 + vals.imag**2)
-            vals *= _unit_phase(-h * pot)
+            rho = vals.real**2
+            rho += vals.imag**2
+            pot = kernel.convolve_density(rho)
+            pot *= -h
+            vals *= _unit_phase(pot)
             psi_hat = np.fft.fftn(vals)
         if not np.all(np.isfinite(psi_hat.view(np.float64))):
             raise NumericalAbort(f"non-finite state at step {k} (t = {t:g})")

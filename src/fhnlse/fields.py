@@ -73,13 +73,19 @@ def mass(u: Field) -> float:
     return float(np.sum(np.abs(u.values) ** 2) * u.grid.cell_volume)
 
 
-def with_mass(u: Field, q: float) -> Field:
-    """``u`` rescaled so that ``mass(u) == q``; a zero or non-finite mass
-    raises :class:`NumericalAbort`."""
+def _mass_factor(u: Field, q: float) -> float:
+    """``sqrt(q / mass(u))``, the factor that puts ``u`` on the mass sphere
+    ``q``; a zero or non-finite mass raises :class:`NumericalAbort`."""
     m = mass(u)
     if m == 0.0 or not np.isfinite(m):
         raise NumericalAbort(f"cannot rescale field with mass {m} to mass {q}")
-    return u * float(np.sqrt(q / m))
+    return float(np.sqrt(q / m))
+
+
+def with_mass(u: Field, q: float) -> Field:
+    """``u`` rescaled so that ``mass(u) == q``; a zero or non-finite mass
+    raises :class:`NumericalAbort`."""
+    return u * _mass_factor(u, q)
 
 
 def gaussian(grid: Grid, width: float | None = None, mass: float | None = None) -> Field:

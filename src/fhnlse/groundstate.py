@@ -7,9 +7,11 @@ nonzero |k|^(2 alpha))``, projected onto the sphere's tangent space.  Each
 iteration steps along it and rescales back to the mass sphere, with a
 backtracking step size that never lets the post-projection energy increase
 (Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017); the gradient-flow
-setting is that of Bao & Du, SIAM J. Sci. Comput. 25 (2004)).  One
-transform of a trial field and one convolution of its density give its
-energy and, once it is accepted, its gradient.  Convergence is declared on
+setting is that of Bao & Du, SIAM J. Sci. Comput. 25 (2004)).  The iterate's
+DFT is carried beside it, so the residual, its norm (by Parseval), the
+direction and every trial field are formed in Fourier space as well: an
+accepted iterate costs two complex transforms, and a trial none beyond the
+real transform pair of its density convolution.  Convergence is declared on
 the constrained Euler-Lagrange residual ``|G(u) - omega u|_2 / |u|_2``.
 """
 
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonConvergenceError, NumericalAbort
-from .fields import Field, gaussian, with_mass
+from .fields import Field, _mass_factor, gaussian, with_mass
 from .grid import Grid, PhysicsParams
 from .kernel import HartreeKernel
 from .snapshots import read_start
@@ -140,23 +142,34 @@ def _profile(g: Field) -> tuple[float, float]:
     return seam / peak, peak / float(np.mean(vals))
 
 
-def _descent(terms: EnergyTerms, shift_floor: float) -> tuple[float, float, np.ndarray]:
-    """``(omega, residual, d)`` at the field of ``terms``.
+def _descent(
+    terms: EnergyTerms, shift_floor: float
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """``(omega, residual, d, d_hat)`` at the field of ``terms``.
 
     ``d = P r`` is the preconditioned Euler-Lagrange residual
     ``r = G(u) - omega u`` with ``P = (s + |k|^(2 alpha))^(-1)``,
     ``s = max(|omega|, shift_floor)``, projected onto the tangent space of
-    the mass sphere so that ``Re <u, d> = 0``.
+    the mass sphere so that ``Re <u, d> = 0``; ``d_hat`` is its DFT.  Both
+    are formed from ``terms.u_hat``: ``r_hat = (|k|^(2 alpha) - omega) u_hat
+    - DFT((K * |u|^2) u)`` gives ``|r|`` by Parseval, and one inverse
+    transform of ``P r_hat`` gives ``d``, so the step costs two complex
+    transforms.
     """
-    u = terms.u.values
+    u, u_hat = terms.u.values, terms.u_hat
     omega = terms.omega
-    r = terms.gradient() - omega * u
-    u_sq = float(np.sum(np.abs(u) ** 2))
-    resid = float(np.sqrt(np.sum(np.abs(r) ** 2) / u_sq))
+    r_hat = (terms.multiplier - omega) * u_hat
+    r_hat -= np.fft.fftn(terms.potential * u)
+    u_sq = float(np.vdot(u, u).real)
+    resid = float(np.sqrt(np.vdot(r_hat, r_hat).real / (u.size * u_sq)))
     shift = max(abs(omega), shift_floor)
-    d = np.fft.ifftn(np.fft.fftn(r) / (shift + terms.multiplier))
-    d -= (float(np.real(np.vdot(u, d))) / u_sq) * u
-    return omega, resid, d
+    d_hat = r_hat
+    d_hat /= shift + terms.multiplier
+    d = np.fft.ifftn(d_hat)
+    beta = float(np.real(np.vdot(u, d))) / u_sq
+    d -= beta * u
+    d_hat -= beta * u_hat
+    return omega, resid, d, d_hat
 
 
 def _history_columns(history: list[tuple[float, float, float, int]]) -> dict:
@@ -179,10 +192,14 @@ def minimize(
     preconditioned, tangent-projected residual ``d`` of :func:`_descent`,
     with backtracking on ``tau``: the first trial step is ``_TAU0``, a step is
     halved until the post-projection energy does not increase, and the next
-    trial is 1.2x the accepted step, which may grow past ``_TAU0``.  Each
-    trial field is evaluated once, by ``energy(..., with_terms=True)``: its
-    one transform and one convolution give its energy and, once it is
-    accepted, its gradient.
+    trial is 1.2x the accepted step, which may grow past ``_TAU0``.  The
+    iterate's DFT ``u_hat`` is carried beside it: a trial ``v = c (u - tau
+    d)``, with ``c`` the mass rescale, has ``v_hat = c (u_hat - tau d_hat)``,
+    and is evaluated once, by ``energy(..., with_terms=True, u_hat=v_hat)``,
+    whose one density convolution gives its energy and, once it is accepted,
+    the residual and the next direction.  Only the start is transformed;
+    after that an accepted iterate costs the two complex transforms of
+    :func:`_descent` and a trial none.
     Stops when the Euler-Lagrange residual drops below ``resid_tol``, the
     iterate stalls (``_STALL_TOL``), or ``max_iter`` is reached; returns the
     best (smallest-residual) accepted iterate.
@@ -199,7 +216,7 @@ def minimize(
     iterations = 0
     stop_reason = "max_iter"
 
-    omega, resid, direction = _descent(cur, shift_floor)
+    omega, resid, direction, direction_hat = _descent(cur, shift_floor)
     # per accepted iterate: energy, residual, step, backtracks
     history: list[tuple[float, float, float, int]] = [(e_now, resid, 0.0, 0)]
     best: tuple[float, Field, float, float] = (resid, cur.u, e_now, omega)
@@ -215,11 +232,13 @@ def minimize(
             iterations -= 1
             break
 
-        u = cur.u
+        u, u_hat = cur.u, cur.u_hat
         step = tau
         for backtracks in range(_MAX_BACKTRACKS):
-            v = with_mass(Field(u.grid, u.values - step * direction), opts.q)
-            e_trial, trial = energy(v, p, kernel, with_terms=True)
+            w = Field(u.grid, u.values - step * direction)
+            c = _mass_factor(w, opts.q)
+            v_hat = c * (u_hat - step * direction_hat)
+            e_trial, trial = energy(w * c, p, kernel, with_terms=True, u_hat=v_hat)
             if np.isfinite(e_trial) and e_trial <= e_now:
                 break
             step *= 0.5
@@ -235,7 +254,7 @@ def minimize(
         )
         cur, e_now = trial, e_trial
         tau = 1.2 * step
-        omega, resid, direction = _descent(cur, shift_floor)
+        omega, resid, direction, direction_hat = _descent(cur, shift_floor)
         history.append((e_now, resid, step, backtracks))
         if resid < best[0]:
             best = (resid, cur.u, e_now, omega)

@@ -147,7 +147,8 @@ class HartreeKernel:
         density ``rho``, via a real-to-complex FFT pair."""
         axes = tuple(range(self.grid.d))
         rho_hat = np.fft.rfftn(rho, axes=axes)
-        return np.fft.irfftn(rho_hat * self._half_spectrum, s=self.grid.shape, axes=axes)
+        rho_hat *= self._half_spectrum
+        return np.fft.irfftn(rho_hat, s=self.grid.shape, axes=axes)
 
 
 def hartree_direct(u: Field, kernel: HartreeKernel) -> float:

@@ -69,15 +69,24 @@ class EnergyTerms:
 
     ``u_hat`` is the unnormalized DFT of ``u``, ``potential`` is
     ``K * |u|^2``, ``seminorm_sq`` is ``|u|_{H^alpha-dot}^2``, ``pairing`` is
-    the Hartree pairing ``P(u)`` and ``mass`` is ``|u|_2^2``.
+    the Hartree pairing ``P(u)`` and ``mass`` is ``|u|_2^2``.  A caller that
+    already holds the DFT of ``u`` passes it as ``u_hat`` and the transform
+    is skipped; the array is kept, not copied.
     """
 
-    def __init__(self, u: Field, p: PhysicsParams, kernel: HartreeKernel):
+    def __init__(
+        self,
+        u: Field,
+        p: PhysicsParams,
+        kernel: HartreeKernel,
+        *,
+        u_hat: np.ndarray | None = None,
+    ):
         check_setup(u.grid, p, kernel)
         grid = u.grid
         self.u = u
         self.multiplier = grid.fractional_multiplier(p.alpha)
-        self.u_hat = np.fft.fftn(u.values)
+        self.u_hat = np.fft.fftn(u.values) if u_hat is None else u_hat
         rho = np.abs(u.values) ** 2
         self.potential = kernel.convolve_density(rho)
         self.seminorm_sq = float(
@@ -108,15 +117,22 @@ class EnergyTerms:
 
 
 def energy(
-    u: Field, p: PhysicsParams, kernel: HartreeKernel, *, with_terms: bool = False
+    u: Field,
+    p: PhysicsParams,
+    kernel: HartreeKernel,
+    *,
+    with_terms: bool = False,
+    u_hat: np.ndarray | None = None,
 ) -> float | tuple[float, EnergyTerms]:
     """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 P(u)``.
 
     With ``with_terms`` the result is ``(E, terms)``: a caller that goes on to
     need the gradient or ``omega`` at ``u`` reads them from ``terms`` without
-    a second transform or convolution.
+    a second transform or convolution.  ``u_hat``, the DFT of ``u`` when the
+    caller already holds it, is passed on to :class:`EnergyTerms`, so the
+    evaluation needs no transform of ``u``.
     """
-    terms = EnergyTerms(u, p, kernel)
+    terms = EnergyTerms(u, p, kernel, u_hat=u_hat)
     return (terms.energy, terms) if with_terms else terms.energy
 
 

@@ -17,6 +17,7 @@ from fhnlse import (
     plane_wave,
     random_band_limited,
 )
+from fhnlse.dynamics import _unit_phase
 
 ALPHA = 0.6
 GAMMA = 0.5
@@ -164,6 +165,21 @@ class TestAgainstRealSpaceComposition:
         assert len(traj.snapshots) == len(snaps)
         for got, want in zip(traj.snapshots, snaps):
             assert np.max(np.abs(got.values - want)) < 1e-12
+
+
+class TestUnitPhase:
+    def test_matches_cos_and_sin_and_is_unimodular(self):
+        theta = np.concatenate(
+            [np.linspace(-1e4, 1e4, 200_001), [np.pi, -np.pi, np.pi / 2, -np.pi / 2]]
+        )
+        phase = _unit_phase(theta)
+        assert np.max(np.abs(phase - (np.cos(theta) + 1j * np.sin(theta)))) <= 5e-16
+        assert np.max(np.abs(np.abs(phase) - 1.0)) <= 5e-16
+
+    def test_non_finite_angles_give_nan(self):
+        with np.errstate(invalid="ignore"):
+            phase = _unit_phase(np.array([np.nan, np.inf, -np.inf]))
+        assert np.all(np.isnan(phase))
 
 
 class TestBookkeeping:

@@ -5,6 +5,7 @@ subadditivity experiments, initialization robustness, and failure modes."""
 import numpy as np
 import pytest
 
+import fhnlse.groundstate as groundstate_module
 from fhnlse import (
     Field,
     Grid,
@@ -177,10 +178,49 @@ class TestFusedBookkeeping:
         ground, kernel = localized
         u = random_band_limited(kernel.grid, seed=3) if which == "random" else ground.g
         terms = EnergyTerms(u, ref_params, kernel)
-        _, _, d = _descent(terms, shift_floor=1e-3)
+        _, _, d, d_hat = _descent(terms, shift_floor=1e-3)
         tangent = abs(np.real(np.vdot(u.values, d)))
         assert tangent <= 1e-12 * np.linalg.norm(u.values) * np.linalg.norm(d)
         assert np.real(np.vdot(terms.gradient(), d)) > 0.0
+        exact = np.fft.fftn(d)
+        assert np.linalg.norm(d_hat - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+def count_calls(monkeypatch, owner, names) -> dict:
+    """Replace each ``owner.<name>`` by a wrapper that counts its calls."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return counts
+
+
+class TestTransformCount:
+    """The solver carries the iterate's DFT: past the start's own transform,
+    an accepted iterate costs two complex transforms and every energy
+    evaluation (start and trials) the real pair of its convolution, and
+    every trial goes through ``energy``."""
+
+    def test_two_complex_transforms_per_iteration(self, ref_params, box32, monkeypatch):
+        kernel = HartreeKernel(box32, GAMMA)  # its build makes one fftn of its own
+        counts = count_calls(monkeypatch, np.fft, ("fftn", "ifftn", "rfftn", "irfftn"))
+        gs = minimize(ref_params, kernel, SolveOptions(q=3.0))
+        assert gs.converged
+        evals = 1 + gs.iterations + int(np.sum(gs.backtrack_history))
+        assert counts["fftn"] + counts["ifftn"] == 2 * gs.iterations + 3
+        assert counts["rfftn"] + counts["irfftn"] == 2 * evals
+
+    def test_every_trial_is_an_energy_call(self, ref_params, kernel32, monkeypatch):
+        counts = count_calls(monkeypatch, groundstate_module, ("energy",))
+        gs = minimize(ref_params, kernel32, SolveOptions(q=3.0, keep_history=True))
+        assert counts["energy"] == 1 + gs.iterations + int(np.sum(gs.backtrack_history))
 
 
 class TestClosedFormCriticalPoint:
