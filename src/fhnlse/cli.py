@@ -105,20 +105,16 @@ def _cmd_groundstate(args) -> int:
 
 
 def _initial_state(cfg, p, kernel):
-    grid = kernel.grid if kernel is not None else grid_from(cfg)
+    grid = kernel.grid
     dyn = cfg["dynamics"]
     init = dyn["init"]
     q = float(cfg["solver"]["q"])
     if init == "groundstate":
-        if kernel is None:
-            raise ValueError(
-                "dynamics.init 'groundstate' requires dynamics.hartree = true"
-            )
         gs = minimize(p, kernel, solve_options_from(cfg))
         require_converged(gs, "evolve initial state")
         return gs.g
     if init == "gaussian":
-        return gaussian(grid, width=cfg["solver"]["initWidth"], mass=q)
+        return gaussian(grid, mass=q)
     if init == "planeWave":
         mode = tuple(int(c) for c in dyn["planeWaveMode"])
         if len(mode) != grid.d:
@@ -134,7 +130,7 @@ def _cmd_evolve(args) -> int:
     cfg, outdir = _resolve(args)
     p = params_from(cfg)
     dyn = cfg["dynamics"]
-    kernel = kernel_from(cfg) if dyn["hartree"] else None
+    kernel = kernel_from(cfg)
     psi0 = _initial_state(cfg, p, kernel)
     traj = evolve(
         psi0,

@@ -39,13 +39,11 @@ DEFAULTS: dict = {
         "maxIter": 40000,
         "residTol": 1e-6,
         "init": "gaussian",
-        "initWidth": None,
     },
     "dynamics": {
         "T": 10.0,
         "dt": 1e-3,
         "snapshotStride": 100,
-        "hartree": True,
         "init": "groundstate",
         "planeWaveMode": [1, 0],
     },
@@ -160,20 +158,16 @@ def validate_config(cfg: dict) -> None:
     for key in ("q", "residTol"):
         _require_number(cfg, "solver", key)
     _require_int(cfg, "solver", "maxIter", minimum=1)
-    if cfg["solver"]["initWidth"] is not None:
-        _require_number(cfg, "solver", "initWidth")
     for section in ("dynamics", "stability"):
         _require_number(cfg, section, "dt")
         t = _require_number(cfg, section, "T", positive=False)
         if t < 0:
             raise ValueError(f"{section}.T must be nonnegative (got {t})")
         _require_int(cfg, section, "snapshotStride", minimum=1)
-    _require_int(cfg, "stability", "seed")
+    _require_int(cfg, "stability", "seed", minimum=0)
     for section in ("solver", "dynamics"):
         if not isinstance(cfg[section]["init"], str):
             raise ValueError(f"{section}.init must be a string (got {cfg[section]['init']!r})")
-    if not isinstance(cfg["dynamics"]["hartree"], bool):
-        raise ValueError("dynamics.hartree must be true or false")
     mode = cfg["dynamics"]["planeWaveMode"]
     if not isinstance(mode, list) or not all(
         isinstance(c, int) and not isinstance(c, bool) for c in mode
@@ -183,7 +177,7 @@ def validate_config(cfg: dict) -> None:
     if delta < 0:
         raise ValueError(f"stability.delta must be nonnegative (got {delta})")
     _require_int(cfg, "rearrange", "count", minimum=1)
-    _require_int(cfg, "rearrange", "seed")
+    _require_int(cfg, "rearrange", "seed", minimum=0)
     formats = cfg["output"]["formats"]
     allowed = {"json", "csv", "snapshots"}
     if not isinstance(formats, list) or not set(formats) <= allowed:
@@ -210,5 +204,4 @@ def solve_options_from(cfg: dict) -> SolveOptions:
         max_iter=int(s["maxIter"]),
         resid_tol=float(s["residTol"]),
         init=s["init"],
-        init_width=None if s["initWidth"] is None else float(s["initWidth"]),
     )

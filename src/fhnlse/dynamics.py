@@ -9,13 +9,12 @@ unchanged — and half a linear step again.
 
 The closing half-step of one step and the opening half-step of the next
 are both Fourier multipliers, so they merge into one full linear factor.
-Between recorded instants the state therefore stays in Fourier space and
-lags by one closing half-step; a step costs one inverse transform to reach
-the nonlinear substep, the density convolution (a real-to-complex pair,
-see :meth:`HartreeKernel.convolve_density`) and one forward transform back.
-The closing half-step, with one more inverse transform, is applied only
-where a state is recorded.  Without an interaction the flow is the exact
-Fourier multiplication and needs no transform per step.
+Between recorded instants the state therefore stays in Fourier space,
+carrying the opening half-step of its next step; a step costs one inverse
+transform to reach the nonlinear substep, the density convolution (a
+real-to-complex pair, see :meth:`HartreeKernel.convolve_density`) and one
+forward transform back.  The closing half-step, with one more inverse
+transform, is applied only where a state is recorded.
 
 The equation written with the opposite sign is the conjugate flow: its
 solution from ``psi0`` is ``conj(evolve(conj(psi0)))``, which also runs
@@ -36,7 +35,7 @@ from .errors import NumericalAbort
 from .fields import Field, mass
 from .grid import PhysicsParams
 from .kernel import HartreeKernel
-from .spectral import check_setup, energy, sobolev_seminorm_sq
+from .spectral import check_setup, energy
 
 __all__ = ["evolve", "Trajectory"]
 
@@ -68,54 +67,42 @@ def _unit_phase(theta: np.ndarray) -> np.ndarray:
 def _strang(
     values: np.ndarray,
     mult: np.ndarray,
-    kernel: HartreeKernel | None,
+    kernel: HartreeKernel,
     T: float,
     dt: float,
     stride: int,
 ) -> Iterator[tuple[int, float, np.ndarray]]:
-    """Step from t = 0 to ``T``; yield ``(k, t, values)`` after every
-    ``stride``-th step and after the last one.
+    """Step from t = 0 to ``T`` in ``n = ceil(T/dt - 1e-9)`` equal steps of
+    ``h = T/n``; yield ``(k, t, values)`` after every ``stride``-th step and
+    after the last one, which records exactly ``T``.
 
-    The last step is shortened so the run ends exactly at ``T`` (within one
-    ``dt``).  Raises :class:`NumericalAbort` on non-finite values.
+    ``psi_hat`` enters each step with its opening half-step applied: a
+    recorded step closes with ``half`` and reopens with ``half``, any other
+    with the merged factor.  Raises :class:`NumericalAbort` on non-finite
+    values.
     """
-    n_full = int(np.floor(T / dt + 1e-9))
-    remainder = T - n_full * dt
-    if remainder <= 1e-9 * dt:
-        remainder = 0.0
-    total_steps = n_full + (1 if remainder else 0)
-
-    def linear(tau: float) -> np.ndarray:
-        """Exact free flow over time ``tau`` as a Fourier multiplier."""
-        return _unit_phase(tau * mult)
-
-    half = linear(0.5 * dt)
-    merged = linear(dt)  # closing half of one step times opening half of the next
+    n = int(np.ceil(T / dt - 1e-9))
+    h = T / max(n, 1)
+    half = _unit_phase(0.5 * h * mult)
+    merged = _unit_phase(h * mult)  # closing half of one step times opening half of the next
     psi_hat = np.fft.fftn(values)
-    lagging = False  # psi_hat still owes the closing half-step of the last step
-    h = dt
-    for k in range(1, total_steps + 1):
-        t = k * dt
-        if k > n_full:  # the shortened final step ends the run exactly at T
-            t, h = T, remainder
-            merged = linear(0.5 * (dt + h))
-            half = linear(0.5 * h)
-        psi_hat *= merged if lagging else half
-        if kernel is not None:
-            vals = np.fft.ifftn(psi_hat)
-            rho = vals.real**2
-            rho += vals.imag**2
-            pot = kernel.convolve_density(rho)
-            pot *= -h
-            vals *= _unit_phase(pot)
-            psi_hat = np.fft.fftn(vals)
+    psi_hat *= half
+    for k in range(1, n + 1):
+        vals = np.fft.ifftn(psi_hat)
+        rho = vals.real**2
+        rho += vals.imag**2
+        pot = kernel.convolve_density(rho)
+        pot *= -h
+        vals *= _unit_phase(pot)
+        psi_hat = np.fft.fftn(vals)
         if not np.all(np.isfinite(psi_hat.view(np.float64))):
-            raise NumericalAbort(f"non-finite state at step {k} (t = {t:g})")
-        lagging = True
-        if k % stride == 0 or k == total_steps:
+            raise NumericalAbort(f"non-finite state at step {k} (t = {k * h:g})")
+        if k % stride == 0 or k == n:
             psi_hat *= half
-            lagging = False
-            yield k, t, np.fft.ifftn(psi_hat)
+            yield k, (T if k == n else k * h), np.fft.ifftn(psi_hat)
+            psi_hat *= half
+        else:
+            psi_hat *= merged
 
 
 @dataclass
@@ -151,17 +138,16 @@ class Trajectory:
 def evolve(
     psi0: Field,
     p: PhysicsParams,
-    kernel: HartreeKernel | None,
+    kernel: HartreeKernel,
     T: float,
     dt: float,
     stride: int = 1,
 ) -> Trajectory:
-    """Advance from t = 0 to ``T`` in steps of ``dt``.
+    """Advance the Hartree flow from t = 0 to ``T`` in ``n = ceil(T/dt - 1e-9)``
+    equal steps of ``T/n`` (``dt`` itself when ``T`` is a multiple of it).
 
-    States are recorded at t = 0, after every ``stride``-th step, and at the
-    final time; the final partial step is shortened so the run ends exactly
-    at ``T`` (within one ``dt``).  Raises :class:`NumericalAbort` on
-    non-finite values.
+    States are recorded at t = 0, after every ``stride``-th step, and at
+    exactly ``T``.  Raises :class:`NumericalAbort` on non-finite values.
     """
     check_setup(psi0.grid, p, kernel)
     if not 0 < dt < np.inf:
@@ -181,11 +167,7 @@ def evolve(
         f = Field(grid, vals)
         times.append(t)
         masses.append(mass(f))
-        energies.append(
-            energy(f, p, kernel)
-            if kernel is not None
-            else 0.5 * sobolev_seminorm_sq(f, p.alpha)
-        )
+        energies.append(energy(f, p, kernel))
         snapshots.append(f)
 
     record(0.0, psi0.values.copy())

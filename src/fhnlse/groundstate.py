@@ -56,16 +56,14 @@ _STALL_TOL = 1e-11  # an accepted step moving u by less, relative to |u|, stalls
 class SolveOptions:
     """Knobs for :func:`minimize`; the defaults are ``config.DEFAULTS["solver"]``.
 
-    init: "gaussian" (default; width ``init_width`` or L/8, centered at the
-    box center), a Field, or a path to a field snapshot (base path without
-    extension).
+    init: "gaussian" (default; width L/8, centered at the box center), a
+    Field, or a path to a field snapshot (base path without extension).
     """
 
     q: float = 3.0
     max_iter: int = 40000
     resid_tol: float = 1e-6
     init: object = "gaussian"
-    init_width: float | None = None
     keep_history: bool = True
 
     def validate(self) -> None:
@@ -125,7 +123,7 @@ def _initial_field(p: PhysicsParams, kernel: HartreeKernel, opts: SolveOptions) 
             raise ValueError("initial field lives on a different grid")
         u = init.copy()
     elif init == "gaussian":
-        u = gaussian(grid, width=opts.init_width)
+        u = gaussian(grid)
     elif isinstance(init, (str, Path)):
         u = read_start(init, grid, p.alpha, p.gamma)
     else:
@@ -373,20 +371,9 @@ class ScalingResult:
 
 
 def _solve_mass(
-    p: PhysicsParams,
-    kernel: HartreeKernel,
-    q: float,
-    opts: SolveOptions | None,
-    width_scale: float = 1.0,
+    p: PhysicsParams, kernel: HartreeKernel, q: float, opts: SolveOptions | None
 ) -> GroundState:
-    base = opts or SolveOptions()
-    per = replace(
-        base,
-        q=q,
-        init_width=None if base.init_width is None else base.init_width * width_scale,
-        keep_history=False,
-    )
-    return minimize(p, kernel, per)
+    return minimize(p, kernel, replace(opts or SolveOptions(), q=q, keep_history=False))
 
 
 def scaling_experiment(
@@ -428,7 +415,7 @@ def scaling_experiment(
         else:
             row_L = grid.L * lam**width_power
             row_kernel = HartreeKernel(Grid(d=grid.d, n=grid.n, L=row_L), p.gamma)
-            gs = _solve_mass(p, row_kernel, lam * base_q, opts, width_scale=lam**width_power)
+            gs = _solve_mass(p, row_kernel, lam * base_q, opts)
         predicted = lam**sigma * base.energy
         rows.append(
             ScalingRow(

@@ -33,12 +33,10 @@ __all__ = [
 ]
 
 
-def check_setup(grid: Grid, p: PhysicsParams, kernel: HartreeKernel | None) -> None:
-    """Raise ValueError unless ``p`` and ``kernel`` (if any) match ``grid``."""
+def check_setup(grid: Grid, p: PhysicsParams, kernel: HartreeKernel) -> None:
+    """Raise ValueError unless ``p`` and ``kernel`` match ``grid``."""
     if p.d != grid.d:
         raise ValueError(f"params have d={p.d} but the grid has dimension d={grid.d}")
-    if kernel is None:
-        return
     if kernel.grid != grid:
         raise ValueError("field and kernel live on different grids")
     if kernel.gamma != p.gamma:

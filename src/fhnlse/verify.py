@@ -472,12 +472,14 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the verification checks; returns one result per check.
 
-    ``level`` is "quick" or "full"; ``only`` filters check names by
-    substring.  ``progress`` (if given) is called with each finished
-    :class:`CheckResult`.
+    ``level`` is "quick" or "full"; ``seed`` is a nonnegative integer;
+    ``only`` filters check names by substring.  ``progress`` (if given) is
+    called with each finished :class:`CheckResult`.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full' (got {level!r})")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0 (got {seed})")
     ctx = VerifyContext(seed=seed)
     names = [name for name, (_, quick) in CHECKS.items() if quick or level == "full"]
     if only:

@@ -8,9 +8,19 @@ import numpy as np
 import pytest
 
 import fhnlse.kernel as kernel_module
-from fhnlse import Grid, gaussian, read_field, write_field
+from fhnlse import (
+    Grid,
+    HartreeKernel,
+    PhysicsParams,
+    gaussian,
+    lagrange_multiplier,
+    plane_wave,
+    read_field,
+    write_field,
+)
 from fhnlse.cli import main
 from fhnlse.config import DEFAULTS
+from fhnlse.fields import with_mass
 
 # exit codes: 0 success, 1 check failed, 2 invalid input,
 # 3 no convergence, 4 non-finite values
@@ -121,6 +131,10 @@ class TestInvalidInput:
             "dynamics.T=Infinity",
             "solver.stallTol=NaN",  # deleted key: rejected as unknown
             "solver.tau0=0.5",  # deleted key: rejected as unknown
+            "dynamics.hartree=false",  # deleted key: rejected as unknown
+            "solver.initWidth=2.5",  # deleted key: rejected as unknown
+            "stability.seed=-1",
+            "rearrange.seed=-1",
         ],
     )
     def test_malformed_value_exits_2_naming_the_key(self, setting, tmp_path, capsys):
@@ -129,7 +143,11 @@ class TestInvalidInput:
         key = setting.split("=")[0]
         errors = capsys.readouterr().err.splitlines()
         assert any(line.startswith("error:") and key in line for line in errors)
-        if key in ("solver.seed", "dynamics.sign", "solver.stallTol", "solver.tau0"):
+        deleted = (
+            "solver.seed", "dynamics.sign", "solver.stallTol", "solver.tau0",
+            "dynamics.hartree", "solver.initWidth",
+        )
+        if key in deleted:
             assert f"error: unknown config key: {key}" in errors
 
     def test_missing_config_file_exits_2(self, tmp_path):
@@ -143,7 +161,13 @@ class TestInvalidInput:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("solver", "tau0", 0.5), ("solver", "stallTol", 1e-11), ("dynamics", "sign", 1)],
+        [
+            ("solver", "tau0", 0.5),
+            ("solver", "stallTol", 1e-11),
+            ("dynamics", "sign", 1),
+            ("dynamics", "hartree", False),
+            ("solver", "initWidth", 2.5),
+        ],
     )
     def test_deleted_key_in_a_config_file_exits_2(self, section, key, value, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -187,22 +211,15 @@ class TestInvalidInput:
         err = capsys.readouterr().err
         assert "error:" in err and str(header) in err and message in err
 
-    def test_groundstate_init_without_interaction_exits_2(self, tmp_path, capsys):
-        code = run(
-            ["evolve", *SMALL, "--set", "dynamics.hartree=false",
-             "--set", "dynamics.T=0.01", "--output-dir", str(tmp_path)]
-        )
-        assert code == 2
-        assert "hartree" in capsys.readouterr().err
-
 
 class TestEvolveCommand:
-    def test_free_plane_wave_matches_the_analytic_solution(self, tmp_path):
+    def test_plane_wave_matches_the_analytic_solution(self, tmp_path):
+        """A plane wave is a standing wave of the Hartree flow: it evolves by
+        the phase ``exp(i omega T)``, ``omega`` its Lagrange multiplier."""
         T = 0.1
         code = run(
             [
                 "evolve", *SMALL,
-                "--set", "dynamics.hartree=false",
                 "--set", 'dynamics.init="planeWave"',
                 "--set", "dynamics.planeWaveMode=[1,0]",
                 "--set", f"dynamics.T={T}",
@@ -213,11 +230,10 @@ class TestEvolveCommand:
         assert code == 0
         final, _ = read_field(tmp_path / "final_state")
         grid = final.grid
-        x = grid.axis_coords.reshape(-1, 1)
-        k = 2.0 * np.pi / grid.L
-        amplitude = np.sqrt(DEFAULTS["solver"]["q"]) / grid.L  # the default mass
-        expected = amplitude * np.exp(1j * (k * x + k ** (2 * 0.6) * T))
-        expected = np.broadcast_to(expected, grid.shape)
+        psi0 = with_mass(plane_wave(grid, (1, 0)), DEFAULTS["solver"]["q"])
+        p = PhysicsParams(alpha=0.6, gamma=0.5, d=2)
+        omega = lagrange_multiplier(psi0, p, HartreeKernel(grid, 0.5))
+        expected = np.exp(1j * omega * T) * psi0.values
         assert np.max(np.abs(final.values - expected)) < 1e-10
         report = json.loads((tmp_path / "conservation.json").read_text())
         assert report["massDrift"] < 1e-12
@@ -323,3 +339,13 @@ class TestVerifyCommand:
         assert "[FAIL] hartree-oracle-equivalence" in capsys.readouterr().out
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["passed"] < report["total"]
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code = run(
+            ["verify", "--level", "full", "--only", "stability", "--seed", "-1",
+             "--output-dir", str(tmp_path)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: seed must be >= 0 (got -1)" in captured.err
+        assert "[FAIL]" not in captured.out

@@ -99,11 +99,11 @@ class TestOverrides:
     def test_values_parse_as_json(self):
         cfg = apply_overrides(
             load_config(env={}),
-            ["grid.n=32", "dynamics.hartree=false", "solver.initWidth=2.5"],
+            ["grid.n=32", "dynamics.planeWaveMode=[0,2]", "solver.residTol=2.5e-7"],
         )
         assert cfg["grid"]["n"] == 32
-        assert cfg["dynamics"]["hartree"] is False
-        assert cfg["solver"]["initWidth"] == 2.5
+        assert cfg["dynamics"]["planeWaveMode"] == [0, 2]
+        assert cfg["solver"]["residTol"] == 2.5e-7
 
     def test_unparseable_values_stay_strings(self):
         cfg = apply_overrides(load_config(env={}), ["solver.init=warm/ground_state"])
@@ -147,8 +147,6 @@ class TestValidation:
             validate_config(self._cfg(solver__maxIter=0))
         with pytest.raises(ValueError, match="dynamics.dt"):
             validate_config(self._cfg(dynamics__dt=-1e-3))
-        with pytest.raises(ValueError, match="hartree"):
-            validate_config(self._cfg(dynamics__hartree="yes"))
         with pytest.raises(ValueError, match="planeWaveMode"):
             validate_config(self._cfg(dynamics__planeWaveMode="x"))
         with pytest.raises(ValueError, match="snapshotStride"):
@@ -157,6 +155,9 @@ class TestValidation:
             validate_config(self._cfg(stability__delta=-0.1))
         with pytest.raises(ValueError, match="rearrange.count"):
             validate_config(self._cfg(rearrange__count=0))
+        for section in ("stability", "rearrange"):
+            with pytest.raises(ValueError, match=f"{section}.seed must be >= 0"):
+                validate_config(self._cfg(**{f"{section}__seed": -1}))
         with pytest.raises(ValueError, match="output.formats"):
             validate_config(self._cfg(output__formats=["xml"]))
 
@@ -177,15 +178,11 @@ class TestBuilders:
     def test_solve_options_builder(self):
         cfg = load_config(env={})
         cfg["solver"].update(
-            {"q": 2.0, "maxIter": 100, "init": "warm/ground_state", "initWidth": 3.0}
+            {"q": 2.0, "maxIter": 100, "init": "warm/ground_state", "residTol": 1e-8}
         )
         opts = solve_options_from(cfg)
         assert opts == SolveOptions(
-            q=2.0,
-            max_iter=100,
-            resid_tol=1e-6,
-            init="warm/ground_state",
-            init_width=3.0,
+            q=2.0, max_iter=100, resid_tol=1e-8, init="warm/ground_state"
         )
 
     def test_solve_options_defaults_are_the_configured_defaults(self):

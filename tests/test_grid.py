@@ -24,9 +24,9 @@ class TestGridGeometry:
         grid = Grid(d=1, n=16, L=8.0)
         k = grid.axis_wavenumbers
         assert k[0] == 0.0
-        assert k[1] == pytest.approx(2.0 * np.pi / grid.L, rel=1e-15)
+        assert k[1] == pytest.approx(2.0 * np.pi / grid.L, rel=1e-15, abs=0)
         # aliased ordering: index n/2 holds the most negative mode -n/2
-        assert k[grid.n // 2] == pytest.approx(-np.pi * grid.n / grid.L, rel=1e-15)
+        assert k[grid.n // 2] == pytest.approx(-np.pi * grid.n / grid.L, rel=1e-15, abs=0)
         m = np.fft.fftfreq(grid.n) * grid.n
         assert np.allclose(k, 2.0 * np.pi * m / grid.L, rtol=1e-15, atol=0.0)
 

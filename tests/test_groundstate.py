@@ -51,13 +51,13 @@ class TestMinimizeDiagnostics:
         assert ground32.energy < 0.0
 
     def test_returned_state_sits_on_the_mass_sphere(self, ground32):
-        assert mass(ground32.g) == pytest.approx(ground32.q, rel=1e-12)
+        assert mass(ground32.g) == pytest.approx(ground32.q, rel=1e-12, abs=0)
 
     def test_reported_multiplier_matches_recomputation(
         self, ground32, ref_params, kernel32
     ):
         omega = lagrange_multiplier(ground32.g, ref_params, kernel32)
-        assert ground32.omega == pytest.approx(omega, rel=1e-10)
+        assert ground32.omega == pytest.approx(omega, rel=1e-10, abs=0)
 
     def test_euler_lagrange_residual_recomputed_from_scratch(
         self, ground32, ref_params, kernel32
@@ -84,7 +84,7 @@ class TestMinimizeDiagnostics:
         assert steps[0] == 0.0 and backtracks[0] == 0
         trial = _TAU0
         for step, halvings in zip(steps[1:], backtracks[1:]):
-            assert step == pytest.approx(trial * 0.5**halvings, rel=1e-12)
+            assert step == pytest.approx(trial * 0.5**halvings, rel=1e-12, abs=0)
             trial = 1.2 * step
         assert steps.max() > _TAU0
 
@@ -120,8 +120,8 @@ class TestMinimizeDiagnostics:
         assert localized.peak_over_mean > 4.0
         vals = np.abs(localized.g.values)
         peak, seam = vals.max(), max(vals[0, :].max(), vals[:, 0].max())
-        assert localized.seam_ratio == pytest.approx(seam / peak, rel=1e-14)
-        assert localized.peak_over_mean == pytest.approx(peak / vals.mean(), rel=1e-14)
+        assert localized.seam_ratio == pytest.approx(seam / peak, rel=1e-14, abs=0)
+        assert localized.peak_over_mean == pytest.approx(peak / vals.mean(), rel=1e-14, abs=0)
 
 
 class TestPinnedSolves:
@@ -144,7 +144,7 @@ class TestPinnedSolves:
         gs = minimize(p, kernel, SolveOptions(q=3.0, keep_history=False))
         assert gs.converged
         assert gs.iterations <= 60
-        assert gs.energy == pytest.approx(expected, rel=1e-8)
+        assert gs.energy == pytest.approx(expected, rel=1e-8, abs=0)
 
 
 @pytest.fixture(scope="module")
@@ -165,9 +165,11 @@ class TestFusedBookkeeping:
         g = gs.g
         omega = lagrange_multiplier(g, ref_params, kernel)
         resid = Field(g.grid, energy_gradient(g, ref_params, kernel).values - omega * g.values)
-        assert gs.energy == pytest.approx(energy(g, ref_params, kernel), rel=1e-12)
-        assert gs.omega == pytest.approx(omega, rel=1e-12)
-        assert gs.residual == pytest.approx(np.sqrt(mass(resid) / mass(g)), rel=1e-12)
+        assert gs.energy == pytest.approx(energy(g, ref_params, kernel), rel=1e-12, abs=0)
+        assert gs.omega == pytest.approx(omega, rel=1e-12, abs=0)
+        # formed from the carried DFT, whose drift from the field's own
+        # transform puts the converged residual 6.8e-10 relative off
+        assert gs.residual == pytest.approx(np.sqrt(mass(resid) / mass(g)), rel=1e-8, abs=0)
         # the returned iterate is the accepted one with the smallest residual
         best = int(np.argmin(gs.residual_history))
         assert gs.energy_history[best] == gs.energy
@@ -230,7 +232,7 @@ class TestClosedFormCriticalPoint:
         q = 1.0
         flat = Field(box32, np.full(box32.shape, np.sqrt(q) / box32.L, dtype=complex))
         omega = lagrange_multiplier(flat, ref_params, kernel32)
-        assert omega == pytest.approx(-q * kernel_mean(kernel32), rel=1e-12)
+        assert omega == pytest.approx(-q * kernel_mean(kernel32), rel=1e-12, abs=0)
         grad = energy_gradient(flat, ref_params, kernel32)
         resid = Field(box32, grad.values - omega * flat.values)
         assert np.sqrt(mass(resid)) < 1e-12
@@ -264,8 +266,8 @@ class TestAlign:
 
 class TestScalingLaw:
     def test_exponent_closed_forms(self):
-        assert scaling_exponent(0.6, 0.5) == pytest.approx(19.0 / 7.0, rel=1e-12)
-        assert scaling_exponent(0.5, 0.5) == pytest.approx(3.0, rel=1e-12)
+        assert scaling_exponent(0.6, 0.5) == pytest.approx(19.0 / 7.0, rel=1e-12, abs=0)
+        assert scaling_exponent(0.5, 0.5) == pytest.approx(3.0, rel=1e-12, abs=0)
 
     def test_exponent_rejects_supercritical_exponents(self):
         with pytest.raises(ValueError, match="2\\*alpha"):
@@ -274,13 +276,13 @@ class TestScalingLaw:
     def test_experiment_recovers_the_exponent(self, ref_params, kernel32):
         res = scaling_experiment(ref_params, kernel32, base_q=1.0, lambdas=(0.5, 1.0, 2.0))
         assert all(r.converged for r in res.rows)
-        assert res.slope == pytest.approx(res.exponent, rel=1e-3)
+        assert res.slope == pytest.approx(res.exponent, rel=1e-3, abs=0)
 
     def test_rows_use_the_rescaled_boxes(self, ref_params, kernel32, box32):
         res = scaling_experiment(ref_params, kernel32, base_q=1.0, lambdas=(1.0, 2.0))
         power = -1.0 / (2.0 * ALPHA - GAMMA)
         assert res.rows[0].L == box32.L
-        assert res.rows[1].L == pytest.approx(box32.L * 2.0**power, rel=1e-12)
+        assert res.rows[1].L == pytest.approx(box32.L * 2.0**power, rel=1e-12, abs=0)
         assert res.rows[0].energy == res.base_energy
         assert res.rows[1].q == 2.0
 
@@ -297,7 +299,7 @@ class TestSubadditivity:
         assert res.all_converged
         assert res.margin > 0.0
         assert res.energy_q1 + res.energy_q2 - res.energy_sum_mass == pytest.approx(
-            res.margin, rel=1e-12
+            res.margin, rel=1e-12, abs=0
         )
         assert res.states[0].energy == res.energy_q1
         assert res.states[2].q == 1.0
@@ -311,8 +313,8 @@ class TestInitialization:
     def test_minimizer_independent_of_initialization(self, ref_params, kernel32, box32):
         translated = np.roll(gaussian(box32, width=3.0).values, (5, -9), axis=(0, 1))
         options = [
-            SolveOptions(q=3.0, init="gaussian", init_width=2.0),
-            SolveOptions(q=3.0, init="gaussian", init_width=5.0),
+            SolveOptions(q=3.0, init=gaussian(box32, width=2.0)),
+            SolveOptions(q=3.0, init=gaussian(box32, width=5.0)),
             SolveOptions(q=3.0, init=Field(box32, translated)),
         ]
         states = [minimize(ref_params, kernel32, o) for o in options]

@@ -75,17 +75,17 @@ class TestOriginCellAverage:
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7, 0.9])
     def test_matches_1d_quadrature_oracle(self, gamma):
         oracle = _oracle_1d(gamma)
-        assert origin_cell_average(1, gamma) == pytest.approx(oracle, rel=1e-10)
+        assert origin_cell_average(1, gamma) == pytest.approx(oracle, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0, 1.5, 1.9])
     def test_matches_2d_polar_oracle(self, gamma):
         oracle = _oracle_2d(gamma)
-        assert origin_cell_average(2, gamma) == pytest.approx(oracle, rel=1e-12)
+        assert origin_cell_average(2, gamma) == pytest.approx(oracle, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
     def test_matches_3d_nested_oracle(self, gamma):
         oracle = _oracle_3d(gamma)
-        assert origin_cell_average(3, gamma) == pytest.approx(oracle, rel=1e-10)
+        assert origin_cell_average(3, gamma) == pytest.approx(oracle, rel=1e-10, abs=0)
 
     def test_rejects_gamma_outside_integrable_range(self):
         with pytest.raises(ValueError, match="integrability"):
@@ -99,9 +99,9 @@ class TestKernelSamples:
         grid = Grid(d=1, n=16, L=8.0)
         kernel = HartreeKernel(grid, 0.5)
         # displacement layout: index m holds |m*h|^(-gamma) for small m
-        assert kernel.samples[3] == pytest.approx((3 * grid.h) ** -0.5, rel=1e-15)
+        assert kernel.samples[3] == pytest.approx((3 * grid.h) ** -0.5, rel=1e-15, abs=0)
         # aliased index n-1 is displacement -h
-        assert kernel.samples[15] == pytest.approx(grid.h**-0.5, rel=1e-15)
+        assert kernel.samples[15] == pytest.approx(grid.h**-0.5, rel=1e-15, abs=0)
 
     def test_origin_sample_scales_like_h_to_minus_gamma(self):
         gamma = 0.5
@@ -109,9 +109,9 @@ class TestKernelSamples:
         b = HartreeKernel(Grid(d=2, n=16, L=16.0), gamma)
         ratio = a.samples[0, 0] / b.samples[0, 0]
         expected = (a.grid.h / b.grid.h) ** (-gamma)
-        assert ratio == pytest.approx(expected, rel=1e-14)
+        assert ratio == pytest.approx(expected, rel=1e-14, abs=0)
         assert a.samples[0, 0] == pytest.approx(
-            origin_cell_average(2, gamma) * a.grid.h ** (-gamma), rel=1e-14
+            origin_cell_average(2, gamma) * a.grid.h ** (-gamma), rel=1e-14, abs=0
         )
 
     def test_samples_and_spectrum_are_frozen(self):
@@ -123,7 +123,7 @@ class TestKernelSamples:
 
     def test_spectrum_zero_mode_is_sample_sum(self):
         kernel = HartreeKernel(Grid(d=2, n=16, L=8.0), 0.5)
-        assert kernel.spectrum[0, 0] == pytest.approx(np.sum(kernel.samples), rel=1e-13)
+        assert kernel.spectrum[0, 0] == pytest.approx(np.sum(kernel.samples), rel=1e-13, abs=0)
 
     def test_rejects_gamma_outside_range(self):
         grid = Grid(d=2, n=16, L=8.0)
@@ -153,8 +153,8 @@ class TestHartreePairings:
         k_sep = kernel.samples[(2 - 6) % 8]
         hand = (rho_a**2 + rho_b**2) * k0 + 2.0 * rho_a * rho_b * k_sep
         hand *= grid.cell_volume**2
-        assert terms(u, kernel).pairing == pytest.approx(hand, rel=1e-13)
-        assert hartree_direct(u, kernel) == pytest.approx(hand, rel=1e-13)
+        assert terms(u, kernel).pairing == pytest.approx(hand, rel=1e-13, abs=0)
+        assert hartree_direct(u, kernel) == pytest.approx(hand, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize(
         "grid",
@@ -167,7 +167,7 @@ class TestHartreePairings:
             u = random_band_limited(grid, seed=50 + rep)
             fast = terms(u, kernel).pairing
             direct = hartree_direct(u, kernel)
-            assert fast == pytest.approx(direct, rel=1e-10)
+            assert fast == pytest.approx(direct, rel=1e-10, abs=0)
 
     def test_direct_path_refuses_large_grids(self):
         grid = Grid(d=2, n=128, L=40.0)
@@ -215,7 +215,7 @@ class TestHartreePairings:
         monkeypatch.setattr(kernel_module, "kernel_spectrum", lambda s: 2.0 * real(s))
         kernel = HartreeKernel(grid, 0.5)
         fast = terms(u, kernel).pairing
-        assert fast == pytest.approx(2.0 * hartree_direct(u, kernel), rel=1e-10)
+        assert fast == pytest.approx(2.0 * hartree_direct(u, kernel), rel=1e-10, abs=0)
 
     def test_potential_is_translation_covariant(self):
         grid = Grid(d=2, n=16, L=10.0)

@@ -85,7 +85,7 @@ class TestRearrangeExactProperties:
         out = symmetric_rearrange(u)
         before = np.linalg.norm(np.abs(u.values).ravel(), ord=p)
         after = np.linalg.norm(out.values.real.ravel(), ord=p)
-        assert after == pytest.approx(before, rel=1e-13)
+        assert after == pytest.approx(before, rel=1e-13, abs=0)
 
     def test_depends_only_on_magnitudes(self):
         grid = Grid(d=2, n=16, L=10.0)
@@ -118,7 +118,7 @@ class TestRieszPairing:
         grid = Grid(d=2, n=16, L=10.0)
         f = symmetric_rearrange(random_band_limited(grid, seed=31, kind="nonneg"))
         lhs, rhs = riesz_check(f, f, f)
-        assert lhs == pytest.approx(rhs, rel=1e-14)
+        assert lhs == pytest.approx(rhs, rel=1e-14, abs=0)
 
     def test_rearrangement_never_decreases_the_pairing(self):
         grid = Grid(d=2, n=32, L=20.0)

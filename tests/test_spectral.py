@@ -87,7 +87,7 @@ class TestNormsAndIdentities:
         # are below roundoff at this box size
         grid = Grid(d=2, n=64, L=20.0)
         u = gaussian(grid, width=1.0)
-        assert mass(u) == pytest.approx(np.pi, rel=1e-12)
+        assert mass(u) == pytest.approx(np.pi, rel=1e-12, abs=0)
 
     def test_parseval_mass_identity(self):
         grid = Grid(d=2, n=32, L=13.0)
@@ -96,13 +96,13 @@ class TestNormsAndIdentities:
         spectral_mass = float(
             np.sum(np.abs(uhat) ** 2) * grid.cell_volume / grid.size
         )
-        assert spectral_mass == pytest.approx(mass(u), rel=1e-12)
+        assert spectral_mass == pytest.approx(mass(u), rel=1e-12, abs=0)
 
     def test_h_alpha_norm_decomposes_into_mass_plus_seminorm(self):
         grid = Grid(d=2, n=32, L=13.0)
         u = random_band_limited(grid, seed=4)
         total = h_alpha_norm(u, ALPHA) ** 2
-        assert total == pytest.approx(mass(u) + sobolev_seminorm_sq(u, ALPHA), rel=1e-13)
+        assert total == pytest.approx(mass(u) + sobolev_seminorm_sq(u, ALPHA), rel=1e-13, abs=0)
 
     def test_seminorm_invariant_under_shift_and_phase(self):
         grid = Grid(d=2, n=32, L=13.0)
@@ -110,15 +110,15 @@ class TestNormsAndIdentities:
         s = sobolev_seminorm_sq(u, ALPHA)
         shifted = Field(grid, np.roll(u.values, shift=(4, -7), axis=(0, 1)))
         rotated = Field(grid, np.exp(1.3j) * u.values)
-        assert sobolev_seminorm_sq(shifted, ALPHA) == pytest.approx(s, rel=1e-12)
-        assert sobolev_seminorm_sq(rotated, ALPHA) == pytest.approx(s, rel=1e-12)
+        assert sobolev_seminorm_sq(shifted, ALPHA) == pytest.approx(s, rel=1e-12, abs=0)
+        assert sobolev_seminorm_sq(rotated, ALPHA) == pytest.approx(s, rel=1e-12, abs=0)
 
     def test_plane_wave_h_alpha_norm_closed_form(self):
         grid = Grid(d=2, n=32, L=17.0)
         u = plane_wave(grid, (2, 1))
         k_sq = (2.0 * np.pi / grid.L) ** 2 * 5.0
         expected = np.sqrt((1.0 + k_sq**ALPHA) * grid.L**2)
-        assert h_alpha_norm(u, ALPHA) == pytest.approx(expected, rel=1e-12)
+        assert h_alpha_norm(u, ALPHA) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestEnergyFunctionals:
@@ -136,15 +136,15 @@ class TestEnergyFunctionals:
         mean_k = kernel_mean(kernel)
         expected_energy = 0.5 * k_sq**ALPHA * q - 0.25 * q**2 * mean_k
         expected_omega = k_sq**ALPHA - q * mean_k
-        assert energy(u, p, kernel) == pytest.approx(expected_energy, rel=1e-12)
-        assert lagrange_multiplier(u, p, kernel) == pytest.approx(expected_omega, rel=1e-12)
+        assert energy(u, p, kernel) == pytest.approx(expected_energy, rel=1e-12, abs=0)
+        assert lagrange_multiplier(u, p, kernel) == pytest.approx(expected_omega, rel=1e-12, abs=0)
 
     def test_constant_state_energy_is_quarter_q_squared_kernel_mean(self):
         p, grid, kernel = self._setup()
         q = 1.0
         u = Field(grid, np.full(grid.shape, np.sqrt(q) / grid.L, dtype=complex))
         expected = -0.25 * q**2 * kernel_mean(kernel)
-        assert energy(u, p, kernel) == pytest.approx(expected, rel=1e-12)
+        assert energy(u, p, kernel) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_gradient_matches_finite_difference_directional_derivative(self):
         p, grid, kernel = self._setup(n=16, L=12.0)
@@ -159,14 +159,16 @@ class TestEnergyFunctionals:
                 np.real(np.sum(np.conj(energy_gradient(u, p, kernel).values) * v.values))
                 * grid.cell_volume
             )
-            assert fd == pytest.approx(pairing, rel=1e-6)
+            assert fd == pytest.approx(pairing, rel=1e-6, abs=0)
 
     def test_multiplier_consistent_with_gradient_pairing(self):
         p, grid, kernel = self._setup(n=16, L=12.0)
         u = random_band_limited(grid, seed=31)
         grad = energy_gradient(u, p, kernel)
         pairing = float(np.real(np.sum(np.conj(grad.values) * u.values)) * grid.cell_volume)
-        assert lagrange_multiplier(u, p, kernel) == pytest.approx(pairing / mass(u), rel=1e-12)
+        assert lagrange_multiplier(u, p, kernel) == pytest.approx(
+            pairing / mass(u), rel=1e-12, abs=0
+        )
 
     def test_energy_with_terms_carries_the_same_field_values(self):
         p, grid, kernel = self._setup(n=16, L=12.0)
@@ -210,11 +212,11 @@ class TestExactRescaling:
         k_small = HartreeKernel(small, GAMMA)
         u = random_band_limited(base, seed=9)
         v = Field(small, c * u.values)
-        assert mass(v) == pytest.approx(c**2 * mu**2 * mass(u), rel=1e-13)
+        assert mass(v) == pytest.approx(c**2 * mu**2 * mass(u), rel=1e-13, abs=0)
         assert sobolev_seminorm_sq(v, ALPHA) == pytest.approx(
-            c**2 * mu ** (2.0 - 2.0 * ALPHA) * sobolev_seminorm_sq(u, ALPHA), rel=1e-13
+            c**2 * mu ** (2.0 - 2.0 * ALPHA) * sobolev_seminorm_sq(u, ALPHA), rel=1e-13, abs=0
         )
         p = PhysicsParams(ALPHA, GAMMA, 2)
         assert EnergyTerms(v, p, k_small).pairing == pytest.approx(
-            c**4 * mu ** (4.0 - GAMMA) * EnergyTerms(u, p, k_base).pairing, rel=1e-13
+            c**4 * mu ** (4.0 - GAMMA) * EnergyTerms(u, p, k_base).pairing, rel=1e-13, abs=0
         )

@@ -27,7 +27,7 @@ class TestPerturb:
         for delta in (1e-1, 1e-2, 1e-4):
             psi = perturb(g, ALPHA, delta, seed=3)
             noise = Field(g.grid, psi.values - g.values)
-            assert h_alpha_norm(noise, ALPHA) == pytest.approx(delta, rel=1e-12)
+            assert h_alpha_norm(noise, ALPHA) == pytest.approx(delta, rel=1e-12, abs=0)
 
     def test_zero_size_returns_the_state_unchanged(self, ground32):
         psi = perturb(ground32.g, ALPHA, 0.0, seed=3)

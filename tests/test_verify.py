@@ -115,7 +115,7 @@ class TestHartreeOracle:
         monkeypatch.setattr(EnergyTerms, "__init__", doubled)
         result = check_hartree_oracle(VerifyContext(seed=1), "quick")
         assert not result.passed
-        assert result.values["max_rel_err"] == pytest.approx(1.0, rel=1e-9)
+        assert result.values["max_rel_err"] == pytest.approx(1.0, rel=1e-9, abs=0)
 
 
 class TestGroundstateConvergence:
