@@ -9,8 +9,11 @@ Subcommands::
     fhnlse verify           run the built-in verification checks
 
 Exit codes: 0 success, 1 a verification/inequality check failed, 2 invalid
-input, 3 the solver did not converge, 4 the computation produced non-finite
-values.
+input (a problem too large for memory included), 3 the solver did not
+converge, 4 the computation produced non-finite values.
+
+This module and :mod:`fhnlse.config` turn run inputs into library values and
+library results into run files; the numerical modules read and write none.
 """
 
 from __future__ import annotations
@@ -49,22 +52,15 @@ def _configure_logging(verbose: bool) -> None:
 
 def _resolve(args) -> tuple[dict, Path]:
     cfg = load_config(args.config, overrides=args.set or [])
-    if args.output_dir:
-        cfg["output"]["directory"] = args.output_dir
-    outdir = Path(cfg["output"]["directory"])
+    outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     return cfg, outdir
 
 
 def _write_manifest(outdir: Path, cfg: dict, command: str) -> None:
-    # The output directory is where the manifest already sits; leaving it out
-    # keeps manifests byte-identical across runs that differ only in where
-    # they write.
-    echo = {k: dict(v) for k, v in cfg.items()}
-    echo["output"].pop("directory", None)
     write_json(
         outdir / "manifest.json",
-        {"version": __version__, "command": command, "config": echo},
+        {"version": __version__, "command": command, "config": cfg},
     )
 
 
@@ -83,7 +79,22 @@ def _cmd_groundstate(args) -> int:
     gs = minimize(p, kernel, solve_options_from(cfg))
     _write_manifest(outdir, cfg, "groundstate")
     if _wants(cfg, "json"):
-        write_json(outdir / "summary.json", gs.summary())
+        grid = gs.g.grid
+        write_json(
+            outdir / "summary.json",
+            {
+                "q": gs.q,
+                "E": gs.energy,
+                "omega": gs.omega,
+                "residual": gs.residual,
+                "iterations": gs.iterations,
+                "converged": gs.converged,
+                "stop_reason": gs.stop_reason,
+                "seam_ratio": gs.seam_ratio,
+                "peak_over_mean": gs.peak_over_mean,
+                "params": {"d": grid.d, "n": grid.n, "L": grid.L},
+            },
+        )
     if _wants(cfg, "csv") and gs.energy_history is not None:
         columns = zip(
             gs.energy_history, gs.residual_history, gs.step_history, gs.backtrack_history
@@ -171,6 +182,7 @@ def _cmd_stability(args) -> int:
     p = params_from(cfg)
     kernel = kernel_from(cfg)
     st = cfg["stability"]
+    gs = minimize(p, kernel, solve_options_from(cfg))
     report = stability_run(
         p,
         kernel,
@@ -179,13 +191,32 @@ def _cmd_stability(args) -> int:
         dt=float(st["dt"]),
         seed=int(st["seed"]),
         stride=int(st["snapshotStride"]),
-        ground=minimize(p, kernel, solve_options_from(cfg)),
+        ground=gs,
     )
     _write_manifest(outdir, cfg, "stability")
     if _wants(cfg, "json"):
-        write_json(outdir / "report.json", report.to_dict())
+        write_json(
+            outdir / "report.json",
+            {
+                "delta": report.delta,
+                "seed": report.seed,
+                "T": report.T,
+                "dt": report.dt,
+                "stride": report.stride,
+                "supDistance": report.sup_distance,
+                "massDrift": report.mass_drift,
+                "energyDrift": report.energy_drift,
+                "groundEnergy": gs.energy,
+                "groundOmega": gs.omega,
+                "groundResidual": gs.residual,
+                "groundNorm": report.ground_norm,
+                "times": report.times.tolist(),
+                "distances": report.distances.tolist(),
+            },
+        )
     if _wants(cfg, "csv"):
-        write_csv(outdir / "distance_series.csv", ["time", "distance"], report.series_rows())
+        rows = list(zip(report.times, report.distances))
+        write_csv(outdir / "distance_series.csv", ["time", "distance"], rows)
     print(
         f"stability: delta={report.delta:g} sup distance {report.sup_distance:.4e} "
         f"over T={report.T:g} (mass drift {report.mass_drift:.3e})"
@@ -266,7 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="override one configuration entry (repeatable; values parse as JSON)",
     )
     common.add_argument(
-        "--output-dir", metavar="DIR", help="directory for result files"
+        "--output-dir",
+        metavar="DIR",
+        default="out",
+        help="directory for result files (default: out)",
     )
     common.add_argument(
         "--verbose", action="store_true", help="log solver/integrator progress"
@@ -330,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,22 +1,23 @@
-"""Run configuration: defaults, JSON file loading, overrides, validation.
+"""Run configuration: defaults, JSON file loading, overrides, validation,
+and the builders that turn a configuration into library values.
 
 Precedence, lowest to highest: built-in defaults (the reference parameter
-set), the JSON config file, the ``FHNLSE_OUTDIR`` environment variable
-(output directory only), then ``--set section.key=value`` overrides.
-Unknown sections or keys are rejected.
+set), the JSON config file, then ``--set section.key=value`` overrides.
+Unknown sections or keys are rejected.  Where results are written is not
+configuration: the command line's ``--output-dir`` names it.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import os
 import sys
 from pathlib import Path
 
 from .grid import Grid, PhysicsParams
 from .groundstate import SolveOptions
 from .kernel import HartreeKernel
+from .snapshots import read_start
 
 __all__ = [
     "DEFAULTS",
@@ -28,8 +29,6 @@ __all__ = [
     "kernel_from",
     "solve_options_from",
 ]
-
-OUTDIR_ENV_VAR = "FHNLSE_OUTDIR"
 
 DEFAULTS: dict = {
     "physics": {"alpha": 0.6, "gamma": 0.5, "d": 2},
@@ -55,7 +54,7 @@ DEFAULTS: dict = {
         "snapshotStride": 200,
     },
     "rearrange": {"count": 100, "seed": 1},
-    "output": {"directory": "out", "formats": ["json", "csv"]},
+    "output": {"formats": ["json", "csv"]},
 }
 
 
@@ -75,9 +74,7 @@ def _merge_checked(base: dict, update: dict, path: str = "") -> dict:
 
 
 def load_config(
-    path: str | Path | None = None,
-    overrides: list[str] | None = None,
-    env: dict | None = None,
+    path: str | Path | None = None, overrides: list[str] | None = None
 ) -> dict:
     """Resolve the full configuration and validate it."""
     cfg = copy.deepcopy(DEFAULTS)
@@ -92,10 +89,6 @@ def load_config(
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
         cfg = _merge_checked(cfg, loaded)
-    env = os.environ if env is None else env
-    outdir = env.get(OUTDIR_ENV_VAR)
-    if outdir:
-        cfg["output"]["directory"] = outdir
     if overrides:
         cfg = apply_overrides(cfg, overrides)
     validate_config(cfg)
@@ -198,10 +191,17 @@ def kernel_from(cfg: dict) -> HartreeKernel:
 
 
 def solve_options_from(cfg: dict) -> SolveOptions:
+    """The solver block as :class:`SolveOptions`: ``solver.init`` "gaussian"
+    is the default start (None), anything else the base path of a snapshot
+    on the run's grid, read here."""
     s = cfg["solver"]
+    init = None
+    if s["init"] != "gaussian":
+        p = params_from(cfg)
+        init = read_start(s["init"], grid_from(cfg), p.alpha, p.gamma)
     return SolveOptions(
         q=float(s["q"]),
         max_iter=int(s["maxIter"]),
         resid_tol=float(s["residTol"]),
-        init=s["init"],
+        init=init,
     )

@@ -73,15 +73,16 @@ def _strang(
     stride: int,
 ) -> Iterator[tuple[int, float, np.ndarray]]:
     """Step from t = 0 to ``T`` in ``n = ceil(T/dt - 1e-9)`` equal steps of
-    ``h = T/n``; yield ``(k, t, values)`` after every ``stride``-th step and
-    after the last one, which records exactly ``T``.
+    ``h = T/n`` (one step when that rounds to none for ``T > 0``); yield
+    ``(k, t, values)`` after every ``stride``-th step and after the last
+    one, which records exactly ``T``.
 
     ``psi_hat`` enters each step with its opening half-step applied: a
     recorded step closes with ``half`` and reopens with ``half``, any other
     with the merged factor.  Raises :class:`NumericalAbort` on non-finite
     values.
     """
-    n = int(np.ceil(T / dt - 1e-9))
+    n = max(int(np.ceil(T / dt - 1e-9)), 1 if T > 0 else 0)
     h = T / max(n, 1)
     half = _unit_phase(0.5 * h * mult)
     merged = _unit_phase(h * mult)  # closing half of one step times opening half of the next
@@ -144,7 +145,8 @@ def evolve(
     stride: int = 1,
 ) -> Trajectory:
     """Advance the Hartree flow from t = 0 to ``T`` in ``n = ceil(T/dt - 1e-9)``
-    equal steps of ``T/n`` (``dt`` itself when ``T`` is a multiple of it).
+    equal steps of ``T/n`` (``dt`` itself when ``T`` is a multiple of it);
+    a ``T > 0`` below ``1e-9 * dt`` takes one step of ``T``.
 
     States are recorded at t = 0, after every ``stride``-th step, and at
     exactly ``T``.  Raises :class:`NumericalAbort` on non-finite values.

@@ -25,7 +25,7 @@ class Field:
     """A complex-valued sample array bound to its grid.
 
     ``values`` has shape ``grid.shape`` (row-major over axes) and dtype
-    complex128.  Arithmetic between fields requires identical grids.
+    complex128.  A field times a number is the scaled field.
     """
 
     grid: Grid
@@ -48,24 +48,9 @@ class Field:
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
 
-    def __add__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field(self.grid, self.values - other.values)
-
     def __mul__(self, factor) -> "Field":
-        if isinstance(factor, Field):
-            self._check_same_grid(factor)
-            return Field(self.grid, self.values * factor.values)
+        """The field scaled by the number ``factor``."""
         return Field(self.grid, self.values * factor)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
 
 
 def mass(u: Field) -> float:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field as dataclass_field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .errors import NonConvergenceError, NumericalAbort
 from .fields import Field, _mass_factor, gaussian, with_mass
 from .grid import Grid, PhysicsParams
 from .kernel import HartreeKernel
-from .snapshots import read_start
 from .spectral import EnergyTerms, check_setup, energy, h_alpha_norm
 
 __all__ = [
@@ -56,14 +54,15 @@ _STALL_TOL = 1e-11  # an accepted step moving u by less, relative to |u|, stalls
 class SolveOptions:
     """Knobs for :func:`minimize`; the defaults are ``config.DEFAULTS["solver"]``.
 
-    init: "gaussian" (default; width L/8, centered at the box center), a
-    Field, or a path to a field snapshot (base path without extension).
+    init: the start, a Field on the solve's grid, or None (default) for the
+    Gaussian of width L/8 centered at the box center.  A snapshot on disk
+    becomes a Field through :func:`~fhnlse.snapshots.read_start`.
     """
 
     q: float = 3.0
     max_iter: int = 40000
     resid_tol: float = 1e-6
-    init: object = "gaussian"
+    init: Field | None = None
     keep_history: bool = True
 
     def validate(self) -> None:
@@ -99,36 +98,16 @@ class GroundState:
     step_history: np.ndarray = dataclass_field(repr=False, default=None)
     backtrack_history: np.ndarray = dataclass_field(repr=False, default=None)
 
-    def summary(self) -> dict:
-        g = self.g.grid
-        return {
-            "q": self.q,
-            "E": self.energy,
-            "omega": self.omega,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "seam_ratio": self.seam_ratio,
-            "peak_over_mean": self.peak_over_mean,
-            "params": {"d": g.d, "n": g.n, "L": g.L},
-        }
 
-
-def _initial_field(p: PhysicsParams, kernel: HartreeKernel, opts: SolveOptions) -> Field:
-    grid = kernel.grid
+def _initial_field(grid: Grid, opts: SolveOptions) -> Field:
     init = opts.init
-    if isinstance(init, Field):
-        if init.grid != grid:
-            raise ValueError("initial field lives on a different grid")
-        u = init.copy()
-    elif init == "gaussian":
-        u = gaussian(grid)
-    elif isinstance(init, (str, Path)):
-        u = read_start(init, grid, p.alpha, p.gamma)
-    else:
+    if init is None:
+        return gaussian(grid, mass=opts.q)
+    if not isinstance(init, Field):
         raise ValueError(f"unrecognized init {init!r}")
-    return with_mass(u, opts.q)
+    if init.grid != grid:
+        raise ValueError("initial field lives on a different grid")
+    return with_mass(init, opts.q)
 
 
 def _profile(g: Field) -> tuple[float, float]:
@@ -185,12 +164,13 @@ def minimize(
 ) -> GroundState:
     """Minimize the energy over the sphere ``mass(u) == q``.
 
-    Rescales the start ``opts.init`` (``opts`` defaults to ``SolveOptions()``)
-    to mass ``q``, then iterates ``u <- rescale(u - tau * d)`` along the
-    preconditioned, tangent-projected residual ``d`` of :func:`_descent`,
-    with backtracking on ``tau``: the first trial step is ``_TAU0``, a step is
-    halved until the post-projection energy does not increase, and the next
-    trial is 1.2x the accepted step, which may grow past ``_TAU0``.  The
+    Rescales the start ``opts.init`` (``opts`` defaults to ``SolveOptions()``,
+    and an init of None is the centered L/8 Gaussian) to mass ``q``, then
+    iterates ``u <- rescale(u - tau * d)`` along the preconditioned,
+    tangent-projected residual ``d`` of :func:`_descent`, with backtracking
+    on ``tau``: the first trial step is ``_TAU0``, a step is halved until
+    the post-projection energy does not increase, and the next trial is
+    1.2x the accepted step, which may grow past ``_TAU0``.  The
     iterate's DFT ``u_hat`` is carried beside it: a trial ``v = c (u - tau
     d)``, with ``c`` the mass rescale, has ``v_hat = c (u_hat - tau d_hat)``,
     and is evaluated once, by ``energy(..., with_terms=True, u_hat=v_hat)``,
@@ -209,7 +189,7 @@ def minimize(
     # preconditioner finite on the zero mode when omega is near 0
     shift_floor = float((2.0 * np.pi / kernel.grid.L) ** (2.0 * p.alpha))
 
-    e_now, cur = energy(_initial_field(p, kernel, opts), p, kernel, with_terms=True)
+    e_now, cur = energy(_initial_field(kernel.grid, opts), p, kernel, with_terms=True)
     tau = _TAU0
     iterations = 0
     stop_reason = "max_iter"
@@ -354,8 +334,6 @@ class ScalingRow:
     q: float
     L: float  # box side used for this row's solve
     energy: float
-    predicted: float
-    ratio: float
     converged: bool
     residual: float
     iterations: int
@@ -416,15 +394,12 @@ def scaling_experiment(
             row_L = grid.L * lam**width_power
             row_kernel = HartreeKernel(Grid(d=grid.d, n=grid.n, L=row_L), p.gamma)
             gs = _solve_mass(p, row_kernel, lam * base_q, opts)
-        predicted = lam**sigma * base.energy
         rows.append(
             ScalingRow(
                 lam=float(lam),
                 q=float(lam * base_q),
                 L=float(row_L),
                 energy=gs.energy,
-                predicted=predicted,
-                ratio=gs.energy / base.energy,
                 converged=gs.converged,
                 residual=gs.residual,
                 iterations=gs.iterations,

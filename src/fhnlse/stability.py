@@ -47,7 +47,9 @@ def orbit_distance(psi: Field, g: Field, alpha: float) -> float:
 
 @dataclass
 class StabilityReport:
-    """Outcome of one perturb-and-evolve experiment."""
+    """Outcome of one perturb-and-evolve experiment.  The ground state's
+    energy, omega and residual are not copied here: they are those of the
+    :class:`GroundState` passed to :func:`stability_run`."""
 
     delta: float
     seed: int
@@ -59,31 +61,7 @@ class StabilityReport:
     sup_distance: float
     mass_drift: float
     energy_drift: float
-    ground_energy: float
-    ground_omega: float
-    ground_residual: float
-    ground_norm: float  # H^alpha norm of the ground state
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "seed": self.seed,
-            "T": self.T,
-            "dt": self.dt,
-            "stride": self.stride,
-            "supDistance": self.sup_distance,
-            "massDrift": self.mass_drift,
-            "energyDrift": self.energy_drift,
-            "groundEnergy": self.ground_energy,
-            "groundOmega": self.ground_omega,
-            "groundResidual": self.ground_residual,
-            "groundNorm": self.ground_norm,
-            "times": [float(t) for t in self.times],
-            "distances": [float(x) for x in self.distances],
-        }
-
-    def series_rows(self) -> list[tuple[float, float]]:
-        return [(float(t), float(x)) for t, x in zip(self.times, self.distances)]
+    ground_norm: float  # H^alpha norm of the ground state, the scale of the distances
 
 
 def stability_run(
@@ -124,8 +102,5 @@ def stability_run(
         sup_distance=float(np.max(distances)),
         mass_drift=traj.mass_drift,
         energy_drift=traj.energy_drift,
-        ground_energy=gs.energy,
-        ground_omega=gs.omega,
-        ground_residual=gs.residual,
         ground_norm=h_alpha_norm(gs.g, p.alpha),
     )

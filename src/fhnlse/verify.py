@@ -265,14 +265,14 @@ def check_radial_symmetry(ctx: VerifyContext, level: str):
 
 @_check("mass-scaling-slope")
 def check_scaling_slope(ctx: VerifyContext, level: str):
-    """Log-log slope of |E| vs lambda across {0.5, 1, 2, 4}.
+    """Log-log slope of |E| vs lambda across {0.5, 1, 2, 4}, against its exponent.
 
     Each row solves on a box rescaled with lambda, where the scaling law holds
     exactly on the lattice, so the slope tests the consistency of the solver
     across the rows, not the discretization error of one box.
     """
-    target = 19.0 / 7.0
     res = ctx.scaling
+    target = res.exponent
     rel = abs(res.slope - target) / target
     energies = ", ".join(f"{r.lam:g}:{r.energy:.4e}(L={r.L:.3g})" for r in res.rows)
     return (

@@ -7,12 +7,14 @@ import json
 import numpy as np
 import pytest
 
+import fhnlse.cli as cli_module
 import fhnlse.kernel as kernel_module
 from fhnlse import (
     Grid,
     HartreeKernel,
     PhysicsParams,
     gaussian,
+    h_alpha_norm,
     lagrange_multiplier,
     plane_wave,
     read_field,
@@ -29,6 +31,20 @@ SMALL = ["--set", "grid.n=16", "--set", "grid.L=12.0"]
 
 def run(args):
     return main(list(args))
+
+
+def record_solves(monkeypatch) -> list:
+    """Make the CLI's ``minimize`` append each ground state it returns to the
+    returned list."""
+    solved = []
+    real = cli_module.minimize
+
+    def recording(*args):
+        solved.append(real(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(cli_module, "minimize", recording)
+    return solved
 
 
 class TestGroundstateCommand:
@@ -49,6 +65,23 @@ class TestGroundstateCommand:
         assert float(rows[-1][1]) == summary["E"]
         assert float(rows[-1][2]) == summary["residual"]
         assert "ground state" in capsys.readouterr().out
+
+    def test_summary_reports_the_run(self, tmp_path, monkeypatch):
+        solved = record_solves(monkeypatch)
+        assert run(["groundstate", *SMALL, "--output-dir", str(tmp_path)]) == 0
+        (gs,) = solved
+        s = json.loads((tmp_path / "summary.json").read_text())
+        assert s["q"] == 3.0
+        assert s["converged"] is True
+        assert s["E"] == gs.energy
+        assert s["seam_ratio"] == gs.seam_ratio
+        assert s["peak_over_mean"] == gs.peak_over_mean
+        assert s["params"] == {"d": 2, "n": 16, "L": 12.0}
+
+    def test_output_directory_defaults_to_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["groundstate", *SMALL]) == 0
+        assert (tmp_path / "out" / "summary.json").exists()
 
     def test_manifest_records_the_run_but_not_the_directory(self, tmp_path):
         code = run(["groundstate", *SMALL, "--output-dir", str(tmp_path)])
@@ -133,6 +166,7 @@ class TestInvalidInput:
             "solver.tau0=0.5",  # deleted key: rejected as unknown
             "dynamics.hartree=false",  # deleted key: rejected as unknown
             "solver.initWidth=2.5",  # deleted key: rejected as unknown
+            "output.directory=elsewhere",  # deleted key: rejected as unknown
             "stability.seed=-1",
             "rearrange.seed=-1",
         ],
@@ -145,7 +179,7 @@ class TestInvalidInput:
         assert any(line.startswith("error:") and key in line for line in errors)
         deleted = (
             "solver.seed", "dynamics.sign", "solver.stallTol", "solver.tau0",
-            "dynamics.hartree", "solver.initWidth",
+            "dynamics.hartree", "solver.initWidth", "output.directory",
         )
         if key in deleted:
             assert f"error: unknown config key: {key}" in errors
@@ -167,6 +201,7 @@ class TestInvalidInput:
             ("dynamics", "sign", 1),
             ("dynamics", "hartree", False),
             ("solver", "initWidth", 2.5),
+            ("output", "directory", "elsewhere"),
         ],
     )
     def test_deleted_key_in_a_config_file_exits_2(self, section, key, value, tmp_path, capsys):
@@ -175,6 +210,15 @@ class TestInvalidInput:
         code = run(["groundstate", *SMALL, "--config", str(path), "--output-dir", str(tmp_path)])
         assert code == 2
         assert f"error: unknown config key: {section}.{key}" in capsys.readouterr().err
+
+    def test_problem_too_large_for_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 16.0 GiB for an array")
+
+        monkeypatch.setattr(cli_module, "kernel_from", exhausted)
+        code = run(["groundstate", *SMALL, "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
 
     def test_missing_snapshot_initial_state_exits_2(self, tmp_path):
         code = run(
@@ -287,6 +331,23 @@ class TestStabilityCommand:
         lines = (tmp_path / "distance_series.csv").read_text().splitlines()
         assert lines[0] == "time,distance"
         assert len(lines) == len(report["times"]) + 1
+
+    def test_report_carries_the_ground_state_it_solved(self, tmp_path, monkeypatch):
+        solved = record_solves(monkeypatch)
+        code = run(
+            ["stability", *SMALL, "--set", "stability.T=0.05", "--output-dir", str(tmp_path)]
+        )
+        assert code == 0
+        (gs,) = solved
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert list(report) == [
+            "delta", "seed", "T", "dt", "stride", "supDistance", "massDrift",
+            "energyDrift", "groundEnergy", "groundOmega", "groundResidual",
+            "groundNorm", "times", "distances",
+        ]
+        ground = (report["groundEnergy"], report["groundOmega"], report["groundResidual"])
+        assert ground == (gs.energy, gs.omega, gs.residual)
+        assert report["groundNorm"] == h_alpha_norm(gs.g, 0.6)
 
     def test_unconverged_ground_state_exits_3(self, tmp_path, capsys):
         code = run(

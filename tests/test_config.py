@@ -1,16 +1,16 @@
-"""Configuration resolution: defaults, file merging, environment and
-command-line overrides, validation messages, and object builders."""
+"""Configuration resolution: defaults, file merging, command-line
+overrides, validation messages, and object builders."""
 
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fhnlse import Grid, HartreeKernel, PhysicsParams, SolveOptions
+from fhnlse import Grid, HartreeKernel, PhysicsParams, SolveOptions, gaussian
 from fhnlse.config import (
     DEFAULTS,
-    OUTDIR_ENV_VAR,
     apply_overrides,
     grid_from,
     kernel_from,
@@ -19,6 +19,7 @@ from fhnlse.config import (
     solve_options_from,
     validate_config,
 )
+from fhnlse.snapshots import write_field
 
 
 class TestLoadConfig:
@@ -30,75 +31,58 @@ class TestLoadConfig:
         assert json.loads(re.sub(r"//[^\n]*", "", block)) == DEFAULTS
 
     def test_defaults_resolve_to_the_reference_setup(self):
-        cfg = load_config(env={})
+        cfg = load_config()
         assert cfg["physics"] == {"alpha": 0.6, "gamma": 0.5, "d": 2}
         assert cfg["grid"] == {"n": 64, "L": 40.0}
         assert cfg["solver"]["q"] == 3.0
-        assert cfg["output"]["directory"] == "out"
 
     def test_returns_an_independent_copy(self):
-        a = load_config(env={})
+        a = load_config()
         a["grid"]["n"] = 8
         assert DEFAULTS["grid"]["n"] == 64
-        assert load_config(env={})["grid"]["n"] == 64
+        assert load_config()["grid"]["n"] == 64
 
     def test_file_values_override_defaults(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"grid": {"n": 32}, "solver": {"q": 2.0}}))
-        cfg = load_config(path, env={})
+        cfg = load_config(path)
         assert cfg["grid"] == {"n": 32, "L": 40.0}
         assert cfg["solver"]["q"] == 2.0
         assert cfg["physics"]["alpha"] == 0.6
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_config(tmp_path / "absent.json", env={})
+            load_config(tmp_path / "absent.json")
 
     def test_invalid_json_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ValueError, match="not valid JSON"):
-            load_config(path, env={})
+            load_config(path)
 
     def test_non_object_file_raises(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
         with pytest.raises(ValueError, match="JSON object"):
-            load_config(path, env={})
+            load_config(path)
 
     def test_unknown_section_raises(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"mesh": {"n": 32}}))
         with pytest.raises(ValueError, match="mesh"):
-            load_config(path, env={})
+            load_config(path)
 
     def test_unknown_key_raises_with_dotted_path(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"grid": {"points": 32}}))
         with pytest.raises(ValueError, match="grid.points"):
-            load_config(path, env={})
-
-    def test_environment_variable_sets_output_directory(self):
-        cfg = load_config(env={OUTDIR_ENV_VAR: "results"})
-        assert cfg["output"]["directory"] == "results"
-
-    def test_precedence_overrides_beat_environment_beats_file(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"output": {"directory": "from_file"}}))
-        cfg = load_config(path, env={OUTDIR_ENV_VAR: "from_env"})
-        assert cfg["output"]["directory"] == "from_env"
-        cfg = load_config(
-            path,
-            overrides=["output.directory=from_cli"],
-            env={OUTDIR_ENV_VAR: "from_env"},
-        )
-        assert cfg["output"]["directory"] == "from_cli"
+            load_config(path)
 
 
 class TestOverrides:
     def test_values_parse_as_json(self):
         cfg = apply_overrides(
-            load_config(env={}),
+            load_config(),
             ["grid.n=32", "dynamics.planeWaveMode=[0,2]", "solver.residTol=2.5e-7"],
         )
         assert cfg["grid"]["n"] == 32
@@ -106,11 +90,11 @@ class TestOverrides:
         assert cfg["solver"]["residTol"] == 2.5e-7
 
     def test_unparseable_values_stay_strings(self):
-        cfg = apply_overrides(load_config(env={}), ["solver.init=warm/ground_state"])
+        cfg = apply_overrides(load_config(), ["solver.init=warm/ground_state"])
         assert cfg["solver"]["init"] == "warm/ground_state"
 
     def test_malformed_overrides_raise(self):
-        base = load_config(env={})
+        base = load_config()
         with pytest.raises(ValueError, match="section.key=value"):
             apply_overrides(base, ["grid.n"])
         with pytest.raises(ValueError, match="section.key"):
@@ -123,7 +107,7 @@ class TestOverrides:
 
 class TestValidation:
     def _cfg(self, **patches):
-        cfg = load_config(env={})
+        cfg = load_config()
         for dotted, value in patches.items():
             section, key = dotted.split("__")
             cfg[section][key] = value
@@ -167,7 +151,7 @@ class TestValidation:
 
 class TestBuilders:
     def test_builders_map_the_reference_configuration(self):
-        cfg = load_config(env={})
+        cfg = load_config()
         assert params_from(cfg) == PhysicsParams(alpha=0.6, gamma=0.5, d=2)
         assert grid_from(cfg) == Grid(d=2, n=64, L=40.0)
         kernel = kernel_from(cfg)
@@ -175,17 +159,18 @@ class TestBuilders:
         assert kernel.gamma == 0.5
         assert kernel.grid == Grid(d=2, n=64, L=40.0)
 
-    def test_solve_options_builder(self):
-        cfg = load_config(env={})
-        cfg["solver"].update(
-            {"q": 2.0, "maxIter": 100, "init": "warm/ground_state", "residTol": 1e-8}
-        )
+    def test_solve_options_builder(self, tmp_path):
+        cfg = load_config()
+        start = gaussian(grid_from(cfg), width=3.0)
+        base = tmp_path / "warm" / "ground_state"
+        write_field(base, start, 0.6, 0.5)
+        cfg["solver"].update({"q": 2.0, "maxIter": 100, "init": str(base), "residTol": 1e-8})
         opts = solve_options_from(cfg)
-        assert opts == SolveOptions(
-            q=2.0, max_iter=100, resid_tol=1e-8, init="warm/ground_state"
-        )
+        assert (opts.q, opts.max_iter, opts.resid_tol) == (2.0, 100, 1e-8)
+        assert opts.init.grid == start.grid
+        assert np.array_equal(opts.init.values, start.values)
 
     def test_solve_options_defaults_are_the_configured_defaults(self):
         """``minimize`` without options solves the reference problem of the
         CLI and of ``verify``."""
-        assert SolveOptions() == solve_options_from(load_config(env={}))
+        assert SolveOptions() == solve_options_from(load_config())

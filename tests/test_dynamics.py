@@ -197,6 +197,15 @@ class TestBookkeeping:
         assert np.array_equal(traj.snapshots[0].values, psi0.values)
         assert (traj.mass_drift, traj.energy_drift) == (0.0, 0.0)
 
+    def test_horizon_far_below_dt_takes_one_step(self):
+        """A positive ``T`` that ``T/dt`` rounds to no steps still ends at ``T``."""
+        grid, kernel = _box(n=16, L=12.0)
+        psi0 = random_band_limited(grid, seed=13)
+        traj = evolve(psi0, P2, kernel, T=1e-12, dt=1e-3)
+        assert traj.steps == 1
+        assert traj.times.tolist() == [0.0, 1e-12]
+        assert not np.array_equal(traj.snapshots[-1].values, psi0.values)
+
     def test_energy_drift_is_absolute_when_the_initial_energy_is_zero(self):
         """With E(0) = 0 the drift is the largest |E(t)|, not 0/0."""
         traj = Trajectory(

@@ -32,6 +32,7 @@ from fhnlse import (
     write_field,
 )
 from fhnlse.groundstate import _TAU0, _descent
+from fhnlse.snapshots import read_start
 from fhnlse.spectral import EnergyTerms
 
 ALPHA = 0.6
@@ -87,15 +88,6 @@ class TestMinimizeDiagnostics:
             assert step == pytest.approx(trial * 0.5**halvings, rel=1e-12, abs=0)
             trial = 1.2 * step
         assert steps.max() > _TAU0
-
-    def test_summary_reports_the_run(self, ground32, box32):
-        s = ground32.summary()
-        assert s["q"] == 3.0
-        assert s["converged"] is True
-        assert s["E"] == ground32.energy
-        assert s["seam_ratio"] == ground32.seam_ratio
-        assert s["peak_over_mean"] == ground32.peak_over_mean
-        assert s["params"] == {"d": box32.d, "n": box32.n, "L": box32.L}
 
     def test_history_suppressed_on_request(self, ref_params):
         grid = Grid(d=2, n=16, L=12.0)
@@ -330,11 +322,12 @@ class TestInitialization:
         assert gs.converged
 
     def test_snapshot_initialization_restarts_quickly(
-        self, ref_params, kernel32, ground32, tmp_path
+        self, ref_params, kernel32, box32, ground32, tmp_path
     ):
         base = tmp_path / "warm_start"
         write_field(base, ground32.g, ALPHA, GAMMA)
-        gs = minimize(ref_params, kernel32, SolveOptions(q=3.0, init=str(base)))
+        start = read_start(base, box32, ALPHA, GAMMA)
+        gs = minimize(ref_params, kernel32, SolveOptions(q=3.0, init=start))
         assert gs.converged
         assert gs.iterations < ground32.iterations // 2
 
@@ -343,17 +336,11 @@ class TestInitialization:
         with pytest.raises(ValueError, match="different grid"):
             minimize(ref_params, kernel32, SolveOptions(q=1.0, init=other))
 
-    def test_rejects_snapshot_on_a_different_grid(
-        self, ref_params, kernel32, tmp_path
-    ):
-        small = gaussian(Grid(d=2, n=16, L=25.0), width=3.0, mass=1.0)
-        base = tmp_path / "wrong_grid"
-        write_field(base, small, ALPHA, GAMMA)
-        with pytest.raises(ValueError, match="does not match"):
-            minimize(ref_params, kernel32, SolveOptions(q=1.0, init=str(base)))
-
-    def test_rejects_unrecognized_initializer(self, ref_params, kernel32):
-        for init in (42, None):
+    def test_rejects_unrecognized_initializer(self, ref_params, kernel32, ground32, tmp_path):
+        """A start is a Field or None: a snapshot path is read by the caller."""
+        base = tmp_path / "warm_start"
+        write_field(base, ground32.g, ALPHA, GAMMA)
+        for init in (42, str(base), base):
             with pytest.raises(ValueError, match="unrecognized init"):
                 minimize(ref_params, kernel32, SolveOptions(q=1.0, init=init))
 

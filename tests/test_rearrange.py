@@ -28,7 +28,8 @@ def two_bumps(grid: Grid, separation: float, width: float = 1.5) -> Field:
         rsq = (coords[0] - center) ** 2 + sum(x**2 for x in coords[1:])
         return with_mass(Field(grid, np.exp(-rsq / (2.0 * width * width))), 0.5)
 
-    return bump(-separation / 2.0) + bump(separation / 2.0)
+    left, right = bump(-separation / 2.0), bump(separation / 2.0)
+    return Field(grid, left.values + right.values)
 
 
 class TestRadialOrder:

@@ -90,11 +90,6 @@ class TestStabilityRun:
         assert report.sup_distance == np.max(report.distances)
         assert report.sup_distance <= 10 * delta
         assert report.mass_drift < 1e-12
-        assert report.ground_energy == ground32.energy
-        assert len(report.series_rows()) == len(report.times)
-        d = report.to_dict()
-        assert {"delta", "supDistance", "massDrift", "energyDrift", "times",
-                "distances", "groundOmega"} <= set(d)
 
     def test_two_runs_are_bitwise_identical(self, ref_params, kernel32, ground32):
         kwargs = dict(delta=1e-2, T=0.3, dt=1e-3, seed=2, stride=100, ground=ground32)

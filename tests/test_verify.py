@@ -18,8 +18,10 @@ from fhnlse.verify import (
     check_groundstate_convergence,
     check_hartree_oracle,
     check_rearrangement_suite,
+    check_scaling_slope,
     run_checks,
 )
+from fhnlse.groundstate import ScalingResult, ScalingRow
 
 
 class TestCheckTable:
@@ -116,6 +118,25 @@ class TestHartreeOracle:
         result = check_hartree_oracle(VerifyContext(seed=1), "quick")
         assert not result.passed
         assert result.values["max_rel_err"] == pytest.approx(1.0, rel=1e-9, abs=0)
+
+
+class TestScalingSlope:
+    @pytest.mark.parametrize("slope, passed", [(2.0, True), (19.0 / 7.0, False)])
+    def test_target_is_the_cached_exponent(self, slope, passed):
+        """The slope is measured against the scaling result's own exponent,
+        not the one of the reference exponents."""
+        ctx = VerifyContext(seed=1)
+        rows = [
+            ScalingRow(lam=lam, q=3.0 * lam, L=40.0, energy=-(lam**slope), converged=True,
+                       residual=1e-7, iterations=10)
+            for lam in (0.5, 1.0, 2.0, 4.0)
+        ]
+        ctx.scaling = ScalingResult(
+            base_q=3.0, base_energy=-1.0, exponent=2.0, slope=slope, rows=rows
+        )
+        result = check_scaling_slope(ctx, "full")
+        assert result.passed is passed
+        assert result.values["target"] == 2.0
 
 
 class TestGroundstateConvergence:
