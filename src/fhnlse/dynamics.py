@@ -16,6 +16,12 @@ real-to-complex pair, see :meth:`HartreeKernel.convolve_density`) and one
 forward transform back.  The closing half-step, with one more inverse
 transform, is applied only where a state is recorded.
 
+The step's complex pair runs as unnormalized 1-D passes, in place in one
+array and in the axis order of ``np.fft.fftn``: this skips NumPy's n-D
+wrapper and the inverse's separate ``1/N`` pass.  The ``1/N`` is folded
+into the Fourier-space factors instead; ``N`` is a power of two, so every
+state is bit-for-bit what the normalized ``fftn``/``ifftn`` pair gives.
+
 The equation written with the opposite sign is the conjugate flow: its
 solution from ``psi0`` is ``conj(evolve(conj(psi0)))``, which also runs
 this flow backward in time.  Every substep is pointwise unimodular, so the
@@ -64,6 +70,16 @@ def _unit_phase(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dft_in_place(a: np.ndarray, inverse: bool) -> np.ndarray:
+    """Unnormalized n-D DFT of ``a``, overwriting it: 1-D passes over the
+    axes, last axis first (the order of ``np.fft.fftn``).  ``inverse`` flips
+    the sign of the exponent; neither direction scales by ``1/N``."""
+    transform, norm = (np.fft.ifft, "forward") if inverse else (np.fft.fft, "backward")
+    for axis in range(a.ndim - 1, -1, -1):
+        transform(a, axis=axis, norm=norm, out=a)
+    return a
+
+
 def _strang(
     values: np.ndarray,
     mult: np.ndarray,
@@ -77,31 +93,36 @@ def _strang(
     ``(k, t, values)`` after every ``stride``-th step and after the last
     one, which records exactly ``T``.
 
-    ``psi_hat`` enters each step with its opening half-step applied: a
-    recorded step closes with ``half`` and reopens with ``half``, any other
-    with the merged factor.  Raises :class:`NumericalAbort` on non-finite
-    values.
+    ``psi_hat`` enters each step with its opening half-step applied, and
+    divided by ``N`` so that the unnormalized inverse passes return the
+    state: a recorded step closes with ``half`` and reopens with
+    ``half / N``, any other with the merged factor over ``N``.  ``N`` is a
+    power of two, so the folded scaling is exact.  One array holds
+    ``psi_hat`` and the state in turn.  Raises :class:`NumericalAbort` on
+    non-finite values.
     """
     n = max(int(np.ceil(T / dt - 1e-9)), 1 if T > 0 else 0)
     h = T / max(n, 1)
     half = _unit_phase(0.5 * h * mult)
-    merged = _unit_phase(h * mult)  # closing half of one step times opening half of the next
+    reopen = half / values.size
+    # closing half of one step times opening half of the next
+    merged = _unit_phase(h * mult) / values.size
     psi_hat = np.fft.fftn(values)
-    psi_hat *= half
+    psi_hat *= reopen
     for k in range(1, n + 1):
-        vals = np.fft.ifftn(psi_hat)
+        vals = _dft_in_place(psi_hat, inverse=True)
         rho = vals.real**2
         rho += vals.imag**2
         pot = kernel.convolve_density(rho)
         pot *= -h
         vals *= _unit_phase(pot)
-        psi_hat = np.fft.fftn(vals)
+        psi_hat = _dft_in_place(vals, inverse=False)
         if not np.all(np.isfinite(psi_hat.view(np.float64))):
             raise NumericalAbort(f"non-finite state at step {k} (t = {k * h:g})")
         if k % stride == 0 or k == n:
             psi_hat *= half
             yield k, (T if k == n else k * h), np.fft.ifftn(psi_hat)
-            psi_hat *= half
+            psi_hat *= reopen
         else:
             psi_hat *= merged
 

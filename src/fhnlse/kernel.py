@@ -11,6 +11,12 @@ Both the fast convolution (cached real spectrum + real FFT), from which
 ``spectral.EnergyTerms`` forms the Hartree pairing, and the brute force
 double sum read the same sample array, so they agree by construction up to
 floating-point roundoff.
+
+The fast convolution runs its real FFT pair as unnormalized 1-D passes in
+the axis order of ``np.fft.rfftn``/``irfftn``, the complex ones in place,
+and folds the inverse's ``1/N`` into the cached half spectrum.  ``N`` is a
+power of two, so the result is bit-for-bit that of the normalized n-D pair,
+without the n-D wrapper's per-call overhead or a separate scaling pass.
 """
 
 from __future__ import annotations
@@ -114,7 +120,7 @@ class HartreeKernel:
     gamma : decay exponent, ``0 < gamma < d``
     samples : real samples in displacement (FFT) layout, origin regularized
     spectrum : cached real DFT of ``samples``; its half ``[..., : n//2 + 1]``
-        (scaled by the cell volume) drives the fast pairing
+        (scaled by ``cell_volume / N``) drives the fast pairing
     """
 
     def __init__(self, grid: Grid, gamma: float):
@@ -135,8 +141,11 @@ class HartreeKernel:
         self.spectrum = kernel_spectrum(self.samples)
         self.spectrum.flags.writeable = False
         # a real density has a Hermitian DFT, so the last axis needs only
-        # its nonnegative half; the quadrature weight is folded in here
-        self._half_spectrum = self.spectrum[..., : grid.n // 2 + 1] * grid.cell_volume
+        # its nonnegative half; the quadrature weight and the inverse
+        # transform's 1/N (exact: N is a power of two) are folded in here
+        self._half_spectrum = (
+            self.spectrum[..., : grid.n // 2 + 1] * grid.cell_volume / grid.size
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         g = self.grid
@@ -144,11 +153,15 @@ class HartreeKernel:
 
     def convolve_density(self, rho: np.ndarray) -> np.ndarray:
         """``(K * rho)(x) = sum_y K(x - y) rho(y) cell_volume`` for a real
-        density ``rho``, via a real-to-complex FFT pair."""
-        axes = tuple(range(self.grid.d))
-        rho_hat = np.fft.rfftn(rho, axes=axes)
+        density ``rho``, via a real-to-complex FFT pair of unnormalized
+        per-axis passes (see the module docstring)."""
+        rho_hat = np.fft.rfft(rho, axis=-1)
+        for axis in range(rho.ndim - 2, -1, -1):
+            np.fft.fft(rho_hat, axis=axis, out=rho_hat)
         rho_hat *= self._half_spectrum
-        return np.fft.irfftn(rho_hat, s=self.grid.shape, axes=axes)
+        for axis in range(rho.ndim - 1):
+            np.fft.ifft(rho_hat, axis=axis, norm="forward", out=rho_hat)
+        return np.fft.irfft(rho_hat, n=self.grid.n, axis=-1, norm="forward")
 
 
 def hartree_direct(u: Field, kernel: HartreeKernel) -> float:

@@ -24,8 +24,8 @@ GAMMA = 0.5
 P2 = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=2)
 
 
-def _box(n=32, L=25.0):
-    grid = Grid(d=2, n=n, L=L)
+def _box(n=32, L=25.0, d=2):
+    grid = Grid(d=d, n=n, L=L)
     return grid, HartreeKernel(grid, GAMMA)
 
 
@@ -130,14 +130,21 @@ class TestSymmetries:
 
 
 class TestAgainstRealSpaceComposition:
+    """The loop's per-axis passes run in one axis order; only d = 3 has an
+    axis between the first and the last, so every dimension is checked."""
+
     @pytest.mark.parametrize("stride", [1, 7])
-    def test_fourier_resident_loop_matches_the_real_space_steps(self, stride):
-        grid, kernel = _box()
+    @pytest.mark.parametrize(
+        "d, n, L", [(1, 32, 25.0), (2, 32, 25.0), (3, 16, 12.0)], ids=["d1", "d2", "d3"]
+    )
+    def test_fourier_resident_loop_matches_the_real_space_steps(self, d, n, L, stride):
+        grid, kernel = _box(n=n, L=L, d=d)
+        p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
         psi0 = random_band_limited(grid, seed=16) * 2.0  # mass 4: strongly nonlinear
         dt = 1e-2
         T = 23.4 * dt  # 24 equal steps of T/24
-        times, snaps, total = _real_space_strang(psi0, P2, kernel, T, dt, stride)
-        traj = evolve(psi0, P2, kernel, T=T, dt=dt, stride=stride)
+        times, snaps, total = _real_space_strang(psi0, p, kernel, T, dt, stride)
+        traj = evolve(psi0, p, kernel, T=T, dt=dt, stride=stride)
         assert traj.steps == total == 24
         assert np.array_equal(traj.times, times)
         assert len(traj.snapshots) == len(snaps)

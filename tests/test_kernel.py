@@ -206,6 +206,24 @@ class TestHartreePairings:
         assert np.isrealobj(conv)
         assert np.max(np.abs(conv - full)) <= 1e-13 * np.max(np.abs(full))
 
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid(d=1, n=64, L=40.0), Grid(d=2, n=32, L=20.0), Grid(d=3, n=16, L=10.0)],
+        ids=["d1", "d2", "d3"],
+    )
+    def test_per_axis_passes_equal_the_normalized_real_pair_bitwise(self, grid):
+        """The unnormalized 1-D passes with the 1/N folded into the spectrum
+        give the very bits of NumPy's ``rfftn``/``irfftn`` pair with its own
+        per-pass scaling: the axis order is NumPy's, and N is a power of
+        two."""
+        kernel = HartreeKernel(grid, 0.5)
+        rho = np.abs(random_band_limited(grid, seed=23).values) ** 2
+        axes = tuple(range(grid.d))
+        # the cell volume meets the spectrum before rho_hat, as in the cached factor
+        half = kernel.spectrum[..., : grid.n // 2 + 1] * grid.cell_volume
+        normalized = np.fft.irfftn(np.fft.rfftn(rho, axes=axes) * half, s=grid.shape, axes=axes)
+        assert np.array_equal(kernel.convolve_density(rho), normalized)
+
     def test_doubled_spectrum_desynchronizes_the_fast_pairing(self, monkeypatch):
         """The fast path must read ``spectrum`` as built by ``kernel_spectrum``,
         so a broken transform shows up against the direct double sum."""
