@@ -36,7 +36,7 @@ from .errors import NonConvergenceError, NumericalAbort
 from .fields import gaussian, plane_wave, with_mass
 from .groundstate import minimize, require_converged
 from .rearrange import rearrangement_sweep
-from .snapshots import read_start, write_csv, write_field, write_json
+from .snapshots import read_field, write_csv, write_field, write_json
 from .stability import stability_run
 from .verify import run_checks
 
@@ -134,7 +134,7 @@ def _initial_state(cfg, p, kernel):
             )
         return with_mass(plane_wave(grid, mode), q)
     # anything else is a snapshot base path
-    return read_start(init, grid, p.alpha, p.gamma)
+    return read_field(init, grid, p.alpha, p.gamma)
 
 
 def _cmd_evolve(args) -> int:

@@ -17,7 +17,7 @@ from pathlib import Path
 from .grid import Grid, PhysicsParams
 from .groundstate import SolveOptions
 from .kernel import HartreeKernel
-from .snapshots import read_start
+from .snapshots import read_field
 
 __all__ = [
     "DEFAULTS",
@@ -34,9 +34,9 @@ DEFAULTS: dict = {
     "physics": {"alpha": 0.6, "gamma": 0.5, "d": 2},
     "grid": {"n": 64, "L": 40.0},
     "solver": {
-        "q": 3.0,
-        "maxIter": 40000,
-        "residTol": 1e-6,
+        "q": SolveOptions.q,
+        "maxIter": SolveOptions.max_iter,
+        "residTol": SolveOptions.resid_tol,
         "init": "gaussian",
     },
     "dynamics": {
@@ -198,7 +198,7 @@ def solve_options_from(cfg: dict) -> SolveOptions:
     init = None
     if s["init"] != "gaussian":
         p = params_from(cfg)
-        init = read_start(s["init"], grid_from(cfg), p.alpha, p.gamma)
+        init = read_field(s["init"], grid_from(cfg), p.alpha, p.gamma)
     return SolveOptions(
         q=float(s["q"]),
         max_iter=int(s["maxIter"]),

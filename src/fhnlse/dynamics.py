@@ -144,17 +144,20 @@ class Trajectory:
 
     @property
     def mass_drift(self) -> float:
-        """Largest change of the mass over the recorded instants, relative to
-        the initial mass."""
-        m = self.mass_series
-        return float(np.max(np.abs(m - m[0])) / abs(m[0]))
+        """Largest change of the mass over the recorded instants (:func:`_drift`)."""
+        return _drift(self.mass_series)
 
     @property
     def energy_drift(self) -> float:
-        """Largest change of the energy over the recorded instants, relative
-        to ``|E(0)|``; absolute when ``E(0) = 0``."""
-        e = self.energy_series
-        return float(np.max(np.abs(e - e[0])) / (abs(e[0]) if e[0] != 0.0 else 1.0))
+        """Largest change of the energy over the recorded instants (:func:`_drift`)."""
+        return _drift(self.energy_series)
+
+
+def _drift(series: np.ndarray) -> float:
+    """Largest change of ``series`` from its first value, relative to that
+    value's magnitude; absolute when the first value is 0."""
+    first = series[0]
+    return float(np.max(np.abs(series - first)) / (abs(first) if first != 0.0 else 1.0))
 
 
 def evolve(

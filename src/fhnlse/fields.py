@@ -41,9 +41,6 @@ class Field:
             vals = vals.astype(np.complex128)
         self.values = np.ascontiguousarray(vals)
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     def _check_same_grid(self, other: "Field") -> None:
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")

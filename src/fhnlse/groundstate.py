@@ -52,11 +52,12 @@ _STALL_TOL = 1e-11  # an accepted step moving u by less, relative to |u|, stalls
 
 @dataclass
 class SolveOptions:
-    """Knobs for :func:`minimize`; the defaults are ``config.DEFAULTS["solver"]``.
+    """Knobs for :func:`minimize`; ``config.DEFAULTS["solver"]`` takes its
+    ``q``, ``maxIter`` and ``residTol`` from these defaults.
 
     init: the start, a Field on the solve's grid, or None (default) for the
     Gaussian of width L/8 centered at the box center.  A snapshot on disk
-    becomes a Field through :func:`~fhnlse.snapshots.read_start`.
+    becomes a Field through :func:`~fhnlse.snapshots.read_field`.
     """
 
     q: float = 3.0

@@ -3,6 +3,8 @@
 A field snapshot is a pair of files sharing a base path: ``<base>.f64``
 holds the raw samples as little-endian float64 (re, im) pairs in row-major
 order, and ``<base>.json`` is the header ``{d, n, L, alpha, gamma, label}``.
+A snapshot is read as the start of a run: its header is checked against the
+run's grid and exponents, which are validated already.
 All writers are deterministic: identical inputs produce identical bytes.
 """
 
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .fields import Field
 from .grid import Grid
 
-__all__ = ["write_field", "read_field", "read_start", "write_json", "write_csv"]
+__all__ = ["write_field", "read_field", "write_json", "write_csv"]
 
 _DATA_SUFFIX = ".f64"
 _HEADER_SUFFIX = ".json"
@@ -57,8 +58,11 @@ def write_field(
     return data_path, header_path
 
 
-def read_field(base: str | Path) -> tuple[Field, dict]:
-    """Read a snapshot written by :func:`write_field`; returns (field, header)."""
+def read_field(base: str | Path, grid: Grid, alpha: float, gamma: float) -> Field:
+    """The snapshot at ``base`` as the start of a run on ``grid`` with exponents
+    ``alpha`` and ``gamma``; raises ``ValueError`` naming the header file unless
+    it is a JSON object whose ``d``, ``n``, ``L``, ``alpha`` and ``gamma`` equal
+    the run's, ``d`` and ``n`` as JSON integers and ``L`` not as ``true``."""
     data_path, header_path = _paths(Path(base))
     if not data_path.exists() or not header_path.exists():
         raise FileNotFoundError(f"no field snapshot at base path {base}")
@@ -71,22 +75,13 @@ def read_field(base: str | Path) -> tuple[Field, dict]:
     for key in ("d", "n", "L", "alpha", "gamma", "label"):
         if key not in header:
             raise ValueError(f"snapshot header {header_path} misses key {key!r}")
-    for key in ("d", "n"):
-        if isinstance(header[key], bool) or not isinstance(header[key], int):
+    run = {"d": grid.d, "n": grid.n, "L": grid.L, "alpha": alpha, "gamma": gamma}
+    for key, want in run.items():
+        got = header[key]
+        if got != want or key in ("d", "n") and type(got) is not int or key == "L" and got is True:
             raise ValueError(
-                f"snapshot header {header_path}: {key} must be an integer (got {header[key]!r})"
+                f"snapshot header {header_path}: {key} {got!r} does not match the run's {want!r}"
             )
-    box = header["L"]
-    if (
-        isinstance(box, bool)
-        or not isinstance(box, (int, float))
-        or not abs(box) <= sys.float_info.max  # NaN, infinities, ints beyond float range
-    ):
-        raise ValueError(f"snapshot header {header_path}: L must be a finite number (got {box!r})")
-    try:
-        grid = Grid(d=header["d"], n=header["n"], L=float(box))
-    except ValueError as exc:
-        raise ValueError(f"snapshot header {header_path}: {exc}") from exc
     raw = data_path.read_bytes()
     expected = grid.size * 16  # two little-endian float64s per sample
     if len(raw) != expected:
@@ -95,22 +90,7 @@ def read_field(base: str | Path) -> tuple[Field, dict]:
             f"for a {grid.d}-dimensional grid with n={grid.n}"
         )
     vals = np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(grid.shape)
-    return Field(grid, vals), header
-
-
-def read_start(base: str | Path, grid: Grid, alpha: float, gamma: float) -> Field:
-    """The snapshot at ``base`` as the start of a run on ``grid`` with
-    exponents ``alpha`` and ``gamma``; raises ``ValueError`` naming the
-    header file when its grid or exponents differ from the run's."""
-    field, header = read_field(base)
-    run = {"d": grid.d, "n": grid.n, "L": grid.L, "alpha": alpha, "gamma": gamma}
-    for key, value in run.items():
-        if header[key] != value:
-            raise ValueError(
-                f"snapshot header {_paths(Path(base))[1]}: {key} {header[key]!r} "
-                f"does not match the run's {value!r}"
-            )
-    return field
+    return Field(grid, vals)
 
 
 def write_json(path: str | Path, obj: dict) -> Path:

@@ -485,7 +485,7 @@ def run_checks(
     if only:
         names = [n for n in names if only in n]
         if not names:
-            raise ValueError(f"no check name contains {only!r}")
+            raise ValueError(f"no check name contains {only!r} at level {level!r}")
     results = []
     for name in names:
         start = time.perf_counter()

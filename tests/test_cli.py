@@ -23,6 +23,7 @@ from fhnlse import (
 from fhnlse.cli import main
 from fhnlse.config import DEFAULTS
 from fhnlse.fields import with_mass
+from test_snapshots import REJECTED_HEADERS, RUN_ALPHA, RUN_GAMMA, RUN_GRID
 
 # exit codes: 0 success, 1 check failed, 2 invalid input,
 # 3 no convergence, 4 non-finite values
@@ -100,9 +101,9 @@ class TestGroundstateCommand:
             ]
         )
         assert code == 0
-        state, header = read_field(tmp_path / "ground_state")
-        assert header["label"] == "ground_state"
-        assert state.grid == Grid(d=2, n=16, L=12.0)
+        assert json.loads((tmp_path / "ground_state.json").read_text())["label"] == "ground_state"
+        # raises unless the header holds the run's grid and exponents
+        read_field(tmp_path / "ground_state", Grid(d=2, n=16, L=12.0), 0.6, 0.5)
         assert not (tmp_path / "convergence.csv").exists()
 
     def test_iteration_cap_exits_3_but_still_writes_the_partial_summary(
@@ -228,32 +229,24 @@ class TestInvalidInput:
         assert code == 2
 
     @pytest.mark.parametrize("key", ["dynamics.init", "solver.init"])
-    @pytest.mark.parametrize(
-        "entry, bad, message",
-        [
-            ('"L": 12.0', '"L": null', "L must be a finite number"),
-            ('"n": 16', '"n": 31', "n must be a power of two"),
-            ('"d": 2', '"d": 4', "d must be 1, 2 or 3"),
-            ('"L": 12.0', '"L": -1', "L must be positive"),
-            ('"alpha": 0.6', '"alpha": 0.9', "alpha 0.9 does not match the run's 0.6"),
-            ('"gamma": 0.5', '"gamma": 1.5', "gamma 1.5 does not match the run's 0.5"),
-        ],
-        ids=["L-null", "n-31", "d-4", "L-negative", "alpha-differs", "gamma-differs"],
-    )
+    @pytest.mark.parametrize("text, tail", REJECTED_HEADERS)
     def test_malformed_snapshot_header_exits_2_naming_the_file(
-        self, key, entry, bad, message, tmp_path, capsys
+        self, key, text, tail, tmp_path, capsys
     ):
-        grid = Grid(d=2, n=16, L=12.0)
-        _, header = write_field(tmp_path / "start", gaussian(grid), alpha=0.6, gamma=0.5)
-        header.write_text(header.read_text().replace(entry, bad))
+        _, header = write_field(
+            tmp_path / "start", gaussian(RUN_GRID), alpha=RUN_ALPHA, gamma=RUN_GAMMA
+        )
+        header.write_text(text)
         code = run(
-            ["groundstate" if key == "solver.init" else "evolve", *SMALL,
+            ["groundstate" if key == "solver.init" else "evolve",
+             "--set", f"physics.d={RUN_GRID.d}", "--set", f"grid.n={RUN_GRID.n}",
+             "--set", f"grid.L={RUN_GRID.L}", "--set", f"physics.alpha={RUN_ALPHA}",
+             "--set", f"physics.gamma={RUN_GAMMA}",
              "--set", f'{key}="{tmp_path / "start"}"', "--set", "dynamics.T=0.01",
              "--output-dir", str(tmp_path / "out")]
         )
         assert code == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and str(header) in err and message in err
+        assert f"error: snapshot header {header}{tail}" in capsys.readouterr().err
 
 
 class TestEvolveCommand:
@@ -272,8 +265,8 @@ class TestEvolveCommand:
             ]
         )
         assert code == 0
-        final, _ = read_field(tmp_path / "final_state")
-        grid = final.grid
+        grid = Grid(d=2, n=16, L=12.0)
+        final = read_field(tmp_path / "final_state", grid, 0.6, 0.5)
         psi0 = with_mass(plane_wave(grid, (1, 0)), DEFAULTS["solver"]["q"])
         p = PhysicsParams(alpha=0.6, gamma=0.5, d=2)
         omega = lagrange_multiplier(psi0, p, HartreeKernel(grid, 0.5))
@@ -294,6 +287,25 @@ class TestEvolveCommand:
         lines = (tmp_path / "series.csv").read_text().splitlines()
         assert lines[0] == "time,mass,energy"
         assert len(lines) == 7  # header, t=0, then every 10th of 50 steps
+
+    def test_zero_mass_snapshot_reports_finite_drifts(self, tmp_path):
+        """A zero field conserves mass exactly; the report must stay valid
+        JSON (no ``NaN`` from 0/0)."""
+
+        def reject(constant):
+            raise ValueError(f"conservation.json holds {constant}")
+
+        grid = Grid(d=2, n=16, L=12.0)
+        write_field(tmp_path / "zero", gaussian(grid) * 0.0, alpha=0.6, gamma=0.5)
+        code = run(
+            ["evolve", *SMALL, "--set", f'dynamics.init="{tmp_path / "zero"}"',
+             "--set", "dynamics.T=0.01", "--output-dir", str(tmp_path / "out")]
+        )
+        assert code == 0
+        text = (tmp_path / "out" / "conservation.json").read_text()
+        report = json.loads(text, parse_constant=reject)
+        assert report["massDrift"] == 0.0
+        assert report["energyDrift"] == 0.0
 
     def test_gaussian_initial_state_runs(self, tmp_path):
         code = run(

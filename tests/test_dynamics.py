@@ -224,6 +224,18 @@ class TestBookkeeping:
         )
         assert traj.energy_drift == 3e-14
 
+    def test_mass_drift_is_absolute_when_the_initial_mass_is_zero(self):
+        """With M(0) = 0 the drift is the largest M(t), not 0/0."""
+        traj = Trajectory(
+            times=np.array([0.0, 1.0, 2.0]),
+            snapshots=[],
+            mass_series=np.array([0.0, 0.0, 2e-30]),
+            energy_series=np.zeros(3),
+            steps=2,
+        )
+        assert traj.mass_drift == 2e-30
+        assert traj.energy_drift == 0.0
+
 
 class TestValidationAndAborts:
     def test_rejects_bad_arguments(self):

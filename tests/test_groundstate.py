@@ -32,7 +32,7 @@ from fhnlse import (
     write_field,
 )
 from fhnlse.groundstate import _TAU0, _descent
-from fhnlse.snapshots import read_start
+from fhnlse.snapshots import read_field
 from fhnlse.spectral import EnergyTerms
 
 ALPHA = 0.6
@@ -327,7 +327,7 @@ class TestInitialization:
     ):
         base = tmp_path / "warm_start"
         write_field(base, ground32.g, ALPHA, GAMMA)
-        start = read_start(base, box32, ALPHA, GAMMA)
+        start = read_field(base, box32, ALPHA, GAMMA)
         gs = minimize(ref_params, kernel32, SolveOptions(q=3.0, init=start))
         assert gs.converged
         assert gs.iterations < ground32.iterations // 2

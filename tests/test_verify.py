@@ -66,6 +66,12 @@ class TestRunChecks:
         with pytest.raises(ValueError, match="no check name"):
             run_checks(level="quick", only="zzz-not-a-check")
 
+    def test_filter_matching_only_a_full_check_names_the_level(self):
+        with pytest.raises(
+            ValueError, match="no check name contains 'stability' at level 'quick'"
+        ):
+            run_checks(level="quick", only="stability")
+
     def test_filtered_quick_run_reports_through_the_callback(self):
         seen: list[CheckResult] = []
         results = run_checks(level="quick", only="gradient", progress=seen.append)
