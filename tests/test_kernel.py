@@ -1,6 +1,7 @@
 """Interaction kernel: origin-cell regularization against independent
-quadrature oracles, hand-computed pairings, and equivalence of the pairing
-``EnergyTerms`` forms with the direct double sum."""
+quadrature oracles, hand-computed pairings, the direct double sum against
+its pair-by-pair definition, and equivalence of the pairing ``EnergyTerms``
+forms with the direct double sum."""
 
 import numpy as np
 import pytest
@@ -24,6 +25,34 @@ def terms(u: Field, kernel: HartreeKernel) -> EnergyTerms:
     """``EnergyTerms`` of ``u``: the pairing and potential that ``energy`` and
     the solver read (``alpha`` enters neither)."""
     return EnergyTerms(u, PhysicsParams(0.6, kernel.gamma, kernel.grid.d), kernel)
+
+
+def _pair_by_pair(u: Field, kernel: HartreeKernel) -> float:
+    """The pairing by its definition, ``cell_volume^2 * sum_{x,y} rho(x)
+    K(x - y) rho(y)``: gathers the sample of every site pair from integer
+    index arithmetic, a block of sites at a time."""
+    grid = u.grid
+    n, d = grid.n, grid.d
+    rho = (np.abs(u.values) ** 2).ravel()
+    ksamples = kernel.samples.ravel()
+    idx = np.indices(grid.shape).reshape(d, grid.size)  # per-axis index of each site
+    strides = np.array([n ** (d - 1 - a) for a in range(d)])
+    total = 0.0
+    block = 256  # sites per pass: the index matrix holds d * block * N entries
+    for start in range(0, grid.size, block):
+        sl = slice(start, min(start + block, grid.size))
+        diff = (idx[:, sl, None] - idx[:, None, :]) % n  # (d, b, N)
+        flat = np.tensordot(strides, diff, axes=1)  # (b, N) sample indices
+        total += float(rho[sl] @ (ksamples[flat] @ rho))
+    return total * grid.cell_volume**2
+
+
+def _three_sites(grid: Grid) -> Field:
+    """Density on three scattered sites, with unequal weights and phases."""
+    vals = np.zeros(grid.shape, dtype=complex)
+    sites = np.random.default_rng(100 * grid.d + grid.n).choice(grid.size, 3, replace=False)
+    vals.flat[sites] = [1.5, 0.5j, -0.8 + 0.3j]
+    return Field(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +197,53 @@ class TestHartreePairings:
             fast = terms(u, kernel).pairing
             direct = hartree_direct(u, kernel)
             assert fast == pytest.approx(direct, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            Grid(d=1, n=64, L=40.0),
+            Grid(d=2, n=16, L=20.0),
+            Grid(d=2, n=32, L=40.0),
+            Grid(d=3, n=8, L=10.0),
+        ],
+        ids=["d1-n64", "d2-n16", "d2-n32", "d3-n8"],
+    )
+    def test_direct_sum_matches_pair_by_pair_definition(self, grid):
+        kernel = HartreeKernel(grid, 0.5)
+        fields = [random_band_limited(grid, seed=60 + rep) for rep in range(3)]
+        for u in fields + [_three_sites(grid)]:
+            assert hartree_direct(u, kernel) == pytest.approx(
+                _pair_by_pair(u, kernel), rel=1e-13, abs=0
+            )
+
+    @pytest.mark.parametrize(
+        "grid", [Grid(d=2, n=16, L=20.0), Grid(d=3, n=8, L=10.0)], ids=["d2", "d3"]
+    )
+    def test_direct_sum_runs_no_fft(self, grid, monkeypatch):
+        """The oracle must not share a transform with the path it checks."""
+        kernel = HartreeKernel(grid, 0.5)
+        u = random_band_limited(grid, seed=24)
+        expected = _pair_by_pair(u, kernel)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the direct sum called numpy.fft")
+
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        assert hartree_direct(u, kernel) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid(d=1, n=4096, L=40.0), Grid(d=2, n=64, L=40.0), Grid(d=3, n=16, L=10.0)],
+        ids=["d1", "d2", "d3"],
+    )
+    def test_direct_path_accepts_a_grid_at_the_limit(self, grid):
+        assert grid.size == DIRECT_SITE_LIMIT
+        kernel = HartreeKernel(grid, 0.5)
+        u = random_band_limited(grid, seed=25)
+        assert hartree_direct(u, kernel) == pytest.approx(
+            terms(u, kernel).pairing, rel=1e-10, abs=0
+        )
 
     def test_direct_path_refuses_large_grids(self):
         grid = Grid(d=2, n=128, L=40.0)
