@@ -55,10 +55,11 @@ def mass(u: Field) -> float:
     return float(np.sum(np.abs(u.values) ** 2) * u.grid.cell_volume)
 
 
-def _mass_factor(u: Field, q: float) -> float:
-    """``sqrt(q / mass(u))``, the factor that puts ``u`` on the mass sphere
-    ``q``; a zero or non-finite mass raises :class:`NumericalAbort`."""
-    m = mass(u)
+def _mass_factor(values: np.ndarray, cell_volume: float, q: float) -> float:
+    """``sqrt(q / m)`` for the mass ``m = sum |values|^2 * cell_volume``, real
+    or complex: the factor that puts the samples on the mass sphere ``q``; a
+    zero or non-finite mass raises :class:`NumericalAbort`."""
+    m = float(np.sum(np.abs(values) ** 2) * cell_volume)
     if m == 0.0 or not np.isfinite(m):
         raise NumericalAbort(f"cannot rescale field with mass {m} to mass {q}")
     return float(np.sqrt(q / m))
@@ -67,7 +68,7 @@ def _mass_factor(u: Field, q: float) -> float:
 def with_mass(u: Field, q: float) -> Field:
     """``u`` rescaled so that ``mass(u) == q``; a zero or non-finite mass
     raises :class:`NumericalAbort`."""
-    return u * _mass_factor(u, q)
+    return u * _mass_factor(u.values, u.grid.cell_volume, q)
 
 
 def gaussian(grid: Grid, width: float | None = None, mass: float | None = None) -> Field:

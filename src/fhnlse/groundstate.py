@@ -7,12 +7,20 @@ nonzero |k|^(2 alpha))``, projected onto the sphere's tangent space.  Each
 iteration steps along it and rescales back to the mass sphere, with a
 backtracking step size that never lets the post-projection energy increase
 (Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017); the gradient-flow
-setting is that of Bao & Du, SIAM J. Sci. Comput. 25 (2004)).  The iterate's
-DFT is carried beside it, so the residual, its norm (by Parseval), the
-direction and every trial field are formed in Fourier space as well: an
-accepted iterate costs two complex transforms, and a trial none beyond the
-real transform pair of its density convolution.  Convergence is declared on
-the constrained Euler-Lagrange residual ``|G(u) - omega u|_2 / |u|_2``.
+setting is that of Bao & Du, SIAM J. Sci. Comput. 25 (2004)).
+
+Minimizers are, up to translation and phase, positive symmetric
+nonincreasing functions, so every start is first mapped to the even part of
+the symmetric-decreasing rearrangement of its magnitude: a real field
+centred on the box, whose translation and phase are gone.  The flow keeps
+it real, so the iterate, the direction and the residual are real arrays and
+their DFTs half spectra (``rfftn``).  The iterate's half spectrum is
+carried beside it, so the residual, its norm (by Parseval, with Hermitian
+weights), the direction and every trial field are formed in Fourier space
+as well: an accepted iterate costs one real transform pair, and a trial
+none beyond the real pair of its density convolution.  Convergence is
+declared on the constrained Euler-Lagrange residual ``|G(u) - omega u|_2 /
+|u|_2``.
 """
 
 from __future__ import annotations
@@ -23,10 +31,11 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from .errors import NonConvergenceError, NumericalAbort
-from .fields import Field, _mass_factor, gaussian, with_mass
+from .fields import Field, _mass_factor, gaussian
 from .grid import Grid, PhysicsParams
-from .kernel import HartreeKernel
-from .spectral import EnergyTerms, check_setup, energy, h_alpha_norm
+from .kernel import HartreeKernel, irfft_passes, rfft_passes
+from .rearrange import symmetric_rearrange
+from .spectral import check_setup, density_terms, h_alpha_norm
 
 __all__ = [
     "SolveOptions",
@@ -57,7 +66,9 @@ class SolveOptions:
 
     init: the start, a Field on the solve's grid, or None (default) for the
     Gaussian of width L/8 centered at the box center.  A snapshot on disk
-    becomes a Field through :func:`~fhnlse.snapshots.read_field`.
+    becomes a Field through :func:`~fhnlse.snapshots.read_field`.  The
+    solver keeps only the start's magnitudes (see :func:`minimize`), so a
+    start's translation and phase are dropped.
     """
 
     q: float = 3.0
@@ -100,15 +111,30 @@ class GroundState:
     backtrack_history: np.ndarray = dataclass_field(repr=False, default=None)
 
 
-def _initial_field(grid: Grid, opts: SolveOptions) -> Field:
-    init = opts.init
-    if init is None:
-        return gaussian(grid, mass=opts.q)
+def _reflect(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``a(-x)`` along ``axes``, where index ``j`` reflects to ``(n - j) mod
+    n``: about the coordinate origin (index ``n//2``) for a field, about the
+    zero frequency for a spectrum."""
+    return np.roll(np.flip(a, axes), 1, axes)
+
+
+def _initial_field(grid: Grid, opts: SolveOptions) -> np.ndarray:
+    """The solver's real start: the even part of the symmetric-decreasing
+    rearrangement of ``|init|`` (the L/8 Gaussian when init is None),
+    rescaled to mass ``q``.
+
+    The map keeps only the magnitudes of the start, so its translation and
+    phase are dropped; the rearranged centred Gaussian is the Gaussian
+    itself, bit for bit.
+    """
+    init = gaussian(grid) if opts.init is None else opts.init
     if not isinstance(init, Field):
         raise ValueError(f"unrecognized init {init!r}")
     if init.grid != grid:
         raise ValueError("initial field lives on a different grid")
-    return with_mass(init, opts.q)
+    star = symmetric_rearrange(init).values.real
+    start = 0.5 * (star + _reflect(star, tuple(range(grid.d))))
+    return start * _mass_factor(start, grid.cell_volume, opts.q)
 
 
 def _profile(g: Field) -> tuple[float, float]:
@@ -120,31 +146,86 @@ def _profile(g: Field) -> tuple[float, float]:
     return seam / peak, peak / float(np.mean(vals))
 
 
+class _HalfSpectrum:
+    """Fourier-space constants of the solve's real fields, whose DFTs the
+    solver keeps as half spectra (``rfftn``: the last axis cut to its
+    ``n//2 + 1`` nonnegative frequencies).
+
+    ``multiplier`` is ``|k|^(2 alpha)`` there.  Parseval's sum over the full
+    spectrum counts every half-spectrum column twice, for itself and its
+    conjugate, except the zero and Nyquist columns, which stand for
+    themselves: ``hermitian`` holds those 2s and 1s, and ``seminorm`` is
+    ``hermitian * multiplier * cell_volume / N``.
+    """
+
+    def __init__(self, p: PhysicsParams, kernel: HartreeKernel):
+        grid = kernel.grid
+        half = grid.n // 2 + 1
+        self.kernel = kernel
+        self.multiplier = grid.fractional_multiplier(p.alpha)[..., :half]
+        self.hermitian = np.full(half, 2.0)
+        self.hermitian[[0, -1]] = 1.0
+        self.seminorm = self.hermitian * self.multiplier * (grid.cell_volume / grid.size)
+
+
+def _make_hermitian(x_hat: np.ndarray) -> None:
+    """Replace the zero and Nyquist columns of the half spectrum ``x_hat`` by
+    their conjugate-symmetric parts, in place: ``X(-k) = conj(X(k))`` along
+    the leading axes, which is all of ``X`` that a real field carries there
+    and all that :func:`irfft_passes` reads."""
+    edges = x_hat[..., :: x_hat.shape[-1] - 1]
+    edges[...] = 0.5 * (edges + np.conj(_reflect(edges, tuple(range(x_hat.ndim - 1)))))
+
+
+def _parseval(a_hat: np.ndarray, weight: np.ndarray) -> float:
+    """``sum_k weight_k |a_hat_k|^2`` over a half spectrum."""
+    return float(np.vdot(a_hat, weight * a_hat).real)
+
+
+class _RealTerms:
+    """``E`` and ``omega`` at a real field ``u`` with half spectrum ``u_hat``.
+
+    The potential, pairing and mass come from :func:`density_terms`, the
+    routine :class:`EnergyTerms` reads them from; the seminorm is Parseval's
+    sum over ``u_hat``.  ``u_hat`` is kept, not copied.
+    """
+
+    def __init__(self, u: np.ndarray, u_hat: np.ndarray, half: _HalfSpectrum):
+        self.u, self.u_hat, self.half = u, u_hat, half
+        self.potential, self.pairing, self.mass = density_terms(u, half.kernel)
+        self.seminorm_sq = _parseval(u_hat, half.seminorm)
+        self.energy = 0.5 * self.seminorm_sq - 0.25 * self.pairing
+        self.omega = (self.seminorm_sq - self.pairing) / self.mass
+
+
 def _descent(
-    terms: EnergyTerms, shift_floor: float
+    terms: _RealTerms, shift_floor: float
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """``(omega, residual, d, d_hat)`` at the field of ``terms``.
+    """``(omega, residual, d, d_hat)`` at the real field of ``terms``.
 
     ``d = P r`` is the preconditioned Euler-Lagrange residual
     ``r = G(u) - omega u`` with ``P = (s + |k|^(2 alpha))^(-1)``,
     ``s = max(|omega|, shift_floor)``, projected onto the tangent space of
-    the mass sphere so that ``Re <u, d> = 0``; ``d_hat`` is its DFT.  Both
-    are formed from ``terms.u_hat``: ``r_hat = (|k|^(2 alpha) - omega) u_hat
-    - DFT((K * |u|^2) u)`` gives ``|r|`` by Parseval, and one inverse
-    transform of ``P r_hat`` gives ``d``, so the step costs two complex
-    transforms.
+    the mass sphere so that ``<u, d> = 0``; ``d`` is real and ``d_hat`` is
+    its half spectrum.  Both are formed from ``terms.u_hat``: ``r_hat =
+    (|k|^(2 alpha) - omega) u_hat - DFT((K * |u|^2) u)``, made Hermitian
+    where a real field's is, gives ``|r|`` by Parseval, and one inverse
+    transform of ``P r_hat`` gives ``d``, so the step costs one real
+    transform pair.
     """
-    u, u_hat = terms.u.values, terms.u_hat
+    half = terms.half
+    u, u_hat = terms.u, terms.u_hat
     omega = terms.omega
-    r_hat = (terms.multiplier - omega) * u_hat
-    r_hat -= np.fft.fftn(terms.potential * u)
-    u_sq = float(np.vdot(u, u).real)
-    resid = float(np.sqrt(np.vdot(r_hat, r_hat).real / (u.size * u_sq)))
+    r_hat = (half.multiplier - omega) * u_hat
+    r_hat -= rfft_passes(terms.potential * u)
+    _make_hermitian(r_hat)
+    u_sq = float(np.vdot(u, u))
+    resid = float(np.sqrt(_parseval(r_hat, half.hermitian) / (u.size * u_sq)))
     shift = max(abs(omega), shift_floor)
     d_hat = r_hat
-    d_hat /= shift + terms.multiplier
-    d = np.fft.ifftn(d_hat)
-    beta = float(np.real(np.vdot(u, d))) / u_sq
+    d_hat /= shift + half.multiplier
+    d = irfft_passes(d_hat.copy(), u.shape[-1])
+    beta = float(np.vdot(u, d)) / u_sq
     d -= beta * u
     d_hat -= beta * u_hat
     return omega, resid, d, d_hat
@@ -165,32 +246,39 @@ def minimize(
 ) -> GroundState:
     """Minimize the energy over the sphere ``mass(u) == q``.
 
-    Rescales the start ``opts.init`` (``opts`` defaults to ``SolveOptions()``,
-    and an init of None is the centered L/8 Gaussian) to mass ``q``, then
-    iterates ``u <- rescale(u - tau * d)`` along the preconditioned,
-    tangent-projected residual ``d`` of :func:`_descent`, with backtracking
-    on ``tau``: the first trial step is ``_TAU0``, a step is halved until
-    the post-projection energy does not increase, and the next trial is
-    1.2x the accepted step, which may grow past ``_TAU0``.  The
-    iterate's DFT ``u_hat`` is carried beside it: a trial ``v = c (u - tau
-    d)``, with ``c`` the mass rescale, has ``v_hat = c (u_hat - tau d_hat)``,
-    and is evaluated once, by ``energy(..., with_terms=True, u_hat=v_hat)``,
-    whose one density convolution gives its energy and, once it is accepted,
-    the residual and the next direction.  Only the start is transformed;
-    after that an accepted iterate costs the two complex transforms of
-    :func:`_descent` and a trial none.
+    Maps the start ``opts.init`` (``opts`` defaults to ``SolveOptions()``,
+    and an init of None is the centered L/8 Gaussian) to the even part of
+    its symmetric-decreasing rearrangement at mass ``q``
+    (:func:`_initial_field`), a real field, then iterates ``u <- rescale(u
+    - tau * d)`` along the preconditioned, tangent-projected residual ``d``
+    of :func:`_descent`, with backtracking on ``tau``: the first trial step
+    is ``_TAU0``, a step is halved until the post-projection energy does not
+    increase, and the next trial is 1.2x the accepted step, which may grow
+    past ``_TAU0``.  Every iterate, direction and residual is real, and
+    their DFTs are half spectra.  The iterate's ``u_hat`` is carried beside
+    it: a trial ``v = c (u - tau d)``, with ``c`` the mass rescale, has
+    ``v_hat = c (u_hat - tau d_hat)``, and is evaluated once, by
+    :class:`_RealTerms`, whose one density convolution gives its energy
+    and, once it is accepted, the residual and the next direction.  Only
+    the start is transformed; after that an accepted iterate costs the one
+    real transform pair of :func:`_descent` and a trial none.
     Stops when the Euler-Lagrange residual drops below ``resid_tol``, the
     iterate stalls (``_STALL_TOL``), or ``max_iter`` is reached; returns the
-    best (smallest-residual) accepted iterate.
+    best (smallest-residual) accepted iterate, as a complex :class:`Field`
+    whose imaginary part is zero.
     """
     opts = opts or SolveOptions()
     opts.validate()
     check_setup(kernel.grid, p, kernel)
+    grid = kernel.grid
     # the smallest nonzero |k|^(2 alpha) of the grid keeps the
     # preconditioner finite on the zero mode when omega is near 0
-    shift_floor = float((2.0 * np.pi / kernel.grid.L) ** (2.0 * p.alpha))
+    shift_floor = float((2.0 * np.pi / grid.L) ** (2.0 * p.alpha))
+    half = _HalfSpectrum(p, kernel)
 
-    e_now, cur = energy(_initial_field(kernel.grid, opts), p, kernel, with_terms=True)
+    start = _initial_field(grid, opts)
+    cur = _RealTerms(start, rfft_passes(start), half)
+    e_now = cur.energy
     tau = _TAU0
     iterations = 0
     stop_reason = "max_iter"
@@ -198,7 +286,7 @@ def minimize(
     omega, resid, direction, direction_hat = _descent(cur, shift_floor)
     # per accepted iterate: energy, residual, step, backtracks
     history: list[tuple[float, float, float, int]] = [(e_now, resid, 0.0, 0)]
-    best: tuple[float, Field, float, float] = (resid, cur.u, e_now, omega)
+    best: tuple[float, np.ndarray, float, float] = (resid, cur.u, e_now, omega)
 
     for iterations in range(1, opts.max_iter + 1):
         if not np.isfinite(resid) or not np.isfinite(e_now):
@@ -214,24 +302,18 @@ def minimize(
         u, u_hat = cur.u, cur.u_hat
         step = tau
         for backtracks in range(_MAX_BACKTRACKS):
-            w = Field(u.grid, u.values - step * direction)
-            c = _mass_factor(w, opts.q)
-            v_hat = c * (u_hat - step * direction_hat)
-            e_trial, trial = energy(w * c, p, kernel, with_terms=True, u_hat=v_hat)
-            if np.isfinite(e_trial) and e_trial <= e_now:
+            w = u - step * direction
+            c = _mass_factor(w, grid.cell_volume, opts.q)
+            trial = _RealTerms(c * w, c * (u_hat - step * direction_hat), half)
+            if np.isfinite(trial.energy) and trial.energy <= e_now:
                 break
             step *= 0.5
         else:
             stop_reason = "backtracking_floor"
             break
 
-        rel_change = float(
-            np.sqrt(
-                np.sum(np.abs(trial.u.values - u.values) ** 2)
-                / np.sum(np.abs(u.values) ** 2)
-            )
-        )
-        cur, e_now = trial, e_trial
+        rel_change = float(np.sqrt(np.sum((trial.u - u) ** 2) / np.sum(u**2)))
+        cur, e_now = trial, trial.energy
         tau = 1.2 * step
         omega, resid, direction, direction_hat = _descent(cur, shift_floor)
         history.append((e_now, resid, step, backtracks))
@@ -245,7 +327,8 @@ def minimize(
 
     # the iterate that first met resid_tol has the smallest residual so far,
     # so the best iterate is the returned one in every case
-    resid_f, g, e_f, omega_f = best
+    resid_f, u_f, e_f, omega_f = best
+    g = Field(grid, u_f)
     converged = resid_f < opts.resid_tol
 
     seam_ratio, peak_over_mean = _profile(g)

@@ -15,11 +15,13 @@ path: it forms the density's autocorrelation one shift of the last axis at
 a time, from small matrix products and wrapped diagonal sums, and pairs it
 with the samples.
 
-The fast convolution runs its real FFT pair as unnormalized 1-D passes in
-the axis order of ``np.fft.rfftn``/``irfftn``, the complex ones in place,
-and folds the inverse's ``1/N`` into the cached half spectrum.  ``N`` is a
-power of two, so the result is bit-for-bit that of the normalized n-D pair,
-without the n-D wrapper's per-call overhead or a separate scaling pass.
+The fast convolution runs its real FFT pair as 1-D passes in the axis
+order of ``np.fft.rfftn``/``irfftn``, the complex ones in place
+(:func:`rfft_passes`, :func:`irfft_passes`; the ground-state solver
+transforms its real iterates with the same pair), and folds the inverse's
+``1/N`` into the cached half spectrum.  ``N`` is a power of two, so the
+result is bit-for-bit that of the normalized n-D pair, without the n-D
+wrapper's per-call overhead or a separate scaling pass.
 """
 
 from __future__ import annotations
@@ -158,15 +160,31 @@ class HartreeKernel:
 
     def convolve_density(self, rho: np.ndarray) -> np.ndarray:
         """``(K * rho)(x) = sum_y K(x - y) rho(y) cell_volume`` for a real
-        density ``rho``, via a real-to-complex FFT pair of unnormalized
-        per-axis passes (see the module docstring)."""
-        rho_hat = np.fft.rfft(rho, axis=-1)
-        for axis in range(rho.ndim - 2, -1, -1):
-            np.fft.fft(rho_hat, axis=axis, out=rho_hat)
+        density ``rho``, via the real FFT pair of :func:`rfft_passes` and
+        :func:`irfft_passes` (see the module docstring)."""
+        rho_hat = rfft_passes(rho)
         rho_hat *= self._half_spectrum
-        for axis in range(rho.ndim - 1):
-            np.fft.ifft(rho_hat, axis=axis, norm="forward", out=rho_hat)
-        return np.fft.irfft(rho_hat, n=self.grid.n, axis=-1, norm="forward")
+        return irfft_passes(rho_hat, self.grid.n, norm="forward")
+
+
+def rfft_passes(x: np.ndarray) -> np.ndarray:
+    """Half spectrum of the real array ``x``, bit for bit ``np.fft.rfftn(x)``:
+    an ``rfft`` of the last axis, then ``fft`` passes in place over the
+    others, last first."""
+    x_hat = np.fft.rfft(x, axis=-1)
+    for axis in range(x.ndim - 2, -1, -1):
+        np.fft.fft(x_hat, axis=axis, out=x_hat)
+    return x_hat
+
+
+def irfft_passes(x_hat: np.ndarray, n: int, norm: str = "backward") -> np.ndarray:
+    """Real array of ``n`` points per axis with half spectrum ``x_hat``, bit
+    for bit ``np.fft.irfftn(x_hat, norm=norm)``: ``ifft`` passes in place over
+    the leading axes, first first, then an ``irfft`` of the last.  Overwrites
+    ``x_hat``; ``norm="forward"`` leaves out the ``1/N``."""
+    for axis in range(x_hat.ndim - 1):
+        np.fft.ifft(x_hat, axis=axis, norm=norm, out=x_hat)
+    return np.fft.irfft(x_hat, n=n, axis=-1, norm=norm)
 
 
 def hartree_direct(u: Field, kernel: HartreeKernel) -> float:

@@ -61,37 +61,41 @@ def h_alpha_norm(u: Field, alpha: float) -> float:
     return float(np.sqrt(mass(u) + sobolev_seminorm_sq(u, alpha)))
 
 
+def density_terms(values: np.ndarray, kernel: HartreeKernel) -> tuple[np.ndarray, float, float]:
+    """``(K * |u|^2, P(u), mass(u))`` from the samples ``values`` of ``u``,
+    real or complex: one density convolution gives the potential, and the
+    potential and density give the Hartree pairing and the mass.
+
+    :class:`EnergyTerms` and the ground-state solver both read these three
+    from here, so the pairing checked against ``kernel.hartree_direct`` is
+    the one the solver uses.
+    """
+    rho = np.abs(values) ** 2
+    potential = kernel.convolve_density(rho)
+    cell_volume = kernel.grid.cell_volume
+    pairing = float(np.sum(rho * potential) * cell_volume)
+    return potential, pairing, float(np.sum(rho) * cell_volume)
+
+
 class EnergyTerms:
     """The parts of ``E``, ``omega`` and ``G`` at one field, from one transform
     of ``u`` and one convolution of its density.
 
     ``u_hat`` is the unnormalized DFT of ``u``, ``potential`` is
     ``K * |u|^2``, ``seminorm_sq`` is ``|u|_{H^alpha-dot}^2``, ``pairing`` is
-    the Hartree pairing ``P(u)`` and ``mass`` is ``|u|_2^2``.  A caller that
-    already holds the DFT of ``u`` passes it as ``u_hat`` and the transform
-    is skipped; the array is kept, not copied.
+    the Hartree pairing ``P(u)`` and ``mass`` is ``|u|_2^2``.
     """
 
-    def __init__(
-        self,
-        u: Field,
-        p: PhysicsParams,
-        kernel: HartreeKernel,
-        *,
-        u_hat: np.ndarray | None = None,
-    ):
+    def __init__(self, u: Field, p: PhysicsParams, kernel: HartreeKernel):
         check_setup(u.grid, p, kernel)
         grid = u.grid
         self.u = u
         self.multiplier = grid.fractional_multiplier(p.alpha)
-        self.u_hat = np.fft.fftn(u.values) if u_hat is None else u_hat
-        rho = np.abs(u.values) ** 2
-        self.potential = kernel.convolve_density(rho)
+        self.u_hat = np.fft.fftn(u.values)
+        self.potential, self.pairing, self.mass = density_terms(u.values, kernel)
         self.seminorm_sq = float(
             np.sum(self.multiplier * np.abs(self.u_hat) ** 2) * _spectral_weight(grid)
         )
-        self.pairing = float(np.sum(rho * self.potential) * grid.cell_volume)
-        self.mass = float(np.sum(rho) * grid.cell_volume)
 
     @property
     def energy(self) -> float:
@@ -114,24 +118,9 @@ class EnergyTerms:
         return np.fft.ifftn(self.multiplier * self.u_hat) - self.potential * self.u.values
 
 
-def energy(
-    u: Field,
-    p: PhysicsParams,
-    kernel: HartreeKernel,
-    *,
-    with_terms: bool = False,
-    u_hat: np.ndarray | None = None,
-) -> float | tuple[float, EnergyTerms]:
-    """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 P(u)``.
-
-    With ``with_terms`` the result is ``(E, terms)``: a caller that goes on to
-    need the gradient or ``omega`` at ``u`` reads them from ``terms`` without
-    a second transform or convolution.  ``u_hat``, the DFT of ``u`` when the
-    caller already holds it, is passed on to :class:`EnergyTerms`, so the
-    evaluation needs no transform of ``u``.
-    """
-    terms = EnergyTerms(u, p, kernel, u_hat=u_hat)
-    return (terms.energy, terms) if with_terms else terms.energy
+def energy(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> float:
+    """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 P(u)``."""
+    return EnergyTerms(u, p, kernel).energy
 
 
 def energy_gradient(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> Field:

@@ -170,11 +170,11 @@ class TestEnergyFunctionals:
             pairing / mass(u), rel=1e-12, abs=0
         )
 
-    def test_energy_with_terms_carries_the_same_field_values(self):
+    def test_energy_terms_carry_the_same_field_values(self):
         p, grid, kernel = self._setup(n=16, L=12.0)
         u = random_band_limited(grid, seed=7)
-        e, terms = energy(u, p, kernel, with_terms=True)
-        assert e == terms.energy == energy(u, p, kernel)
+        terms = EnergyTerms(u, p, kernel)
+        assert terms.energy == energy(u, p, kernel)
         assert terms.omega == lagrange_multiplier(u, p, kernel)
         np.testing.assert_array_equal(terms.gradient(), energy_gradient(u, p, kernel).values)
 
