@@ -12,9 +12,12 @@ setting is that of Bao & Du, SIAM J. Sci. Comput. 25 (2004)).
 Minimizers are, up to translation and phase, positive symmetric
 nonincreasing functions, so every start is first mapped to the even part of
 the symmetric-decreasing rearrangement of its magnitude: a real field
-centred on the box, whose translation and phase are gone.  The flow keeps
-it real, so the iterate, the direction and the residual are real arrays and
-their DFTs half spectra (``rfftn``).  The iterate's half spectrum is
+centred on the box, whose translation and phase are gone.  A start that is
+already a lattice minimizer is not exactly its own rearrangement, so the
+even part of its magnitude, centred on its peak, is the other candidate,
+and the solver starts from the one of lower energy.  The flow keeps the
+start real, so the iterate, the direction and the residual are real arrays
+and their DFTs half spectra (``rfftn``).  The iterate's half spectrum is
 carried beside it, so the residual, its norm (by Parseval, with Hermitian
 weights), the direction and every trial field are formed in Fourier space
 as well: an accepted iterate costs one real transform pair, and a trial
@@ -35,7 +38,7 @@ from .fields import Field, _mass_factor, gaussian
 from .grid import Grid, PhysicsParams
 from .kernel import HartreeKernel, irfft_passes, rfft_passes
 from .rearrange import symmetric_rearrange
-from .spectral import check_setup, density_terms, h_alpha_norm
+from .spectral import HalfSpectrumTerms, check_setup, energy, h_alpha_norm
 
 __all__ = [
     "SolveOptions",
@@ -118,23 +121,40 @@ def _reflect(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return np.roll(np.flip(a, axes), 1, axes)
 
 
-def _initial_field(grid: Grid, opts: SolveOptions) -> np.ndarray:
-    """The solver's real start: the even part of the symmetric-decreasing
-    rearrangement of ``|init|`` (the L/8 Gaussian when init is None),
-    rescaled to mass ``q``.
+def _even(a: np.ndarray) -> np.ndarray:
+    """The even part ``(a(x) + a(-x)) / 2`` of the field ``a``."""
+    return 0.5 * (a + _reflect(a, tuple(range(a.ndim))))
 
-    The map keeps only the magnitudes of the start, so its translation and
-    phase are dropped; the rearranged centred Gaussian is the Gaussian
-    itself, bit for bit.
+
+def _initial_fields(grid: Grid, opts: SolveOptions) -> list[np.ndarray]:
+    """The solver's real start candidates, at mass ``q``: the even part of
+    the symmetric-decreasing rearrangement of ``|init|`` (the L/8 Gaussian
+    when init is None) and, for a given init where it differs, the even part
+    of ``|init|`` rolled on the lattice to put its peak at the box centre.
+
+    Both keep only the magnitudes of the start, so its translation and
+    phase are dropped.  The rearrangement is the paper's map to a
+    symmetric nonincreasing start; the rolled field keeps a start that is
+    already a lattice minimizer, which is centred and even but not exactly
+    its own rearrangement.  :func:`minimize` starts from the candidate of
+    lower energy.  The default Gaussian is centred and radial, so it has
+    the one candidate, which on a box whose coordinates are symmetric in
+    floating point (L = 40, n = 64, say) is the Gaussian bit for bit.
     """
     init = gaussian(grid) if opts.init is None else opts.init
     if not isinstance(init, Field):
         raise ValueError(f"unrecognized init {init!r}")
     if init.grid != grid:
         raise ValueError("initial field lives on a different grid")
-    star = symmetric_rearrange(init).values.real
-    start = 0.5 * (star + _reflect(star, tuple(range(grid.d))))
-    return start * _mass_factor(start, grid.cell_volume, opts.q)
+    axes = tuple(range(grid.d))
+    starts = [_even(symmetric_rearrange(init).values.real)]
+    if opts.init is not None:
+        magnitude = np.abs(init.values)
+        peak = np.unravel_index(np.argmax(magnitude), grid.shape)
+        centred = _even(np.roll(magnitude, [grid.n // 2 - i for i in peak], axes))
+        if not np.array_equal(centred, starts[0]):
+            starts.append(centred)
+    return [s * _mass_factor(s, grid.cell_volume, opts.q) for s in starts]
 
 
 def _profile(g: Field) -> tuple[float, float]:
@@ -146,28 +166,6 @@ def _profile(g: Field) -> tuple[float, float]:
     return seam / peak, peak / float(np.mean(vals))
 
 
-class _HalfSpectrum:
-    """Fourier-space constants of the solve's real fields, whose DFTs the
-    solver keeps as half spectra (``rfftn``: the last axis cut to its
-    ``n//2 + 1`` nonnegative frequencies).
-
-    ``multiplier`` is ``|k|^(2 alpha)`` there.  Parseval's sum over the full
-    spectrum counts every half-spectrum column twice, for itself and its
-    conjugate, except the zero and Nyquist columns, which stand for
-    themselves: ``hermitian`` holds those 2s and 1s, and ``seminorm`` is
-    ``hermitian * multiplier * cell_volume / N``.
-    """
-
-    def __init__(self, p: PhysicsParams, kernel: HartreeKernel):
-        grid = kernel.grid
-        half = grid.n // 2 + 1
-        self.kernel = kernel
-        self.multiplier = grid.fractional_multiplier(p.alpha)[..., :half]
-        self.hermitian = np.full(half, 2.0)
-        self.hermitian[[0, -1]] = 1.0
-        self.seminorm = self.hermitian * self.multiplier * (grid.cell_volume / grid.size)
-
-
 def _make_hermitian(x_hat: np.ndarray) -> None:
     """Replace the zero and Nyquist columns of the half spectrum ``x_hat`` by
     their conjugate-symmetric parts, in place: ``X(-k) = conj(X(k))`` along
@@ -177,29 +175,8 @@ def _make_hermitian(x_hat: np.ndarray) -> None:
     edges[...] = 0.5 * (edges + np.conj(_reflect(edges, tuple(range(x_hat.ndim - 1)))))
 
 
-def _parseval(a_hat: np.ndarray, weight: np.ndarray) -> float:
-    """``sum_k weight_k |a_hat_k|^2`` over a half spectrum."""
-    return float(np.vdot(a_hat, weight * a_hat).real)
-
-
-class _RealTerms:
-    """``E`` and ``omega`` at a real field ``u`` with half spectrum ``u_hat``.
-
-    The potential, pairing and mass come from :func:`density_terms`, the
-    routine :class:`EnergyTerms` reads them from; the seminorm is Parseval's
-    sum over ``u_hat``.  ``u_hat`` is kept, not copied.
-    """
-
-    def __init__(self, u: np.ndarray, u_hat: np.ndarray, half: _HalfSpectrum):
-        self.u, self.u_hat, self.half = u, u_hat, half
-        self.potential, self.pairing, self.mass = density_terms(u, half.kernel)
-        self.seminorm_sq = _parseval(u_hat, half.seminorm)
-        self.energy = 0.5 * self.seminorm_sq - 0.25 * self.pairing
-        self.omega = (self.seminorm_sq - self.pairing) / self.mass
-
-
 def _descent(
-    terms: _RealTerms, shift_floor: float
+    terms: HalfSpectrumTerms, shift_floor: float
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """``(omega, residual, d, d_hat)`` at the real field of ``terms``.
 
@@ -213,17 +190,17 @@ def _descent(
     transform of ``P r_hat`` gives ``d``, so the step costs one real
     transform pair.
     """
-    half = terms.half
     u, u_hat = terms.u, terms.u_hat
     omega = terms.omega
-    r_hat = (half.multiplier - omega) * u_hat
+    r_hat = (terms.multiplier - omega) * u_hat
     r_hat -= rfft_passes(terms.potential * u)
     _make_hermitian(r_hat)
     u_sq = float(np.vdot(u, u))
-    resid = float(np.sqrt(_parseval(r_hat, half.hermitian) / (u.size * u_sq)))
+    r_sq = float(np.vdot(r_hat, terms.hermitian * r_hat).real)
+    resid = float(np.sqrt(r_sq / (u.size * u_sq)))
     shift = max(abs(omega), shift_floor)
     d_hat = r_hat
-    d_hat /= shift + half.multiplier
+    d_hat /= shift + terms.multiplier
     d = irfft_passes(d_hat.copy(), u.shape[-1])
     beta = float(np.vdot(u, d)) / u_sq
     d -= beta * u
@@ -247,21 +224,23 @@ def minimize(
     """Minimize the energy over the sphere ``mass(u) == q``.
 
     Maps the start ``opts.init`` (``opts`` defaults to ``SolveOptions()``,
-    and an init of None is the centered L/8 Gaussian) to the even part of
-    its symmetric-decreasing rearrangement at mass ``q``
-    (:func:`_initial_field`), a real field, then iterates ``u <- rescale(u
-    - tau * d)`` along the preconditioned, tangent-projected residual ``d``
-    of :func:`_descent`, with backtracking on ``tau``: the first trial step
-    is ``_TAU0``, a step is halved until the post-projection energy does not
-    increase, and the next trial is 1.2x the accepted step, which may grow
-    past ``_TAU0``.  Every iterate, direction and residual is real, and
+    and an init of None is the centered L/8 Gaussian) to a real, centred,
+    even field at mass ``q``: the even part of its symmetric-decreasing
+    rearrangement or, if that has the higher energy, of its magnitude
+    centred on its peak (:func:`_initial_fields`).  Then it iterates ``u <-
+    rescale(u - tau * d)`` along the preconditioned, tangent-projected
+    residual ``d`` of :func:`_descent`, with backtracking on ``tau``: the
+    first trial step is ``_TAU0``, a step is halved until the
+    post-projection energy does not increase, and the next trial is 1.2x the
+    accepted step, which may grow past ``_TAU0``.  Every iterate, direction and residual is real, and
     their DFTs are half spectra.  The iterate's ``u_hat`` is carried beside
     it: a trial ``v = c (u - tau d)``, with ``c`` the mass rescale, has
     ``v_hat = c (u_hat - tau d_hat)``, and is evaluated once, by
-    :class:`_RealTerms`, whose one density convolution gives its energy
-    and, once it is accepted, the residual and the next direction.  Only
-    the start is transformed; after that an accepted iterate costs the one
-    real transform pair of :func:`_descent` and a trial none.
+    :func:`~fhnlse.spectral.energy` on the half spectrum, whose one density
+    convolution gives its energy and, once it is accepted, the residual and
+    the next direction.  Only the start candidates are transformed; after
+    that an accepted iterate costs the one real transform pair of
+    :func:`_descent` and a trial none.
     Stops when the Euler-Lagrange residual drops below ``resid_tol``, the
     iterate stalls (``_STALL_TOL``), or ``max_iter`` is reached; returns the
     best (smallest-residual) accepted iterate, as a complex :class:`Field`
@@ -274,11 +253,14 @@ def minimize(
     # the smallest nonzero |k|^(2 alpha) of the grid keeps the
     # preconditioner finite on the zero mode when omega is near 0
     shift_floor = float((2.0 * np.pi / grid.L) ** (2.0 * p.alpha))
-    half = _HalfSpectrum(p, kernel)
 
-    start = _initial_field(grid, opts)
-    cur = _RealTerms(start, rfft_passes(start), half)
-    e_now = cur.energy
+    e_now, cur = min(
+        (
+            energy(s, p, kernel, u_hat=rfft_passes(s), with_terms=True)
+            for s in _initial_fields(grid, opts)
+        ),
+        key=lambda candidate: candidate[0],
+    )
     tau = _TAU0
     iterations = 0
     stop_reason = "max_iter"
@@ -304,8 +286,10 @@ def minimize(
         for backtracks in range(_MAX_BACKTRACKS):
             w = u - step * direction
             c = _mass_factor(w, grid.cell_volume, opts.q)
-            trial = _RealTerms(c * w, c * (u_hat - step * direction_hat), half)
-            if np.isfinite(trial.energy) and trial.energy <= e_now:
+            e_trial, trial = energy(
+                c * w, p, kernel, u_hat=c * (u_hat - step * direction_hat), with_terms=True
+            )
+            if np.isfinite(e_trial) and e_trial <= e_now:
                 break
             step *= 0.5
         else:
@@ -313,7 +297,7 @@ def minimize(
             break
 
         rel_change = float(np.sqrt(np.sum((trial.u - u) ** 2) / np.sum(u**2)))
-        cur, e_now = trial, trial.energy
+        cur, e_now = trial, e_trial
         tau = 1.2 * step
         omega, resid, direction, direction_hat = _descent(cur, shift_floor)
         history.append((e_now, resid, step, backtracks))

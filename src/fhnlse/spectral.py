@@ -6,6 +6,9 @@ sums carry ``cell_volume / size``, which makes the discrete Parseval
 identity ``mass(u) == spectral mass(u)`` hold to roundoff.  Every identity
 asserted about these functionals (multiplier action, self-adjointness,
 gradient pairing) is independent of the transform normalization.
+A real field's terms also come from its half spectrum (``rfftn``) with
+Hermitian Parseval weights, in :class:`HalfSpectrumTerms`, the evaluation
+the ground-state solver makes through :func:`energy`.
 
 Sign conventions: the energy is ``E(u) = 1/2 |u|_{H^alpha-dot}^2 -
 1/4 P(u)`` (focusing), where ``P(u) = sum_x sum_y K(x-y) |u(x)|^2 |u(y)|^2
@@ -16,17 +19,20 @@ cell_volume^2`` is the Hartree pairing, and its L^2 gradient is
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .fields import Field, mass
 from .grid import Grid, PhysicsParams
-from .kernel import HartreeKernel
+from .kernel import HartreeKernel, irfft_passes
 
 __all__ = [
     "check_setup",
     "sobolev_seminorm_sq",
     "h_alpha_norm",
     "EnergyTerms",
+    "HalfSpectrumTerms",
     "energy",
     "energy_gradient",
     "lagrange_multiplier",
@@ -66,9 +72,10 @@ def density_terms(values: np.ndarray, kernel: HartreeKernel) -> tuple[np.ndarray
     real or complex: one density convolution gives the potential, and the
     potential and density give the Hartree pairing and the mass.
 
-    :class:`EnergyTerms` and the ground-state solver both read these three
-    from here, so the pairing checked against ``kernel.hartree_direct`` is
-    the one the solver uses.
+    :class:`EnergyTerms` and :class:`HalfSpectrumTerms`, and through them
+    :func:`energy` and the ground-state solver, read these three from here,
+    so the pairing checked against ``kernel.hartree_direct`` is the one the
+    solver uses.
     """
     rho = np.abs(values) ** 2
     potential = kernel.convolve_density(rho)
@@ -118,9 +125,75 @@ class EnergyTerms:
         return np.fft.ifftn(self.multiplier * self.u_hat) - self.potential * self.u.values
 
 
-def energy(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> float:
-    """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 P(u)``."""
-    return EnergyTerms(u, p, kernel).energy
+@lru_cache(maxsize=16)
+def _half_spectrum(grid: Grid, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(multiplier, hermitian, seminorm)`` on the half spectrum of ``grid``
+    (``rfftn``: the last axis cut to its ``n//2 + 1`` nonnegative
+    frequencies), read-only.
+
+    ``multiplier`` is ``|k|^(2 alpha)`` there.  Parseval's sum over the full
+    spectrum counts every half-spectrum column twice, for itself and its
+    conjugate, except the zero and Nyquist columns, which stand for
+    themselves: ``hermitian`` holds those 2s and 1s, and ``seminorm`` is
+    ``hermitian * multiplier`` times the spectral weight.
+    """
+    half = grid.n // 2 + 1
+    multiplier = grid.fractional_multiplier(alpha)[..., :half]
+    hermitian = np.full(half, 2.0)
+    hermitian[[0, -1]] = 1.0
+    seminorm = hermitian * multiplier * _spectral_weight(grid)
+    for a in (hermitian, seminorm):
+        a.flags.writeable = False
+    return multiplier, hermitian, seminorm
+
+
+class HalfSpectrumTerms(EnergyTerms):
+    """:class:`EnergyTerms` of a real field ``u``, a real array, from its half
+    spectrum ``u_hat`` (``rfftn``), which is kept, not copied.
+
+    ``multiplier`` is ``|k|^(2 alpha)`` on the half spectrum and
+    ``hermitian`` the Parseval weights of :func:`_half_spectrum`;
+    ``seminorm_sq`` is Parseval's sum over ``u_hat``.  ``energy`` and
+    ``omega`` are formed as in :class:`EnergyTerms`.
+    """
+
+    def __init__(
+        self, u: np.ndarray, u_hat: np.ndarray, p: PhysicsParams, kernel: HartreeKernel
+    ):
+        check_setup(kernel.grid, p, kernel)
+        self.u, self.u_hat = u, u_hat
+        self.multiplier, self.hermitian, seminorm = _half_spectrum(kernel.grid, p.alpha)
+        self.potential, self.pairing, self.mass = density_terms(u, kernel)
+        self.seminorm_sq = float(np.vdot(u_hat, seminorm * u_hat).real)
+
+    def gradient(self) -> np.ndarray:
+        """Values of ``G(u)``, a real array."""
+        kinetic = irfft_passes(self.multiplier * self.u_hat, self.u.shape[-1])
+        return kinetic - self.potential * self.u
+
+
+def energy(
+    u: Field | np.ndarray,
+    p: PhysicsParams,
+    kernel: HartreeKernel,
+    *,
+    u_hat: np.ndarray | None = None,
+    with_terms: bool = False,
+) -> float | tuple[float, EnergyTerms]:
+    """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 P(u)``.
+
+    ``u`` is a :class:`Field`, or, with ``u_hat``, the samples of a real
+    field and ``u_hat`` their half spectrum: then the terms are
+    :class:`HalfSpectrumTerms` and no transform of ``u`` is made.  With
+    ``with_terms`` the result is ``(E, terms)``: a caller that goes on to
+    need ``omega`` or the gradient at ``u`` reads them from ``terms``
+    without a second transform or convolution.
+    """
+    if u_hat is None:
+        terms = EnergyTerms(u, p, kernel)
+    else:
+        terms = HalfSpectrumTerms(u, u_hat, p, kernel)
+    return (terms.energy, terms) if with_terms else terms.energy
 
 
 def energy_gradient(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> Field:

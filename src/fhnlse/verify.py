@@ -130,8 +130,9 @@ def _check(name: str, quick: bool = False):
 @_check("hartree-oracle-equivalence", quick=True)
 def check_hartree_oracle(ctx: VerifyContext, level: str):
     """The pairing ``EnergyTerms`` feeds to ``energy`` vs the brute-force
-    double sum on every small-grid family.  ``EnergyTerms`` and the solver
-    read the pairing from one routine, ``spectral.density_terms``."""
+    double sum on every small-grid family.  ``EnergyTerms`` and the
+    solver's ``HalfSpectrumTerms`` read the pairing from one routine,
+    ``spectral.density_terms``."""
     tol = 1e-10
     cases = [
         (Grid(d=2, n=16, L=20.0), 17),

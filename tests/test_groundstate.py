@@ -32,9 +32,9 @@ from fhnlse import (
     symmetric_rearrange,
     write_field,
 )
-from fhnlse.groundstate import _TAU0, _descent, _HalfSpectrum, _initial_field, _RealTerms
+from fhnlse.groundstate import _TAU0, _descent, _initial_fields
 from fhnlse.snapshots import read_field
-from fhnlse.spectral import EnergyTerms
+from fhnlse.spectral import HalfSpectrumTerms
 
 ALPHA = 0.6
 GAMMA = 0.5
@@ -177,7 +177,7 @@ class TestFusedBookkeeping:
         ground, kernel = localized
         field = random_band_limited(kernel.grid, seed=3) if which == "random" else ground.g
         u = field.values.real.copy()
-        terms = _RealTerms(u, np.fft.rfftn(u), _HalfSpectrum(ref_params, kernel))
+        terms = HalfSpectrumTerms(u, np.fft.rfftn(u), ref_params, kernel)
         _, _, d, d_hat = _descent(terms, shift_floor=1e-3)
         assert d.dtype == np.float64
         assert abs(np.vdot(u, d)) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(d)
@@ -185,17 +185,6 @@ class TestFusedBookkeeping:
         assert np.vdot(gradient.real, d) > 0.0
         exact = np.fft.rfftn(d)
         assert np.linalg.norm(d_hat - exact) <= 1e-12 * np.linalg.norm(exact)
-
-    def test_real_terms_match_energy_terms(self, ref_params, localized):
-        """The half-spectrum energy, frequency and potential of a real field
-        are those :class:`EnergyTerms` forms from its full complex DFT."""
-        _, kernel = localized
-        u = random_band_limited(kernel.grid, seed=4).values.real.copy()
-        real = _RealTerms(u, np.fft.rfftn(u), _HalfSpectrum(ref_params, kernel))
-        full = EnergyTerms(Field(kernel.grid, u), ref_params, kernel)
-        assert real.energy == pytest.approx(full.energy, rel=1e-13, abs=0)
-        assert real.omega == pytest.approx(full.omega, rel=1e-13, abs=0)
-        assert np.array_equal(real.potential, full.potential)
 
 
 def count_calls(monkeypatch, owner, names) -> dict:
@@ -264,7 +253,7 @@ class TestTransformCount:
     one forward real transform, every energy evaluation (start and trials)
     the real pair of its density convolution, and every accepted iterate,
     the start included, one more real pair; every trial goes through one
-    :class:`_RealTerms` evaluation."""
+    :func:`energy` call."""
 
     @pytest.mark.parametrize("d, n, L", [(1, 64, 40.0), (2, 32, 25.0), (3, 16, 12.0)])
     def test_one_real_pair_per_iteration_and_no_complex_transform(
@@ -283,9 +272,9 @@ class TestTransformCount:
         assert counts["irfft_passes"] == evals + descents
 
     def test_every_trial_is_an_energy_call(self, ref_params, kernel32, monkeypatch):
-        counts = count_calls(monkeypatch, groundstate_module, ("_RealTerms",))
+        counts = count_calls(monkeypatch, groundstate_module, ("energy",))
         gs = minimize(ref_params, kernel32, SolveOptions(q=3.0, keep_history=True))
-        assert counts["_RealTerms"] == 1 + gs.iterations + int(np.sum(gs.backtrack_history))
+        assert counts["energy"] == 1 + gs.iterations + int(np.sum(gs.backtrack_history))
 
 
 class TestClosedFormCriticalPoint:
@@ -390,7 +379,7 @@ class TestInitialization:
     @pytest.mark.parametrize("d, n, L", [(1, 64, 40.0), (2, 32, 25.0), (3, 16, 12.0)])
     def test_gaussian_start_maps_to_itself(self, d, n, L):
         grid = Grid(d=d, n=n, L=L)
-        start = _initial_field(grid, SolveOptions(q=3.0))
+        (start,) = _initial_fields(grid, SolveOptions(q=3.0))
         assert np.array_equal(start, gaussian(grid, mass=3.0).values)
 
     def test_lattice_translated_start_returns_the_centred_minimizer(
@@ -438,6 +427,22 @@ class TestInitialization:
         gs = minimize(ref_params, kernel32, SolveOptions(q=3.0, init=start))
         assert gs.converged
         assert gs.iterations < ground32.iterations // 2
+
+    def test_converged_snapshot_restarts_in_zero_iterations(
+        self, ref_params, localized, tmp_path
+    ):
+        """The solver's own minimizer is even and centred but not exactly its
+        own rearrangement; the start map keeps it, so a warm start from it
+        is already converged and returns it to roundoff."""
+        ground, kernel = localized
+        base = tmp_path / "warm_start"
+        write_field(base, ground.g, ALPHA, GAMMA)
+        start = read_field(base, kernel.grid, ALPHA, GAMMA)
+        gs = minimize(ref_params, kernel, SolveOptions(q=3.0, init=start))
+        assert gs.converged and gs.iterations == 0
+        peak = np.max(np.abs(ground.g.values))
+        assert np.max(np.abs(gs.g.values - ground.g.values)) <= 1e-13 * peak
+        assert gs.energy == pytest.approx(ground.energy, rel=1e-14, abs=0)
 
     def test_rejects_field_on_a_different_grid(self, ref_params, kernel32):
         other = gaussian(Grid(d=2, n=16, L=25.0), width=3.0, mass=1.0)

@@ -20,7 +20,7 @@ from fhnlse import (
     random_band_limited,
     sobolev_seminorm_sq,
 )
-from fhnlse.spectral import EnergyTerms
+from fhnlse.spectral import EnergyTerms, HalfSpectrumTerms
 
 ALPHA = 0.6
 GAMMA = 0.5
@@ -177,6 +177,26 @@ class TestEnergyFunctionals:
         assert terms.energy == energy(u, p, kernel)
         assert terms.omega == lagrange_multiplier(u, p, kernel)
         np.testing.assert_array_equal(terms.gradient(), energy_gradient(u, p, kernel).values)
+
+    @pytest.mark.parametrize("d, n, L", [(1, 64, 40.0), (2, 16, 12.0), (3, 8, 8.0)])
+    def test_half_spectrum_terms_match_energy_terms(self, d, n, L):
+        """The energy, frequency, potential and gradient of a real field
+        formed from its half spectrum are those :class:`EnergyTerms` forms
+        from its full complex DFT, and :func:`energy` forms the former when
+        given the half spectrum."""
+        p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
+        grid = Grid(d=d, n=n, L=L)
+        kernel = HartreeKernel(grid, GAMMA)
+        u = random_band_limited(grid, seed=4).values.real.copy()
+        e, half = energy(u, p, kernel, u_hat=np.fft.rfftn(u), with_terms=True)
+        full = EnergyTerms(Field(grid, u), p, kernel)
+        assert isinstance(half, HalfSpectrumTerms) and e == half.energy
+        assert half.energy == pytest.approx(full.energy, rel=1e-13, abs=0)
+        assert half.omega == pytest.approx(full.omega, rel=1e-13, abs=0)
+        assert np.array_equal(half.potential, full.potential)
+        gradient = half.gradient()
+        assert gradient.dtype == np.float64
+        np.testing.assert_allclose(gradient, full.gradient().real, rtol=0, atol=1e-12)
 
     def test_rejects_mismatched_kernel_exponent(self):
         p, grid, _ = self._setup(n=16, L=12.0)
