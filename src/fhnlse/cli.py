@@ -25,6 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import (
+    DEFAULTS,
     grid_from,
     kernel_from,
     load_config,
@@ -167,9 +168,7 @@ def _cmd_evolve(args) -> int:
         rows = list(zip(traj.times, traj.mass_series, traj.energy_series))
         write_csv(outdir / "series.csv", ["time", "mass", "energy"], rows)
     if _wants(cfg, "snapshots"):
-        write_field(
-            outdir / "final_state", traj.snapshots[-1], p.alpha, p.gamma, label="final_state"
-        )
+        write_field(outdir / "final_state", traj.final, p.alpha, p.gamma, label="final_state")
     print(
         f"evolved {traj.steps} steps to T={traj.times[-1]:g}: "
         f"mass drift {traj.mass_drift:.3e}, energy drift {traj.energy_drift:.3e}"
@@ -256,6 +255,10 @@ def _cmd_rearrange_test(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg, outdir = _resolve(args)
+    reference = {**DEFAULTS, "output": cfg["output"]}  # all that verify reads
+    unread = [f"{s}.{k}" for s, keys in reference.items() for k in keys if cfg[s][k] != keys[k]]
+    if unread:
+        raise ValueError(f"verify runs on the built-in defaults and does not read {unread[0]}")
 
     def progress(res):
         status = "PASS" if res.passed else "FAIL"

@@ -14,7 +14,10 @@ carrying the opening half-step of its next step; a step costs one inverse
 transform to reach the nonlinear substep, the density convolution (a
 real-to-complex pair, see :meth:`HartreeKernel.convolve_density`) and one
 forward transform back.  The closing half-step, with one more inverse
-transform, is applied only where a state is recorded.
+transform, is applied only where a state is recorded.  A recorded state
+goes to the caller's ``observe`` as it is made and is not kept: the
+trajectory holds the conserved-quantity series and the final state, so its
+memory does not grow with the number of records.
 
 The step's complex pair runs as unnormalized 1-D passes, in place in one
 array and in the axis order of ``np.fft.fftn``: this skips NumPy's n-D
@@ -31,8 +34,9 @@ scheme conserves mass to roundoff; the energy error is second order in
 
 from __future__ import annotations
 
+import itertools
 import logging
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,15 +133,15 @@ def _strang(
 
 @dataclass
 class Trajectory:
-    """Recorded states and conserved-quantity series of one evolution.
+    """Conserved-quantity series and final state of one evolution.
 
-    ``times``, ``mass_series``, ``energy_series`` and ``snapshots`` all have
-    one entry per recorded instant (t = 0, every ``stride``-th step, and the
-    final time).
+    ``times``, ``mass_series`` and ``energy_series`` have one entry per
+    recorded instant (t = 0, every ``stride``-th step, and the final time);
+    ``final`` is the state recorded at exactly that final time.
     """
 
     times: np.ndarray
-    snapshots: list[Field]
+    final: Field
     mass_series: np.ndarray
     energy_series: np.ndarray
     steps: int
@@ -167,13 +171,16 @@ def evolve(
     T: float,
     dt: float,
     stride: int = 1,
+    observe: Callable[[Field], object] | None = None,
 ) -> Trajectory:
     """Advance the Hartree flow from t = 0 to ``T`` in ``n = ceil(T/dt - 1e-9)``
     equal steps of ``T/n`` (``dt`` itself when ``T`` is a multiple of it);
     a ``T > 0`` below ``1e-9 * dt`` takes one step of ``T``.
 
     States are recorded at t = 0, after every ``stride``-th step, and at
-    exactly ``T``.  Raises :class:`NumericalAbort` on non-finite values.
+    exactly ``T``.  Each recorded state is passed to ``observe``, in the
+    order of ``times``, and not kept: the trajectory holds only the last.
+    Raises :class:`NumericalAbort` on non-finite values.
     """
     check_setup(psi0.grid, p, kernel)
     if not 0 < dt < np.inf:
@@ -184,29 +191,15 @@ def evolve(
         raise ValueError(f"stride must be >= 1 (got {stride})")
 
     grid = psi0.grid
-    times: list[float] = []
-    snapshots: list[Field] = []
-    masses: list[float] = []
-    energies: list[float] = []
-
-    def record(t: float, vals: np.ndarray) -> None:
-        f = Field(grid, vals)
-        times.append(t)
-        masses.append(mass(f))
-        energies.append(energy(f, p, kernel))
-        snapshots.append(f)
-
-    record(0.0, psi0.values.copy())
-    total_steps = 0
     mult = grid.fractional_multiplier(p.alpha)
-    for total_steps, t, vals in _strang(psi0.values, mult, kernel, T, dt, stride):
-        record(t, vals)
-
+    records = _strang(psi0.values, mult, kernel, T, dt, stride)
+    series = []
+    for steps, t, vals in itertools.chain([(0, 0.0, psi0.values.copy())], records):
+        state = Field(grid, vals)
+        series.append((t, mass(state), energy(state, p, kernel)))
+        if observe is not None:
+            observe(state)
+    times, masses, energies = map(np.asarray, zip(*series))
     return Trajectory(
-        times=np.asarray(times),
-        snapshots=snapshots,
-        mass_series=np.asarray(masses),
-        energy_series=np.asarray(energies),
-        steps=total_steps,
+        times=times, final=state, mass_series=masses, energy_series=energies, steps=steps
     )
-

@@ -79,13 +79,15 @@ def stability_run(
 
     ``ground`` comes from :func:`~fhnlse.groundstate.minimize` and must have
     converged (else :class:`NonConvergenceError`).  Distances are evaluated
-    at every recorded instant of the evolution (stride steps apart).
+    at every recorded instant of the evolution (stride steps apart), each
+    as its state is recorded.
     """
     gs = require_converged(ground, "stability_run")
     psi0 = perturb(gs.g, p.alpha, delta, seed)
-    traj = evolve(psi0, p, kernel, T=T, dt=dt, stride=stride)
-    distances = np.array(
-        [orbit_distance(snap, gs.g, p.alpha) for snap in traj.snapshots]
+    distances: list[float] = []
+    traj = evolve(
+        psi0, p, kernel, T=T, dt=dt, stride=stride,
+        observe=lambda psi: distances.append(orbit_distance(psi, gs.g, p.alpha)),
     )
     logger.info(
         "stability_run: delta=%g sup=%.4e massDrift=%.2e energyDrift=%.2e",
@@ -98,7 +100,7 @@ def stability_run(
         dt=float(dt),
         stride=int(stride),
         times=traj.times,
-        distances=distances,
+        distances=np.asarray(distances),
         sup_distance=float(np.max(distances)),
         mass_drift=traj.mass_drift,
         energy_drift=traj.energy_drift,

@@ -396,6 +396,32 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["passed"] == report["total"] == 1
 
+    def test_config_value_it_does_not_read_exits_2(self, tmp_path, capsys):
+        """The checks run on the built-in reference instance, so a value
+        outside ``output`` that differs from it is refused, not echoed into
+        the manifest."""
+        code = run(
+            ["verify", "--level", "quick", "--only", "gradient",
+             "--set", "physics.alpha=0.9", "--set", "grid.n=16",
+             "--output-dir", str(tmp_path)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert (
+            "error: verify runs on the built-in defaults and does not read physics.alpha"
+            in captured.err
+        )
+        assert "[PASS]" not in captured.out
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_output_formats_are_read(self, tmp_path):
+        code = run(
+            ["verify", "--level", "quick", "--only", "gradient",
+             "--set", 'output.formats=["json"]', "--output-dir", str(tmp_path)]
+        )
+        assert code == 0
+        assert (tmp_path / "verify_report.json").exists()
+
     def test_broken_kernel_transform_is_caught(self, tmp_path, monkeypatch, capsys):
         """Doubling the kernel spectrum desynchronizes the fast pairing from
         the direct double sum; the consistency check must notice and the

@@ -1,6 +1,8 @@
 """Split-step evolution: exact solutions, conservation, symmetry
 covariances, time reversal, second-order accuracy, and bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,7 @@ class TestExactSolutions:
         T = 0.5
         traj = evolve(psi0, P2, kernel, T=T, dt=1e-3, stride=500)
         expected = np.exp(1j * omega * T) * psi0.values
-        assert np.max(np.abs(traj.snapshots[-1].values - expected)) < 1e-12
+        assert np.max(np.abs(traj.final.values - expected)) < 1e-12
 
     def test_constant_state_is_a_standing_wave(self):
         grid, kernel = _box()
@@ -79,7 +81,7 @@ class TestExactSolutions:
         T = 0.3
         traj = evolve(flat, P2, kernel, T=T, dt=1e-3, stride=300)
         expected = np.exp(1j * omega * T) * flat.values
-        assert np.max(np.abs(traj.snapshots[-1].values - expected)) < 1e-12
+        assert np.max(np.abs(traj.final.values - expected)) < 1e-12
 
 
 class TestConservation:
@@ -105,9 +107,9 @@ class TestSymmetries:
         grid, kernel = _box()
         psi0 = random_band_limited(grid, seed=3) * 2.0
         forward = evolve(psi0, P2, kernel, T=1.0, dt=1e-3, stride=1000)
-        reversed_final = Field(grid, np.conj(forward.snapshots[-1].values))
+        reversed_final = Field(grid, np.conj(forward.final.values))
         back = evolve(reversed_final, P2, kernel, T=1.0, dt=1e-3, stride=1000)
-        err = np.max(np.abs(np.conj(back.snapshots[-1].values) - psi0.values))
+        err = np.max(np.abs(np.conj(back.final.values) - psi0.values))
         assert err < 1e-9
 
     def test_global_phase_commutes_with_the_flow(self):
@@ -116,8 +118,8 @@ class TestSymmetries:
         a = evolve(psi0, P2, kernel, T=0.2, dt=1e-3, stride=200)
         rotated = Field(grid, np.exp(0.9j) * psi0.values)
         b = evolve(rotated, P2, kernel, T=0.2, dt=1e-3, stride=200)
-        expected = np.exp(0.9j) * a.snapshots[-1].values
-        assert np.max(np.abs(b.snapshots[-1].values - expected)) < 1e-12
+        expected = np.exp(0.9j) * a.final.values
+        assert np.max(np.abs(b.final.values - expected)) < 1e-12
 
     def test_lattice_translation_commutes_with_the_flow(self):
         grid, kernel = _box()
@@ -125,8 +127,8 @@ class TestSymmetries:
         a = evolve(psi0, P2, kernel, T=0.2, dt=1e-3, stride=200)
         shifted = Field(grid, np.roll(psi0.values, shift=(5, -3), axis=(0, 1)))
         b = evolve(shifted, P2, kernel, T=0.2, dt=1e-3, stride=200)
-        expected = np.roll(a.snapshots[-1].values, shift=(5, -3), axis=(0, 1))
-        assert np.max(np.abs(b.snapshots[-1].values - expected)) < 1e-12
+        expected = np.roll(a.final.values, shift=(5, -3), axis=(0, 1))
+        assert np.max(np.abs(b.final.values - expected)) < 1e-12
 
 
 class TestAgainstRealSpaceComposition:
@@ -144,12 +146,14 @@ class TestAgainstRealSpaceComposition:
         dt = 1e-2
         T = 23.4 * dt  # 24 equal steps of T/24
         times, snaps, total = _real_space_strang(psi0, p, kernel, T, dt, stride)
-        traj = evolve(psi0, p, kernel, T=T, dt=dt, stride=stride)
+        observed = []
+        traj = evolve(psi0, p, kernel, T=T, dt=dt, stride=stride, observe=observed.append)
         assert traj.steps == total == 24
         assert np.array_equal(traj.times, times)
-        assert len(traj.snapshots) == len(snaps)
-        for got, want in zip(traj.snapshots, snaps):
+        assert len(observed) == len(snaps)
+        for got, want in zip(observed, snaps):
             assert np.max(np.abs(got.values - want)) < 1e-12
+        assert traj.final is observed[-1]
 
 
 class TestUnitPhase:
@@ -172,10 +176,11 @@ class TestBookkeeping:
         grid, kernel = _box(n=16, L=12.0)
         psi0 = random_band_limited(grid, seed=9)
         dt = 1e-3
-        traj = evolve(psi0, P2, kernel, T=10 * dt, dt=dt, stride=3)
+        observed = []
+        traj = evolve(psi0, P2, kernel, T=10 * dt, dt=dt, stride=3, observe=observed.append)
         assert np.allclose(traj.times, np.array([0, 3, 6, 9, 10]) * dt, atol=1e-15)
         assert traj.steps == 10
-        assert len(traj.snapshots) == len(traj.times)
+        assert len(observed) == len(traj.times)
         assert len(traj.mass_series) == len(traj.times)
         assert len(traj.energy_series) == len(traj.times)
 
@@ -201,7 +206,7 @@ class TestBookkeeping:
         psi0 = random_band_limited(grid, seed=12)
         traj = evolve(psi0, P2, kernel, T=0.0, dt=1e-3)
         assert len(traj.times) == 1
-        assert np.array_equal(traj.snapshots[0].values, psi0.values)
+        assert np.array_equal(traj.final.values, psi0.values)
         assert (traj.mass_drift, traj.energy_drift) == (0.0, 0.0)
 
     def test_horizon_far_below_dt_takes_one_step(self):
@@ -211,13 +216,30 @@ class TestBookkeeping:
         traj = evolve(psi0, P2, kernel, T=1e-12, dt=1e-3)
         assert traj.steps == 1
         assert traj.times.tolist() == [0.0, 1e-12]
-        assert not np.array_equal(traj.snapshots[-1].values, psi0.values)
+        assert not np.array_equal(traj.final.values, psi0.values)
+
+    def test_memory_does_not_grow_with_the_number_of_records(self):
+        """Recorded states are handed on, not kept: 401 records of a 32^2
+        state would hold 6.3 MiB, against 2 records at stride 400."""
+        grid, kernel = _box()
+        psi0 = random_band_limited(grid, seed=17)
+        evolve(psi0, P2, kernel, T=1e-3, dt=1e-3)  # build the cached multipliers
+
+        def peak(stride):
+            tracemalloc.start()
+            try:
+                evolve(psi0, P2, kernel, T=0.4, dt=1e-3, stride=stride)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1) - peak(400) < 2**20
 
     def test_energy_drift_is_absolute_when_the_initial_energy_is_zero(self):
         """With E(0) = 0 the drift is the largest |E(t)|, not 0/0."""
         traj = Trajectory(
             times=np.array([0.0, 1.0, 2.0]),
-            snapshots=[],
+            final=Field(Grid(d=1, n=8, L=1.0), np.zeros(8)),
             mass_series=np.ones(3),
             energy_series=np.array([0.0, 0.0, -3e-14]),
             steps=2,
@@ -228,7 +250,7 @@ class TestBookkeeping:
         """With M(0) = 0 the drift is the largest M(t), not 0/0."""
         traj = Trajectory(
             times=np.array([0.0, 1.0, 2.0]),
-            snapshots=[],
+            final=Field(Grid(d=1, n=8, L=1.0), np.zeros(8)),
             mass_series=np.array([0.0, 0.0, 2e-30]),
             energy_series=np.zeros(3),
             steps=2,

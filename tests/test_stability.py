@@ -8,6 +8,7 @@ from fhnlse import (
     Field,
     NonConvergenceError,
     SolveOptions,
+    evolve,
     h_alpha_norm,
     minimize,
     orbit_distance,
@@ -97,6 +98,20 @@ class TestStabilityRun:
         b = stability_run(ref_params, kernel32, **kwargs)
         assert np.array_equal(a.distances, b.distances)
         assert a.sup_distance == b.sup_distance
+
+    def test_distances_are_those_of_the_recorded_states(self, ref_params, kernel32, ground32):
+        """Measuring each distance as its state is recorded gives, bit for
+        bit, the distances of the states a plain evolution records."""
+        kwargs = dict(T=0.3, dt=1e-3, stride=100)
+        report = stability_run(
+            ref_params, kernel32, delta=1e-2, seed=2, ground=ground32, **kwargs
+        )
+        psi0 = perturb(ground32.g, ALPHA, 1e-2, seed=2)
+        states = []
+        traj = evolve(psi0, ref_params, kernel32, observe=states.append, **kwargs)
+        expected = [orbit_distance(psi, ground32.g, ALPHA) for psi in states]
+        assert np.array_equal(report.times, traj.times)
+        assert np.array_equal(report.distances, expected)
 
     def test_response_scales_linearly_with_the_perturbation(
         self, ref_params, kernel32, ground32
