@@ -52,10 +52,10 @@ def _configure_logging(verbose: bool) -> None:
 
 
 def _resolve(args) -> tuple[dict, Path]:
+    """The run's configuration and its output directory, which is not made
+    here: the first file written makes it, so a rejected run leaves none."""
     cfg = load_config(args.config, overrides=args.set or [])
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return cfg, outdir
+    return cfg, Path(args.output_dir)
 
 
 def _write_manifest(outdir: Path, cfg: dict, command: str) -> None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalAbort
-from .grid import Grid, _axis_sum
+from .grid import Grid, _axis_sum, _dft_trailing
 
 __all__ = [
     "Field",
@@ -103,6 +103,31 @@ def plane_wave(grid: Grid, mode: tuple[int, ...]) -> Field:
     return Field(grid, np.exp(1j * phase))
 
 
+def _band_limited_noise(grid: Grid, seeds: list[int], keep_fraction: float) -> np.ndarray:
+    """:func:`band_limited_noise` for each of ``seeds``, stacked in that order
+    on a leading axis: shape ``(len(seeds), *grid.shape)``.
+
+    Each seed draws from its own generator, and every operation acts on the
+    trailing axes one row at a time, so each slice is bitwise the
+    single-seed noise.
+    """
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ValueError(f"keep_fraction must lie in (0, 1] (got {keep_fraction})")
+    draws = np.empty((len(seeds), 2) + grid.shape)
+    for parts, seed in zip(draws, seeds):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=parts[0])
+        rng.standard_normal(out=parts[1])
+    coeff = draws[:, 0] + 1j * draws[:, 1]
+    m = np.fft.fftfreq(grid.n) * grid.n
+    keep = np.abs(m) <= keep_fraction * (grid.n / 2.0)
+    for axis in range(1, grid.d + 1):
+        view = [1] * (grid.d + 1)
+        view[axis] = grid.n
+        coeff *= keep.reshape(view)
+    return _dft_trailing(coeff, grid, inverse=True)
+
+
 def band_limited_noise(grid: Grid, seed: int, keep_fraction: float) -> np.ndarray:
     """Seeded complex noise with Fourier support in the low modes.
 
@@ -110,17 +135,28 @@ def band_limited_noise(grid: Grid, seed: int, keep_fraction: float) -> np.ndarra
     whose per-axis index satisfies ``|m| <= keep_fraction * (n/2)``; all
     other modes are zeroed.  Returns the unnormalized inverse transform.
     """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError(f"keep_fraction must lie in (0, 1] (got {keep_fraction})")
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    m = np.fft.fftfreq(grid.n) * grid.n
-    keep = np.abs(m) <= keep_fraction * (grid.n / 2.0)
-    for axis in range(grid.d):
-        view = [1] * grid.d
-        view[axis] = grid.n
-        coeff = coeff * keep.reshape(view)
-    return np.fft.ifftn(coeff)
+    return _band_limited_noise(grid, [seed], keep_fraction)[0]
+
+
+def _unit_mass(vals: np.ndarray, cell_volume: float) -> np.ndarray:
+    """Each field of the complex stack ``vals`` divided by its L^2 norm, in
+    place; a zero norm raises ValueError."""
+    norm_sq = (np.abs(vals) ** 2).reshape(len(vals), -1).sum(axis=1) * cell_volume
+    if np.any(norm_sq == 0.0):
+        raise ValueError("degenerate random field (all retained modes zero)")
+    vals /= np.sqrt(norm_sq).reshape((-1,) + (1,) * (vals.ndim - 1))
+    return vals
+
+
+def _random_band_limited(grid: Grid, seeds: list[int], kind: str) -> np.ndarray:
+    """The values of :func:`random_band_limited` for each of ``seeds``,
+    stacked in that order on a leading axis."""
+    if kind not in ("complex", "nonneg"):
+        raise ValueError(f"unknown kind {kind!r}")
+    vals = _band_limited_noise(grid, seeds, 1.0 / 3.0)
+    if kind == "nonneg":
+        vals = np.abs(vals.real).astype(np.complex128)
+    return _unit_mass(vals, grid.cell_volume)
 
 
 def random_band_limited(grid: Grid, seed: int, kind: str = "complex") -> Field:
@@ -129,12 +165,4 @@ def random_band_limited(grid: Grid, seed: int, kind: str = "complex") -> Field:
     ``kind``: "complex" (default) or "nonneg" (absolute value of the real
     part; the rearrangement inputs).
     """
-    if kind not in ("complex", "nonneg"):
-        raise ValueError(f"unknown kind {kind!r}")
-    vals = band_limited_noise(grid, seed, 1.0 / 3.0)
-    if kind == "nonneg":
-        vals = np.abs(vals.real).astype(np.complex128)
-    norm_sq = np.sum(np.abs(vals) ** 2) * grid.cell_volume
-    if norm_sq == 0.0:
-        raise ValueError("degenerate random field (all retained modes zero)")
-    return Field(grid, vals / np.sqrt(norm_sq))
+    return Field(grid, _random_band_limited(grid, [seed], kind)[0])

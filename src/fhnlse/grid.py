@@ -28,6 +28,22 @@ def _axis_sum(per_axis: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _trailing_axes(grid: "Grid") -> tuple[int, ...]:
+    """The last ``grid.d`` axes, in order: the lattice axes of a stack of
+    fields of shape ``(B, *grid.shape)``, or of one field."""
+    return tuple(range(-grid.d, 0))
+
+
+def _dft_trailing(a: np.ndarray, grid: "Grid", inverse: bool = False) -> np.ndarray:
+    """``np.fft.fftn(a, axes=_trailing_axes(grid))``, or ``ifftn`` if
+    ``inverse``, bit for bit, overwriting the complex array ``a``: the 1-D
+    passes that ``fftn`` makes, last axis first, without its n-D wrapper."""
+    transform = np.fft.ifft if inverse else np.fft.fft
+    for axis in reversed(_trailing_axes(grid)):
+        transform(a, axis=axis, out=a)
+    return a
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr

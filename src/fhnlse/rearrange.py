@@ -6,6 +6,37 @@ lattice sites sorted by minimum-image distance to the origin, with exact
 ties broken lexicographically by index tuple.  The result depends only on
 the multiset of magnitudes, is idempotent, and preserves every lattice
 l^p norm exactly (it is a permutation of ``|u|``).
+
+Every piece works on a stack of fields of shape ``(B, n, ..., n)``, with
+each operation over the trailing ``d`` axes: the band-limited noise and
+its unit-mass normalisation (:mod:`fhnlse.fields`), the rearrangement, the
+seminorm (:mod:`fhnlse.spectral`) and the triple pairing.  The per-field
+functions are their batch-of-one callers.  Each field still draws from its
+own ``default_rng(seed)``, and NumPy's 1-D transforms, sorts and row sums
+act on every row alike, so a slice of a stack is bit for bit the field
+computed alone.
+
+:func:`rearrangement_sweep` draws and tests its fields ``B =
+max(1, _BLOCK_BYTES // (16 * grid.size))`` at a time: one call per step for
+a block instead of one per field, with memory bounded by the block, not the
+count.  An unblocked sweep of 100 fields on 32^2 peaks about 16 MiB higher.
+The 64 KiB budget gives B = 4 on 32^2 and B = 1 from 64^2 up.  Measured on
+a 2-CPU Xeon with NumPy 2.4.6, by budget: the sweep's CPU time as a
+fraction of the field-by-field sweep's (medians of 8 interleaved runs),
+and the extra peak RSS of a ``checks`` benchmark process, whose sweeps are
+32^2 (medians of 3):
+
+=======  ==========  =========  ==========  ==========  =======
+budget   32^2 x100   32^2 x30   64^2 x100   128^2 x20   RSS MiB
+=======  ==========  =========  ==========  ==========  =======
+16 KiB   1.02        0.92       1.01        0.82        +0.0
+32 KiB   0.72        0.68       0.96        0.85        -0.1
+64 KiB   0.55        0.56       0.94        0.87        +0.4
+128 KiB  0.55        0.45       0.88        0.93        +1.0
+256 KiB  0.51        0.47       0.77        0.91        +2.4
+=======  ==========  =========  ==========  ==========  =======
+
+Past 64 KiB the 32^2 sweeps gain little and the RSS grows.
 """
 
 from __future__ import annotations
@@ -16,9 +47,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fields import Field, random_band_limited
-from .grid import Grid
-from .spectral import sobolev_seminorm_sq
+from .fields import Field, _random_band_limited
+from .grid import Grid, _dft_trailing, _trailing_axes
+from .spectral import _seminorm_sq
 
 __all__ = [
     "radial_order",
@@ -27,6 +58,10 @@ __all__ = [
     "rearrangement_sweep",
     "SweepResult",
 ]
+
+# Bytes of complex samples per block of the sweep: one block holds
+# ``_BLOCK_BYTES // (16 * grid.size)`` fields, at least one.
+_BLOCK_BYTES = 64 * 1024
 
 
 @lru_cache(maxsize=None)
@@ -47,31 +82,55 @@ def radial_order(grid: Grid) -> np.ndarray:
     return order
 
 
+@lru_cache(maxsize=None)
+def _radial_source(grid: Grid) -> np.ndarray:
+    """For each flat site, the index in the increasing sort of a field's
+    magnitudes that the rearrangement puts there: the site
+    ``radial_order(grid)[j]`` takes the ``j``-th largest, at ``size - 1 - j``."""
+    source = np.empty(grid.size, dtype=np.intp)
+    source[radial_order(grid)] = np.arange(grid.size - 1, -1, -1)
+    source.flags.writeable = False
+    return source
+
+
+def _rearranged(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """The rearrangement of each field of the stack ``values`` (shape
+    ``(B, *grid.shape)``, real or complex): a real array of that shape."""
+    mags = np.sort(np.abs(values).reshape(len(values), -1), axis=1)
+    return mags.take(_radial_source(grid), axis=1).reshape(values.shape)
+
+
 def symmetric_rearrange(u: Field) -> Field:
     """Magnitudes of ``u`` sorted decreasingly along the radial order.
 
     Returns a real nonnegative field (stored as complex, zero imaginary
     part).  Applying the map twice reproduces the first output exactly.
     """
-    order = radial_order(u.grid)
-    mags = np.sort(np.abs(u.values).ravel())[::-1]
-    out = np.empty(u.grid.size)
-    out[order] = mags
-    return Field(u.grid, out.reshape(u.grid.shape))
+    return Field(u.grid, _rearranged(u.values[None], u.grid)[0])
 
 
-def _to_displacement_layout(vals: np.ndarray) -> np.ndarray:
-    """Re-index a centered-layout array by displacement: entry ``m`` becomes
-    the value at position ``m*h`` (aliased)."""
-    n = vals.shape[0]
-    return np.roll(vals, shift=(-(n // 2),) * vals.ndim, axis=tuple(range(vals.ndim)))
+def _triple_product(f: np.ndarray, g: np.ndarray, h: np.ndarray, grid: Grid) -> np.ndarray:
+    """``sum_x sum_y f(x) g(x - y) h(y) cell_volume^2`` on the torus, for each
+    field of the real stacks ``f``, ``g``, ``h`` (shape ``(B, *grid.shape)``).
+
+    ``g`` is first re-indexed by displacement: entry ``m`` becomes the value
+    at position ``m*h`` (aliased), the centered layout rolled by ``n//2``.
+    """
+    g_disp = np.roll(g, -(grid.n // 2), axis=_trailing_axes(grid))
+    conv = _dft_trailing(g_disp.astype(np.complex128), grid)
+    conv *= _dft_trailing(h.astype(np.complex128), grid)
+    _dft_trailing(conv, grid, inverse=True)
+    return (f * conv.real).reshape(len(f), -1).sum(axis=1) * grid.cell_volume**2
 
 
-def _triple_product(f: np.ndarray, g: np.ndarray, h: np.ndarray, grid: Grid) -> float:
-    """``sum_x sum_y f(x) g(x - y) h(y) cell_volume^2`` on the torus."""
-    g_disp = _to_displacement_layout(g)
-    conv = np.fft.ifftn(np.fft.fftn(g_disp) * np.fft.fftn(h)).real
-    return float(np.sum(f * conv)) * grid.cell_volume**2
+def _pairings(
+    f: np.ndarray, g: np.ndarray, h: np.ndarray, grid: Grid
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lhs, rhs)`` of :func:`riesz_check` for each field of the real
+    nonnegative stacks ``f``, ``g``, ``h``."""
+    lhs = _triple_product(f, g, h, grid)
+    rhs = _triple_product(*(_rearranged(x, grid) for x in (f, g, h)), grid)
+    return lhs, rhs
 
 
 def riesz_check(f: Field, g: Field, h: Field) -> tuple[float, float]:
@@ -88,12 +147,9 @@ def riesz_check(f: Field, g: Field, h: Field) -> tuple[float, float]:
         vals = field.values
         if np.max(np.abs(vals.imag)) != 0.0 or np.min(vals.real) < 0.0:
             raise ValueError(f"riesz_check requires real nonnegative fields ({name} is not)")
-        arrays.append(vals.real)
-    grid = f.grid
-    lhs = _triple_product(arrays[0], arrays[1], arrays[2], grid)
-    stars = [symmetric_rearrange(x).values.real for x in (f, g, h)]
-    rhs = _triple_product(stars[0], stars[1], stars[2], grid)
-    return lhs, rhs
+        arrays.append(vals.real[None])
+    lhs, rhs = _pairings(*arrays, f.grid)
+    return float(lhs[0]), float(rhs[0])
 
 
 @dataclass(frozen=True)
@@ -131,26 +187,34 @@ def rearrangement_sweep(
     Fields with seeds ``seed + r`` must keep their magnitude multiset and
     must not grow in the H^alpha-dot seminorm under rearrangement; the
     nonnegative triples with seeds ``pair_seed + 3r + (0, 1, 2)`` must not
-    lose triple pairing.
+    lose triple pairing.  The fields are drawn and tested in blocks of
+    indices ``r`` (see the module docstring); the result does not depend on
+    the block size.
     """
+    block = max(1, _BLOCK_BYTES // (16 * grid.size))
     changed = []
-    worst_seminorm = -np.inf
-    for r in range(count):
-        u = random_band_limited(grid, seed=seed + r)
-        out = symmetric_rearrange(u)
-        if not np.array_equal(
-            np.sort(np.abs(u.values).ravel()), np.sort(out.values.real.ravel())
-        ):
-            changed.append(seed + r)
-        s_in = np.sqrt(sobolev_seminorm_sq(u, alpha))
-        s_out = np.sqrt(sobolev_seminorm_sq(out, alpha))
-        worst_seminorm = max(worst_seminorm, (s_out - s_in) / s_in)
-    worst_pairing = -np.inf
-    for r in range(count):
+    seminorm_excess = []
+    pairing_excess = []
+    for start in range(0, count, block):
+        rs = range(start, min(start + block, count))
+        u = _random_band_limited(grid, [seed + r for r in rs], "complex")
+        out = _rearranged(u, grid)
+        kept = np.all(
+            np.sort(np.abs(u).reshape(len(rs), -1), axis=1)
+            == np.sort(out.reshape(len(rs), -1), axis=1),
+            axis=1,
+        )
+        changed += [seed + r for r, same in zip(rs, kept) if not same]
+        s_in = np.sqrt(_seminorm_sq(u, grid, alpha))
+        s_out = np.sqrt(_seminorm_sq(out, grid, alpha))
+        seminorm_excess += ((s_out - s_in) / s_in).tolist()
+        del u, out  # freed before the triples are drawn: a lower peak
         f, g, h = (
-            random_band_limited(grid, seed=pair_seed + 3 * r + i, kind="nonneg")
+            _random_band_limited(grid, [pair_seed + 3 * r + i for r in rs], "nonneg").real
             for i in range(3)
         )
-        lhs, rhs = riesz_check(f, g, h)
-        worst_pairing = max(worst_pairing, (lhs - rhs) / abs(rhs))
-    return SweepResult(changed, float(worst_seminorm), float(worst_pairing))
+        lhs, rhs = _pairings(f, g, h, grid)
+        pairing_excess += ((lhs - rhs) / np.abs(rhs)).tolist()
+    return SweepResult(
+        changed, max([-np.inf, *seminorm_excess]), max([-np.inf, *pairing_excess])
+    )

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field, mass
-from .grid import Grid, PhysicsParams
+from .grid import Grid, PhysicsParams, _dft_trailing
 from .kernel import HartreeKernel, irfft_passes
 
 __all__ = [
@@ -55,11 +55,18 @@ def _spectral_weight(grid: Grid) -> float:
     return grid.cell_volume / grid.size
 
 
+def _seminorm_sq(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
+    """:func:`sobolev_seminorm_sq` of each field of the stack ``values``
+    (shape ``(B, *grid.shape)``, real or complex), transformed on its
+    trailing axes."""
+    uhat = _dft_trailing(values.astype(np.complex128), grid)
+    weighted = grid.fractional_multiplier(alpha) * np.abs(uhat) ** 2
+    return weighted.reshape(len(values), -1).sum(axis=1) * _spectral_weight(grid)
+
+
 def sobolev_seminorm_sq(u: Field, alpha: float) -> float:
     """Squared homogeneous seminorm ``sum |k|^(2*alpha) |u_hat|^2`` (Parseval weight)."""
-    mult = u.grid.fractional_multiplier(alpha)
-    uhat = np.fft.fftn(u.values)
-    return float(np.sum(mult * np.abs(uhat) ** 2) * _spectral_weight(u.grid))
+    return float(_seminorm_sq(u.values[None], u.grid, alpha)[0])
 
 
 def h_alpha_norm(u: Field, alpha: float) -> float:

@@ -249,6 +249,30 @@ class TestInvalidInput:
         assert f"error: snapshot header {header}{tail}" in capsys.readouterr().err
 
 
+class TestOutputDirectory:
+    """The first file a command writes makes its output directory, so a
+    command that exits 2 on its input leaves no directory behind."""
+
+    @pytest.mark.parametrize("command", ["verify", "evolve"])
+    def test_rejected_command_makes_no_directory(self, command, tmp_path):
+        rejected = {
+            "verify": ["verify", "--set", "grid.n=16"],
+            "evolve": ["evolve", *SMALL, "--set", f'dynamics.init="{tmp_path / "nope"}"',
+                       "--set", "dynamics.T=0.01"],
+        }[command]
+        out = tmp_path / "d"
+        assert run([*rejected, "--output-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_successful_run_makes_a_nested_directory(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        code = run(
+            ["rearrange-test", *SMALL, "--set", "rearrange.count=2", "--output-dir", str(out)]
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "rearrange.json"]
+
+
 class TestEvolveCommand:
     def test_plane_wave_matches_the_analytic_solution(self, tmp_path):
         """A plane wave is a standing wave of the Hartree flow: it evolves by

@@ -1,6 +1,9 @@
 """Symmetric-decreasing rearrangement: exact permutation properties,
 seminorm contraction, and the triple-convolution inequality, including
-strict cases and randomized property checks."""
+strict cases and randomized property checks; the blocked sweep against a
+field-by-field reference, and its memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +12,16 @@ from hypothesis import given, strategies as st
 from fhnlse import (
     Field,
     Grid,
+    gaussian,
     radial_order,
     random_band_limited,
     riesz_check,
     sobolev_seminorm_sq,
     symmetric_rearrange,
 )
-from fhnlse.fields import with_mass
+from fhnlse.fields import band_limited_noise, mass, with_mass
+from fhnlse.rearrange import SweepResult, rearrangement_sweep
+from fhnlse.stability import NOISE_KEEP_FRACTION, perturb
 
 ALPHA = 0.6
 
@@ -169,3 +175,129 @@ def test_rearrange_properties_hold_for_arbitrary_fields(seed, n, kind):
     s_in = sobolev_seminorm_sq(u, ALPHA)
     s_out = sobolev_seminorm_sq(out, ALPHA)
     assert s_out <= s_in * (1.0 + 1e-9) + 1e-15
+
+
+# The reference: one field at a time, through the n-D transforms and
+# whole-array sums.  The blocked helpers act on the trailing axes of a stack
+# one row at a time, so they must reproduce these bit for bit.
+
+
+def _noise_ref(grid: Grid, seed: int, keep_fraction: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    coeff = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    m = np.fft.fftfreq(grid.n) * grid.n
+    keep = np.abs(m) <= keep_fraction * (grid.n / 2.0)
+    for axis in range(grid.d):
+        view = [1] * grid.d
+        view[axis] = grid.n
+        coeff = coeff * keep.reshape(view)
+    return np.fft.ifftn(coeff)
+
+
+def _random_ref(grid: Grid, seed: int, kind: str = "complex") -> np.ndarray:
+    vals = _noise_ref(grid, seed, 1.0 / 3.0)
+    if kind == "nonneg":
+        vals = np.abs(vals.real).astype(np.complex128)
+    return vals / np.sqrt(np.sum(np.abs(vals) ** 2) * grid.cell_volume)
+
+
+def _rearrange_ref(vals: np.ndarray, grid: Grid) -> np.ndarray:
+    out = np.empty(grid.size)
+    out[radial_order(grid)] = np.sort(np.abs(vals).ravel())[::-1]
+    return out.reshape(grid.shape).astype(np.complex128)
+
+
+def _seminorm_ref(vals: np.ndarray, grid: Grid, alpha: float) -> float:
+    weighted = grid.fractional_multiplier(alpha) * np.abs(np.fft.fftn(vals)) ** 2
+    return float(np.sum(weighted) * (grid.cell_volume / grid.size))
+
+
+def _triple_ref(f: np.ndarray, g: np.ndarray, h: np.ndarray, grid: Grid) -> float:
+    shift = (-(grid.n // 2),) * grid.d
+    g_disp = np.roll(g, shift=shift, axis=tuple(range(grid.d)))
+    conv = np.fft.ifftn(np.fft.fftn(g_disp) * np.fft.fftn(h)).real
+    return float(np.sum(f * conv)) * grid.cell_volume**2
+
+
+def _riesz_ref(f, g, h, grid: Grid) -> tuple[float, float]:
+    lhs = _triple_ref(f.real, g.real, h.real, grid)
+    rhs = _triple_ref(*(_rearrange_ref(x, grid).real for x in (f, g, h)), grid)
+    return lhs, rhs
+
+
+def _sweep_field_by_field(grid, alpha, count, seed, pair_seed) -> SweepResult:
+    changed = []
+    worst_seminorm = -np.inf
+    for r in range(count):
+        u = _random_ref(grid, seed + r)
+        out = _rearrange_ref(u, grid)
+        if not np.array_equal(np.sort(np.abs(u).ravel()), np.sort(out.real.ravel())):
+            changed.append(seed + r)
+        s_in = np.sqrt(_seminorm_ref(u, grid, alpha))
+        s_out = np.sqrt(_seminorm_ref(out, grid, alpha))
+        worst_seminorm = max(worst_seminorm, (s_out - s_in) / s_in)
+    worst_pairing = -np.inf
+    for r in range(count):
+        triple = (_random_ref(grid, pair_seed + 3 * r + i, "nonneg") for i in range(3))
+        lhs, rhs = _riesz_ref(*triple, grid)
+        worst_pairing = max(worst_pairing, (lhs - rhs) / abs(rhs))
+    return SweepResult(changed, float(worst_seminorm), float(worst_pairing))
+
+
+REFERENCE_GRIDS = [Grid(d=1, n=64, L=20.0), Grid(d=2, n=32, L=20.0), Grid(d=3, n=8, L=10.0)]
+
+
+class TestBlockedAgainstFieldByField:
+    @pytest.mark.parametrize(
+        "d, n, L, count",
+        [(1, 64, 20.0, 100), *((2, 32, 20.0, c) for c in (1, 3, 30, 100)), (3, 8, 10.0, 30)],
+    )
+    def test_sweep_is_bitwise_the_reference(self, d, n, L, count):
+        """Counts 1, 3, 30 and 100 on 32^2 leave a partial last block."""
+        grid = Grid(d=d, n=n, L=L)
+        assert rearrangement_sweep(grid, ALPHA, count, 5, 10_005) == _sweep_field_by_field(
+            grid, ALPHA, count, 5, 10_005
+        )
+
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS)
+    def test_per_field_functions_are_bitwise_the_reference(self, grid):
+        for seed in range(3):
+            for keep in (1.0 / 3.0, NOISE_KEEP_FRACTION, 1.0):
+                noise = band_limited_noise(grid, seed, keep)
+                assert noise.tobytes() == _noise_ref(grid, seed, keep).tobytes()
+            for kind in ("complex", "nonneg"):
+                u = random_band_limited(grid, seed, kind)
+                assert u.values.tobytes() == _random_ref(grid, seed, kind).tobytes()
+                out = symmetric_rearrange(u)
+                assert out.values.tobytes() == _rearrange_ref(u.values, grid).tobytes()
+                for field in (u, out):
+                    assert sobolev_seminorm_sq(field, ALPHA) == _seminorm_ref(
+                        field.values, grid, ALPHA
+                    )
+            triple = [random_band_limited(grid, 3 * seed + i, "nonneg") for i in range(3)]
+            assert riesz_check(*triple) == _riesz_ref(*(f.values for f in triple), grid)
+
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS)
+    def test_perturb_is_bitwise_the_reference(self, grid):
+        g = gaussian(grid, mass=1.0)
+        w = _noise_ref(grid, 4, NOISE_KEEP_FRACTION)
+        w = w * (1.0 / np.sqrt(mass(Field(grid, w)) + _seminorm_ref(w, grid, ALPHA)))
+        expected = g.values + 0.01 * w
+        assert perturb(g, ALPHA, 0.01, seed=4).values.tobytes() == expected.tobytes()
+
+
+def test_sweep_memory_does_not_grow_with_the_count():
+    """Blocks bound the sweep's memory: an unblocked sweep of 400 fields on
+    32^2 would peak about 64 MiB above one of 4."""
+    grid = Grid(d=2, n=32, L=20.0)
+    rearrangement_sweep(grid, ALPHA, 1, 1, 2)  # caches the grid's tables
+
+    def peak(count: int) -> int:
+        tracemalloc.start()
+        try:
+            rearrangement_sweep(grid, ALPHA, count, 1, 10_001)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400) - peak(4) < 2**20

@@ -87,15 +87,16 @@ class TestRearrangementVerdict:
     ):
         """A pairing excess just above the sweep's slack must fail both the
         ``rearrange-test`` command and the ``rearrangement-suite`` check,
-        which read the one verdict of ``rearrangement_sweep``."""
-        real = rearrange_module.riesz_check
+        which read the one verdict of ``rearrangement_sweep``.  The excess is
+        put into the pairings of every block of triples the sweep tests."""
+        real = rearrange_module._pairings
         excess = 2 * rearrange_module.SweepResult.slack
 
-        def inflated(f, g, h):
-            lhs, rhs = real(f, g, h)
-            return rhs + excess * abs(rhs), rhs
+        def inflated(f, g, h, grid):
+            lhs, rhs = real(f, g, h, grid)
+            return rhs + excess * np.abs(rhs), rhs
 
-        monkeypatch.setattr(rearrange_module, "riesz_check", inflated)
+        monkeypatch.setattr(rearrange_module, "_pairings", inflated)
         code = main(
             ["rearrange-test", "--set", "grid.n=16", "--set", "grid.L=12.0",
              "--set", "rearrange.count=3", "--output-dir", str(tmp_path)]
