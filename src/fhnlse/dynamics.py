@@ -19,11 +19,16 @@ goes to the caller's ``observe`` as it is made and is not kept: the
 trajectory holds the conserved-quantity series and the final state, so its
 memory does not grow with the number of records.
 
-The step's complex pair runs as unnormalized 1-D passes, in place in one
-array and in the axis order of ``np.fft.fftn``: this skips NumPy's n-D
-wrapper and the inverse's separate ``1/N`` pass.  The ``1/N`` is folded
-into the Fourier-space factors instead; ``N`` is a power of two, so every
-state is bit-for-bit what the normalized ``fftn``/``ifftn`` pair gives.
+The step's complex pair runs as unnormalized 1-D passes through NumPy's
+pocketfft gufuncs (``grid._pass``), in place in one array and in the axis
+order of ``np.fft.fftn``: this skips NumPy's n-D and 1-D wrappers and the
+inverse's separate ``1/N`` pass.  The ``1/N`` is folded into the
+Fourier-space factors instead; ``N`` is a power of two, so every state is
+bit-for-bit what the normalized ``fftn``/``ifftn`` pair gives.  The
+nonlinear substep fills two work arrays allocated once per run (the
+density, which becomes its potential and then half the phase angle, and
+the phase), so a step allocates only the convolution's half spectrum and
+the finiteness check's mask.
 
 The equation written with the opposite sign is the conjugate flow: its
 solution from ``psi0`` is ``conj(evolve(conj(psi0)))``, which also runs
@@ -43,7 +48,7 @@ import numpy as np
 
 from .errors import NumericalAbort
 from .fields import Field, mass
-from .grid import PhysicsParams
+from .grid import PhysicsParams, _pass
 from .kernel import HartreeKernel
 from .spectral import check_setup, energy
 
@@ -52,36 +57,30 @@ __all__ = ["evolve", "Trajectory"]
 logger = logging.getLogger(__name__)
 
 
-def _unit_phase(theta: np.ndarray) -> np.ndarray:
-    """``exp(i theta)`` for real ``theta``, from the half-angle tangent
-    ``t = tan(theta / 2)``: ``cos theta = (1 - t^2) / (1 + t^2)`` and
-    ``sin theta = 2 t / (1 + t^2)``.
+def _unit_phase(half_theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``exp(i theta)`` for real ``theta`` given ``half_theta = theta / 2``,
+    from the half-angle tangent ``t = tan(theta / 2)``: ``cos theta = (1 -
+    t^2) / (1 + t^2)`` and ``sin theta = 2 t / (1 + t^2)``.
 
     One vectorized ``tan`` replaces a ``cos`` and a ``sin``, each several
     times its cost; the result is unimodular for every finite ``t`` and
-    agrees with ``cos + i sin`` to a few ulps.  NaN and infinite ``theta``
-    give NaN.
+    agrees with ``cos + i sin`` to a few ulps.  NaN and infinite angles
+    give NaN.  Works in place: ``half_theta`` is overwritten (it ends as
+    ``2 t``), and the phase goes to ``out`` (a new complex array if None),
+    whose imaginary part holds ``t^2`` and then ``1 / (1 + t^2)`` on the
+    way.
     """
-    t = np.tan(0.5 * theta)
-    t_sq = t * t
-    inv = 1.0 + t_sq
-    np.reciprocal(inv, out=inv)
-    out = np.empty(theta.shape, dtype=complex)
-    np.subtract(1.0, t_sq, out=out.real)
-    out.real *= inv
+    if out is None:
+        out = np.empty(half_theta.shape, dtype=complex)
+    t = np.tan(half_theta, out=half_theta)
+    np.multiply(t, t, out=out.imag)
+    np.subtract(1.0, out.imag, out=out.real)
+    out.imag += 1.0
+    np.reciprocal(out.imag, out=out.imag)
+    out.real *= out.imag
     t += t
-    np.multiply(t, inv, out=out.imag)
+    out.imag *= t
     return out
-
-
-def _dft_in_place(a: np.ndarray, inverse: bool) -> np.ndarray:
-    """Unnormalized n-D DFT of ``a``, overwriting it: 1-D passes over the
-    axes, last axis first (the order of ``np.fft.fftn``).  ``inverse`` flips
-    the sign of the exponent; neither direction scales by ``1/N``."""
-    transform, norm = (np.fft.ifft, "forward") if inverse else (np.fft.fft, "backward")
-    for axis in range(a.ndim - 1, -1, -1):
-        transform(a, axis=axis, norm=norm, out=a)
-    return a
 
 
 def _strang(
@@ -102,25 +101,37 @@ def _strang(
     state: a recorded step closes with ``half`` and reopens with
     ``half / N``, any other with the merged factor over ``N``.  ``N`` is a
     power of two, so the folded scaling is exact.  One array holds
-    ``psi_hat`` and the state in turn.  Raises :class:`NumericalAbort` on
+    ``psi_hat`` and the state in turn, and the nonlinear substep works in
+    two arrays allocated once per run.  Raises :class:`NumericalAbort` on
     non-finite values.
     """
     n = max(int(np.ceil(T / dt - 1e-9)), 1 if T > 0 else 0)
     h = T / max(n, 1)
-    half = _unit_phase(0.5 * h * mult)
+    # _unit_phase takes half the angle: the half-step factor's angle is
+    # h/2 * mult, the merged factor's (closing half of one step times the
+    # opening half of the next) h * mult
+    half = _unit_phase(0.25 * h * mult)
     reopen = half / values.size
-    # closing half of one step times opening half of the next
-    merged = _unit_phase(h * mult) / values.size
+    merged = _unit_phase(0.5 * h * mult) / values.size
     psi_hat = np.fft.fftn(values)
     psi_hat *= reopen
+    axes = range(-1, -values.ndim - 1, -1)  # last axis first, as in fftn
+    phase = np.empty(values.shape, dtype=complex)
+    squares = phase.view(np.float64)  # holds the state's x^2 and y^2 first
+    # the density, then in place its potential, then half the phase angle
+    rho = np.empty(values.shape)
     for k in range(1, n + 1):
-        vals = _dft_in_place(psi_hat, inverse=True)
-        rho = vals.real**2
-        rho += vals.imag**2
-        pot = kernel.convolve_density(rho)
-        pot *= -h
-        vals *= _unit_phase(pot)
-        psi_hat = _dft_in_place(vals, inverse=False)
+        for axis in axes:
+            _pass("ifft", psi_hat, axis, 1.0, psi_hat)
+        np.square(psi_hat.view(np.float64), out=squares)
+        np.add(squares[..., 0::2], squares[..., 1::2], out=rho)
+        kernel.convolve_density(rho, out=rho)
+        # half the phase angle, bit for bit 0.5 * ((-h) * potential):
+        # scaling by a power of two commutes with rounding short of underflow
+        rho *= -0.5 * h
+        psi_hat *= _unit_phase(rho, out=phase)
+        for axis in axes:
+            _pass("fft", psi_hat, axis, 1.0, psi_hat)
         if not np.all(np.isfinite(psi_hat.view(np.float64))):
             raise NumericalAbort(f"non-finite state at step {k} (t = {k * h:g})")
         if k % stride == 0 or k == n:

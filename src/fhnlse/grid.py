@@ -6,6 +6,16 @@ the lattice (index ``n // 2`` along every axis), wavenumbers follow the
 standard aliased FFT ordering ``k_m = 2*pi*m/L`` with
 ``m in {-n/2, ..., n/2 - 1}``, and displacement lattices are reduced to the
 minimum image (every component in ``[-L/2, L/2)``).
+
+Every transform of a field runs as 1-D passes, one lattice axis at a time,
+through NumPy's own pocketfft gufuncs, bound once here (``_POCKETFFT``)
+and called by the one pass helper ``_pass`` with a precomputed ``axes=``
+argument and an explicit scale factor.  Each pass is the very call that
+``numpy.fft``'s 1-D function makes, without its per-call wrapper, so
+every result is bit for bit NumPy's.  ``_dft_trailing`` strings the
+passes into the complex n-D transforms over the lattice axes of a field
+or a stack of fields; ``kernel.rfft_passes``/``irfft_passes`` into the
+real pair, and ``dynamics`` into the unnormalized pair of its Strang step.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 __all__ = ["Grid", "PhysicsParams"]
 
@@ -34,13 +45,41 @@ def _trailing_axes(grid: "Grid") -> tuple[int, ...]:
     return tuple(range(-grid.d, 0))
 
 
+# NumPy's own 1-D pocketfft gufuncs, the objects that ``numpy.fft``'s
+# functions call (NumPy >= 2.0).  Each transforms along the one axis named
+# by its ``axes=`` argument, scales by an explicit factor ``fct`` and
+# writes to ``out``; calling it directly skips the per-call Python wrapper
+# (norm handling, axis normalization, output allocation).  The last axis
+# of a lattice has an even number of points, so ``rfft_n_even`` serves.
+# Every per-axis pass goes through :func:`_pass`.
+_POCKETFFT = {
+    "fft": _pocketfft_umath.fft,
+    "ifft": _pocketfft_umath.ifft,
+    "rfft": _pocketfft_umath.rfft_n_even,
+    "irfft": _pocketfft_umath.irfft,
+}
+
+# the gufuncs' ``axes=`` argument for a pass along lattice axis -1, -2 or -3
+_PASS_AXES = {axis: [(axis,), (), (axis,)] for axis in (-1, -2, -3)}
+
+
+def _pass(kind: str, a: np.ndarray, axis: int, fct: float, out: np.ndarray) -> np.ndarray:
+    """One 1-D transform (``kind`` one of ``"fft"``, ``"ifft"``, ``"rfft"``,
+    ``"irfft"``) of ``a`` along ``axis``, scaled by ``fct`` and written to
+    ``out``, which may be ``a`` for the complex kinds.  The gufunc call that
+    ``np.fft.<kind>(a, axis=axis, out=out)`` makes for the norm whose factor
+    is ``fct``, so bit for bit its result."""
+    return _POCKETFFT[kind](a, fct, axes=_PASS_AXES[axis], out=out)
+
+
 def _dft_trailing(a: np.ndarray, grid: "Grid", inverse: bool = False) -> np.ndarray:
     """``np.fft.fftn(a, axes=_trailing_axes(grid))``, or ``ifftn`` if
     ``inverse``, bit for bit, overwriting the complex array ``a``: the 1-D
-    passes that ``fftn`` makes, last axis first, without its n-D wrapper."""
-    transform = np.fft.ifft if inverse else np.fft.fft
+    passes that ``fftn`` makes, last axis first, each inverse pass scaled by
+    ``1/n`` as in ``ifftn``."""
+    kind, fct = ("ifft", 1.0 / grid.n) if inverse else ("fft", 1.0)
     for axis in reversed(_trailing_axes(grid)):
-        transform(a, axis=axis, out=a)
+        _pass(kind, a, axis, fct, a)
     return a
 
 

@@ -19,7 +19,7 @@ from fhnlse import (
     plane_wave,
     random_band_limited,
 )
-from fhnlse.dynamics import _unit_phase
+from fhnlse.dynamics import _strang, _unit_phase
 
 ALPHA = 0.6
 GAMMA = 0.5
@@ -156,12 +156,82 @@ class TestAgainstRealSpaceComposition:
         assert traj.final is observed[-1]
 
 
+def _allocating_unit_phase(theta):
+    """The half-angle phase ``exp(i theta)`` as the loop formed it with fresh
+    temporaries: the reference for :func:`_allocating_strang`."""
+    t = np.tan(0.5 * theta)
+    t_sq = t * t
+    inv = 1.0 + t_sq
+    np.reciprocal(inv, out=inv)
+    out = np.empty(theta.shape, dtype=complex)
+    np.subtract(1.0, t_sq, out=out.real)
+    out.real *= inv
+    t += t
+    np.multiply(t, inv, out=out.imag)
+    return out
+
+
+def _allocating_strang(values, mult, kernel, T, dt, stride):
+    """The Fourier-resident loop as it stood before its work arrays, through
+    public ``numpy.fft`` n-D calls (which make the same 1-D passes in the
+    same order) and with fresh temporaries every step; yields ``(k, t,
+    values)`` like :func:`fhnlse.dynamics._strang`."""
+    n = max(int(np.ceil(T / dt - 1e-9)), 1 if T > 0 else 0)
+    h = T / max(n, 1)
+    half = _allocating_unit_phase(0.5 * h * mult)
+    reopen = half / values.size
+    merged = _allocating_unit_phase(h * mult) / values.size
+    psi_hat = np.fft.fftn(values)
+    psi_hat *= reopen
+    for k in range(1, n + 1):
+        vals = np.fft.ifftn(psi_hat, norm="forward")
+        rho = vals.real**2
+        rho += vals.imag**2
+        rho_hat = np.fft.rfftn(rho) * kernel._half_spectrum
+        pot = np.fft.irfftn(rho_hat, s=rho.shape, axes=range(rho.ndim), norm="forward")
+        pot *= -h
+        vals *= _allocating_unit_phase(pot)
+        psi_hat = np.fft.fftn(vals)
+        if k % stride == 0 or k == n:
+            psi_hat *= half
+            yield k, (T if k == n else k * h), np.fft.ifftn(psi_hat)
+            psi_hat *= reopen
+        else:
+            psi_hat *= merged
+
+
+class TestAgainstTheAllocatingLoop:
+    """The loop with its work arrays and its passes through NumPy's pocketfft
+    gufuncs gives the very bits of the allocating loop on public
+    ``numpy.fft``, at every recorded state."""
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize(
+        "d, n, L", [(1, 32, 25.0), (2, 32, 25.0), (3, 16, 12.0)], ids=["d1", "d2", "d3"]
+    )
+    def test_every_recorded_state_is_bitwise_the_allocating_loops(self, d, n, L, stride):
+        grid, kernel = _box(n=n, L=L, d=d)
+        p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
+        psi0 = random_band_limited(grid, seed=16) * 2.0  # mass 4: strongly nonlinear
+        dt = 1e-2
+        T = 23.4 * dt  # 24 equal steps of T/24
+        mult = grid.fractional_multiplier(ALPHA)
+        reference = list(_allocating_strang(psi0.values, mult, kernel, T, dt, stride))
+        observed = []
+        traj = evolve(psi0, p, kernel, T=T, dt=dt, stride=stride, observe=observed.append)
+        assert traj.times.tolist() == [0.0] + [t for _, t, _ in reference]
+        assert np.array_equal(observed[0].values, psi0.values)
+        assert len(observed) == 1 + len(reference) == 2 + (24 - 1) // stride
+        for got, (_, _, want) in zip(observed[1:], reference):
+            assert np.array_equal(got.values, want)
+
+
 class TestUnitPhase:
     def test_matches_cos_and_sin_and_is_unimodular(self):
         theta = np.concatenate(
             [np.linspace(-1e4, 1e4, 200_001), [np.pi, -np.pi, np.pi / 2, -np.pi / 2]]
         )
-        phase = _unit_phase(theta)
+        phase = _unit_phase(0.5 * theta)
         assert np.max(np.abs(phase - (np.cos(theta) + 1j * np.sin(theta)))) <= 5e-16
         assert np.max(np.abs(np.abs(phase) - 1.0)) <= 5e-16
 
@@ -169,6 +239,12 @@ class TestUnitPhase:
         with np.errstate(invalid="ignore"):
             phase = _unit_phase(np.array([np.nan, np.inf, -np.inf]))
         assert np.all(np.isnan(phase))
+
+    def test_writes_the_same_phase_into_out(self):
+        half_theta = np.linspace(-3.0, 3.0, 101)
+        out = np.empty(101, dtype=complex)
+        assert _unit_phase(half_theta.copy(), out=out) is out
+        assert np.array_equal(out, _unit_phase(half_theta.copy()))
 
 
 class TestBookkeeping:
@@ -295,5 +371,32 @@ class TestValidationAndAborts:
         grid, kernel = _box(n=16, L=12.0)
         bad = np.ones(grid.shape, dtype=complex)
         bad[3, 3] = np.inf
-        with pytest.raises(NumericalAbort, match="non-finite"):
+        with pytest.raises(NumericalAbort, match=r"non-finite state at step 1 \("):
             evolve(Field(grid, bad), P2, kernel, T=1e-2, dt=1e-3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_bad_step_aborts_at_that_step(self, monkeypatch):
+        """A NaN potential in the third step's convolution aborts that step:
+        the work arrays reused from step to step cannot carry the earlier,
+        finite values over it."""
+        grid, kernel = _box(n=16, L=12.0)
+        psi0 = random_band_limited(grid, seed=18)
+        convolve = HartreeKernel.convolve_density
+        calls = [0]
+
+        def poisoned(self, rho, out=None):
+            calls[0] += 1
+            pot = convolve(self, rho, out=out)
+            if calls[0] == 3:
+                pot[...] = np.nan
+            return pot
+
+        monkeypatch.setattr(HartreeKernel, "convolve_density", poisoned)
+        mult = grid.fractional_multiplier(ALPHA)
+        recorded = []
+        with pytest.raises(NumericalAbort, match=r"non-finite state at step 3 \("):
+            for k, _, vals in _strang(psi0.values, mult, kernel, T=1e-2, dt=1e-3, stride=1):
+                recorded.append(k)
+                assert np.all(np.isfinite(vals))
+        assert recorded == [1, 2]
+        assert calls[0] == 3

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fhnlse import Grid, PhysicsParams
+from fhnlse.grid import _dft_trailing
 
 
 class TestGridGeometry:
@@ -94,6 +95,32 @@ class TestGridGeometry:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Grid(d=2, n=32, L=26.0)
+
+
+class TestTrailingTransforms:
+    """``_dft_trailing`` runs its passes through NumPy's pocketfft gufuncs
+    and gives the very bits of the public n-D transforms."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid(d=1, n=64, L=40.0), Grid(d=2, n=16, L=10.0), Grid(d=3, n=8, L=5.0)],
+        ids=["d1", "d2", "d3"],
+    )
+    def test_equals_fftn_and_ifftn_over_the_trailing_axes_bitwise(self, grid):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal(
+            (3,) + grid.shape
+        )
+        axes = tuple(range(1, grid.d + 1))
+        forward = _dft_trailing(stack.copy(), grid)
+        assert np.array_equal(forward, np.fft.fftn(stack, axes=axes))
+        inverse = _dft_trailing(stack.copy(), grid, inverse=True)
+        assert np.array_equal(inverse, np.fft.ifftn(stack, axes=axes))
+
+    def test_transforms_in_place(self):
+        grid = Grid(d=2, n=8, L=4.0)
+        a = np.ones((2,) + grid.shape, dtype=complex)
+        assert _dft_trailing(a, grid) is a
 
 
 class TestGridValidation:

@@ -5,6 +5,7 @@ subadditivity experiments, initialization robustness, and failure modes."""
 import numpy as np
 import pytest
 
+import fhnlse.grid as grid_module
 import fhnlse.groundstate as groundstate_module
 import fhnlse.kernel as kernel_module
 from fhnlse import (
@@ -209,7 +210,7 @@ NUMPY_TRANSFORMS = ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn", "rfft", "
 def count_real_pair(monkeypatch) -> tuple[dict, list]:
     """Count the calls of the real pair ``kernel.rfft_passes`` /
     ``irfft_passes`` and of the density convolution, and list every
-    ``numpy.fft`` transform called from outside the pair.
+    ``numpy.fft`` transform or per-axis pass called from outside the pair.
 
     Inside the pair the complex 1-D passes act on half spectra: they are
     part of a real transform, not a transform of a complex field."""
@@ -243,6 +244,9 @@ def count_real_pair(monkeypatch) -> tuple[dict, list]:
             monkeypatch.setattr(module, name, pair(name, original))
     for name in NUMPY_TRANSFORMS:
         monkeypatch.setattr(np.fft, name, watched(name, getattr(np.fft, name)))
+    # the per-axis passes call NumPy's pocketfft gufuncs through this binding
+    for name, gufunc in grid_module._POCKETFFT.items():
+        monkeypatch.setitem(grid_module._POCKETFFT, name, watched(name, gufunc))
     return counts, stray
 
 

@@ -16,8 +16,9 @@ from fhnlse import (
     origin_cell_average,
     random_band_limited,
 )
+from fhnlse import grid as grid_module
 from fhnlse import kernel as kernel_module
-from fhnlse.kernel import DIRECT_SITE_LIMIT, kernel_spectrum
+from fhnlse.kernel import DIRECT_SITE_LIMIT, irfft_passes, kernel_spectrum, rfft_passes
 from fhnlse.spectral import EnergyTerms
 
 
@@ -230,6 +231,9 @@ class TestHartreePairings:
 
         for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
             monkeypatch.setattr(np.fft, name, refuse)
+        # the per-axis passes call NumPy's pocketfft gufuncs through this binding
+        for name in grid_module._POCKETFFT:
+            monkeypatch.setitem(grid_module._POCKETFFT, name, refuse)
         assert hartree_direct(u, kernel) == pytest.approx(expected, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize(
@@ -299,6 +303,50 @@ class TestHartreePairings:
         half = kernel.spectrum[..., : grid.n // 2 + 1] * grid.cell_volume
         normalized = np.fft.irfftn(np.fft.rfftn(rho, axes=axes) * half, s=grid.shape, axes=axes)
         assert np.array_equal(kernel.convolve_density(rho), normalized)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid(d=1, n=64, L=40.0), Grid(d=2, n=32, L=20.0), Grid(d=3, n=16, L=10.0)],
+        ids=["d1", "d2", "d3"],
+    )
+    @pytest.mark.parametrize("norm", ["backward", "forward"])
+    @pytest.mark.parametrize("with_out", [False, True], ids=["new", "out"])
+    def test_real_passes_equal_rfftn_and_irfftn_bitwise(self, grid, norm, with_out):
+        """The passes through NumPy's pocketfft gufuncs give the very bits of
+        the public n-D real pair, into a given array or a new one."""
+        x = np.random.default_rng(6).standard_normal(grid.shape)
+        expected_hat = np.fft.rfftn(x)
+        out_hat = np.empty(expected_hat.shape, dtype=complex) if with_out else None
+        x_hat = rfft_passes(x, out=out_hat)
+        assert np.array_equal(x_hat, expected_hat)
+        expected = np.fft.irfftn(x_hat, s=grid.shape, axes=range(grid.d), norm=norm)
+        out = np.empty(grid.shape) if with_out else None
+        back = irfft_passes(x_hat, grid.n, norm=norm, out=out)
+        assert np.array_equal(back, expected)
+        if with_out:
+            assert x_hat is out_hat
+            assert back is out
+
+    def test_inverse_passes_accept_only_the_backward_and_forward_norms(self):
+        x_hat = rfft_passes(np.ones(16))
+        with pytest.raises(ValueError, match="ortho"):
+            irfft_passes(x_hat, 16, norm="ortho")
+
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid(d=1, n=64, L=40.0), Grid(d=2, n=32, L=20.0), Grid(d=3, n=16, L=10.0)],
+        ids=["d1", "d2", "d3"],
+    )
+    def test_convolution_into_a_given_array(self, grid):
+        kernel = HartreeKernel(grid, 0.5)
+        rho = np.abs(random_band_limited(grid, seed=26).values) ** 2
+        expected = kernel.convolve_density(rho)
+        buf = np.empty(grid.shape)
+        assert kernel.convolve_density(rho, out=buf) is buf
+        assert np.array_equal(buf, expected)
+        # the density's own array may take its potential
+        assert kernel.convolve_density(rho, out=rho) is rho
+        assert np.array_equal(rho, expected)
 
     def test_doubled_spectrum_desynchronizes_the_fast_pairing(self, monkeypatch):
         """The fast path must read ``spectrum`` as built by ``kernel_spectrum``,
