@@ -25,10 +25,12 @@ order of ``np.fft.fftn``: this skips NumPy's n-D and 1-D wrappers and the
 inverse's separate ``1/N`` pass.  The ``1/N`` is folded into the
 Fourier-space factors instead; ``N`` is a power of two, so every state is
 bit-for-bit what the normalized ``fftn``/``ifftn`` pair gives.  The
-nonlinear substep fills two work arrays allocated once per run (the
-density, which becomes its potential and then half the phase angle, and
-the phase), so a step allocates only the convolution's half spectrum and
-the finiteness check's mask.
+nonlinear substep and the finiteness check fill work arrays allocated
+once per run: the density, which becomes its potential, then half the
+phase angle and then ``sin theta``; the phase, which first holds the
+state's squares; a real pair for ``cos theta`` and ``1 / (1 + t^2)``, so
+that all the phase arithmetic runs on contiguous arrays; and the
+finiteness mask.  A step allocates only the convolution's half spectrum.
 
 The equation written with the opposite sign is the conjugate flow: its
 solution from ``psi0`` is ``conj(evolve(conj(psi0)))``, which also runs
@@ -41,13 +43,14 @@ from __future__ import annotations
 
 import itertools
 import logging
+import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalAbort
-from .fields import Field, mass
+from .fields import Field
 from .grid import PhysicsParams, _pass
 from .kernel import HartreeKernel
 from .spectral import check_setup, energy
@@ -57,7 +60,9 @@ __all__ = ["evolve", "Trajectory"]
 logger = logging.getLogger(__name__)
 
 
-def _unit_phase(half_theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _unit_phase(
+    half_theta: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """``exp(i theta)`` for real ``theta`` given ``half_theta = theta / 2``,
     from the half-angle tangent ``t = tan(theta / 2)``: ``cos theta = (1 -
     t^2) / (1 + t^2)`` and ``sin theta = 2 t / (1 + t^2)``.
@@ -65,21 +70,30 @@ def _unit_phase(half_theta: np.ndarray, out: np.ndarray | None = None) -> np.nda
     One vectorized ``tan`` replaces a ``cos`` and a ``sin``, each several
     times its cost; the result is unimodular for every finite ``t`` and
     agrees with ``cos + i sin`` to a few ulps.  NaN and infinite angles
-    give NaN.  Works in place: ``half_theta`` is overwritten (it ends as
-    ``2 t``), and the phase goes to ``out`` (a new complex array if None),
-    whose imaginary part holds ``t^2`` and then ``1 / (1 + t^2)`` on the
-    way.
+    give NaN.  Works in place: ``half_theta`` (contiguous) is overwritten
+    and ends as ``sin theta``, and the phase goes to ``out`` (a new complex
+    array if None).  The arithmetic runs on contiguous real arrays, ``tan``
+    included: ``half_theta`` and ``work``, a real ``(2, *shape)`` array (a
+    new one if None) whose first half ends as ``cos theta`` and whose
+    second holds ``1 / (1 + t^2)``; only the closing copies into
+    ``out.real`` and ``out.imag`` are strided.
     """
     if out is None:
         out = np.empty(half_theta.shape, dtype=complex)
+    if work is None:
+        work = np.empty((2, *half_theta.shape))
+    cos, inv = work
+    # on a contiguous array: NumPy's SIMD tan may take another path on strided input
     t = np.tan(half_theta, out=half_theta)
-    np.multiply(t, t, out=out.imag)
-    np.subtract(1.0, out.imag, out=out.real)
-    out.imag += 1.0
-    np.reciprocal(out.imag, out=out.imag)
-    out.real *= out.imag
+    np.multiply(t, t, out=cos)
+    np.add(cos, 1.0, out=inv)
+    np.reciprocal(inv, out=inv)
+    np.subtract(1.0, cos, out=cos)
+    cos *= inv
     t += t
-    out.imag *= t
+    t *= inv
+    out.real = cos
+    out.imag = t
     return out
 
 
@@ -101,9 +115,10 @@ def _strang(
     state: a recorded step closes with ``half`` and reopens with
     ``half / N``, any other with the merged factor over ``N``.  ``N`` is a
     power of two, so the folded scaling is exact.  One array holds
-    ``psi_hat`` and the state in turn, and the nonlinear substep works in
-    two arrays allocated once per run.  Raises :class:`NumericalAbort` on
-    non-finite values.
+    ``psi_hat`` and the state in turn; the nonlinear substep and the
+    finiteness check work in ``rho``, ``phase``, ``work`` and ``finite``,
+    allocated once per run (see the module docstring for what each holds
+    when).  Raises :class:`NumericalAbort` on non-finite values.
     """
     n = max(int(np.ceil(T / dt - 1e-9)), 1 if T > 0 else 0)
     h = T / max(n, 1)
@@ -118,8 +133,10 @@ def _strang(
     axes = range(-1, -values.ndim - 1, -1)  # last axis first, as in fftn
     phase = np.empty(values.shape, dtype=complex)
     squares = phase.view(np.float64)  # holds the state's x^2 and y^2 first
-    # the density, then in place its potential, then half the phase angle
+    # the density, then in place its potential, half the phase angle, sin theta
     rho = np.empty(values.shape)
+    work = np.empty((2, *values.shape))
+    finite = np.empty(squares.shape, dtype=bool)
     for k in range(1, n + 1):
         for axis in axes:
             _pass("ifft", psi_hat, axis, 1.0, psi_hat)
@@ -129,10 +146,10 @@ def _strang(
         # half the phase angle, bit for bit 0.5 * ((-h) * potential):
         # scaling by a power of two commutes with rounding short of underflow
         rho *= -0.5 * h
-        psi_hat *= _unit_phase(rho, out=phase)
+        psi_hat *= _unit_phase(rho, out=phase, work=work)
         for axis in axes:
             _pass("fft", psi_hat, axis, 1.0, psi_hat)
-        if not np.all(np.isfinite(psi_hat.view(np.float64))):
+        if not np.isfinite(psi_hat.view(np.float64), out=finite).all():
             raise NumericalAbort(f"non-finite state at step {k} (t = {k * h:g})")
         if k % stride == 0 or k == n:
             psi_hat *= half
@@ -188,8 +205,8 @@ def evolve(
     equal steps of ``T/n`` (``dt`` itself when ``T`` is a multiple of it);
     a ``T > 0`` below ``1e-9 * dt`` takes one step of ``T``.
 
-    States are recorded at t = 0, after every ``stride``-th step, and at
-    exactly ``T``.  Each recorded state is passed to ``observe``, in the
+    States are recorded at t = 0, after every ``stride``-th step (an
+    integer >= 1), and at exactly ``T``.  Each recorded state is passed to ``observe``, in the
     order of ``times``, and not kept: the trajectory holds only the last.
     Raises :class:`NumericalAbort` on non-finite values.
     """
@@ -198,8 +215,8 @@ def evolve(
         raise ValueError(f"dt must be positive and finite (got {dt})")
     if not 0 <= T < np.inf:
         raise ValueError(f"T must be nonnegative and finite (got {T})")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1 (got {stride})")
+    if not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1 (got {stride!r})")
 
     grid = psi0.grid
     mult = grid.fractional_multiplier(p.alpha)
@@ -207,7 +224,8 @@ def evolve(
     series = []
     for steps, t, vals in itertools.chain([(0, 0.0, psi0.values.copy())], records):
         state = Field(grid, vals)
-        series.append((t, mass(state), energy(state, p, kernel)))
+        e, terms = energy(state, p, kernel, with_terms=True)
+        series.append((t, terms.mass, e))
         if observe is not None:
             observe(state)
     times, masses, energies = map(np.asarray, zip(*series))

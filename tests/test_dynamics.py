@@ -238,13 +238,40 @@ class TestUnitPhase:
     def test_non_finite_angles_give_nan(self):
         with np.errstate(invalid="ignore"):
             phase = _unit_phase(np.array([np.nan, np.inf, -np.inf]))
+            given_work = _unit_phase(np.array([np.nan, np.inf, -np.inf]), work=np.empty((2, 3)))
         assert np.all(np.isnan(phase))
+        assert np.all(np.isnan(given_work))
 
     def test_writes_the_same_phase_into_out(self):
         half_theta = np.linspace(-3.0, 3.0, 101)
         out = np.empty(101, dtype=complex)
         assert _unit_phase(half_theta.copy(), out=out) is out
         assert np.array_equal(out, _unit_phase(half_theta.copy()))
+
+    def test_is_bitwise_the_allocating_formula_over_the_angle_range(self):
+        theta = np.linspace(-1e4, 1e4, 200_001)
+        phase = _unit_phase(0.5 * theta, work=np.empty((2, theta.size)))
+        assert np.array_equal(phase, _allocating_unit_phase(theta))
+
+    @pytest.mark.parametrize("shape", [(64,), (32, 32), (8, 16, 16)], ids=["d1", "d2", "d3"])
+    def test_is_bitwise_the_allocating_formula_on_lattice_shapes(self, shape):
+        """The per-step call: the angle and the work pair are lattice-shaped."""
+        theta = np.random.default_rng(19).uniform(-50.0, 50.0, shape)
+        phase = _unit_phase(0.5 * theta, out=np.empty(shape, dtype=complex),
+                            work=np.empty((2, *shape)))
+        assert np.array_equal(phase, _allocating_unit_phase(theta))
+
+    def test_reused_work_and_out_give_the_same_bits(self):
+        """Whatever a first call left in ``work`` and ``out``, a second call
+        on the same angles writes the same phase."""
+        theta = np.random.default_rng(20).uniform(-50.0, 50.0, (16, 16))
+        out = np.empty((16, 16), dtype=complex)
+        work = np.empty((2, 16, 16))
+        first = _unit_phase(0.5 * theta, out=out, work=work).copy()
+        _unit_phase(np.full((16, 16), 0.3), out=out, work=work)  # other angles between
+        assert _unit_phase(0.5 * theta, out=out, work=work) is out
+        assert np.array_equal(out, first)
+        assert np.array_equal(first, _allocating_unit_phase(theta))
 
 
 class TestBookkeeping:
@@ -259,6 +286,21 @@ class TestBookkeeping:
         assert len(observed) == len(traj.times)
         assert len(traj.mass_series) == len(traj.times)
         assert len(traj.energy_series) == len(traj.times)
+
+    def test_mass_series_is_the_mass_of_each_recorded_state(self):
+        """The mass comes from the energy evaluation's own density, with the
+        very bits of :func:`mass`."""
+        grid, kernel = _box(n=16, L=12.0)
+        psi0 = random_band_limited(grid, seed=21) * 2.0
+        observed = []
+        traj = evolve(psi0, P2, kernel, T=10e-3, dt=1e-3, stride=3, observe=observed.append)
+        assert traj.mass_series.tolist() == [mass(s) for s in observed]
+
+    def test_a_numpy_integer_stride_is_accepted(self):
+        grid, kernel = _box(n=16, L=12.0)
+        psi0 = random_band_limited(grid, seed=9)
+        traj = evolve(psi0, P2, kernel, T=10e-3, dt=1e-3, stride=np.int64(3))
+        assert traj.times.size == 5
 
     def test_stride_one_records_every_step(self):
         grid, kernel = _box(n=16, L=12.0)
@@ -345,6 +387,9 @@ class TestValidationAndAborts:
             evolve(psi0, P2, kernel, T=-1.0, dt=1e-3)
         with pytest.raises(ValueError, match="stride"):
             evolve(psi0, P2, kernel, T=1.0, dt=1e-3, stride=0)
+        for bad in (2.5, 1.5, 3.0):
+            with pytest.raises(ValueError, match="stride must be an integer"):
+                evolve(psi0, P2, kernel, T=1e-2, dt=1e-3, stride=bad)
         with pytest.raises(ValueError, match="dt"):
             evolve(psi0, P2, kernel, T=1.0, dt=-1e-3)
         for bad in (np.inf, np.nan):
