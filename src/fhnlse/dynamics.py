@@ -19,18 +19,16 @@ goes to the caller's ``observe`` as it is made and is not kept: the
 trajectory holds the conserved-quantity series and the final state, so its
 memory does not grow with the number of records.
 
-The step's complex pair runs as unnormalized 1-D passes through NumPy's
-pocketfft gufuncs (``grid._pass``), in place in one array and in the axis
-order of ``np.fft.fftn``: this skips NumPy's n-D and 1-D wrappers and the
-inverse's separate ``1/N`` pass.  The ``1/N`` is folded into the
-Fourier-space factors instead; ``N`` is a power of two, so every state is
+The step's complex pair is the transforms of :mod:`fhnlse.grid`, unscaled
+and in place in one array; the inverse's ``1/N`` is folded into the
+Fourier-space factors instead.  ``N`` is a power of two, so every state is
 bit-for-bit what the normalized ``fftn``/``ifftn`` pair gives.  The
-nonlinear substep and the finiteness check fill work arrays allocated
-once per run: the density, which becomes its potential, then half the
-phase angle and then ``sin theta``; the phase, which first holds the
-state's squares; a real pair for ``cos theta`` and ``1 / (1 + t^2)``, so
-that all the phase arithmetic runs on contiguous arrays; and the
-finiteness mask.  A step allocates only the convolution's half spectrum.
+nonlinear substep and the finiteness check fill work arrays allocated once
+per run: the density, which becomes its potential, then half the phase
+angle and then ``sin theta``; the phase, which first holds the state's
+squares; a real pair for ``cos theta`` and ``1 / (1 + t^2)``, so that all
+the phase arithmetic runs on contiguous arrays; and the finiteness mask.
+A step allocates only the convolution's half spectrum.
 
 The equation written with the opposite sign is the conjugate flow: its
 solution from ``psi0`` is ``conj(evolve(conj(psi0)))``, which also runs
@@ -51,7 +49,7 @@ import numpy as np
 
 from .errors import NumericalAbort
 from .fields import Field
-from .grid import PhysicsParams, _pass
+from .grid import PhysicsParams, _fftn, _ifftn
 from .kernel import HartreeKernel
 from .spectral import check_setup, energy
 
@@ -111,7 +109,7 @@ def _strang(
     one, which records exactly ``T``.
 
     ``psi_hat`` enters each step with its opening half-step applied, and
-    divided by ``N`` so that the unnormalized inverse passes return the
+    divided by ``N`` so that the unscaled inverse transform returns the
     state: a recorded step closes with ``half`` and reopens with
     ``half / N``, any other with the merged factor over ``N``.  ``N`` is a
     power of two, so the folded scaling is exact.  One array holds
@@ -128,9 +126,9 @@ def _strang(
     half = _unit_phase(0.25 * h * mult)
     reopen = half / values.size
     merged = _unit_phase(0.5 * h * mult) / values.size
-    psi_hat = np.fft.fftn(values)
+    d = kernel.grid.d
+    psi_hat = _fftn(values, d)
     psi_hat *= reopen
-    axes = range(-1, -values.ndim - 1, -1)  # last axis first, as in fftn
     phase = np.empty(values.shape, dtype=complex)
     squares = phase.view(np.float64)  # holds the state's x^2 and y^2 first
     # the density, then in place its potential, half the phase angle, sin theta
@@ -138,8 +136,7 @@ def _strang(
     work = np.empty((2, *values.shape))
     finite = np.empty(squares.shape, dtype=bool)
     for k in range(1, n + 1):
-        for axis in axes:
-            _pass("ifft", psi_hat, axis, 1.0, psi_hat)
+        _ifftn(psi_hat, d, out=psi_hat, scaled=False)
         np.square(psi_hat.view(np.float64), out=squares)
         np.add(squares[..., 0::2], squares[..., 1::2], out=rho)
         kernel.convolve_density(rho, out=rho)
@@ -147,13 +144,12 @@ def _strang(
         # scaling by a power of two commutes with rounding short of underflow
         rho *= -0.5 * h
         psi_hat *= _unit_phase(rho, out=phase, work=work)
-        for axis in axes:
-            _pass("fft", psi_hat, axis, 1.0, psi_hat)
+        _fftn(psi_hat, d, out=psi_hat)
         if not np.isfinite(psi_hat.view(np.float64), out=finite).all():
             raise NumericalAbort(f"non-finite state at step {k} (t = {k * h:g})")
         if k % stride == 0 or k == n:
             psi_hat *= half
-            yield k, (T if k == n else k * h), np.fft.ifftn(psi_hat)
+            yield k, (T if k == n else k * h), _ifftn(psi_hat, d)
             psi_hat *= reopen
         else:
             psi_hat *= merged

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalAbort
-from .grid import Grid, _axis_sum, _dft_trailing
+from .grid import Grid, _axis_sum, _ifftn
 
 __all__ = [
     "Field",
@@ -66,8 +66,11 @@ def _mass_factor(values: np.ndarray, cell_volume: float, q: float) -> float:
 
 
 def with_mass(u: Field, q: float) -> Field:
-    """``u`` rescaled so that ``mass(u) == q``; a zero or non-finite mass
-    raises :class:`NumericalAbort`."""
+    """``u`` rescaled so that ``mass(u) == q``.  A negative or non-finite
+    ``q`` raises ValueError; a zero or non-finite mass of ``u`` raises
+    :class:`NumericalAbort`."""
+    if not 0.0 <= q < np.inf:
+        raise ValueError(f"target mass must be nonnegative and finite (got {q})")
     return u * _mass_factor(u.values, u.grid.cell_volume, q)
 
 
@@ -125,7 +128,7 @@ def _band_limited_noise(grid: Grid, seeds: list[int], keep_fraction: float) -> n
         view = [1] * (grid.d + 1)
         view[axis] = grid.n
         coeff *= keep.reshape(view)
-    return _dft_trailing(coeff, grid, inverse=True)
+    return _ifftn(coeff, grid.d, out=coeff)
 
 
 def band_limited_noise(grid: Grid, seed: int, keep_fraction: float) -> np.ndarray:

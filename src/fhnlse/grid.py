@@ -7,15 +7,20 @@ standard aliased FFT ordering ``k_m = 2*pi*m/L`` with
 ``m in {-n/2, ..., n/2 - 1}``, and displacement lattices are reduced to the
 minimum image (every component in ``[-L/2, L/2)``).
 
-Every transform of a field runs as 1-D passes, one lattice axis at a time,
-through NumPy's own pocketfft gufuncs, bound once here (``_POCKETFFT``)
-and called by the one pass helper ``_pass`` with a precomputed ``axes=``
-argument and an explicit scale factor.  Each pass is the very call that
-``numpy.fft``'s 1-D function makes, without its per-call wrapper, so
-every result is bit for bit NumPy's.  ``_dft_trailing`` strings the
-passes into the complex n-D transforms over the lattice axes of a field
-or a stack of fields; ``kernel.rfft_passes``/``irfft_passes`` into the
-real pair, and ``dynamics`` into the unnormalized pair of its Strang step.
+Every DFT of a field, or of a stack of fields of shape ``(B, *shape)``,
+goes through four helpers of this module, each over the **last ``d``
+axes** of its argument and bit for bit NumPy's n-D function on them:
+``_fftn``, ``_ifftn``, ``_rfftn`` and ``_irfftn`` (``np.fft.fftn``,
+``ifftn``, ``rfftn`` and ``irfftn`` with ``axes=range(-d, 0)``).  Each
+strings 1-D passes, in the axis order of NumPy's n-D function, through the
+one pass helper ``_pass``, which calls NumPy's own pocketfft gufunc
+(``_POCKETFFT``) with a precomputed ``axes=`` argument and an explicit
+scale factor: the call ``numpy.fft``'s 1-D function makes, without its
+per-call wrapper.  An inverse is ``scaled`` by default, each pass by one
+over its length as in NumPy's default norm; ``scaled=False`` leaves every
+pass unscaled, NumPy's ``norm="forward"``, for a caller that folds the
+``1/N`` into a factor of its own (``N`` is a power of two, so the folded
+scaling is exact).
 """
 
 from __future__ import annotations
@@ -39,19 +44,14 @@ def _axis_sum(per_axis: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _trailing_axes(grid: "Grid") -> tuple[int, ...]:
-    """The last ``grid.d`` axes, in order: the lattice axes of a stack of
-    fields of shape ``(B, *grid.shape)``, or of one field."""
-    return tuple(range(-grid.d, 0))
-
-
 # NumPy's own 1-D pocketfft gufuncs, the objects that ``numpy.fft``'s
 # functions call (NumPy >= 2.0).  Each transforms along the one axis named
 # by its ``axes=`` argument, scales by an explicit factor ``fct`` and
 # writes to ``out``; calling it directly skips the per-call Python wrapper
 # (norm handling, axis normalization, output allocation).  The last axis
 # of a lattice has an even number of points, so ``rfft_n_even`` serves.
-# Every per-axis pass goes through :func:`_pass`.
+# Every per-axis pass goes through :func:`_pass`, and only the four n-D
+# helpers below call it.
 _POCKETFFT = {
     "fft": _pocketfft_umath.fft,
     "ifft": _pocketfft_umath.ifft,
@@ -72,15 +72,62 @@ def _pass(kind: str, a: np.ndarray, axis: int, fct: float, out: np.ndarray) -> n
     return _POCKETFFT[kind](a, fct, axes=_PASS_AXES[axis], out=out)
 
 
-def _dft_trailing(a: np.ndarray, grid: "Grid", inverse: bool = False) -> np.ndarray:
-    """``np.fft.fftn(a, axes=_trailing_axes(grid))``, or ``ifftn`` if
-    ``inverse``, bit for bit, overwriting the complex array ``a``: the 1-D
-    passes that ``fftn`` makes, last axis first, each inverse pass scaled by
-    ``1/n`` as in ``ifftn``."""
-    kind, fct = ("ifft", 1.0 / grid.n) if inverse else ("fft", 1.0)
-    for axis in reversed(_trailing_axes(grid)):
-        _pass(kind, a, axis, fct, a)
-    return a
+def _fftn(a: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.fft.fftn(a, axes=range(-d, 0))``, bit for bit, of a real or
+    complex ``a``: ``fft`` passes, last axis first, the first from ``a``
+    into ``out`` (a new complex array if None; it may be ``a``) and the
+    rest in place."""
+    if out is None:
+        out = np.empty(a.shape, dtype=complex)
+    for axis in range(-1, -d - 1, -1):
+        _pass("fft", a, axis, 1.0, out)
+        a = out
+    return out
+
+
+def _ifftn(
+    a: np.ndarray, d: int, out: np.ndarray | None = None, scaled: bool = True
+) -> np.ndarray:
+    """``np.fft.ifftn(a, axes=range(-d, 0))``, or with ``norm="forward"`` if
+    not ``scaled``, bit for bit: :func:`_fftn`'s passes with ``ifft``."""
+    if out is None:
+        out = np.empty(a.shape, dtype=complex)
+    for axis in range(-1, -d - 1, -1):
+        _pass("ifft", a, axis, 1.0 / a.shape[axis] if scaled else 1.0, out)
+        a = out
+    return out
+
+
+def _rfftn(x: np.ndarray, d: int) -> np.ndarray:
+    """``np.fft.rfftn(x, axes=range(-d, 0))``, bit for bit, of a real ``x``
+    whose last axis has an even length, as on every lattice: an ``rfft`` of
+    the last axis into a new half spectrum, then ``fft`` passes in place
+    over the others, last first."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=complex)
+    _pass("rfft", x, -1, 1.0, out)
+    for axis in range(-2, -d - 1, -1):
+        _pass("fft", out, axis, 1.0, out)
+    return out
+
+
+def _irfftn(
+    x_hat: np.ndarray,
+    d: int,
+    n: int,
+    out: np.ndarray | None = None,
+    scaled: bool = True,
+) -> np.ndarray:
+    """The real array with half spectrum ``x_hat`` and ``n`` points on the
+    last axis, bit for bit ``np.fft.irfftn`` of ``x_hat`` over its last
+    ``d`` axes (``norm="forward"`` if not ``scaled``): ``ifft`` passes in
+    place over the other ``d - 1`` of them, first first, which overwrite
+    ``x_hat``, then an ``irfft`` of the last into ``out`` (a new array if
+    None)."""
+    for axis in range(-d, -1):
+        _pass("ifft", x_hat, axis, 1.0 / x_hat.shape[axis] if scaled else 1.0, x_hat)
+    if out is None:
+        out = np.empty(x_hat.shape[:-1] + (n,))
+    return _pass("irfft", x_hat, -1, 1.0 / n if scaled else 1.0, out)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import NonConvergenceError, NumericalAbort
 from .fields import Field, _mass_factor, gaussian
-from .grid import Grid, PhysicsParams
-from .kernel import HartreeKernel, irfft_passes, rfft_passes
+from .grid import Grid, PhysicsParams, _fftn, _ifftn, _irfftn, _rfftn
+from .kernel import HartreeKernel
 from .rearrange import symmetric_rearrange
 from .spectral import HalfSpectrumTerms, check_setup, energy, h_alpha_norm
 
@@ -170,7 +170,7 @@ def _make_hermitian(x_hat: np.ndarray) -> None:
     """Replace the zero and Nyquist columns of the half spectrum ``x_hat`` by
     their conjugate-symmetric parts, in place: ``X(-k) = conj(X(k))`` along
     the leading axes, which is all of ``X`` that a real field carries there
-    and all that :func:`irfft_passes` reads."""
+    and all that :func:`~fhnlse.grid._irfftn` reads."""
     edges = x_hat[..., :: x_hat.shape[-1] - 1]
     edges[...] = 0.5 * (edges + np.conj(_reflect(edges, tuple(range(x_hat.ndim - 1)))))
 
@@ -193,7 +193,7 @@ def _descent(
     u, u_hat = terms.u, terms.u_hat
     omega = terms.omega
     r_hat = (terms.multiplier - omega) * u_hat
-    r_hat -= rfft_passes(terms.potential * u)
+    r_hat -= _rfftn(terms.potential * u, u.ndim)
     _make_hermitian(r_hat)
     u_sq = float(np.vdot(u, u))
     r_sq = float(np.vdot(r_hat, terms.hermitian * r_hat).real)
@@ -201,7 +201,7 @@ def _descent(
     shift = max(abs(omega), shift_floor)
     d_hat = r_hat
     d_hat /= shift + terms.multiplier
-    d = irfft_passes(d_hat.copy(), u.shape[-1])
+    d = _irfftn(d_hat.copy(), u.ndim, u.shape[-1])
     beta = float(np.vdot(u, d)) / u_sq
     d -= beta * u
     d_hat -= beta * u_hat
@@ -256,7 +256,7 @@ def minimize(
 
     e_now, cur = min(
         (
-            energy(s, p, kernel, u_hat=rfft_passes(s), with_terms=True)
+            energy(s, p, kernel, u_hat=_rfftn(s, grid.d), with_terms=True)
             for s in _initial_fields(grid, opts)
         ),
         key=lambda candidate: candidate[0],
@@ -364,9 +364,9 @@ def align(f: Field, g: Field, alpha: float) -> AlignResult:
     f._check_same_grid(g)
     grid = f.grid
     weight = 1.0 + grid.fractional_multiplier(alpha)
-    fhat = np.fft.fftn(f.values)
-    ghat = np.fft.fftn(g.values)
-    corr = np.fft.ifftn(weight * np.conj(ghat) * fhat) * grid.cell_volume
+    fhat = _fftn(f.values, grid.d)
+    ghat = _fftn(g.values, grid.d)
+    corr = _ifftn(weight * np.conj(ghat) * fhat, grid.d) * grid.cell_volume
     flat = int(np.argmax(np.abs(corr)))
     shift_idx = np.unravel_index(flat, grid.shape)
     theta = float(np.angle(corr[shift_idx]))

@@ -15,16 +15,12 @@ path: it forms the density's autocorrelation one shift of the last axis at
 a time, from small matrix products and wrapped diagonal sums, and pairs it
 with the samples.
 
-The fast convolution runs its real FFT pair as 1-D passes in the axis
-order of ``np.fft.rfftn``/``irfftn``, the complex ones in place
-(:func:`rfft_passes`, :func:`irfft_passes`; the ground-state solver
-transforms its real iterates with the same pair), and folds the inverse's
-``1/N`` into the cached half spectrum.  Every pass goes straight to
-NumPy's pocketfft gufunc through ``grid._pass``.  ``N`` is a power of two,
-so the result is bit-for-bit that of the normalized n-D pair, without the
-per-call overhead of NumPy's n-D and 1-D wrappers or a separate scaling
-pass.  The convolution writes into a caller's array when given one, so
-the Strang loop reuses its own from step to step.
+The fast convolution runs the real transform pair of :mod:`fhnlse.grid`
+over the trailing ``d`` axes, so it convolves one density or each of a
+stack ``(B, *grid.shape)`` alike, and folds the inverse's ``1/N`` into the
+cached half spectrum (an unscaled inverse).  The convolution writes into
+a caller's array when given one, so the Strang loop reuses its own from
+step to step.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field
-from .grid import Grid, _pass
+from .grid import Grid, _fftn, _irfftn, _rfftn
 
 __all__ = [
     "HartreeKernel",
@@ -110,7 +106,7 @@ def kernel_spectrum(samples: np.ndarray) -> np.ndarray:
     Kept as a module-level hook so consistency checks can substitute a
     deliberately broken transform.
     """
-    transform = np.fft.fftn(samples)
+    transform = _fftn(samples, samples.ndim)
     scale = float(np.max(np.abs(transform.real)))
     worst = float(np.max(np.abs(transform.imag)))
     if worst > 1e-9 * max(scale, 1.0):
@@ -163,45 +159,15 @@ class HartreeKernel:
 
     def convolve_density(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``(K * rho)(x) = sum_y K(x - y) rho(y) cell_volume`` for a real
-        density ``rho``, via the real FFT pair of :func:`rfft_passes` and
-        :func:`irfft_passes` (see the module docstring).  Written to
-        ``out`` if given, which may be ``rho`` itself: the forward transform
-        has read all of ``rho`` before ``out`` is written."""
-        rho_hat = rfft_passes(rho)
+        density ``rho``, or for each of a stack of them, via the real
+        transform pair over the trailing axes (see the module docstring).
+        Written to ``out`` if given, which may be ``rho`` itself: the
+        forward transform has read all of ``rho`` before ``out`` is
+        written."""
+        d = self.grid.d
+        rho_hat = _rfftn(rho, d)
         rho_hat *= self._half_spectrum
-        return irfft_passes(rho_hat, self.grid.n, norm="forward", out=out)
-
-
-def rfft_passes(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum of the real array ``x``, whose last axis has an even
-    length as on every lattice, bit for bit ``np.fft.rfftn(x)``: an ``rfft``
-    of the last axis, then ``fft`` passes in place over the others, last
-    first.  Written to ``out`` if given."""
-    if out is None:
-        out = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=complex)
-    _pass("rfft", x, -1, 1.0, out)
-    for axis in range(-2, -x.ndim - 1, -1):
-        _pass("fft", out, axis, 1.0, out)
-    return out
-
-
-def irfft_passes(
-    x_hat: np.ndarray, n: int, norm: str = "backward", out: np.ndarray | None = None
-) -> np.ndarray:
-    """Real array with half spectrum ``x_hat`` and ``n`` points on the last
-    axis, bit for bit ``np.fft.irfftn`` of ``x_hat`` with that shape and
-    ``norm``: ``ifft`` passes in place over the leading axes, first first,
-    then an ``irfft`` of the last.  Overwrites ``x_hat``; written to ``out``
-    if given.  ``norm`` is ``"backward"`` (each pass scaled by one over its
-    length) or ``"forward"`` (no scaling)."""
-    if norm not in ("backward", "forward"):
-        raise ValueError(f'norm must be "backward" or "forward" (got {norm!r})')
-    backward = norm == "backward"
-    for axis in range(-x_hat.ndim, -1):
-        _pass("ifft", x_hat, axis, 1.0 / x_hat.shape[axis] if backward else 1.0, x_hat)
-    if out is None:
-        out = np.empty(x_hat.shape[:-1] + (n,))
-    return _pass("irfft", x_hat, -1, 1.0 / n if backward else 1.0, out)
+        return _irfftn(rho_hat, d, self.grid.n, out=out, scaled=False)
 
 
 def hartree_direct(u: Field, kernel: HartreeKernel) -> float:

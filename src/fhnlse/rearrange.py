@@ -48,7 +48,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fields import Field, _random_band_limited
-from .grid import Grid, _dft_trailing, _trailing_axes
+from .grid import Grid, _fftn, _ifftn
 from .spectral import _seminorm_sq
 
 __all__ = [
@@ -116,10 +116,11 @@ def _triple_product(f: np.ndarray, g: np.ndarray, h: np.ndarray, grid: Grid) -> 
     ``g`` is first re-indexed by displacement: entry ``m`` becomes the value
     at position ``m*h`` (aliased), the centered layout rolled by ``n//2``.
     """
-    g_disp = np.roll(g, -(grid.n // 2), axis=_trailing_axes(grid))
-    conv = _dft_trailing(g_disp.astype(np.complex128), grid)
-    conv *= _dft_trailing(h.astype(np.complex128), grid)
-    _dft_trailing(conv, grid, inverse=True)
+    d = grid.d
+    g_disp = np.roll(g, -(grid.n // 2), axis=tuple(range(-d, 0)))
+    conv = _fftn(g_disp, d)
+    conv *= _fftn(h, d)
+    _ifftn(conv, d, out=conv)
     return (f * conv.real).reshape(len(f), -1).sum(axis=1) * grid.cell_volume**2
 
 
@@ -189,8 +190,11 @@ def rearrangement_sweep(
     nonnegative triples with seeds ``pair_seed + 3r + (0, 1, 2)`` must not
     lose triple pairing.  The fields are drawn and tested in blocks of
     indices ``r`` (see the module docstring); the result does not depend on
-    the block size.
+    the block size.  A ``count`` below 1 raises ValueError: a sweep of no
+    fields tests nothing.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1 (got {count})")
     block = max(1, _BLOCK_BYTES // (16 * grid.size))
     changed = []
     seminorm_excess = []

@@ -1,12 +1,13 @@
 """Spectral operators and energy functionals on periodic fields.
 
-All transforms use numpy's unnormalized DFT together with explicit
-quadrature weights: real-space sums carry ``cell_volume`` and Fourier-space
-sums carry ``cell_volume / size``, which makes the discrete Parseval
-identity ``mass(u) == spectral mass(u)`` hold to roundoff.  Every identity
+All transforms are the unnormalized DFTs of the helpers of
+:mod:`fhnlse.grid`, together with explicit quadrature weights: real-space
+sums carry ``cell_volume`` and Fourier-space sums carry ``cell_volume /
+size``, which makes the discrete Parseval identity ``mass(u) == spectral
+mass(u)`` hold to roundoff.  Every identity
 asserted about these functionals (multiplier action, self-adjointness,
 gradient pairing) is independent of the transform normalization.
-A real field's terms also come from its half spectrum (``rfftn``) with
+A real field's terms also come from its half spectrum (``_rfftn``) with
 Hermitian Parseval weights, in :class:`HalfSpectrumTerms`, the evaluation
 the ground-state solver makes through :func:`energy`.
 
@@ -24,8 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field, mass
-from .grid import Grid, PhysicsParams, _dft_trailing
-from .kernel import HartreeKernel, irfft_passes
+from .grid import Grid, PhysicsParams, _fftn, _ifftn, _irfftn
+from .kernel import HartreeKernel
 
 __all__ = [
     "check_setup",
@@ -59,7 +60,7 @@ def _seminorm_sq(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     """:func:`sobolev_seminorm_sq` of each field of the stack ``values``
     (shape ``(B, *grid.shape)``, real or complex), transformed on its
     trailing axes."""
-    uhat = _dft_trailing(values.astype(np.complex128), grid)
+    uhat = _fftn(values, grid.d)
     weighted = grid.fractional_multiplier(alpha) * np.abs(uhat) ** 2
     return weighted.reshape(len(values), -1).sum(axis=1) * _spectral_weight(grid)
 
@@ -105,7 +106,7 @@ class EnergyTerms:
         grid = u.grid
         self.u = u
         self.multiplier = grid.fractional_multiplier(p.alpha)
-        self.u_hat = np.fft.fftn(u.values)
+        self.u_hat = _fftn(u.values, grid.d)
         self.potential, self.pairing, self.mass = density_terms(u.values, kernel)
         self.seminorm_sq = float(
             np.sum(self.multiplier * np.abs(self.u_hat) ** 2) * _spectral_weight(grid)
@@ -129,7 +130,8 @@ class EnergyTerms:
 
     def gradient(self) -> np.ndarray:
         """Values of ``G(u) = (-Lap)^alpha u - (K * |u|^2) u``."""
-        return np.fft.ifftn(self.multiplier * self.u_hat) - self.potential * self.u.values
+        kinetic = _ifftn(self.multiplier * self.u_hat, self.u.grid.d)
+        return kinetic - self.potential * self.u.values
 
 
 @lru_cache(maxsize=16)
@@ -175,7 +177,7 @@ class HalfSpectrumTerms(EnergyTerms):
 
     def gradient(self) -> np.ndarray:
         """Values of ``G(u)``, a real array."""
-        kinetic = irfft_passes(self.multiplier * self.u_hat, self.u.shape[-1])
+        kinetic = _irfftn(self.multiplier * self.u_hat, self.u.ndim, self.u.shape[-1])
         return kinetic - self.potential * self.u
 
 

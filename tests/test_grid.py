@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
-from fhnlse import Grid, PhysicsParams
-from fhnlse.grid import _dft_trailing
+from fhnlse import (
+    Grid,
+    HartreeKernel,
+    PhysicsParams,
+    SolveOptions,
+    energy_gradient,
+    minimize,
+    perturb,
+    random_band_limited,
+    stability_run,
+)
+from fhnlse.grid import _fftn, _ifftn
+from fhnlse.rearrange import rearrangement_sweep
 
 
 class TestGridGeometry:
@@ -97,30 +108,74 @@ class TestGridGeometry:
         assert a != Grid(d=2, n=32, L=26.0)
 
 
-class TestTrailingTransforms:
-    """``_dft_trailing`` runs its passes through NumPy's pocketfft gufuncs
-    and gives the very bits of the public n-D transforms."""
+STACK_GRIDS = pytest.mark.parametrize(
+    "grid",
+    [Grid(d=1, n=64, L=40.0), Grid(d=2, n=16, L=10.0), Grid(d=3, n=8, L=5.0)],
+    ids=["d1", "d2", "d3"],
+)
 
-    @pytest.mark.parametrize(
-        "grid",
-        [Grid(d=1, n=64, L=40.0), Grid(d=2, n=16, L=10.0), Grid(d=3, n=8, L=5.0)],
-        ids=["d1", "d2", "d3"],
-    )
+
+class TestTrailingTransforms:
+    """``_fftn`` and ``_ifftn`` run their passes through NumPy's pocketfft
+    gufuncs and give the very bits of the public n-D transforms."""
+
+    @STACK_GRIDS
     def test_equals_fftn_and_ifftn_over_the_trailing_axes_bitwise(self, grid):
         rng = np.random.default_rng(5)
         stack = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal(
             (3,) + grid.shape
         )
         axes = tuple(range(1, grid.d + 1))
-        forward = _dft_trailing(stack.copy(), grid)
+        forward = _fftn(stack.copy(), grid.d)
         assert np.array_equal(forward, np.fft.fftn(stack, axes=axes))
-        inverse = _dft_trailing(stack.copy(), grid, inverse=True)
+        inverse = _ifftn(stack.copy(), grid.d)
         assert np.array_equal(inverse, np.fft.ifftn(stack, axes=axes))
+
+    @STACK_GRIDS
+    def test_real_stacks_equal_fftn_and_ifftn_bitwise(self, grid):
+        """A real stack goes to the complex gufunc as it is, without a
+        complex copy; the gufunc's cast gives the very bits of NumPy's."""
+        stack = np.random.default_rng(7).standard_normal((3,) + grid.shape)
+        axes = tuple(range(1, grid.d + 1))
+        assert np.array_equal(_fftn(stack, grid.d), np.fft.fftn(stack, axes=axes))
+        assert np.array_equal(_ifftn(stack, grid.d), np.fft.ifftn(stack, axes=axes))
+        assert np.array_equal(
+            _ifftn(stack, grid.d, scaled=False),
+            np.fft.ifftn(stack, axes=axes, norm="forward"),
+        )
 
     def test_transforms_in_place(self):
         grid = Grid(d=2, n=8, L=4.0)
         a = np.ones((2,) + grid.shape, dtype=complex)
-        assert _dft_trailing(a, grid) is a
+        assert _fftn(a, grid.d, out=a) is a
+        assert _ifftn(a, grid.d, out=a) is a
+
+
+class TestOnePath:
+    """Every DFT of the package goes through the helpers of ``grid``: with
+    every ``numpy.fft`` transform refused, the kernel build, the gradient,
+    the solver, the Strang loop with its orbit alignment, the rearrangement
+    sweep and the noise of a perturbation all still run."""
+
+    @pytest.mark.parametrize("d, n, L", [(1, 64, 40.0), (2, 32, 25.0), (3, 16, 12.0)])
+    def test_runs_with_every_numpy_fft_transform_refused(self, d, n, L, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy.fft transform was called")
+
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn",
+                     "fft2", "ifft2", "rfft2", "irfft2", "hfft", "ihfft"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        grid = Grid(d=d, n=n, L=L)
+        p = PhysicsParams(alpha=0.6, gamma=0.5, d=d)
+        kernel = HartreeKernel(grid, p.gamma)
+        gradient = energy_gradient(random_band_limited(grid, seed=3), p, kernel)
+        assert np.all(np.isfinite(gradient.values))
+        gs = minimize(p, kernel, SolveOptions(q=3.0))
+        assert gs.converged
+        report = stability_run(p, kernel, 1e-2, T=0.02, dt=1e-2, stride=1, ground=gs)
+        assert np.all(np.isfinite(report.distances))
+        assert rearrangement_sweep(grid, p.alpha, 3, 1, 2).passed
+        assert np.all(np.isfinite(perturb(gs.g, p.alpha, 1e-2, seed=4).values))
 
 
 class TestGridValidation:

@@ -8,6 +8,7 @@ import pytest
 import fhnlse.grid as grid_module
 import fhnlse.groundstate as groundstate_module
 import fhnlse.kernel as kernel_module
+import fhnlse.spectral as spectral_module
 from fhnlse import (
     Field,
     Grid,
@@ -208,14 +209,14 @@ NUMPY_TRANSFORMS = ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn", "rfft", "
 
 
 def count_real_pair(monkeypatch) -> tuple[dict, list]:
-    """Count the calls of the real pair ``kernel.rfft_passes`` /
-    ``irfft_passes`` and of the density convolution, and list every
-    ``numpy.fft`` transform or per-axis pass called from outside the pair.
+    """Count the calls of the real pair ``grid._rfftn`` / ``_irfftn`` and of
+    the density convolution, and list every ``numpy.fft`` transform or
+    per-axis pass called from outside the pair.
 
     Inside the pair the complex 1-D passes act on half spectra: they are
     part of a real transform, not a transform of a complex field."""
     counts = count_calls(monkeypatch, HartreeKernel, ("convolve_density",))
-    counts.update(rfft_passes=0, irfft_passes=0)
+    counts.update(_rfftn=0, _irfftn=0)
     depth = [0]
     stray: list[str] = []
 
@@ -238,10 +239,11 @@ def count_real_pair(monkeypatch) -> tuple[dict, list]:
 
         return wrapper
 
-    for name in ("rfft_passes", "irfft_passes"):
-        original = getattr(kernel_module, name)
-        for module in (kernel_module, groundstate_module):
-            monkeypatch.setattr(module, name, pair(name, original))
+    for name in ("_rfftn", "_irfftn"):
+        original = getattr(grid_module, name)
+        for module in (kernel_module, spectral_module, groundstate_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, pair(name, original))
     for name in NUMPY_TRANSFORMS:
         monkeypatch.setattr(np.fft, name, watched(name, getattr(np.fft, name)))
     # the per-axis passes call NumPy's pocketfft gufuncs through this binding
@@ -272,8 +274,8 @@ class TestTransformCount:
         evals = 1 + gs.iterations + int(np.sum(gs.backtrack_history))
         descents = 1 + gs.iterations
         assert counts["convolve_density"] == evals
-        assert counts["rfft_passes"] == 1 + evals + descents
-        assert counts["irfft_passes"] == evals + descents
+        assert counts["_rfftn"] == 1 + evals + descents
+        assert counts["_irfftn"] == evals + descents
 
     def test_every_trial_is_an_energy_call(self, ref_params, kernel32, monkeypatch):
         counts = count_calls(monkeypatch, groundstate_module, ("energy",))

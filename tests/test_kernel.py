@@ -18,7 +18,8 @@ from fhnlse import (
 )
 from fhnlse import grid as grid_module
 from fhnlse import kernel as kernel_module
-from fhnlse.kernel import DIRECT_SITE_LIMIT, irfft_passes, kernel_spectrum, rfft_passes
+from fhnlse.grid import _irfftn, _rfftn
+from fhnlse.kernel import DIRECT_SITE_LIMIT, kernel_spectrum
 from fhnlse.spectral import EnergyTerms
 
 
@@ -313,24 +314,18 @@ class TestHartreePairings:
     @pytest.mark.parametrize("with_out", [False, True], ids=["new", "out"])
     def test_real_passes_equal_rfftn_and_irfftn_bitwise(self, grid, norm, with_out):
         """The passes through NumPy's pocketfft gufuncs give the very bits of
-        the public n-D real pair, into a given array or a new one."""
+        the public n-D real pair, the inverse into a given array or a new
+        one; ``scaled`` is the backward norm, unscaled the forward one."""
         x = np.random.default_rng(6).standard_normal(grid.shape)
         expected_hat = np.fft.rfftn(x)
-        out_hat = np.empty(expected_hat.shape, dtype=complex) if with_out else None
-        x_hat = rfft_passes(x, out=out_hat)
+        x_hat = _rfftn(x, grid.d)
         assert np.array_equal(x_hat, expected_hat)
         expected = np.fft.irfftn(x_hat, s=grid.shape, axes=range(grid.d), norm=norm)
         out = np.empty(grid.shape) if with_out else None
-        back = irfft_passes(x_hat, grid.n, norm=norm, out=out)
+        back = _irfftn(x_hat, grid.d, grid.n, out=out, scaled=norm == "backward")
         assert np.array_equal(back, expected)
         if with_out:
-            assert x_hat is out_hat
             assert back is out
-
-    def test_inverse_passes_accept_only_the_backward_and_forward_norms(self):
-        x_hat = rfft_passes(np.ones(16))
-        with pytest.raises(ValueError, match="ortho"):
-            irfft_passes(x_hat, 16, norm="ortho")
 
     @pytest.mark.parametrize(
         "grid",
@@ -347,6 +342,24 @@ class TestHartreePairings:
         # the density's own array may take its potential
         assert kernel.convolve_density(rho, out=rho) is rho
         assert np.array_equal(rho, expected)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid(d=1, n=64, L=40.0), Grid(d=2, n=32, L=20.0), Grid(d=3, n=16, L=10.0)],
+        ids=["d1", "d2", "d3"],
+    )
+    def test_stack_convolution_is_each_fields_bitwise(self, grid):
+        """The pair runs over the trailing axes, so a ``(B, *grid.shape)``
+        stack convolves field by field, into a new array or a given one."""
+        kernel = HartreeKernel(grid, 0.5)
+        stack = np.stack(
+            [np.abs(random_band_limited(grid, seed=40 + r).values) ** 2 for r in range(3)]
+        )
+        expected = np.stack([kernel.convolve_density(rho) for rho in stack])
+        assert np.array_equal(kernel.convolve_density(stack), expected)
+        buf = np.empty(stack.shape)
+        assert kernel.convolve_density(stack, out=buf) is buf
+        assert np.array_equal(buf, expected)
 
     def test_doubled_spectrum_desynchronizes_the_fast_pairing(self, monkeypatch):
         """The fast path must read ``spectrum`` as built by ``kernel_spectrum``,

@@ -301,3 +301,10 @@ def test_sweep_memory_does_not_grow_with_the_count():
             tracemalloc.stop()
 
     assert peak(400) - peak(4) < 2**20
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_sweep_of_no_fields_is_refused(count):
+    """A sweep of no fields tests nothing, so it must not pass."""
+    with pytest.raises(ValueError, match="count"):
+        rearrangement_sweep(Grid(d=2, n=16, L=10.0), ALPHA, count, 1, 2)

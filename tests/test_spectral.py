@@ -20,6 +20,7 @@ from fhnlse import (
     random_band_limited,
     sobolev_seminorm_sq,
 )
+from fhnlse.fields import with_mass
 from fhnlse.spectral import EnergyTerms, HalfSpectrumTerms
 
 ALPHA = 0.6
@@ -88,6 +89,19 @@ class TestNormsAndIdentities:
         grid = Grid(d=2, n=64, L=20.0)
         u = gaussian(grid, width=1.0)
         assert mass(u) == pytest.approx(np.pi, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("q", [-1.0, np.nan, np.inf])
+    def test_a_negative_or_non_finite_target_mass_is_refused(self, q):
+        """Such a target has no field: refused, not turned into NaNs."""
+        grid = Grid(d=2, n=16, L=10.0)
+        with pytest.raises(ValueError, match="target mass"):
+            with_mass(gaussian(grid), q)
+        with pytest.raises(ValueError, match="target mass"):
+            gaussian(grid, mass=q)
+
+    def test_a_zero_target_mass_gives_the_zero_field(self):
+        u = with_mass(gaussian(Grid(d=2, n=16, L=10.0)), 0.0)
+        assert not np.any(u.values)
 
     def test_parseval_mass_identity(self):
         grid = Grid(d=2, n=32, L=13.0)
