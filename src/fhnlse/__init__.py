@@ -26,16 +26,10 @@ from .groundstate import (
     scaling_exponent,
     subadditivity_check,
 )
-from .kernel import HartreeKernel, hartree_direct, origin_cell_average
-from .rearrange import radial_order, riesz_check, symmetric_rearrange
+from .kernel import HartreeKernel, hartree_direct
+from .rearrange import symmetric_rearrange
 from .snapshots import read_field, write_csv, write_field, write_json
-from .spectral import (
-    energy,
-    energy_gradient,
-    h_alpha_norm,
-    lagrange_multiplier,
-    sobolev_seminorm_sq,
-)
+from .spectral import energy, energy_gradient, h_alpha_norm, lagrange_multiplier
 from .stability import StabilityReport, orbit_distance, perturb, stability_run
 from .verify import CheckResult, run_checks
 
@@ -69,18 +63,14 @@ __all__ = [
     "mass",
     "minimize",
     "orbit_distance",
-    "origin_cell_average",
     "perturb",
     "plane_wave",
-    "radial_order",
     "random_band_limited",
     "read_field",
     "require_converged",
-    "riesz_check",
     "run_checks",
     "scaling_experiment",
     "scaling_exponent",
-    "sobolev_seminorm_sq",
     "stability_run",
     "subadditivity_check",
     "symmetric_rearrange",

@@ -152,10 +152,12 @@ def validate_config(cfg: dict) -> None:
         _require_number(cfg, "solver", key)
     _require_int(cfg, "solver", "maxIter", minimum=1)
     for section in ("dynamics", "stability"):
-        _require_number(cfg, section, "dt")
+        dt = _require_number(cfg, section, "dt")
         t = _require_number(cfg, section, "T", positive=False)
         if t < 0:
             raise ValueError(f"{section}.T must be nonnegative (got {t})")
+        if t / dt > sys.float_info.max:  # the step count ceil(T/dt) overflows
+            raise ValueError(f"{section}.T / {section}.dt must be finite (got {t} / {dt})")
         _require_int(cfg, section, "snapshotStride", minimum=1)
     _require_int(cfg, "stability", "seed", minimum=0)
     for section in ("solver", "dynamics"):

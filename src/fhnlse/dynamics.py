@@ -211,6 +211,8 @@ def evolve(
         raise ValueError(f"dt must be positive and finite (got {dt})")
     if not 0 <= T < np.inf:
         raise ValueError(f"T must be nonnegative and finite (got {T})")
+    if not float(T) / float(dt) < np.inf:  # the step count ceil(T/dt) overflows
+        raise ValueError(f"T / dt must be finite (got T = {T}, dt = {dt})")
     if not isinstance(stride, numbers.Integral) or stride < 1:
         raise ValueError(f"stride must be an integer >= 1 (got {stride!r})")
 

@@ -142,30 +142,30 @@ def band_limited_noise(grid: Grid, seed: int, keep_fraction: float) -> np.ndarra
 
 
 def _unit_mass(vals: np.ndarray, cell_volume: float) -> np.ndarray:
-    """Each field of the complex stack ``vals`` divided by its L^2 norm, in
-    place; a zero norm raises ValueError."""
+    """Each field of the real or complex stack ``vals`` scaled to unit L^2
+    norm, in place; a zero norm raises ValueError.  The scaling multiplies
+    by ``1 / norm``, which is what NumPy's division of a complex array by a
+    real one computes."""
     norm_sq = (np.abs(vals) ** 2).reshape(len(vals), -1).sum(axis=1) * cell_volume
     if np.any(norm_sq == 0.0):
         raise ValueError("degenerate random field (all retained modes zero)")
-    vals /= np.sqrt(norm_sq).reshape((-1,) + (1,) * (vals.ndim - 1))
+    vals *= (1.0 / np.sqrt(norm_sq)).reshape((-1,) + (1,) * (vals.ndim - 1))
     return vals
 
 
 def _random_band_limited(grid: Grid, seeds: list[int], kind: str) -> np.ndarray:
     """The values of :func:`random_band_limited` for each of ``seeds``,
-    stacked in that order on a leading axis."""
+    stacked in that order on a leading axis.  ``kind`` "nonneg" takes the
+    absolute value of the real part before the normalization and returns a
+    real stack: the rearrangement inputs."""
     if kind not in ("complex", "nonneg"):
         raise ValueError(f"unknown kind {kind!r}")
     vals = _band_limited_noise(grid, seeds, 1.0 / 3.0)
     if kind == "nonneg":
-        vals = np.abs(vals.real).astype(np.complex128)
+        vals = np.abs(vals.real)
     return _unit_mass(vals, grid.cell_volume)
 
 
-def random_band_limited(grid: Grid, seed: int, kind: str = "complex") -> Field:
-    """:func:`band_limited_noise` with ``keep_fraction = 1/3``, normalized to unit mass.
-
-    ``kind``: "complex" (default) or "nonneg" (absolute value of the real
-    part; the rearrangement inputs).
-    """
-    return Field(grid, _random_band_limited(grid, [seed], kind)[0])
+def random_band_limited(grid: Grid, seed: int) -> Field:
+    """:func:`band_limited_noise` with ``keep_fraction = 1/3``, normalized to unit mass."""
+    return Field(grid, _random_band_limited(grid, [seed], "complex")[0])

@@ -158,6 +158,18 @@ class Grid:
         if not 0 < self.L < np.inf:
             raise ValueError(f"L must be positive and finite (got {self.L})")
         object.__setattr__(self, "L", float(self.L))
+        # the cell volume, L^2 and the largest |k|^2 in float64, where an
+        # overflow gives inf and an underflow 0 instead of an exception
+        L = np.float64(self.L)
+        h = L / self.n
+        with np.errstate(over="ignore", under="ignore"):
+            volume, l_sq, k_sq_max = h**self.d, L * L, self.d * (np.pi / h) ** 2
+        if not (0 < volume < np.inf and l_sq < np.inf and k_sq_max < np.inf):
+            raise ValueError(
+                f"L = {self.L} is out of range for d = {self.d}, n = {self.n}: the cell "
+                "volume h**d, L**2 or the largest |k|**2 overflows float64, or the "
+                "cell volume underflows to 0"
+            )
 
     # -- scalar geometry -------------------------------------------------
     @property

@@ -52,9 +52,7 @@ from .grid import Grid, _fftn, _ifftn
 from .spectral import _seminorm_sq
 
 __all__ = [
-    "radial_order",
     "symmetric_rearrange",
-    "riesz_check",
     "rearrangement_sweep",
     "SweepResult",
 ]
@@ -124,35 +122,6 @@ def _triple_product(f: np.ndarray, g: np.ndarray, h: np.ndarray, grid: Grid) -> 
     return (f * conv.real).reshape(len(f), -1).sum(axis=1) * grid.cell_volume**2
 
 
-def _pairings(
-    f: np.ndarray, g: np.ndarray, h: np.ndarray, grid: Grid
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(lhs, rhs)`` of :func:`riesz_check` for each field of the real
-    nonnegative stacks ``f``, ``g``, ``h``."""
-    lhs = _triple_product(f, g, h, grid)
-    rhs = _triple_product(*(_rearranged(x, grid) for x in (f, g, h)), grid)
-    return lhs, rhs
-
-
-def riesz_check(f: Field, g: Field, h: Field) -> tuple[float, float]:
-    """Triple convolution pairing before and after rearrangement.
-
-    Returns ``(lhs, rhs)`` with ``lhs = sum f(x) g(x-y) h(y)`` and ``rhs``
-    the same pairing with every factor replaced by its symmetric-decreasing
-    rearrangement.  Inputs must be real nonnegative fields on one grid.
-    """
-    f._check_same_grid(g)
-    f._check_same_grid(h)
-    arrays = []
-    for name, field in (("f", f), ("g", g), ("h", h)):
-        vals = field.values
-        if np.max(np.abs(vals.imag)) != 0.0 or np.min(vals.real) < 0.0:
-            raise ValueError(f"riesz_check requires real nonnegative fields ({name} is not)")
-        arrays.append(vals.real[None])
-    lhs, rhs = _pairings(*arrays, f.grid)
-    return float(lhs[0]), float(rhs[0])
-
-
 @dataclass(frozen=True)
 class SweepResult:
     """Outcome of :func:`rearrangement_sweep`.
@@ -160,9 +129,10 @@ class SweepResult:
     ``changed`` lists the seeds whose magnitude multiset changed;
     ``worst_seminorm`` is the worst relative seminorm excess
     ``(s_out - s_in) / s_in`` and ``worst_pairing`` the worst relative
-    pairing excess ``(lhs - rhs) / |rhs|``.  Both excesses are negative when
-    the inequalities hold strictly; the sweep passes when no multiset
-    changed and neither excess exceeds ``slack``.
+    pairing excess ``(lhs - rhs) / |rhs|``, with ``lhs`` the triple pairing
+    of a nonnegative triple and ``rhs`` that of its rearrangement.  Both
+    excesses are negative when the inequalities hold strictly; the sweep
+    passes when no multiset changed and neither excess exceeds ``slack``.
     """
 
     slack: ClassVar[float] = 1e-9  # roundoff allowance on either excess
@@ -213,11 +183,12 @@ def rearrangement_sweep(
         s_out = np.sqrt(_seminorm_sq(out, grid, alpha))
         seminorm_excess += ((s_out - s_in) / s_in).tolist()
         del u, out  # freed before the triples are drawn: a lower peak
-        f, g, h = (
-            _random_band_limited(grid, [pair_seed + 3 * r + i for r in rs], "nonneg").real
+        triple = [
+            _random_band_limited(grid, [pair_seed + 3 * r + i for r in rs], "nonneg")
             for i in range(3)
-        )
-        lhs, rhs = _pairings(f, g, h, grid)
+        ]
+        lhs = _triple_product(*triple, grid)
+        rhs = _triple_product(*(_rearranged(x, grid) for x in triple), grid)
         pairing_excess += ((lhs - rhs) / np.abs(rhs)).tolist()
     return SweepResult(
         changed, max([-np.inf, *seminorm_excess]), max([-np.inf, *pairing_excess])

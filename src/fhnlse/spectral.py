@@ -30,7 +30,6 @@ from .kernel import HartreeKernel
 
 __all__ = [
     "check_setup",
-    "sobolev_seminorm_sq",
     "h_alpha_norm",
     "EnergyTerms",
     "HalfSpectrumTerms",

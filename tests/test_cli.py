@@ -185,6 +185,39 @@ class TestInvalidInput:
         if key in deleted:
             assert f"error: unknown config key: {key}" in errors
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("L", ["1e300", "1e200", "1e-200", "1e-300"])
+    def test_unrepresentable_box_exits_2(self, d, L, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(
+            ["groundstate", "--set", f"physics.d={d}", "--set", "grid.n=8",
+             "--set", f"grid.L={L}", "--output-dir", str(out)]
+        )
+        assert code == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: L = ") for line in errors)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "stability"])
+    def test_overflowing_step_count_exits_2_before_any_solve(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the configuration should have been rejected")
+
+        monkeypatch.setattr(cli_module, "kernel_from", unreachable)
+        section = "dynamics" if command == "evolve" else "stability"
+        out = tmp_path / "out"
+        code = run(
+            [command, "--set", "grid.n=8", "--set", "grid.L=10.0",
+             "--set", "dynamics.init=gaussian",
+             "--set", f"{section}.T=1e300", "--set", f"{section}.dt=1e-300",
+             "--output-dir", str(out)]
+        )
+        assert code == 2
+        assert f"error: {section}.T / {section}.dt must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         code = run(["groundstate", "--config", str(tmp_path / "none.json")])
         assert code == 2

@@ -145,6 +145,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="output.formats"):
             validate_config(self._cfg(output__formats=["xml"]))
 
+    @pytest.mark.parametrize("section", ["dynamics", "stability"])
+    def test_step_count_must_be_finite(self, section):
+        cfg = self._cfg(**{f"{section}__T": 1e300, f"{section}__dt": 1e-300})
+        with pytest.raises(ValueError, match=f"{section}.T / {section}.dt must be finite"):
+            validate_config(cfg)
+        validate_config(self._cfg(**{f"{section}__T": 1e300, f"{section}__dt": 1.0}))
+
     def test_delta_zero_is_allowed(self):
         validate_config(self._cfg(stability__delta=0.0))
 

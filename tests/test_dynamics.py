@@ -397,6 +397,10 @@ class TestValidationAndAborts:
                 evolve(psi0, P2, kernel, T=bad, dt=1e-3)
             with pytest.raises(ValueError, match="dt must be positive and finite"):
                 evolve(psi0, P2, kernel, T=1.0, dt=bad)
+        # a finite T and dt whose step count T/dt overflows
+        for T, dt in ((1e300, 1e-300), (np.float64(1e300), np.float64(1e-300))):
+            with pytest.raises(ValueError, match="T / dt must be finite"):
+                evolve(psi0, P2, kernel, T=T, dt=dt)
 
     def test_rejects_mismatched_kernel(self):
         grid, _ = _box(n=16, L=12.0)

@@ -1,5 +1,7 @@
 """Grid geometry, wavenumber layout, and parameter validation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,20 @@ class TestGridValidation:
     def test_rejects_nonpositive_or_non_finite_length(self, L):
         with pytest.raises(ValueError, match="L must be positive and finite"):
             Grid(d=1, n=8, L=L)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("L", [1e300, 1e200, 1e-200, 1e-300])
+    def test_rejects_a_length_whose_geometry_is_not_representable(self, d, L):
+        """The cell volume, L^2 or the largest |k|^2 overflows, or the cell
+        volume underflows to 0: a ValueError naming L, not an OverflowError
+        or NaN masses later."""
+        with pytest.raises(ValueError, match=re.escape(f"L = {L} is out of range")):
+            Grid(d=d, n=8, L=L)
+
+    def test_accepts_a_large_but_representable_length(self):
+        grid = Grid(d=2, n=8, L=1e100)
+        assert 0 < grid.cell_volume < np.inf
+        assert np.all(np.isfinite(grid.k_squared))
 
 
 class TestPhysicsParams:

@@ -13,13 +13,12 @@ from fhnlse import (
     HartreeKernel,
     PhysicsParams,
     hartree_direct,
-    origin_cell_average,
     random_band_limited,
 )
 from fhnlse import grid as grid_module
 from fhnlse import kernel as kernel_module
 from fhnlse.grid import _irfftn, _rfftn
-from fhnlse.kernel import DIRECT_SITE_LIMIT, kernel_spectrum
+from fhnlse.kernel import DIRECT_SITE_LIMIT, kernel_spectrum, origin_cell_average
 from fhnlse.spectral import EnergyTerms
 
 

@@ -9,18 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fhnlse import (
-    Field,
-    Grid,
-    gaussian,
+from fhnlse import Field, Grid, gaussian, random_band_limited, symmetric_rearrange
+from fhnlse.fields import _random_band_limited, band_limited_noise, mass, with_mass
+from fhnlse.rearrange import (
+    SweepResult,
+    _rearranged,
+    _triple_product,
     radial_order,
-    random_band_limited,
-    riesz_check,
-    sobolev_seminorm_sq,
-    symmetric_rearrange,
+    rearrangement_sweep,
 )
-from fhnlse.fields import band_limited_noise, mass, with_mass
-from fhnlse.rearrange import SweepResult, rearrangement_sweep
+from fhnlse.spectral import sobolev_seminorm_sq
 from fhnlse.stability import NOISE_KEEP_FRACTION, perturb
 
 ALPHA = 0.6
@@ -36,6 +34,20 @@ def two_bumps(grid: Grid, separation: float, width: float = 1.5) -> Field:
 
     left, right = bump(-separation / 2.0), bump(separation / 2.0)
     return Field(grid, left.values + right.values)
+
+
+def nonneg(grid: Grid, seed: int) -> np.ndarray:
+    """The real nonnegative unit-mass noise that the sweep pairs."""
+    return _random_band_limited(grid, [seed], "nonneg")[0]
+
+
+def pairings(f: np.ndarray, g: np.ndarray, h: np.ndarray, grid: Grid) -> tuple[float, float]:
+    """The triple pairing of the real fields ``f``, ``g``, ``h`` and that of
+    their rearrangements, each through the sweep's helpers on a stack of one."""
+    triple = [x[None] for x in (f, g, h)]
+    lhs = _triple_product(*triple, grid)[0]
+    rhs = _triple_product(*(_rearranged(x, grid) for x in triple), grid)[0]
+    return float(lhs), float(rhs)
 
 
 class TestRadialOrder:
@@ -123,40 +135,22 @@ class TestSeminormContraction:
 class TestRieszPairing:
     def test_rearranged_inputs_are_a_fixed_point(self):
         grid = Grid(d=2, n=16, L=10.0)
-        f = symmetric_rearrange(random_band_limited(grid, seed=31, kind="nonneg"))
-        lhs, rhs = riesz_check(f, f, f)
+        f = symmetric_rearrange(Field(grid, nonneg(grid, 31))).values.real
+        lhs, rhs = pairings(f, f, f, grid)
         assert lhs == pytest.approx(rhs, rel=1e-14, abs=0)
 
     def test_rearrangement_never_decreases_the_pairing(self):
         grid = Grid(d=2, n=32, L=20.0)
         for rep in range(30):
-            f = random_band_limited(grid, seed=700 + 3 * rep, kind="nonneg")
-            g = random_band_limited(grid, seed=701 + 3 * rep, kind="nonneg")
-            h = random_band_limited(grid, seed=702 + 3 * rep, kind="nonneg")
-            lhs, rhs = riesz_check(f, g, h)
+            f, g, h = (nonneg(grid, 700 + 3 * rep + i) for i in range(3))
+            lhs, rhs = pairings(f, g, h, grid)
             assert lhs <= rhs * (1.0 + 1e-9)
 
     def test_strict_gain_for_separated_bumps(self):
         grid = Grid(d=2, n=32, L=20.0)
-        u = two_bumps(grid, separation=10.0)
-        lhs, rhs = riesz_check(u, u, u)
+        u = two_bumps(grid, separation=10.0).values.real
+        lhs, rhs = pairings(u, u, u, grid)
         assert (rhs - lhs) / rhs > 0.1
-
-    def test_rejects_complex_or_negative_inputs(self):
-        grid = Grid(d=2, n=16, L=10.0)
-        good = random_band_limited(grid, seed=41, kind="nonneg")
-        complex_field = random_band_limited(grid, seed=42)
-        negative = Field(grid, -good.values)
-        with pytest.raises(ValueError, match="nonnegative"):
-            riesz_check(complex_field, good, good)
-        with pytest.raises(ValueError, match="nonnegative"):
-            riesz_check(good, negative, good)
-
-    def test_rejects_mismatched_grids(self):
-        a = random_band_limited(Grid(d=2, n=16, L=10.0), seed=1, kind="nonneg")
-        b = random_band_limited(Grid(d=2, n=16, L=12.0), seed=1, kind="nonneg")
-        with pytest.raises(ValueError, match="different grids"):
-            riesz_check(a, b, a)
 
 
 @given(
@@ -166,7 +160,7 @@ class TestRieszPairing:
 )
 def test_rearrange_properties_hold_for_arbitrary_fields(seed, n, kind):
     grid = Grid(d=1, n=n, L=10.0)
-    u = random_band_limited(grid, seed=seed, kind=kind)
+    u = Field(grid, _random_band_limited(grid, [seed], kind)[0])
     out = symmetric_rearrange(u)
     assert np.array_equal(
         np.sort(np.abs(u.values).ravel()), np.sort(out.values.real.ravel())
@@ -265,8 +259,12 @@ class TestBlockedAgainstFieldByField:
             for keep in (1.0 / 3.0, NOISE_KEEP_FRACTION, 1.0):
                 noise = band_limited_noise(grid, seed, keep)
                 assert noise.tobytes() == _noise_ref(grid, seed, keep).tobytes()
-            for kind in ("complex", "nonneg"):
-                u = random_band_limited(grid, seed, kind)
+            assert nonneg(grid, seed).dtype == np.float64  # drawn real, not cast to complex
+            draws = {
+                "complex": random_band_limited(grid, seed),
+                "nonneg": Field(grid, nonneg(grid, seed)),
+            }
+            for kind, u in draws.items():
                 assert u.values.tobytes() == _random_ref(grid, seed, kind).tobytes()
                 out = symmetric_rearrange(u)
                 assert out.values.tobytes() == _rearrange_ref(u.values, grid).tobytes()
@@ -274,8 +272,8 @@ class TestBlockedAgainstFieldByField:
                     assert sobolev_seminorm_sq(field, ALPHA) == _seminorm_ref(
                         field.values, grid, ALPHA
                     )
-            triple = [random_band_limited(grid, 3 * seed + i, "nonneg") for i in range(3)]
-            assert riesz_check(*triple) == _riesz_ref(*(f.values for f in triple), grid)
+            triple = [nonneg(grid, 3 * seed + i) for i in range(3)]
+            assert pairings(*triple, grid) == _riesz_ref(*triple, grid)
 
     @pytest.mark.parametrize("grid", REFERENCE_GRIDS)
     def test_perturb_is_bitwise_the_reference(self, grid):

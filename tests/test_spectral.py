@@ -18,10 +18,9 @@ from fhnlse import (
     mass,
     plane_wave,
     random_band_limited,
-    sobolev_seminorm_sq,
 )
 from fhnlse.fields import with_mass
-from fhnlse.spectral import EnergyTerms, HalfSpectrumTerms
+from fhnlse.spectral import EnergyTerms, HalfSpectrumTerms, sobolev_seminorm_sq
 
 ALPHA = 0.6
 GAMMA = 0.5

@@ -88,15 +88,20 @@ class TestRearrangementVerdict:
         """A pairing excess just above the sweep's slack must fail both the
         ``rearrange-test`` command and the ``rearrangement-suite`` check,
         which read the one verdict of ``rearrangement_sweep``.  The excess is
-        put into the pairings of every block of triples the sweep tests."""
-        real = rearrange_module._pairings
+        put into the pairings of every block of triples the sweep tests: a
+        triple that is not its own rearrangement is given the pairing of its
+        rearrangement, raised by the excess."""
+        real = rearrange_module._triple_product
         excess = 2 * rearrange_module.SweepResult.slack
 
         def inflated(f, g, h, grid):
-            lhs, rhs = real(f, g, h, grid)
-            return rhs + excess * np.abs(rhs), rhs
+            ranked = [rearrange_module._rearranged(x, grid) for x in (f, g, h)]
+            rhs = real(*ranked, grid)
+            if all(np.array_equal(x, y) for x, y in zip((f, g, h), ranked)):
+                return rhs
+            return rhs + excess * np.abs(rhs)
 
-        monkeypatch.setattr(rearrange_module, "_pairings", inflated)
+        monkeypatch.setattr(rearrange_module, "_triple_product", inflated)
         code = main(
             ["rearrange-test", "--set", "grid.n=16", "--set", "grid.L=12.0",
              "--set", "rearrange.count=3", "--output-dir", str(tmp_path)]
