@@ -25,9 +25,10 @@ Fourier-space factors instead.  ``N`` is a power of two, so every state is
 bit-for-bit what the normalized ``fftn``/``ifftn`` pair gives.  The
 nonlinear substep and the finiteness check fill work arrays allocated once
 per run: the density, which becomes its potential, then half the phase
-angle and then ``sin theta``; the phase, which first holds the state's
-squares; a real pair for ``cos theta`` and ``1 / (1 + t^2)``, so that all
-the phase arithmetic runs on contiguous arrays; and the finiteness mask.
+angle ``theta / 2``, then ``2 t`` for ``t = tan(theta / 2)``; the phase,
+which first holds the state's squares; a real pair for ``1 - t^2`` and
+``1 / (1 + t^2)``, so that all the phase arithmetic runs on contiguous
+arrays; and the finiteness mask.
 A step allocates only the convolution's half spectrum.
 
 The equation written with the opposite sign is the conjugate flow: its
@@ -69,12 +70,12 @@ def _unit_phase(
     times its cost; the result is unimodular for every finite ``t`` and
     agrees with ``cos + i sin`` to a few ulps.  NaN and infinite angles
     give NaN.  Works in place: ``half_theta`` (contiguous) is overwritten
-    and ends as ``sin theta``, and the phase goes to ``out`` (a new complex
-    array if None).  The arithmetic runs on contiguous real arrays, ``tan``
+    and ends as ``2 t``, and the phase goes to ``out`` (a new complex array
+    if None).  The arithmetic runs on contiguous real arrays, ``tan``
     included: ``half_theta`` and ``work``, a real ``(2, *shape)`` array (a
-    new one if None) whose first half ends as ``cos theta`` and whose
-    second holds ``1 / (1 + t^2)``; only the closing copies into
-    ``out.real`` and ``out.imag`` are strided.
+    new one if None) whose first half ends as ``1 - t^2`` and whose second
+    holds ``1 / (1 + t^2)``; only the two closing products, written
+    straight into ``out.real`` and ``out.imag``, are strided.
     """
     if out is None:
         out = np.empty(half_theta.shape, dtype=complex)
@@ -87,11 +88,9 @@ def _unit_phase(
     np.add(cos, 1.0, out=inv)
     np.reciprocal(inv, out=inv)
     np.subtract(1.0, cos, out=cos)
-    cos *= inv
+    np.multiply(cos, inv, out=out.real)
     t += t
-    t *= inv
-    out.real = cos
-    out.imag = t
+    np.multiply(t, inv, out=out.imag)
     return out
 
 
@@ -129,23 +128,26 @@ def _strang(
     d = kernel.grid.d
     psi_hat = _fftn(values, d)
     psi_hat *= reopen
+    # psi_hat and the state in turn, as interleaved real and imaginary parts
+    components = psi_hat.view(np.float64)
     phase = np.empty(values.shape, dtype=complex)
     squares = phase.view(np.float64)  # holds the state's x^2 and y^2 first
-    # the density, then in place its potential, half the phase angle, sin theta
+    x_sq, y_sq = squares[..., 0::2], squares[..., 1::2]
+    # the density, then in place its potential, half the phase angle, 2 t
     rho = np.empty(values.shape)
     work = np.empty((2, *values.shape))
     finite = np.empty(squares.shape, dtype=bool)
     for k in range(1, n + 1):
         _ifftn(psi_hat, d, out=psi_hat, scaled=False)
-        np.square(psi_hat.view(np.float64), out=squares)
-        np.add(squares[..., 0::2], squares[..., 1::2], out=rho)
+        np.square(components, out=squares)
+        np.add(x_sq, y_sq, out=rho)
         kernel.convolve_density(rho, out=rho)
         # half the phase angle, bit for bit 0.5 * ((-h) * potential):
         # scaling by a power of two commutes with rounding short of underflow
         rho *= -0.5 * h
         psi_hat *= _unit_phase(rho, out=phase, work=work)
         _fftn(psi_hat, d, out=psi_hat)
-        if not np.isfinite(psi_hat.view(np.float64), out=finite).all():
+        if not np.isfinite(components, out=finite).all():
             raise NumericalAbort(f"non-finite state at step {k} (t = {k * h:g})")
         if k % stride == 0 or k == n:
             psi_hat *= half

@@ -14,13 +14,13 @@ axes** of its argument and bit for bit NumPy's n-D function on them:
 ``ifftn``, ``rfftn`` and ``irfftn`` with ``axes=range(-d, 0)``).  Each
 strings 1-D passes, in the axis order of NumPy's n-D function, through the
 one pass helper ``_pass``, which calls NumPy's own pocketfft gufunc
-(``_POCKETFFT``) with a precomputed ``axes=`` argument and an explicit
-scale factor: the call ``numpy.fft``'s 1-D function makes, without its
-per-call wrapper.  An inverse is ``scaled`` by default, each pass by one
-over its length as in NumPy's default norm; ``scaled=False`` leaves every
-pass unscaled, NumPy's ``norm="forward"``, for a caller that folds the
-``1/N`` into a factor of its own (``N`` is a power of two, so the folded
-scaling is exact).
+(``_POCKETFFT``) with a precomputed ``axes=`` argument (none for the
+last axis, the gufunc's default) and an explicit scale factor: the call
+``numpy.fft``'s 1-D function makes, without its per-call wrapper.  An
+inverse is ``scaled`` by default, each pass by one over its length as in
+NumPy's default norm; ``scaled=False`` leaves every pass unscaled, NumPy's
+``norm="forward"``, for a caller that folds the ``1/N`` into a factor of
+its own (``N`` is a power of two, so the folded scaling is exact).
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ def _axis_sum(per_axis: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
 
 # NumPy's own 1-D pocketfft gufuncs, the objects that ``numpy.fft``'s
 # functions call (NumPy >= 2.0).  Each transforms along the one axis named
-# by its ``axes=`` argument, scales by an explicit factor ``fct`` and
-# writes to ``out``; calling it directly skips the per-call Python wrapper
-# (norm handling, axis normalization, output allocation).  The last axis
-# of a lattice has an even number of points, so ``rfft_n_even`` serves.
-# Every per-axis pass goes through :func:`_pass`, and only the four n-D
-# helpers below call it.
+# by its ``axes=`` argument, the last by default, scales by an explicit
+# factor ``fct`` and writes to ``out``; calling it directly skips the
+# per-call Python wrapper (norm handling, axis normalization, output
+# allocation).  The last axis of a lattice has an even number of points,
+# so ``rfft_n_even`` serves.  Every per-axis pass goes through
+# :func:`_pass`, and only the four n-D helpers below call it.
 _POCKETFFT = {
     "fft": _pocketfft_umath.fft,
     "ifft": _pocketfft_umath.ifft,
@@ -59,8 +59,8 @@ _POCKETFFT = {
     "irfft": _pocketfft_umath.irfft,
 }
 
-# the gufuncs' ``axes=`` argument for a pass along lattice axis -1, -2 or -3
-_PASS_AXES = {axis: [(axis,), (), (axis,)] for axis in (-1, -2, -3)}
+# the gufuncs' ``axes=`` argument for a pass along lattice axis -2 or -3
+_PASS_AXES = {axis: [(axis,), (), (axis,)] for axis in (-2, -3)}
 
 
 def _pass(kind: str, a: np.ndarray, axis: int, fct: float, out: np.ndarray) -> np.ndarray:
@@ -68,8 +68,11 @@ def _pass(kind: str, a: np.ndarray, axis: int, fct: float, out: np.ndarray) -> n
     ``"irfft"``) of ``a`` along ``axis``, scaled by ``fct`` and written to
     ``out``, which may be ``a`` for the complex kinds.  The gufunc call that
     ``np.fft.<kind>(a, axis=axis, out=out)`` makes for the norm whose factor
-    is ``fct``, so bit for bit its result."""
-    return _POCKETFFT[kind](a, fct, axes=_PASS_AXES[axis], out=out)
+    is ``fct``, so bit for bit its result.  A last-axis pass passes no
+    ``axes=``: the gufunc's default core axis is the last."""
+    if axis == -1:
+        return _POCKETFFT[kind](a, fct, out)
+    return _POCKETFFT[kind](a, fct, out, axes=_PASS_AXES[axis])
 
 
 def _fftn(a: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -158,17 +161,20 @@ class Grid:
         if not 0 < self.L < np.inf:
             raise ValueError(f"L must be positive and finite (got {self.L})")
         object.__setattr__(self, "L", float(self.L))
-        # the cell volume, L^2 and the largest |k|^2 in float64, where an
-        # overflow gives inf and an underflow 0 instead of an exception
+        # the cell volume, its square (the quadrature weight of a double
+        # sum), L^2 and the largest |k|^2 in float64, where an overflow gives
+        # inf and an underflow 0 instead of an exception
         L = np.float64(self.L)
         h = L / self.n
         with np.errstate(over="ignore", under="ignore"):
             volume, l_sq, k_sq_max = h**self.d, L * L, self.d * (np.pi / h) ** 2
-        if not (0 < volume < np.inf and l_sq < np.inf and k_sq_max < np.inf):
+            volume_sq = volume * volume
+        if not (0 < volume < np.inf and volume_sq < np.inf and l_sq < np.inf
+                and k_sq_max < np.inf):
             raise ValueError(
                 f"L = {self.L} is out of range for d = {self.d}, n = {self.n}: the cell "
-                "volume h**d, L**2 or the largest |k|**2 overflows float64, or the "
-                "cell volume underflows to 0"
+                "volume h**d, its square, L**2 or the largest |k|**2 overflows "
+                "float64, or the cell volume underflows to 0"
             )
 
     # -- scalar geometry -------------------------------------------------

@@ -29,12 +29,14 @@ declared on the constrained Euler-Lagrange residual ``|G(u) - omega u|_2 /
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonConvergenceError, NumericalAbort
-from .fields import Field, _mass_factor, gaussian
+from .fields import Field, _abs_sq, _mass_factor, gaussian
 from .grid import Grid, PhysicsParams, _fftn, _ifftn, _irfftn, _rfftn
 from .kernel import HartreeKernel
 from .rearrange import symmetric_rearrange
@@ -114,11 +116,23 @@ class GroundState:
     backtrack_history: np.ndarray = dataclass_field(repr=False, default=None)
 
 
+@lru_cache(maxsize=None)
+def _negated(n: int) -> np.ndarray:
+    """The indices ``(n - j) mod n`` for ``j = 0..n-1``, read-only."""
+    index = -np.arange(n) % n
+    index.flags.writeable = False
+    return index
+
+
 def _reflect(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """``a(-x)`` along ``axes``, where index ``j`` reflects to ``(n - j) mod
     n``: about the coordinate origin (index ``n//2``) for a field, about the
-    zero frequency for a spectrum."""
-    return np.roll(np.flip(a, axes), 1, axes)
+    zero frequency for a spectrum.  One gather per axis, bit for bit
+    ``np.roll(np.flip(a, axes), 1, axes)``; ``a`` itself when ``axes`` is
+    empty."""
+    for axis in axes:
+        a = a.take(_negated(a.shape[axis]), axis=axis)
+    return a
 
 
 def _even(a: np.ndarray) -> np.ndarray:
@@ -197,7 +211,7 @@ def _descent(
     _make_hermitian(r_hat)
     u_sq = float(np.vdot(u, u))
     r_sq = float(np.vdot(r_hat, terms.hermitian * r_hat).real)
-    resid = float(np.sqrt(r_sq / (u.size * u_sq)))
+    resid = math.sqrt(r_sq / (u.size * u_sq))
     shift = max(abs(omega), shift_floor)
     d_hat = r_hat
     d_hat /= shift + terms.multiplier
@@ -271,7 +285,7 @@ def minimize(
     best: tuple[float, np.ndarray, float, float] = (resid, cur.u, e_now, omega)
 
     for iterations in range(1, opts.max_iter + 1):
-        if not np.isfinite(resid) or not np.isfinite(e_now):
+        if not math.isfinite(resid) or not math.isfinite(e_now):
             raise NumericalAbort(
                 f"non-finite diagnostics at iteration {iterations} "
                 f"(energy={e_now}, residual={resid})"
@@ -289,14 +303,14 @@ def minimize(
             e_trial, trial = energy(
                 c * w, p, kernel, u_hat=c * (u_hat - step * direction_hat), with_terms=True
             )
-            if np.isfinite(e_trial) and e_trial <= e_now:
+            if math.isfinite(e_trial) and e_trial <= e_now:
                 break
             step *= 0.5
         else:
             stop_reason = "backtracking_floor"
             break
 
-        rel_change = float(np.sqrt(np.sum((trial.u - u) ** 2) / np.sum(u**2)))
+        rel_change = math.sqrt(np.sum(_abs_sq(trial.u - u)) / np.sum(_abs_sq(u)))
         cur, e_now = trial, e_trial
         tau = 1.2 * step
         omega, resid, direction, direction_hat = _descent(cur, shift_floor)

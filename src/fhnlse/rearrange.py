@@ -190,6 +190,7 @@ def rearrangement_sweep(
         lhs = _triple_product(*triple, grid)
         rhs = _triple_product(*(_rearranged(x, grid) for x in triple), grid)
         pairing_excess += ((lhs - rhs) / np.abs(rhs)).tolist()
+    # np.max propagates a NaN excess, which then fails the sweep; max() would drop it
     return SweepResult(
-        changed, max([-np.inf, *seminorm_excess]), max([-np.inf, *pairing_excess])
+        changed, float(np.max(seminorm_excess)), float(np.max(pairing_excess))
     )

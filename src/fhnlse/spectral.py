@@ -20,11 +20,12 @@ cell_volume^2`` is the Hartree pairing, and its L^2 gradient is
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, mass
+from .fields import Field, _abs_sq, mass
 from .grid import Grid, PhysicsParams, _fftn, _ifftn, _irfftn
 from .kernel import HartreeKernel
 
@@ -71,7 +72,7 @@ def sobolev_seminorm_sq(u: Field, alpha: float) -> float:
 
 def h_alpha_norm(u: Field, alpha: float) -> float:
     """Inhomogeneous norm ``sqrt(|u|_2^2 + |u|_{H^alpha-dot}^2)``."""
-    return float(np.sqrt(mass(u) + sobolev_seminorm_sq(u, alpha)))
+    return math.sqrt(mass(u) + sobolev_seminorm_sq(u, alpha))
 
 
 def density_terms(values: np.ndarray, kernel: HartreeKernel) -> tuple[np.ndarray, float, float]:
@@ -84,7 +85,7 @@ def density_terms(values: np.ndarray, kernel: HartreeKernel) -> tuple[np.ndarray
     so the pairing checked against ``kernel.hartree_direct`` is the one the
     solver uses.
     """
-    rho = np.abs(values) ** 2
+    rho = _abs_sq(values)
     potential = kernel.convolve_density(rho)
     cell_volume = kernel.grid.cell_volume
     pairing = float(np.sum(rho * potential) * cell_volume)

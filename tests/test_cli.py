@@ -198,6 +198,22 @@ class TestInvalidInput:
         assert any(line.startswith("error: L = ") for line in errors)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["rearrange-test", "groundstate", "evolve"])
+    def test_box_whose_squared_cell_volume_overflows_exits_2(self, command, tmp_path, capsys):
+        """On 8^2 with L = 1e100 the cell volume is finite but its square,
+        the weight of the triple pairing and of the direct Hartree sum, is
+        not: every command rejects the box, not only the one that squares it."""
+        out = tmp_path / "out"
+        code = run(
+            [command, "--set", "grid.n=8", "--set", "grid.L=1e100",
+             "--set", "dynamics.init=gaussian", "--set", "rearrange.count=2",
+             "--output-dir", str(out)]
+        )
+        assert code == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: L = 1e+100 is out of range") for line in errors)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evolve", "stability"])
     def test_overflowing_step_count_exits_2_before_any_solve(
         self, command, tmp_path, capsys, monkeypatch

@@ -208,9 +208,20 @@ class TestGridValidation:
         with pytest.raises(ValueError, match=re.escape(f"L = {L} is out of range")):
             Grid(d=d, n=8, L=L)
 
-    def test_accepts_a_large_but_representable_length(self):
-        grid = Grid(d=2, n=8, L=1e100)
-        assert 0 < grid.cell_volume < np.inf
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rejects_a_length_whose_squared_cell_volume_overflows(self, d):
+        """The cell volume is finite, but its square, which weights the triple
+        pairing and the direct Hartree sum, is not."""
+        L = 1e100
+        h = L / 8
+        assert h**d < np.inf
+        with pytest.raises(ValueError, match=re.escape(f"L = {L} is out of range")):
+            Grid(d=d, n=8, L=L)
+
+    @pytest.mark.parametrize("d, L", [(1, 1e100), (2, 1e50), (3, 1e50)])
+    def test_accepts_a_large_but_representable_length(self, d, L):
+        grid = Grid(d=d, n=8, L=L)
+        assert 0 < grid.cell_volume**2 < np.inf
         assert np.all(np.isfinite(grid.k_squared))
 
 

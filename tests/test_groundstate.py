@@ -34,7 +34,7 @@ from fhnlse import (
     symmetric_rearrange,
     write_field,
 )
-from fhnlse.groundstate import _TAU0, _descent, _initial_fields
+from fhnlse.groundstate import _TAU0, _descent, _initial_fields, _reflect
 from fhnlse.snapshots import read_field
 from fhnlse.spectral import HalfSpectrumTerms
 
@@ -187,6 +187,43 @@ class TestFusedBookkeeping:
         assert np.vdot(gradient.real, d) > 0.0
         exact = np.fft.rfftn(d)
         assert np.linalg.norm(d_hat - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+class TestReflect:
+    """``_reflect`` gathers by cached negated indices; pinned bit for bit to
+    the roll of the flip it replaced, which the even part of a start and the
+    Hermitian edges of every residual were formed with."""
+
+    @staticmethod
+    def reference(a, axes):
+        return np.roll(np.flip(a, axes), 1, axes)
+
+    @staticmethod
+    def draw(shape, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a.flat[0] = complex(-0.0, np.nan)  # signed zero and NaN keep their bits
+        return a
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fields(self, d):
+        a = self.draw((8,) * d, d)
+        axes = tuple(range(d))
+        for values in (a, a.real.copy()):
+            reflected = _reflect(values, axes)
+            assert reflected.dtype == values.dtype
+            assert reflected.tobytes() == self.reference(values, axes).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape", [(8, 5), (16, 9), (8, 8, 5), (7, 5), (5, 7, 3), (9, 9, 9)]
+    )
+    def test_half_spectrum_edges(self, shape):
+        """The zero and Nyquist columns of a half spectrum, reflected along
+        the leading axes, on odd lengths as well as the lattice's."""
+        x_hat = self.draw(shape, len(shape))
+        edges = x_hat[..., :: shape[-1] - 1]
+        axes = tuple(range(len(shape) - 1))
+        assert _reflect(edges, axes).tobytes() == self.reference(edges, axes).tobytes()
 
 
 def count_calls(monkeypatch, owner, names) -> dict:

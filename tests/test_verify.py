@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 import fhnlse.rearrange as rearrange_module
+import fhnlse.verify as verify_module
 from fhnlse.cli import main
+from fhnlse.fields import Field
 from fhnlse.spectral import EnergyTerms
 from fhnlse.verify import (
     CHECKS,
     CheckResult,
     VerifyContext,
+    check_gradient_pairing,
     check_groundstate_convergence,
     check_hartree_oracle,
     check_rearrangement_suite,
@@ -115,6 +118,22 @@ class TestRearrangementVerdict:
         assert not result.passed
         assert result.values["worst_riesz_excess"] > result.values["slack"]
 
+    def test_nan_excesses_fail_the_command(self, tmp_path):
+        """On an 8^2 box of side 1e-100 the squared cell volume underflows to
+        0, so every triple pairing is 0 and every pairing excess 0/0 = NaN
+        (the seminorms overflow, so their excesses are NaN too).  A NaN
+        excess fails the sweep: a reduction that drops NaNs would report a
+        worst excess of -inf and pass."""
+        with np.errstate(all="ignore"):
+            code = main(
+                ["rearrange-test", "--set", "grid.n=8", "--set", "grid.L=1e-100",
+                 "--set", "rearrange.count=2", "--output-dir", str(tmp_path)]
+            )
+        assert code == 1
+        report = json.loads((tmp_path / "rearrange.json").read_text())
+        assert report["pass"] is False
+        assert np.isnan(report["worstPairingExcess"])
+
 
 class TestHartreeOracle:
     def test_a_corrupted_production_pairing_fails_the_oracle(self, monkeypatch):
@@ -130,6 +149,27 @@ class TestHartreeOracle:
         result = check_hartree_oracle(VerifyContext(seed=1), "quick")
         assert not result.passed
         assert result.values["max_rel_err"] == pytest.approx(1.0, rel=1e-9, abs=0)
+
+    def test_a_nan_direct_sum_fails_the_oracle(self, monkeypatch):
+        """A NaN relative error fails the check: it is not dropped in favour
+        of the finite ones."""
+        monkeypatch.setattr(verify_module, "hartree_direct", lambda u, kernel: float("nan"))
+        result = check_hartree_oracle(VerifyContext(seed=1), "quick")
+        assert not result.passed
+        assert np.isnan(result.values["max_rel_err"])
+
+
+class TestGradientPairing:
+    def test_a_nan_gradient_fails_the_check(self, monkeypatch):
+        """A NaN relative error fails the check: it is not dropped in favour
+        of the finite ones."""
+        def nan_gradient(u, p, kernel):
+            return Field(u.grid, np.full(u.grid.shape, np.nan))
+
+        monkeypatch.setattr(verify_module, "energy_gradient", nan_gradient)
+        result = check_gradient_pairing(VerifyContext(seed=1), "quick")
+        assert not result.passed
+        assert np.isnan(result.values["max_rel_err"])
 
 
 class TestScalingSlope:
