@@ -96,15 +96,11 @@ def _cmd_groundstate(args) -> int:
                 "params": {"d": grid.d, "n": grid.n, "L": grid.L},
             },
         )
-    if _wants(cfg, "csv") and gs.energy_history is not None:
-        columns = zip(
-            gs.energy_history, gs.residual_history, gs.step_history, gs.backtrack_history
-        )
-        rows = [(i, *row) for i, row in enumerate(columns)]
+    if _wants(cfg, "csv") and gs.history is not None:
         write_csv(
             outdir / "convergence.csv",
-            ["iteration", "energy", "residual", "step", "backtracks"],
-            rows,
+            ["iteration", *gs.history.dtype.names],
+            [(i, *row) for i, row in enumerate(gs.history.tolist())],
         )
     if _wants(cfg, "snapshots"):
         write_field(outdir / "ground_state", gs.g, p.alpha, p.gamma, label="ground_state")

@@ -41,7 +41,6 @@ scheme conserves mass to roundoff; the energy error is second order in
 from __future__ import annotations
 
 import itertools
-import logging
 import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -55,8 +54,6 @@ from .kernel import HartreeKernel
 from .spectral import check_setup, energy
 
 __all__ = ["evolve", "Trajectory"]
-
-logger = logging.getLogger(__name__)
 
 
 def _unit_phase(

@@ -169,12 +169,12 @@ class Grid:
         with np.errstate(over="ignore", under="ignore"):
             volume, l_sq, k_sq_max = h**self.d, L * L, self.d * (np.pi / h) ** 2
             volume_sq = volume * volume
-        if not (0 < volume < np.inf and volume_sq < np.inf and l_sq < np.inf
+        if not (0 < volume < np.inf and 0 < volume_sq < np.inf and l_sq < np.inf
                 and k_sq_max < np.inf):
             raise ValueError(
                 f"L = {self.L} is out of range for d = {self.d}, n = {self.n}: the cell "
                 "volume h**d, its square, L**2 or the largest |k|**2 overflows "
-                "float64, or the cell volume underflows to 0"
+                "float64, or the cell volume or its square underflows to 0"
             )
 
     # -- scalar geometry -------------------------------------------------

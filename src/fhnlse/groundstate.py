@@ -62,6 +62,10 @@ logger = logging.getLogger(__name__)
 _MAX_BACKTRACKS = 60
 _TAU0 = 0.5  # first trial step size
 _STALL_TOL = 1e-11  # an accepted step moving u by less, relative to |u|, stalls
+# the columns of GroundState.history, one row per accepted iterate
+_HISTORY_DTYPE = np.dtype(
+    [("energy", float), ("residual", float), ("step", float), ("backtracks", int)]
+)
 
 
 @dataclass
@@ -100,20 +104,21 @@ class GroundState:
     energy: float
     omega: float
     residual: float
-    iterations: int
-    converged: bool
+    iterations: int  # accepted iterates, the start not counted
     stop_reason: str
     # max |g| on the box seam over max |g|: near 1 for a box-filling state,
     # small for a localized one
     seam_ratio: float
     # max |g| over the box average of |g|: 1 for the flat state
     peak_over_mean: float
-    # one entry per accepted iterate, the start included (step 0, no
-    # backtracks); kept only under ``SolveOptions.keep_history``
-    energy_history: np.ndarray = dataclass_field(repr=False, default=None)
-    residual_history: np.ndarray = dataclass_field(repr=False, default=None)
-    step_history: np.ndarray = dataclass_field(repr=False, default=None)
-    backtrack_history: np.ndarray = dataclass_field(repr=False, default=None)
+    # a _HISTORY_DTYPE row per accepted iterate, the start included (step 0,
+    # no backtracks); kept only under ``SolveOptions.keep_history``
+    history: np.ndarray | None = dataclass_field(repr=False, default=None)
+
+    @property
+    def converged(self) -> bool:
+        """Whether the solve stopped on its residual target."""
+        return self.stop_reason == "residual"
 
 
 @lru_cache(maxsize=None)
@@ -222,16 +227,6 @@ def _descent(
     return omega, resid, d, d_hat
 
 
-def _history_columns(history: list[tuple[float, float, float, int]]) -> dict:
-    energies, residuals, steps, backtracks = zip(*history)
-    return {
-        "energy_history": np.asarray(energies),
-        "residual_history": np.asarray(residuals),
-        "step_history": np.asarray(steps),
-        "backtrack_history": np.asarray(backtracks),
-    }
-
-
 def minimize(
     p: PhysicsParams, kernel: HartreeKernel, opts: SolveOptions | None = None
 ) -> GroundState:
@@ -255,10 +250,15 @@ def minimize(
     the next direction.  Only the start candidates are transformed; after
     that an accepted iterate costs the one real transform pair of
     :func:`_descent` and a trial none.
-    Stops when the Euler-Lagrange residual drops below ``resid_tol``, the
-    iterate stalls (``_STALL_TOL``), or ``max_iter`` is reached; returns the
-    best (smallest-residual) accepted iterate, as a complex :class:`Field`
-    whose imaginary part is zero.
+    The start and every accepted iterate are tested in this order: a
+    non-finite energy or residual raises :class:`NumericalAbort`; a residual
+    below ``resid_tol`` stops with ``stop_reason`` ``"residual"`` (the one
+    ``converged`` one); a step that moved the iterate by less than
+    ``_STALL_TOL`` relative to its norm stops with ``"stalled"``; and the
+    ``max_iter``-th accepted iterate stops with ``"max_iter"``.  A step
+    that no backtrack makes acceptable stops with ``"backtracking_floor"``.
+    Returns the best (smallest-residual) accepted iterate, as a complex
+    :class:`Field` whose imaginary part is zero.
     """
     opts = opts or SolveOptions()
     opts.validate()
@@ -277,22 +277,27 @@ def minimize(
     )
     tau = _TAU0
     iterations = 0
-    stop_reason = "max_iter"
+    rel_change = math.inf
 
     omega, resid, direction, direction_hat = _descent(cur, shift_floor)
-    # per accepted iterate: energy, residual, step, backtracks
+    # the rows of GroundState.history
     history: list[tuple[float, float, float, int]] = [(e_now, resid, 0.0, 0)]
     best: tuple[float, np.ndarray, float, float] = (resid, cur.u, e_now, omega)
 
-    for iterations in range(1, opts.max_iter + 1):
+    while True:
         if not math.isfinite(resid) or not math.isfinite(e_now):
             raise NumericalAbort(
-                f"non-finite diagnostics at iteration {iterations} "
+                f"non-finite diagnostics at iteration {iterations + 1} "
                 f"(energy={e_now}, residual={resid})"
             )
         if resid < opts.resid_tol:
             stop_reason = "residual"
-            iterations -= 1
+            break
+        if rel_change < _STALL_TOL:
+            stop_reason = "stalled"
+            break
+        if iterations == opts.max_iter:
+            stop_reason = "max_iter"
             break
 
         u, u_hat = cur.u, cur.u_hat
@@ -310,6 +315,7 @@ def minimize(
             stop_reason = "backtracking_floor"
             break
 
+        iterations += 1
         rel_change = math.sqrt(np.sum(_abs_sq(trial.u - u)) / np.sum(_abs_sq(u)))
         cur, e_now = trial, e_trial
         tau = 1.2 * step
@@ -317,17 +323,11 @@ def minimize(
         history.append((e_now, resid, step, backtracks))
         if resid < best[0]:
             best = (resid, cur.u, e_now, omega)
-        if rel_change < _STALL_TOL:
-            stop_reason = "stalled"
-            break
-    else:
-        iterations = opts.max_iter
 
-    # the iterate that first met resid_tol has the smallest residual so far,
-    # so the best iterate is the returned one in every case
+    # the first iterate below resid_tol stops the loop, so a converged
+    # solve's best (smallest-residual) iterate is its last one
     resid_f, u_f, e_f, omega_f = best
     g = Field(grid, u_f)
-    converged = resid_f < opts.resid_tol
 
     seam_ratio, peak_over_mean = _profile(g)
     logger.info(
@@ -342,11 +342,10 @@ def minimize(
         omega=omega_f,
         residual=resid_f,
         iterations=iterations,
-        converged=converged,
         stop_reason=stop_reason,
         seam_ratio=seam_ratio,
         peak_over_mean=peak_over_mean,
-        **(_history_columns(history) if opts.keep_history else {}),
+        history=np.array(history, dtype=_HISTORY_DTYPE) if opts.keep_history else None,
     )
 
 
@@ -423,8 +422,6 @@ class ScalingRow:
 
 @dataclass
 class ScalingResult:
-    base_q: float
-    base_energy: float
     exponent: float
     slope: float
     rows: list[ScalingRow]
@@ -454,7 +451,9 @@ def scaling_experiment(
     rescaling.  Rows are still fully independent solves from their own
     Gaussian initializations, so the reported slope of ``log |E|`` versus
     ``log lam`` is a genuine end-to-end check of solver consistency
-    against :func:`scaling_exponent`, not an identity replay.
+    against :func:`scaling_exponent`, not an identity replay.  Each lambda
+    is solved once; the row whose box is the kernel's (lam = 1) uses
+    ``kernel``, every other row a kernel built on its own box.
 
     On a *fixed* box the law degrades at the small-mass end: once the
     minimizer's natural width exceeds the box, the discrete minimizer
@@ -466,16 +465,14 @@ def scaling_experiment(
     sigma = scaling_exponent(p.alpha, p.gamma)
     grid = kernel.grid
     width_power = -1.0 / (2.0 * p.alpha - p.gamma)
-    base = _solve_mass(p, kernel, base_q, opts)
     rows: list[ScalingRow] = []
     for lam in lambdas:
-        if lam == 1.0:
-            gs = base
-            row_L = grid.L
-        else:
-            row_L = grid.L * lam**width_power
-            row_kernel = HartreeKernel(Grid(d=grid.d, n=grid.n, L=row_L), p.gamma)
-            gs = _solve_mass(p, row_kernel, lam * base_q, opts)
+        row_L = grid.L * lam**width_power
+        row_kernel = (
+            kernel if row_L == grid.L
+            else HartreeKernel(Grid(d=grid.d, n=grid.n, L=row_L), p.gamma)
+        )
+        gs = _solve_mass(p, row_kernel, lam * base_q, opts)
         rows.append(
             ScalingRow(
                 lam=float(lam),
@@ -490,25 +487,24 @@ def scaling_experiment(
     logs = np.array([np.log(r.lam) for r in rows])
     vals = np.array([np.log(abs(r.energy)) for r in rows])
     slope = float(np.polyfit(logs, vals, 1)[0]) if len(rows) > 1 else float("nan")
-    return ScalingResult(
-        base_q=float(base_q),
-        base_energy=base.energy,
-        exponent=sigma,
-        slope=slope,
-        rows=rows,
-    )
+    return ScalingResult(exponent=sigma, slope=slope, rows=rows)
 
 
 @dataclass
 class SubadditivityResult:
-    q1: float
-    q2: float
-    energy_q1: float
-    energy_q2: float
-    energy_sum_mass: float
-    margin: float  # E(q1) + E(q2) - E(q1 + q2), positive when strictly subadditive
-    all_converged: bool
+    """The ground states at masses ``q1``, ``q2`` and ``q1 + q2``."""
+
     states: tuple[GroundState, GroundState, GroundState]
+
+    @property
+    def margin(self) -> float:
+        """``E(q1) + E(q2) - E(q1 + q2)``, positive when strictly subadditive."""
+        gs1, gs2, gs12 = self.states
+        return gs1.energy + gs2.energy - gs12.energy
+
+    @property
+    def all_converged(self) -> bool:
+        return all(gs.converged for gs in self.states)
 
 
 def subadditivity_check(
@@ -524,16 +520,7 @@ def subadditivity_check(
     gs1 = _solve_mass(p, kernel, q1, opts)
     gs2 = gs1 if q2 == q1 else _solve_mass(p, kernel, q2, opts)
     gs12 = _solve_mass(p, kernel, q1 + q2, opts)
-    return SubadditivityResult(
-        q1=float(q1),
-        q2=float(q2),
-        energy_q1=gs1.energy,
-        energy_q2=gs2.energy,
-        energy_sum_mass=gs12.energy,
-        margin=gs1.energy + gs2.energy - gs12.energy,
-        all_converged=gs1.converged and gs2.converged and gs12.converged,
-        states=(gs1, gs2, gs12),
-    )
+    return SubadditivityResult(states=(gs1, gs2, gs12))
 
 
 def require_converged(gs: GroundState, context: str = "experiment") -> GroundState:

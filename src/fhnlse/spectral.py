@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field, _abs_sq, mass
-from .grid import Grid, PhysicsParams, _fftn, _ifftn, _irfftn
+from .grid import Grid, PhysicsParams, _fftn, _ifftn
 from .kernel import HartreeKernel
 
 __all__ = [
@@ -163,7 +163,9 @@ class HalfSpectrumTerms(EnergyTerms):
     ``multiplier`` is ``|k|^(2 alpha)`` on the half spectrum and
     ``hermitian`` the Parseval weights of :func:`_half_spectrum`;
     ``seminorm_sq`` is Parseval's sum over ``u_hat``.  ``energy`` and
-    ``omega`` are formed as in :class:`EnergyTerms`.
+    ``omega`` are formed as in :class:`EnergyTerms`; its ``gradient``, which
+    reads a :class:`Field`, does not apply, as the solver forms ``G(u)`` in
+    Fourier space (:func:`fhnlse.groundstate._descent`).
     """
 
     def __init__(
@@ -174,11 +176,6 @@ class HalfSpectrumTerms(EnergyTerms):
         self.multiplier, self.hermitian, seminorm = _half_spectrum(kernel.grid, p.alpha)
         self.potential, self.pairing, self.mass = density_terms(u, kernel)
         self.seminorm_sq = float(np.vdot(u_hat, seminorm * u_hat).real)
-
-    def gradient(self) -> np.ndarray:
-        """Values of ``G(u)``, a real array."""
-        kinetic = _irfftn(self.multiplier * self.u_hat, self.u.ndim, self.u.shape[-1])
-        return kinetic - self.potential * self.u
 
 
 def energy(

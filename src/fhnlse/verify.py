@@ -292,10 +292,10 @@ def check_subadditivity(ctx: VerifyContext, level: str):
     min_margin = 10 * 1e-6  # ten times the solver residual tolerance
     q = ctx.solve_options.q
     res = subadditivity_check(ctx.params, ctx.kernel, q / 2, q / 2, ctx.solve_options)
+    e1, e2, e12 = (gs.energy for gs in res.states)
     return (
         res.all_converged and res.margin > min_margin,
-        f"E({q:g})={res.energy_sum_mass:.6e} < "
-        f"E({q / 2:g})+E({q / 2:g})={res.energy_q1 + res.energy_q2:.6e}, "
+        f"E({q:g})={e12:.6e} < E({q / 2:g})+E({q / 2:g})={e1 + e2:.6e}, "
         f"margin {res.margin:.3e} (required > {min_margin:.0e})",
         {"margin": res.margin, "required": min_margin},
     )

@@ -198,20 +198,32 @@ class TestInvalidInput:
         assert any(line.startswith("error: L = ") for line in errors)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["rearrange-test", "groundstate", "evolve"])
-    def test_box_whose_squared_cell_volume_overflows_exits_2(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, L",
+        [
+            pytest.param(command, L, id=command + suffix)
+            for L, suffix in (("1e100", ""), ("1e-100", "-underflow"))
+            for command in ("rearrange-test", "groundstate", "evolve")
+        ],
+    )
+    def test_box_whose_squared_cell_volume_overflows_exits_2(
+        self, command, L, tmp_path, capsys
+    ):
         """On 8^2 with L = 1e100 the cell volume is finite but its square,
         the weight of the triple pairing and of the direct Hartree sum, is
-        not: every command rejects the box, not only the one that squares it."""
+        not; with L = 1e-100 the cell volume is positive but its square
+        underflows to 0.  Every command rejects the box, not only the one
+        that squares it."""
         out = tmp_path / "out"
         code = run(
-            [command, "--set", "grid.n=8", "--set", "grid.L=1e100",
+            [command, "--set", "grid.n=8", "--set", f"grid.L={L}",
              "--set", "dynamics.init=gaussian", "--set", "rearrange.count=2",
              "--output-dir", str(out)]
         )
         assert code == 2
         errors = capsys.readouterr().err.splitlines()
-        assert any(line.startswith("error: L = 1e+100 is out of range") for line in errors)
+        prefix = f"error: L = {float(L)} is out of range"
+        assert any(line.startswith(prefix) for line in errors)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evolve", "stability"])

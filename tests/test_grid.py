@@ -218,6 +218,23 @@ class TestGridValidation:
         with pytest.raises(ValueError, match=re.escape(f"L = {L} is out of range")):
             Grid(d=d, n=8, L=L)
 
+    @pytest.mark.parametrize("d, L", [(2, 1e-100), (3, 1e-60), (2, 1.0e-80), (3, 9.3e-54)])
+    def test_rejects_a_length_whose_squared_cell_volume_underflows(self, d, L):
+        """The cell volume is positive, but its square, which weights the
+        triple pairing and the direct Hartree sum, underflows to 0, where
+        every pairing would be 0 and its excess 0/0."""
+        h = np.float64(L) / 8
+        with np.errstate(under="ignore"):
+            assert h**d > 0 and (h**d) ** 2 == 0
+        with pytest.raises(ValueError, match=re.escape(f"L = {L} is out of range")):
+            Grid(d=d, n=8, L=L)
+
+    @pytest.mark.parametrize("d, L", [(1, 1e-150), (2, 1.01e-80), (3, 9.31e-54)])
+    def test_accepts_a_small_length_whose_squared_cell_volume_is_positive(self, d, L):
+        grid = Grid(d=d, n=8, L=L)
+        assert grid.cell_volume**2 > 0
+        assert np.all(np.isfinite(grid.k_squared))
+
     @pytest.mark.parametrize("d, L", [(1, 1e100), (2, 1e50), (3, 1e50)])
     def test_accepts_a_large_but_representable_length(self, d, L):
         grid = Grid(d=d, n=8, L=L)

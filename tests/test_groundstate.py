@@ -77,18 +77,22 @@ class TestMinimizeDiagnostics:
         rel = np.sqrt(mass(resid) / mass(g))
         assert rel < 1e-6
 
+    def test_history_has_a_row_per_accepted_iterate(self, ground32):
+        history = ground32.history
+        assert history.dtype.names == ("energy", "residual", "step", "backtracks")
+        assert history["backtracks"].dtype.kind == "i"
+        assert len(history) == ground32.iterations + 1
+        assert history["residual"][-1] == ground32.residual
+
     def test_energy_history_is_monotone_nonincreasing(self, ground32):
-        hist = ground32.energy_history
-        assert hist is not None
+        hist = ground32.history["energy"]
         assert np.all(np.diff(hist) <= 1e-15)
         assert hist[-1] < hist[0]
-        assert len(ground32.residual_history) == len(hist)
 
     def test_step_history_follows_the_backtracking_rule(self, ground32):
         """The first trial step is _TAU0, a backtrack halves it, and each
         next trial is 1.2x the accepted step, with no cap at _TAU0."""
-        steps, backtracks = ground32.step_history, ground32.backtrack_history
-        assert len(steps) == len(backtracks) == len(ground32.energy_history)
+        steps, backtracks = ground32.history["step"], ground32.history["backtracks"]
         assert steps[0] == 0.0 and backtracks[0] == 0
         trial = _TAU0
         for step, halvings in zip(steps[1:], backtracks[1:]):
@@ -100,10 +104,7 @@ class TestMinimizeDiagnostics:
         grid = Grid(d=2, n=16, L=12.0)
         kernel = HartreeKernel(grid, GAMMA)
         gs = minimize(ref_params, kernel, SolveOptions(q=1.0, keep_history=False))
-        assert gs.energy_history is None
-        assert gs.residual_history is None
-        assert gs.step_history is None
-        assert gs.backtrack_history is None
+        assert gs.history is None
 
     def test_reports_the_seam_ratio_and_peak_over_mean(self, ref_params):
         """At unit mass on a moderate box the minimizer spreads over the whole
@@ -170,9 +171,9 @@ class TestFusedBookkeeping:
         # own transform puts the converged residual 3.3e-10 relative off
         assert gs.residual == pytest.approx(np.sqrt(mass(resid) / mass(g)), rel=1e-8, abs=0)
         # the returned iterate is the accepted one with the smallest residual
-        best = int(np.argmin(gs.residual_history))
-        assert gs.energy_history[best] == gs.energy
-        assert gs.residual_history[best] == gs.residual
+        best = int(np.argmin(gs.history["residual"]))
+        assert gs.history["energy"][best] == gs.energy
+        assert gs.history["residual"][best] == gs.residual
 
     @pytest.mark.parametrize("which", ["random", "ground"])
     def test_direction_is_a_tangent_descent_direction(self, ref_params, localized, which):
@@ -308,7 +309,7 @@ class TestTransformCount:
         gs = minimize(p, kernel, SolveOptions(q=3.0))
         assert gs.converged
         assert stray == []
-        evals = 1 + gs.iterations + int(np.sum(gs.backtrack_history))
+        evals = 1 + gs.iterations + int(np.sum(gs.history["backtracks"]))
         descents = 1 + gs.iterations
         assert counts["convolve_density"] == evals
         assert counts["_rfftn"] == 1 + evals + descents
@@ -317,7 +318,7 @@ class TestTransformCount:
     def test_every_trial_is_an_energy_call(self, ref_params, kernel32, monkeypatch):
         counts = count_calls(monkeypatch, groundstate_module, ("energy",))
         gs = minimize(ref_params, kernel32, SolveOptions(q=3.0, keep_history=True))
-        assert counts["energy"] == 1 + gs.iterations + int(np.sum(gs.backtrack_history))
+        assert counts["energy"] == 1 + gs.iterations + int(np.sum(gs.history["backtracks"]))
 
 
 class TestClosedFormCriticalPoint:
@@ -373,13 +374,24 @@ class TestScalingLaw:
         assert all(r.converged for r in res.rows)
         assert res.slope == pytest.approx(res.exponent, rel=1e-3, abs=0)
 
-    def test_rows_use_the_rescaled_boxes(self, ref_params, kernel32, box32):
+    def test_rows_use_the_rescaled_boxes(self, ref_params, kernel32, box32, monkeypatch):
+        builds = count_calls(monkeypatch, groundstate_module, ("HartreeKernel",))
         res = scaling_experiment(ref_params, kernel32, base_q=1.0, lambdas=(1.0, 2.0))
+        # the lam = 1 row solves on the given kernel, the other on a new one
+        assert builds["HartreeKernel"] == 1
         power = -1.0 / (2.0 * ALPHA - GAMMA)
         assert res.rows[0].L == box32.L
         assert res.rows[1].L == pytest.approx(box32.L * 2.0**power, rel=1e-12, abs=0)
-        assert res.rows[0].energy == res.base_energy
-        assert res.rows[1].q == 2.0
+        assert [r.q for r in res.rows] == [1.0, 2.0]
+        direct = minimize(ref_params, kernel32, SolveOptions(q=1.0, keep_history=False))
+        assert res.rows[0].energy == direct.energy
+        assert res.rows[0].iterations == direct.iterations
+
+    def test_each_lambda_is_solved_once(self, ref_params, kernel32, monkeypatch):
+        counts = count_calls(monkeypatch, groundstate_module, ("minimize",))
+        res = scaling_experiment(ref_params, kernel32, base_q=1.0, lambdas=(0.5, 2.0))
+        assert counts["minimize"] == 2
+        assert [r.lam for r in res.rows] == [0.5, 2.0]
 
     def test_rejects_nonpositive_masses(self, ref_params, kernel32):
         with pytest.raises(ValueError, match="positive"):
@@ -393,11 +405,14 @@ class TestSubadditivity:
         res = subadditivity_check(ref_params, kernel32, 0.5, 0.5)
         assert res.all_converged
         assert res.margin > 0.0
-        assert res.energy_q1 + res.energy_q2 - res.energy_sum_mass == pytest.approx(
-            res.margin, rel=1e-12, abs=0
-        )
-        assert res.states[0].energy == res.energy_q1
-        assert res.states[2].q == 1.0
+        gs1, gs2, gs12 = res.states
+        assert res.margin == gs1.energy + gs2.energy - gs12.energy
+        assert [gs.q for gs in res.states] == [0.5, 0.5, 1.0]
+
+    def test_all_converged_follows_the_states(self, ref_params, kernel32):
+        res = subadditivity_check(ref_params, kernel32, 0.5, 0.5, SolveOptions(max_iter=1))
+        assert not any(gs.converged for gs in res.states)
+        assert not res.all_converged
 
     def test_rejects_nonpositive_masses(self, ref_params, kernel32):
         with pytest.raises(ValueError, match="positive"):
@@ -531,6 +546,17 @@ class TestFailureModes:
         assert gs.stop_reason == "max_iter"
         with pytest.raises(NonConvergenceError, match="max_iter"):
             require_converged(gs)
+
+    def test_a_cap_met_by_a_converging_iterate_reports_the_residual(
+        self, ref_params, kernel32, ground32
+    ):
+        """With max_iter equal to the iterations the solve needs, its last
+        allowed iterate meets the tolerance: the stop is the residual's."""
+        gs = minimize(ref_params, kernel32, SolveOptions(q=3.0, max_iter=ground32.iterations))
+        assert gs.stop_reason == "residual"
+        assert gs.converged
+        assert (gs.iterations, gs.energy) == (ground32.iterations, ground32.energy)
+        np.testing.assert_array_equal(gs.history, ground32.history)
 
     def test_require_converged_passes_through_good_states(self, ground32):
         assert require_converged(ground32) is ground32

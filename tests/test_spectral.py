@@ -211,10 +211,10 @@ class TestEnergyFunctionals:
 
     @pytest.mark.parametrize("d, n, L", [(1, 64, 40.0), (2, 16, 12.0), (3, 8, 8.0)])
     def test_half_spectrum_terms_match_energy_terms(self, d, n, L):
-        """The energy, frequency, potential and gradient of a real field
-        formed from its half spectrum are those :class:`EnergyTerms` forms
-        from its full complex DFT, and :func:`energy` forms the former when
-        given the half spectrum."""
+        """The energy, frequency and potential of a real field formed from
+        its half spectrum are those :class:`EnergyTerms` forms from its full
+        complex DFT, and :func:`energy` forms the former when given the half
+        spectrum."""
         p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
         grid = Grid(d=d, n=n, L=L)
         kernel = HartreeKernel(grid, GAMMA)
@@ -225,9 +225,6 @@ class TestEnergyFunctionals:
         assert half.energy == pytest.approx(full.energy, rel=1e-13, abs=0)
         assert half.omega == pytest.approx(full.omega, rel=1e-13, abs=0)
         assert np.array_equal(half.potential, full.potential)
-        gradient = half.gradient()
-        assert gradient.dtype == np.float64
-        np.testing.assert_allclose(gradient, full.gradient().real, rtol=0, atol=1e-12)
 
     def test_rejects_mismatched_kernel_exponent(self):
         p, grid, _ = self._setup(n=16, L=12.0)

@@ -118,15 +118,18 @@ class TestRearrangementVerdict:
         assert not result.passed
         assert result.values["worst_riesz_excess"] > result.values["slack"]
 
-    def test_nan_excesses_fail_the_command(self, tmp_path):
-        """On an 8^2 box of side 1e-100 the squared cell volume underflows to
-        0, so every triple pairing is 0 and every pairing excess 0/0 = NaN
-        (the seminorms overflow, so their excesses are NaN too).  A NaN
-        excess fails the sweep: a reduction that drops NaNs would report a
-        worst excess of -inf and pass."""
+    def test_nan_excesses_fail_the_command(self, tmp_path, monkeypatch):
+        """With every triple pairing 0, as when a squared cell volume
+        underflows (a box that ``Grid`` now rejects), every pairing excess is
+        0/0 = NaN.  A NaN excess fails the sweep: a reduction that drops NaNs
+        would report a worst excess of -inf and pass."""
+        real = rearrange_module._triple_product
+        monkeypatch.setattr(
+            rearrange_module, "_triple_product", lambda f, g, h, grid: 0.0 * real(f, g, h, grid)
+        )
         with np.errstate(all="ignore"):
             code = main(
-                ["rearrange-test", "--set", "grid.n=8", "--set", "grid.L=1e-100",
+                ["rearrange-test", "--set", "grid.n=16", "--set", "grid.L=12.0",
                  "--set", "rearrange.count=2", "--output-dir", str(tmp_path)]
             )
         assert code == 1
@@ -183,9 +186,7 @@ class TestScalingSlope:
                        residual=1e-7, iterations=10)
             for lam in (0.5, 1.0, 2.0, 4.0)
         ]
-        ctx.scaling = ScalingResult(
-            base_q=3.0, base_energy=-1.0, exponent=2.0, slope=slope, rows=rows
-        )
+        ctx.scaling = ScalingResult(exponent=2.0, slope=slope, rows=rows)
         result = check_scaling_slope(ctx, "full")
         assert result.passed is passed
         assert result.values["target"] == 2.0
