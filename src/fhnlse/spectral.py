@@ -128,11 +128,6 @@ class EnergyTerms:
             raise ValueError("lagrange_multiplier undefined for the zero field")
         return (self.seminorm_sq - self.pairing) / self.mass
 
-    def gradient(self) -> np.ndarray:
-        """Values of ``G(u) = (-Lap)^alpha u - (K * |u|^2) u``."""
-        kinetic = _ifftn(self.multiplier * self.u_hat, self.u.grid.d)
-        return kinetic - self.potential * self.u.values
-
 
 @lru_cache(maxsize=16)
 def _half_spectrum(grid: Grid, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,9 +158,7 @@ class HalfSpectrumTerms(EnergyTerms):
     ``multiplier`` is ``|k|^(2 alpha)`` on the half spectrum and
     ``hermitian`` the Parseval weights of :func:`_half_spectrum`;
     ``seminorm_sq`` is Parseval's sum over ``u_hat``.  ``energy`` and
-    ``omega`` are formed as in :class:`EnergyTerms`; its ``gradient``, which
-    reads a :class:`Field`, does not apply, as the solver forms ``G(u)`` in
-    Fourier space (:func:`fhnlse.groundstate._descent`).
+    ``omega`` are formed as in :class:`EnergyTerms`.
     """
 
     def __init__(
@@ -192,7 +185,7 @@ def energy(
     field and ``u_hat`` their half spectrum: then the terms are
     :class:`HalfSpectrumTerms` and no transform of ``u`` is made.  With
     ``with_terms`` the result is ``(E, terms)``: a caller that goes on to
-    need ``omega`` or the gradient at ``u`` reads them from ``terms``
+    need ``omega`` or the parts of ``G`` at ``u`` reads them from ``terms``
     without a second transform or convolution.
     """
     if u_hat is None:
@@ -204,7 +197,9 @@ def energy(
 
 def energy_gradient(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> Field:
     """L^2 gradient ``G(u) = (-Lap)^alpha u - (K * |u|^2) u``."""
-    return Field(u.grid, EnergyTerms(u, p, kernel).gradient())
+    terms = EnergyTerms(u, p, kernel)
+    kinetic = _ifftn(terms.multiplier * terms.u_hat, u.grid.d)
+    return Field(u.grid, kinetic - terms.potential * u.values)
 
 
 def lagrange_multiplier(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> float:

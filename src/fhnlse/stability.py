@@ -58,13 +58,10 @@ class StabilityReport:
     stride: int
     times: np.ndarray
     distances: np.ndarray
+    sup_distance: float
     mass_drift: float
     energy_drift: float
     ground_norm: float  # H^alpha norm of the ground state, the scale of the distances
-
-    @property
-    def sup_distance(self) -> float:
-        return float(np.max(self.distances))
 
 
 def stability_run(
@@ -92,7 +89,11 @@ def stability_run(
         psi0, p, kernel, T=T, dt=dt, stride=stride,
         observe=lambda psi: distances.append(orbit_distance(psi, gs.g, p.alpha)),
     )
-    report = StabilityReport(
+    logger.info(
+        "stability_run: delta=%g sup=%.4e massDrift=%.2e energyDrift=%.2e",
+        delta, float(np.max(distances)), traj.mass_drift, traj.energy_drift,
+    )
+    return StabilityReport(
         delta=float(delta),
         seed=int(seed),
         T=float(T),
@@ -100,12 +101,8 @@ def stability_run(
         stride=int(stride),
         times=traj.times,
         distances=np.asarray(distances),
+        sup_distance=float(np.max(distances)),
         mass_drift=traj.mass_drift,
         energy_drift=traj.energy_drift,
         ground_norm=h_alpha_norm(gs.g, p.alpha),
     )
-    logger.info(
-        "stability_run: delta=%g sup=%.4e massDrift=%.2e energyDrift=%.2e",
-        delta, report.sup_distance, report.mass_drift, report.energy_drift,
-    )
-    return report
