@@ -3,8 +3,9 @@ and the builders that turn a configuration into library values.
 
 Precedence, lowest to highest: built-in defaults (the reference parameter
 set), the JSON config file, then ``--set section.key=value`` overrides.
-Unknown sections or keys are rejected.  Where results are written is not
-configuration: the command line's ``--output-dir`` names it.
+Both go through one merge, which rejects unknown sections and keys.  Where
+results are written is not configuration: the command line's
+``--output-dir`` names it.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _merge_checked(base: dict, update: dict, path: str = "") -> dict:
     for key, value in update.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
-            raise ValueError(f"unknown config key: {where}")
+            raise ValueError(f"unknown config {'key' if path else 'section'}: {where}")
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ValueError(f"config section {where} must be an object")
@@ -96,8 +97,8 @@ def load_config(
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
-    """Apply ``section.key=value`` strings; values parse as JSON, else string."""
-    cfg = copy.deepcopy(cfg)
+    """Apply ``section.key=value`` strings by the config file's merge; values
+    parse as JSON, else string."""
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form section.key=value")
@@ -106,15 +107,11 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
         if len(parts) != 2:
             raise ValueError(f"override key {dotted!r} must be section.key")
         section, key = parts
-        if section not in cfg or not isinstance(cfg[section], dict):
-            raise ValueError(f"unknown config section: {section}")
-        if key not in cfg[section]:
-            raise ValueError(f"unknown config key: {section}.{key}")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        cfg[section][key] = value
+        cfg = _merge_checked(cfg, {section: {key: value}})
     return cfg
 
 

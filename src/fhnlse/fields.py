@@ -115,13 +115,17 @@ def plane_wave(grid: Grid, mode: tuple[int, ...]) -> Field:
     return Field(grid, np.exp(1j * phase))
 
 
-def _band_limited_noise(grid: Grid, seeds: list[int], keep_fraction: float) -> np.ndarray:
-    """:func:`band_limited_noise` for each of ``seeds``, stacked in that order
-    on a leading axis: shape ``(len(seeds), *grid.shape)``.
+_RANDOM_KEEP_FRACTION = 1.0 / 3.0  # band limit of random_band_limited and the sweep
 
-    Each seed draws from its own generator, and every operation acts on the
-    trailing axes one row at a time, so each slice is bitwise the
-    single-seed noise.
+
+def band_limited_noise(grid: Grid, seeds: list[int], keep_fraction: float) -> np.ndarray:
+    """Seeded complex noise with Fourier support in the low modes, one field
+    per seed: shape ``(len(seeds), *grid.shape)``.
+
+    The coefficients are i.i.d. standard complex normals from
+    ``default_rng(seed)`` on the modes whose per-axis index satisfies ``|m|
+    <= keep_fraction * (n/2)``, zero elsewhere; returns their unnormalized
+    inverse transforms.  Each slice is bitwise the draw of its seed alone.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must lie in (0, 1] (got {keep_fraction})")
@@ -140,16 +144,6 @@ def _band_limited_noise(grid: Grid, seeds: list[int], keep_fraction: float) -> n
     return _ifftn(coeff, grid.d, out=coeff)
 
 
-def band_limited_noise(grid: Grid, seed: int, keep_fraction: float) -> np.ndarray:
-    """Seeded complex noise with Fourier support in the low modes.
-
-    Fourier coefficients are i.i.d. standard complex normals on the modes
-    whose per-axis index satisfies ``|m| <= keep_fraction * (n/2)``; all
-    other modes are zeroed.  Returns the unnormalized inverse transform.
-    """
-    return _band_limited_noise(grid, [seed], keep_fraction)[0]
-
-
 def _unit_mass(vals: np.ndarray, cell_volume: float) -> np.ndarray:
     """Each field of the real or complex stack ``vals`` scaled to unit L^2
     norm, in place; a zero norm raises ValueError.  The scaling multiplies
@@ -162,19 +156,7 @@ def _unit_mass(vals: np.ndarray, cell_volume: float) -> np.ndarray:
     return vals
 
 
-def _random_band_limited(grid: Grid, seeds: list[int], kind: str) -> np.ndarray:
-    """The values of :func:`random_band_limited` for each of ``seeds``,
-    stacked in that order on a leading axis.  ``kind`` "nonneg" takes the
-    absolute value of the real part before the normalization and returns a
-    real stack: the rearrangement inputs."""
-    if kind not in ("complex", "nonneg"):
-        raise ValueError(f"unknown kind {kind!r}")
-    vals = _band_limited_noise(grid, seeds, 1.0 / 3.0)
-    if kind == "nonneg":
-        vals = np.abs(vals.real)
-    return _unit_mass(vals, grid.cell_volume)
-
-
 def random_band_limited(grid: Grid, seed: int) -> Field:
-    """:func:`band_limited_noise` with ``keep_fraction = 1/3``, normalized to unit mass."""
-    return Field(grid, _random_band_limited(grid, [seed], "complex")[0])
+    """One :func:`band_limited_noise` draw on the lowest third of the modes, at unit mass."""
+    noise = band_limited_noise(grid, [seed], _RANDOM_KEEP_FRACTION)
+    return Field(grid, _unit_mass(noise, grid.cell_volume)[0])

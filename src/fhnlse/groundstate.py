@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import lru_cache
 
@@ -87,12 +88,12 @@ class SolveOptions:
     keep_history: bool = True
 
     def validate(self) -> None:
-        if not self.q > 0:
-            raise ValueError(f"q must be positive (got {self.q})")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1 (got {self.max_iter})")
-        if not self.resid_tol > 0:
-            raise ValueError(f"resid_tol must be positive (got {self.resid_tol})")
+        if not 0 < self.q < math.inf:
+            raise ValueError(f"q must be positive and finite (got {self.q})")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1 (got {self.max_iter!r})")
+        if not 0 < self.resid_tol < math.inf:
+            raise ValueError(f"resid_tol must be positive and finite (got {self.resid_tol})")
 
 
 @dataclass
@@ -106,11 +107,6 @@ class GroundState:
     residual: float
     iterations: int  # accepted iterates, the start not counted
     stop_reason: str
-    # max |g| on the box seam over max |g|: near 1 for a box-filling state,
-    # small for a localized one
-    seam_ratio: float
-    # max |g| over the box average of |g|: 1 for the flat state
-    peak_over_mean: float
     # a _HISTORY_DTYPE row per accepted iterate, the start included (step 0,
     # no backtracks); kept only under ``SolveOptions.keep_history``
     history: np.ndarray | None = dataclass_field(repr=False, default=None)
@@ -119,6 +115,20 @@ class GroundState:
     def converged(self) -> bool:
         """Whether the solve stopped on its residual target."""
         return self.stop_reason == "residual"
+
+    @property
+    def seam_ratio(self) -> float:
+        """max |g| on the box seam over max |g|: near 1 for a box-filling
+        state, small for a localized one."""
+        vals = np.abs(self.g.values)
+        seam = max(float(np.max(np.take(vals, 0, axis=axis))) for axis in range(vals.ndim))
+        return seam / float(np.max(vals))
+
+    @property
+    def peak_over_mean(self) -> float:
+        """max |g| over the box average of |g|: 1 for the flat state."""
+        vals = np.abs(self.g.values)
+        return float(np.max(vals)) / float(np.mean(vals))
 
 
 @lru_cache(maxsize=None)
@@ -174,15 +184,6 @@ def _initial_fields(grid: Grid, opts: SolveOptions) -> list[np.ndarray]:
         if not np.array_equal(centred, starts[0]):
             starts.append(centred)
     return [s * _mass_factor(s, grid.cell_volume, opts.q) for s in starts]
-
-
-def _profile(g: Field) -> tuple[float, float]:
-    """``(seam_ratio, peak_over_mean)`` of ``g``, as :class:`GroundState`
-    defines them."""
-    vals = np.abs(g.values)
-    peak = float(np.max(vals))
-    seam = max(float(np.max(np.take(vals, 0, axis=axis))) for axis in range(g.grid.d))
-    return seam / peak, peak / float(np.mean(vals))
 
 
 def _make_hermitian(x_hat: np.ndarray) -> None:
@@ -327,26 +328,23 @@ def minimize(
     # the first iterate below resid_tol stops the loop, so a converged
     # solve's best (smallest-residual) iterate is its last one
     resid_f, u_f, e_f, omega_f = best
-    g = Field(grid, u_f)
-
-    seam_ratio, peak_over_mean = _profile(g)
-    logger.info(
-        "minimize: q=%g E=%.10g omega=%.6g residual=%.3e iters=%d (%s) "
-        "seam ratio %.3e, peak/mean %.4g",
-        opts.q, e_f, omega_f, resid_f, iterations, stop_reason, seam_ratio, peak_over_mean,
-    )
-    return GroundState(
-        g=g,
+    gs = GroundState(
+        g=Field(grid, u_f),
         q=opts.q,
         energy=e_f,
         omega=omega_f,
         residual=resid_f,
         iterations=iterations,
         stop_reason=stop_reason,
-        seam_ratio=seam_ratio,
-        peak_over_mean=peak_over_mean,
         history=np.array(history, dtype=_HISTORY_DTYPE) if opts.keep_history else None,
     )
+    logger.info(
+        "minimize: q=%g E=%.10g omega=%.6g residual=%.3e iters=%d (%s) "
+        "seam ratio %.3e, peak/mean %.4g",
+        opts.q, e_f, omega_f, resid_f, iterations, stop_reason,
+        gs.seam_ratio, gs.peak_over_mean,
+    )
+    return gs
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ the multiset of magnitudes, is idempotent, and preserves every lattice
 l^p norm exactly (it is a permutation of ``|u|``).
 
 Every piece works on a stack of fields of shape ``(B, n, ..., n)``, with
-each operation over the trailing ``d`` axes: the band-limited noise and
-its unit-mass normalisation (:mod:`fhnlse.fields`), the rearrangement, the
-seminorm (:mod:`fhnlse.spectral`) and the triple pairing.  The per-field
-functions are their batch-of-one callers.  Each field still draws from its
-own ``default_rng(seed)``, and NumPy's 1-D transforms, sorts and row sums
-act on every row alike, so a slice of a stack is bit for bit the field
-computed alone.
+each operation over the trailing ``d`` axes: the one noise draw,
+:func:`~fhnlse.fields.band_limited_noise`, and the unit-mass normalisation
+of its fields or of the magnitudes of their real parts, the rearrangement,
+the seminorm (:mod:`fhnlse.spectral`) and the triple pairing.  The
+per-field functions are their batch-of-one callers.  Each field still
+draws from its own ``default_rng(seed)``, and NumPy's 1-D transforms,
+sorts and row sums act on every row alike, so a slice of a stack is bit
+for bit the field computed alone.
 
 :func:`rearrangement_sweep` draws and tests its fields ``B =
 max(1, _BLOCK_BYTES // (16 * grid.size))`` at a time: one call per step for
@@ -47,7 +48,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fields import Field, _random_band_limited
+from .fields import _RANDOM_KEEP_FRACTION, Field, _unit_mass, band_limited_noise
 from .grid import Grid, _fftn, _ifftn
 from .spectral import _seminorm_sq
 
@@ -171,7 +172,10 @@ def rearrangement_sweep(
     pairing_excess = []
     for start in range(0, count, block):
         rs = range(start, min(start + block, count))
-        u = _random_band_limited(grid, [seed + r for r in rs], "complex")
+        u = _unit_mass(
+            band_limited_noise(grid, [seed + r for r in rs], _RANDOM_KEEP_FRACTION),
+            grid.cell_volume,
+        )
         out = _rearranged(u, grid)
         kept = np.all(
             np.sort(np.abs(u).reshape(len(rs), -1), axis=1)
@@ -184,8 +188,11 @@ def rearrangement_sweep(
         seminorm_excess += ((s_out - s_in) / s_in).tolist()
         del u, out  # freed before the triples are drawn: a lower peak
         triple = [
-            _random_band_limited(grid, [pair_seed + 3 * r + i for r in rs], "nonneg")
-            for i in range(3)
+            _unit_mass(
+                np.abs(band_limited_noise(grid, seeds, _RANDOM_KEEP_FRACTION).real),
+                grid.cell_volume,
+            )
+            for seeds in ([pair_seed + 3 * r + i for r in rs] for i in range(3))
         ]
         lhs = _triple_product(*triple, grid)
         rhs = _triple_product(*(_rearranged(x, grid) for x in triple), grid)

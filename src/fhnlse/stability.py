@@ -35,7 +35,7 @@ def perturb(g: Field, alpha: float, delta: float, seed: int) -> Field:
     if not 0 <= delta < np.inf:
         raise ValueError(f"delta must be nonnegative and finite (got {delta})")
     grid = g.grid
-    w = Field(grid, band_limited_noise(grid, seed, NOISE_KEEP_FRACTION))
+    w = Field(grid, band_limited_noise(grid, [seed], NOISE_KEEP_FRACTION)[0])
     w = w * (1.0 / h_alpha_norm(w, alpha))
     return Field(grid, g.values + delta * w.values)
 

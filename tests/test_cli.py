@@ -256,6 +256,24 @@ class TestInvalidInput:
         assert "grid.points" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "section, key, message",
+        [("mesh", "n", "unknown config section: mesh"),
+         ("grid", "points", "unknown config key: grid.points")],
+    )
+    def test_config_file_and_override_reject_alike(
+        self, section, key, message, tmp_path, capsys
+    ):
+        """A config file and ``--set`` go through one merge: one message."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({section: {key: 1}}))
+        errors = []
+        for source in (["--config", str(path)], ["--set", f"{section}.{key}=1"]):
+            code = run(["groundstate", *SMALL, *source, "--output-dir", str(tmp_path / "out")])
+            assert code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [
             ("solver", "tau0", 0.5),

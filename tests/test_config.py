@@ -93,6 +93,13 @@ class TestOverrides:
         cfg = apply_overrides(load_config(), ["solver.init=warm/ground_state"])
         assert cfg["solver"]["init"] == "warm/ground_state"
 
+    def test_leaves_its_input_unchanged(self):
+        base = load_config()
+        before = json.dumps(base)
+        cfg = apply_overrides(base, ["grid.n=32", "dynamics.planeWaveMode=[0,2]"])
+        assert json.dumps(base) == before
+        assert (cfg["grid"]["n"], cfg["dynamics"]["planeWaveMode"]) == (32, [0, 2])
+
     def test_malformed_overrides_raise(self):
         base = load_config()
         with pytest.raises(ValueError, match="section.key=value"):

@@ -12,6 +12,7 @@ import fhnlse.spectral as spectral_module
 from fhnlse import (
     Field,
     Grid,
+    GroundState,
     HartreeKernel,
     NonConvergenceError,
     NumericalAbort,
@@ -122,6 +123,21 @@ class TestMinimizeDiagnostics:
         peak, seam = vals.max(), max(vals[0, :].max(), vals[:, 0].max())
         assert localized.seam_ratio == pytest.approx(seam / peak, rel=1e-14, abs=0)
         assert localized.peak_over_mean == pytest.approx(peak / vals.mean(), rel=1e-14, abs=0)
+
+    def test_profile_is_derived_from_g(self):
+        """A state built by hand: peak 9 at the centre, 1 elsewhere, so the
+        seam holds 1 and the box average is 72/64."""
+        grid = Grid(d=2, n=8, L=8.0)
+        vals = -np.ones(grid.shape)
+        vals[4, 4] = -9.0
+        gs = GroundState(
+            g=Field(grid, vals), q=1.0, energy=0.0, omega=0.0, residual=0.0,
+            iterations=0, stop_reason="residual",
+        )
+        assert gs.seam_ratio == 1.0 / 9.0
+        assert gs.peak_over_mean == 8.0
+        gs.g = Field(grid, np.ones(grid.shape))
+        assert (gs.seam_ratio, gs.peak_over_mean) == (1.0, 1.0)
 
 
 class TestPinnedSolves:
@@ -567,13 +583,21 @@ class TestFailureModes:
         with pytest.raises(NumericalAbort):
             minimize(ref_params, kernel32, SolveOptions(q=1.0, init=Field(box32, bad)))
 
-    def test_option_validation(self):
-        with pytest.raises(ValueError, match="q"):
-            SolveOptions(q=0.0).validate()
-        with pytest.raises(ValueError, match="max_iter"):
-            SolveOptions(max_iter=0).validate()
-        with pytest.raises(ValueError, match="resid_tol"):
-            SolveOptions(resid_tol=0.0).validate()
+    @pytest.mark.parametrize(
+        "name, value",
+        [("q", 0.0), ("q", float("inf")),
+         ("max_iter", 0), ("max_iter", 2.5), ("max_iter", 40000.0), ("max_iter", float("inf")),
+         ("resid_tol", 0.0), ("resid_tol", float("inf"))],
+    )
+    def test_option_validation(self, ref_params, name, value):
+        """A fractional or infinite cap is never reached, q = inf aborts
+        mid-solve and resid_tol = inf accepts the start: each is refused
+        before any work."""
+        opts = SolveOptions(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            opts.validate()
+        with pytest.raises(ValueError, match=name):
+            minimize(ref_params, HartreeKernel(Grid(d=2, n=8, L=8.0), GAMMA), opts)
 
     def test_rejects_mismatched_kernel(self, ref_params, box32):
         wrong_gamma = HartreeKernel(box32, 0.4)

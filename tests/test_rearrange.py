@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fhnlse import Field, Grid, gaussian, random_band_limited, symmetric_rearrange
-from fhnlse.fields import _random_band_limited, band_limited_noise, mass, with_mass
+from fhnlse.fields import (
+    _RANDOM_KEEP_FRACTION,
+    _unit_mass,
+    band_limited_noise,
+    mass,
+    with_mass,
+)
 from fhnlse.rearrange import (
     SweepResult,
     _rearranged,
@@ -38,7 +44,8 @@ def two_bumps(grid: Grid, separation: float, width: float = 1.5) -> Field:
 
 def nonneg(grid: Grid, seed: int) -> np.ndarray:
     """The real nonnegative unit-mass noise that the sweep pairs."""
-    return _random_band_limited(grid, [seed], "nonneg")[0]
+    noise = band_limited_noise(grid, [seed], _RANDOM_KEEP_FRACTION)
+    return _unit_mass(np.abs(noise.real), grid.cell_volume)[0]
 
 
 def pairings(f: np.ndarray, g: np.ndarray, h: np.ndarray, grid: Grid) -> tuple[float, float]:
@@ -156,11 +163,14 @@ class TestRieszPairing:
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     n=st.sampled_from([8, 16]),
-    kind=st.sampled_from(["complex", "nonneg"]),
+    keep=st.sampled_from([_RANDOM_KEEP_FRACTION, NOISE_KEEP_FRACTION, 1.0]),
+    real_part=st.booleans(),
 )
-def test_rearrange_properties_hold_for_arbitrary_fields(seed, n, kind):
+def test_rearrange_properties_hold_for_arbitrary_fields(seed, n, keep, real_part):
+    """Unit-mass noise, complex or the magnitude of its real part."""
     grid = Grid(d=1, n=n, L=10.0)
-    u = Field(grid, _random_band_limited(grid, [seed], kind)[0])
+    noise = band_limited_noise(grid, [seed], keep)
+    u = Field(grid, _unit_mass(np.abs(noise.real) if real_part else noise, grid.cell_volume)[0])
     out = symmetric_rearrange(u)
     assert np.array_equal(
         np.sort(np.abs(u.values).ravel()), np.sort(out.values.real.ravel())
@@ -257,8 +267,12 @@ class TestBlockedAgainstFieldByField:
     def test_per_field_functions_are_bitwise_the_reference(self, grid):
         for seed in range(3):
             for keep in (1.0 / 3.0, NOISE_KEEP_FRACTION, 1.0):
-                noise = band_limited_noise(grid, seed, keep)
-                assert noise.tobytes() == _noise_ref(grid, seed, keep).tobytes()
+                # each slice of a stacked draw is bitwise its seed drawn alone
+                pair = band_limited_noise(grid, [seed, seed + 10], keep)
+                assert pair.shape == (2, *grid.shape)
+                for noise, s in zip(pair, (seed, seed + 10)):
+                    alone = band_limited_noise(grid, [s], keep)[0].tobytes()
+                    assert noise.tobytes() == alone == _noise_ref(grid, s, keep).tobytes()
             assert nonneg(grid, seed).dtype == np.float64  # drawn real, not cast to complex
             draws = {
                 "complex": random_band_limited(grid, seed),

@@ -55,7 +55,7 @@ class TestPerturb:
     def test_noise_is_the_shared_band_limited_generator(self, ground32):
         grid = ground32.g.grid
         zero = Field(grid, np.zeros(grid.shape))
-        w = Field(grid, band_limited_noise(grid, 7, NOISE_KEEP_FRACTION))
+        w = Field(grid, band_limited_noise(grid, [7], NOISE_KEEP_FRACTION)[0])
         expected = w.values / h_alpha_norm(w, ALPHA)
         assert np.max(np.abs(perturb(zero, ALPHA, 1.0, seed=7).values - expected)) < 1e-14
 
