@@ -68,7 +68,7 @@ def _mass_factor(values: np.ndarray, cell_volume: float, q: float) -> float:
     """``sqrt(q / m)`` for the mass ``m = sum |values|^2 * cell_volume``, real
     or complex: the factor that puts the samples on the mass sphere ``q``; a
     zero or non-finite mass raises :class:`NumericalAbort`."""
-    m = float(np.sum(_abs_sq(values)) * cell_volume)
+    m = float(_abs_sq(values).sum() * cell_volume)
     if m == 0.0 or not math.isfinite(m):
         raise NumericalAbort(f"cannot rescale field with mass {m} to mass {q}")
     return math.sqrt(q / m)

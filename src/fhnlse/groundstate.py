@@ -192,7 +192,10 @@ def _make_hermitian(x_hat: np.ndarray) -> None:
     the leading axes, which is all of ``X`` that a real field carries there
     and all that :func:`~fhnlse.grid._irfftn` reads."""
     edges = x_hat[..., :: x_hat.shape[-1] - 1]
-    edges[...] = 0.5 * (edges + np.conj(_reflect(edges, tuple(range(x_hat.ndim - 1)))))
+    mirrored = np.conj(_reflect(edges, tuple(range(x_hat.ndim - 1))))
+    mirrored += edges
+    mirrored *= 0.5
+    edges[...] = mirrored
 
 
 def _descent(
@@ -220,7 +223,9 @@ def _descent(
     resid = math.sqrt(r_sq / (u.size * u_sq))
     shift = max(abs(omega), shift_floor)
     d_hat = r_hat
-    d_hat /= shift + terms.multiplier
+    # ``/=`` bit for bit but for the sign of a zero part: NumPy divides a
+    # complex array by a real ``x`` as by ``x+0j``, scaling by ``1 / x``
+    d_hat *= 1.0 / (shift + terms.multiplier)
     d = _irfftn(d_hat.copy(), u.ndim, u.shape[-1])
     beta = float(np.vdot(u, d)) / u_sq
     d -= beta * u
@@ -317,7 +322,7 @@ def minimize(
             break
 
         iterations += 1
-        rel_change = math.sqrt(np.sum(_abs_sq(trial.u - u)) / np.sum(_abs_sq(u)))
+        rel_change = math.sqrt(_abs_sq(trial.u - u).sum() / _abs_sq(u).sum())
         cur, e_now = trial, e_trial
         tau = 1.2 * step
         omega, resid, direction, direction_hat = _descent(cur, shift_floor)

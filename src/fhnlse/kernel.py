@@ -7,7 +7,7 @@ replaced by the average of ``|x|^(-gamma)`` over the origin cell; because
 that average scales exactly like ``h^(-gamma)``, one dimensionless constant
 per ``(d, gamma)`` serves every grid spacing.
 
-Both the fast convolution (cached real spectrum + real FFT), from which
+Both the fast convolution (a cached half spectrum + real FFT), from which
 ``spectral.EnergyTerms`` forms the Hartree pairing, and the direct double
 sum read the same sample array, so they agree by construction up to
 floating-point roundoff.  The direct sum shares no transform with the fast
@@ -18,9 +18,13 @@ with the samples.
 The fast convolution runs the real transform pair of :mod:`fhnlse.grid`
 over the trailing ``d`` axes, so it convolves one density or each of a
 stack ``(B, *grid.shape)`` alike, and folds the inverse's ``1/N`` into the
-cached half spectrum (an unscaled inverse).  The convolution writes into
-a caller's array when given one, so the Strang loop reuses its own from
-step to step.
+cached half spectrum (an unscaled inverse).  That half spectrum is real but
+stored read-only as complex128 with a zero imaginary part: NumPy multiplies
+a complex array by a real one by casting the real factor to ``x+0j`` and
+running the complex loop, so casting it once at construction gives the
+same bits as the cast NumPy would otherwise make on every call.  The
+convolution writes into a caller's array when given one, so the Strang
+loop reuses its own from step to step.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field
-from .grid import Grid, _fftn, _irfftn, _rfftn
+from .grid import Grid, _fftn, _frozen, _irfftn, _rfftn
 
 __all__ = [
     "HartreeKernel",
@@ -120,13 +124,16 @@ def kernel_spectrum(samples: np.ndarray) -> np.ndarray:
 class HartreeKernel:
     """Sampled interaction kernel bound to one grid and one exponent.
 
+    Its arrays are read-only, since every later convolution reads them.
+
     Attributes
     ----------
     grid : the grid the kernel was built for
     gamma : decay exponent, ``0 < gamma < d``
     samples : real samples in displacement (FFT) layout, origin regularized
-    spectrum : cached real DFT of ``samples``; its half ``[..., : n//2 + 1]``
-        (scaled by ``cell_volume / N``) drives the fast pairing
+    spectrum : cached real DFT of ``samples``; its half ``[..., : n//2 + 1]``,
+        scaled by ``cell_volume / N`` and held as complex128 with a zero
+        imaginary part (see the module docstring), drives the fast pairing
     """
 
     def __init__(self, grid: Grid, gamma: float):
@@ -142,16 +149,14 @@ class HartreeKernel:
         samples[(0,) * grid.d] = origin_cell_average(grid.d, self.gamma) * grid.h ** (
             -self.gamma
         )
-        self.samples = samples
-        self.samples.flags.writeable = False
-        self.spectrum = kernel_spectrum(self.samples)
-        self.spectrum.flags.writeable = False
+        self.samples = _frozen(samples)
+        self.spectrum = _frozen(kernel_spectrum(self.samples))
         # a real density has a Hermitian DFT, so the last axis needs only
         # its nonnegative half; the quadrature weight and the inverse
-        # transform's 1/N (exact: N is a power of two) are folded in here
-        self._half_spectrum = (
-            self.spectrum[..., : grid.n // 2 + 1] * grid.cell_volume / grid.size
-        )
+        # transform's 1/N (exact: N is a power of two) are folded in here,
+        # and the cast to complex NumPy would make on every product is made once
+        half = self.spectrum[..., : grid.n // 2 + 1] * grid.cell_volume / grid.size
+        self._half_spectrum = _frozen(half.astype(np.complex128))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         g = self.grid

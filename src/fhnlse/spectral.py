@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field, _abs_sq, mass
-from .grid import Grid, PhysicsParams, _fftn, _ifftn
+from .grid import Grid, PhysicsParams, _fftn, _frozen, _ifftn
 from .kernel import HartreeKernel
 
 __all__ = [
@@ -88,8 +88,8 @@ def density_terms(values: np.ndarray, kernel: HartreeKernel) -> tuple[np.ndarray
     rho = _abs_sq(values)
     potential = kernel.convolve_density(rho)
     cell_volume = kernel.grid.cell_volume
-    pairing = float(np.sum(rho * potential) * cell_volume)
-    return potential, pairing, float(np.sum(rho) * cell_volume)
+    pairing = float((rho * potential).sum() * cell_volume)
+    return potential, pairing, float(rho.sum() * cell_volume)
 
 
 class EnergyTerms:
@@ -135,20 +135,24 @@ def _half_spectrum(grid: Grid, alpha: float) -> tuple[np.ndarray, np.ndarray, np
     (``rfftn``: the last axis cut to its ``n//2 + 1`` nonnegative
     frequencies), read-only.
 
-    ``multiplier`` is ``|k|^(2 alpha)`` there.  Parseval's sum over the full
-    spectrum counts every half-spectrum column twice, for itself and its
-    conjugate, except the zero and Nyquist columns, which stand for
-    themselves: ``hermitian`` holds those 2s and 1s, and ``seminorm`` is
-    ``hermitian * multiplier`` times the spectral weight.
+    ``multiplier`` is ``|k|^(2 alpha)`` there, a contiguous real copy.
+    Parseval's sum over the full spectrum counts every half-spectrum column
+    twice, for itself and its conjugate, except the zero and Nyquist
+    columns, which stand for themselves: ``hermitian`` holds those 2s and
+    1s, and ``seminorm`` is ``hermitian * multiplier`` times the spectral
+    weight.  These two only ever multiply a half spectrum, so they are real
+    values stored as complex128 with a zero imaginary part: NumPy would cast
+    a real factor to ``x+0j`` for the complex loop on every product, and
+    casting once here gives the same bits.
     """
     half = grid.n // 2 + 1
-    multiplier = grid.fractional_multiplier(alpha)[..., :half]
+    multiplier = np.ascontiguousarray(grid.fractional_multiplier(alpha)[..., :half])
     hermitian = np.full(half, 2.0)
     hermitian[[0, -1]] = 1.0
     seminorm = hermitian * multiplier * _spectral_weight(grid)
-    for a in (hermitian, seminorm):
-        a.flags.writeable = False
-    return multiplier, hermitian, seminorm
+    return tuple(
+        _frozen(a) for a in (multiplier, hermitian.astype(complex), seminorm.astype(complex))
+    )
 
 
 class HalfSpectrumTerms(EnergyTerms):
@@ -156,7 +160,9 @@ class HalfSpectrumTerms(EnergyTerms):
     spectrum ``u_hat`` (``rfftn``), which is kept, not copied.
 
     ``multiplier`` is ``|k|^(2 alpha)`` on the half spectrum and
-    ``hermitian`` the Parseval weights of :func:`_half_spectrum`;
+    ``hermitian`` the Parseval weights of :func:`_half_spectrum`, which come
+    read-only from its cache: ``multiplier`` real, ``hermitian`` complex with
+    a zero imaginary part, so its product with a half spectrum makes no cast.
     ``seminorm_sq`` is Parseval's sum over ``u_hat``.  ``energy`` and
     ``omega`` are formed as in :class:`EnergyTerms`.
     """

@@ -151,6 +151,17 @@ class TestKernelSamples:
         with pytest.raises(ValueError):
             kernel.spectrum[0] = 1.0
 
+    def test_half_spectrum_is_frozen(self):
+        """Every convolution reads the cached half spectrum, so a caller's
+        in-place write must raise instead of corrupting the later ones."""
+        kernel = HartreeKernel(Grid(d=2, n=8, L=4.0), 0.5)
+        with pytest.raises(ValueError):
+            kernel._half_spectrum[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            kernel._half_spectrum *= 2.0
+        assert kernel._half_spectrum.dtype == np.complex128
+        assert not np.any(kernel._half_spectrum.imag)
+
     def test_spectrum_zero_mode_is_sample_sum(self):
         kernel = HartreeKernel(Grid(d=2, n=16, L=8.0), 0.5)
         assert kernel.spectrum[0, 0] == pytest.approx(np.sum(kernel.samples), rel=1e-13, abs=0)
