@@ -14,6 +14,12 @@ converge, 4 the computation produced non-finite values.
 
 This module and :mod:`fhnlse.config` turn run inputs into library values and
 library results into run files; the numerical modules read and write none.
+:func:`main` loads the configuration once and hands each command the parsed
+arguments, that configuration and the output directory.  A command passes
+its files to one writer, :func:`_write_run`, which writes ``manifest.json``
+whatever ``output.formats`` holds and decides which of the other files each
+format gives.  The first file written makes the output directory, so a run
+rejected before it writes leaves none.
 """
 
 from __future__ import annotations
@@ -51,59 +57,58 @@ def _configure_logging(verbose: bool) -> None:
     )
 
 
-def _resolve(args) -> tuple[dict, Path]:
-    """The run's configuration and its output directory, which is not made
-    here: the first file written makes it, so a rejected run leaves none."""
-    cfg = load_config(args.config, overrides=args.set or [])
-    return cfg, Path(args.output_dir)
-
-
-def _write_manifest(outdir: Path, cfg: dict, command: str) -> None:
+def _write_run(args, cfg: dict, outdir: Path, files: dict) -> None:
+    """Write ``manifest.json``, then, in the order given, each of ``files``
+    (name to content) whose format ``output.formats`` names: a ``.json``
+    name is the json format and takes a JSON object, a ``.csv`` name the csv
+    format and a ``(header, rows)`` pair, and a name without a suffix the
+    snapshots format and a :class:`~fhnlse.fields.Field`, written as that
+    snapshot base with the run's exponents and labelled with the name."""
     write_json(
         outdir / "manifest.json",
-        {"version": __version__, "command": command, "config": cfg},
+        {"version": __version__, "command": args.command, "config": cfg},
     )
-
-
-def _wants(cfg: dict, fmt: str) -> bool:
-    return fmt in cfg["output"]["formats"]
+    formats = cfg["output"]["formats"]
+    p = params_from(cfg)
+    for name, content in files.items():
+        suffix = Path(name).suffix
+        if suffix == ".json" and "json" in formats:
+            write_json(outdir / name, content)
+        elif suffix == ".csv" and "csv" in formats:
+            write_csv(outdir / name, *content)
+        elif suffix == "" and "snapshots" in formats:
+            write_field(outdir / name, content, p.alpha, p.gamma, label=name)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed arguments, the loaded configuration and
+# the output directory, and returns the exit code
 
 
-def _cmd_groundstate(args) -> int:
-    cfg, outdir = _resolve(args)
+def _cmd_groundstate(args, cfg: dict, outdir: Path) -> int:
     p = params_from(cfg)
     kernel = kernel_from(cfg)
     gs = minimize(p, kernel, solve_options_from(cfg))
-    _write_manifest(outdir, cfg, "groundstate")
-    if _wants(cfg, "json"):
-        grid = gs.g.grid
-        write_json(
-            outdir / "summary.json",
-            {
-                "q": gs.q,
-                "E": gs.energy,
-                "omega": gs.omega,
-                "residual": gs.residual,
-                "iterations": gs.iterations,
-                "converged": gs.converged,
-                "stop_reason": gs.stop_reason,
-                "seam_ratio": gs.seam_ratio,
-                "peak_over_mean": gs.peak_over_mean,
-                "params": {"d": grid.d, "n": grid.n, "L": grid.L},
-            },
-        )
-    if _wants(cfg, "csv") and gs.history is not None:
-        write_csv(
-            outdir / "convergence.csv",
+    grid = gs.g.grid
+    _write_run(args, cfg, outdir, {
+        "summary.json": {
+            "q": gs.q,
+            "E": gs.energy,
+            "omega": gs.omega,
+            "residual": gs.residual,
+            "iterations": gs.iterations,
+            "converged": gs.converged,
+            "stop_reason": gs.stop_reason,
+            "seam_ratio": gs.seam_ratio,
+            "peak_over_mean": gs.peak_over_mean,
+            "params": {"d": grid.d, "n": grid.n, "L": grid.L},
+        },
+        "convergence.csv": (
             ["iteration", *gs.history.dtype.names],
             [(i, *row) for i, row in enumerate(gs.history.tolist())],
-        )
-    if _wants(cfg, "snapshots"):
-        write_field(outdir / "ground_state", gs.g, p.alpha, p.gamma, label="ground_state")
+        ),
+        "ground_state": gs.g,
+    })
     require_converged(gs, "groundstate command")
     print(
         f"ground state: q={gs.q:g} E={gs.energy:.8e} omega={gs.omega:.8f} "
@@ -134,8 +139,7 @@ def _initial_state(cfg, p, kernel):
     return read_field(init, grid, p.alpha, p.gamma)
 
 
-def _cmd_evolve(args) -> int:
-    cfg, outdir = _resolve(args)
+def _cmd_evolve(args, cfg: dict, outdir: Path) -> int:
     p = params_from(cfg)
     dyn = cfg["dynamics"]
     kernel = kernel_from(cfg)
@@ -148,23 +152,20 @@ def _cmd_evolve(args) -> int:
         dt=float(dyn["dt"]),
         stride=int(dyn["snapshotStride"]),
     )
-    _write_manifest(outdir, cfg, "evolve")
-    if _wants(cfg, "json"):
-        write_json(
-            outdir / "conservation.json",
-            {
-                "T": float(dyn["T"]),
-                "dt": float(dyn["dt"]),
-                "steps": traj.steps,
-                "massDrift": traj.mass_drift,
-                "energyDrift": traj.energy_drift,
-            },
-        )
-    if _wants(cfg, "csv"):
-        rows = list(zip(traj.times, traj.mass_series, traj.energy_series))
-        write_csv(outdir / "series.csv", ["time", "mass", "energy"], rows)
-    if _wants(cfg, "snapshots"):
-        write_field(outdir / "final_state", traj.final, p.alpha, p.gamma, label="final_state")
+    _write_run(args, cfg, outdir, {
+        "conservation.json": {
+            "T": float(dyn["T"]),
+            "dt": float(dyn["dt"]),
+            "steps": traj.steps,
+            "massDrift": traj.mass_drift,
+            "energyDrift": traj.energy_drift,
+        },
+        "series.csv": (
+            ["time", "mass", "energy"],
+            zip(traj.times, traj.mass_series, traj.energy_series),
+        ),
+        "final_state": traj.final,
+    })
     print(
         f"evolved {traj.steps} steps to T={traj.times[-1]:g}: "
         f"mass drift {traj.mass_drift:.3e}, energy drift {traj.energy_drift:.3e}"
@@ -172,8 +173,7 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _cmd_stability(args) -> int:
-    cfg, outdir = _resolve(args)
+def _cmd_stability(args, cfg: dict, outdir: Path) -> int:
     p = params_from(cfg)
     kernel = kernel_from(cfg)
     st = cfg["stability"]
@@ -188,30 +188,25 @@ def _cmd_stability(args) -> int:
         stride=int(st["snapshotStride"]),
         ground=gs,
     )
-    _write_manifest(outdir, cfg, "stability")
-    if _wants(cfg, "json"):
-        write_json(
-            outdir / "report.json",
-            {
-                "delta": report.delta,
-                "seed": report.seed,
-                "T": report.T,
-                "dt": report.dt,
-                "stride": report.stride,
-                "supDistance": report.sup_distance,
-                "massDrift": report.mass_drift,
-                "energyDrift": report.energy_drift,
-                "groundEnergy": gs.energy,
-                "groundOmega": gs.omega,
-                "groundResidual": gs.residual,
-                "groundNorm": report.ground_norm,
-                "times": report.times.tolist(),
-                "distances": report.distances.tolist(),
-            },
-        )
-    if _wants(cfg, "csv"):
-        rows = list(zip(report.times, report.distances))
-        write_csv(outdir / "distance_series.csv", ["time", "distance"], rows)
+    _write_run(args, cfg, outdir, {
+        "report.json": {
+            "delta": report.delta,
+            "seed": report.seed,
+            "T": report.T,
+            "dt": report.dt,
+            "stride": report.stride,
+            "supDistance": report.sup_distance,
+            "massDrift": report.mass_drift,
+            "energyDrift": report.energy_drift,
+            "groundEnergy": gs.energy,
+            "groundOmega": gs.omega,
+            "groundResidual": gs.residual,
+            "groundNorm": report.ground_norm,
+            "times": report.times.tolist(),
+            "distances": report.distances.tolist(),
+        },
+        "distance_series.csv": (["time", "distance"], zip(report.times, report.distances)),
+    })
     print(
         f"stability: delta={report.delta:g} sup distance {report.sup_distance:.4e} "
         f"over T={report.T:g} (mass drift {report.mass_drift:.3e})"
@@ -219,27 +214,23 @@ def _cmd_stability(args) -> int:
     return 0
 
 
-def _cmd_rearrange_test(args) -> int:
-    cfg, outdir = _resolve(args)
+def _cmd_rearrange_test(args, cfg: dict, outdir: Path) -> int:
     grid = grid_from(cfg)
     alpha = float(cfg["physics"]["alpha"])
     count = int(cfg["rearrange"]["count"])
     seed = int(cfg["rearrange"]["seed"])
     sweep = rearrangement_sweep(grid, alpha, count, seed, seed + 10_000)
     norms_exact = not sweep.changed
-    _write_manifest(outdir, cfg, "rearrange-test")
-    if _wants(cfg, "json"):
-        write_json(
-            outdir / "rearrange.json",
-            {
-                "fields": count,
-                "normsExact": norms_exact,
-                "worstSeminormExcess": sweep.worst_seminorm,
-                "worstPairingExcess": sweep.worst_pairing,
-                "slack": sweep.slack,
-                "pass": sweep.passed,
-            },
-        )
+    _write_run(args, cfg, outdir, {
+        "rearrange.json": {
+            "fields": count,
+            "normsExact": norms_exact,
+            "worstSeminormExcess": sweep.worst_seminorm,
+            "worstPairingExcess": sweep.worst_pairing,
+            "slack": sweep.slack,
+            "pass": sweep.passed,
+        },
+    })
     print(
         f"rearrangement over {count} fields: norms exact={norms_exact}, "
         f"worst seminorm excess {sweep.worst_seminorm:.3e}, "
@@ -249,8 +240,7 @@ def _cmd_rearrange_test(args) -> int:
     return 0 if sweep.passed else 1
 
 
-def _cmd_verify(args) -> int:
-    cfg, outdir = _resolve(args)
+def _cmd_verify(args, cfg: dict, outdir: Path) -> int:
     reference = {**DEFAULTS, "output": cfg["output"]}  # all that verify reads
     unread = [f"{s}.{k}" for s, keys in reference.items() for k in keys if cfg[s][k] != keys[k]]
     if unread:
@@ -264,22 +254,28 @@ def _cmd_verify(args) -> int:
     results = run_checks(level=args.level, seed=args.seed, only=args.only, progress=progress)
     passed = sum(r.passed for r in results)
     print(f"{passed}/{len(results)} checks passed")
-    _write_manifest(outdir, cfg, "verify")
-    if _wants(cfg, "json"):
-        write_json(
-            outdir / "verify_report.json",
-            {
-                "level": args.level,
-                "seed": args.seed,
-                "passed": passed,
-                "total": len(results),
-                "checks": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-            },
-        )
+    _write_run(args, cfg, outdir, {
+        "verify_report.json": {
+            "level": args.level,
+            "seed": args.seed,
+            "passed": passed,
+            "total": len(results),
+            "checks": [
+                {"name": r.name, "passed": r.passed, "detail": r.detail}
+                for r in results
+            ],
+        },
+    })
     return 0 if passed == len(results) else 1
+
+
+_COMMANDS = {
+    "groundstate": (_cmd_groundstate, "solve the mass-constrained minimization"),
+    "evolve": (_cmd_evolve, "integrate the time-dependent equation"),
+    "stability": (_cmd_stability, "perturb the minimizer and evolve"),
+    "rearrange-test": (_cmd_rearrange_test, "check the rearrangement inequalities on random fields"),
+    "verify": (_cmd_verify, "run the built-in verification checks"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -312,39 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command")
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
 
-    p_gs = sub.add_parser(
-        "groundstate", parents=[common], help="solve the mass-constrained minimization"
-    )
-    p_gs.set_defaults(func=_cmd_groundstate)
-
-    p_ev = sub.add_parser(
-        "evolve", parents=[common], help="integrate the time-dependent equation"
-    )
-    p_ev.set_defaults(func=_cmd_evolve)
-
-    p_st = sub.add_parser(
-        "stability", parents=[common], help="perturb the minimizer and evolve"
-    )
-    p_st.set_defaults(func=_cmd_stability)
-
-    p_re = sub.add_parser(
-        "rearrange-test",
-        parents=[common],
-        help="check the rearrangement inequalities on random fields",
-    )
-    p_re.set_defaults(func=_cmd_rearrange_test)
-
-    p_ve = sub.add_parser(
-        "verify", parents=[common], help="run the built-in verification checks"
-    )
-    p_ve.add_argument(
+    verify = sub.choices["verify"]
+    verify.add_argument(
         "--level", choices=("quick", "full"), default="quick", help="check depth"
     )
-    p_ve.add_argument("--only", metavar="SUBSTR", help="run only checks whose name contains this")
-    p_ve.add_argument("--seed", type=int, default=1, help="seed for the random-field populations")
-    p_ve.set_defaults(func=_cmd_verify)
-
+    verify.add_argument("--only", metavar="SUBSTR", help="run only checks whose name contains this")
+    verify.add_argument("--seed", type=int, default=1, help="seed for the random-field populations")
     return parser
 
 
@@ -355,8 +327,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help(sys.stderr)
         return 2
     _configure_logging(args.verbose)
+    command, _ = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        cfg = load_config(args.config, overrides=args.set or [])
+        return command(args, cfg, Path(args.output_dir))
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

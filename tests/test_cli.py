@@ -246,6 +246,19 @@ class TestInvalidInput:
         assert f"error: {section}.T / {section}.dt must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_plane_wave_mode_of_the_wrong_length_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = run(
+            ["evolve", *SMALL, "--set", "dynamics.init=planeWave",
+             "--set", "dynamics.planeWaveMode=[1]", "--output-dir", str(out)]
+        )
+        assert code == 2
+        assert (
+            "error: dynamics.planeWaveMode must have 2 components (got (1,))"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         code = run(["groundstate", "--config", str(tmp_path / "none.json")])
         assert code == 2
@@ -326,6 +339,50 @@ class TestInvalidInput:
         )
         assert code == 2
         assert f"error: snapshot header {header}{tail}" in capsys.readouterr().err
+
+
+class TestOutputFormats:
+    """``manifest.json`` is written whatever ``output.formats`` holds; every
+    other file belongs to one format (README, "Output files")."""
+
+    FILES = {
+        "groundstate": {
+            "json": ["summary.json"],
+            "csv": ["convergence.csv"],
+            "snapshots": ["ground_state.f64", "ground_state.json"],
+        },
+        "evolve": {
+            "json": ["conservation.json"],
+            "csv": ["series.csv"],
+            "snapshots": ["final_state.f64", "final_state.json"],
+        },
+        "stability": {"json": ["report.json"], "csv": ["distance_series.csv"]},
+        "rearrange-test": {"json": ["rearrange.json"]},
+        "verify": {"json": ["verify_report.json"]},
+    }
+    ARGS = {
+        "groundstate": SMALL,
+        "evolve": [*SMALL, "--set", 'dynamics.init="gaussian"', "--set", "dynamics.T=0.01"],
+        "stability": [*SMALL, "--set", "stability.T=0.01"],
+        "rearrange-test": [*SMALL, "--set", "rearrange.count=2"],
+        "verify": ["--only", "gradient"],
+    }
+
+    @pytest.mark.parametrize(
+        "formats", [[], ["json"], ["csv"], ["snapshots"], ["json", "csv", "snapshots"]]
+    )
+    @pytest.mark.parametrize("command", list(FILES))
+    def test_directory_holds_the_manifest_and_the_files_of_each_format(
+        self, command, formats, tmp_path, capsys
+    ):
+        code = run(
+            [command, *self.ARGS[command], "--set", f"output.formats={json.dumps(formats)}",
+             "--output-dir", str(tmp_path)]
+        )
+        assert code == 0
+        expected = ["manifest.json"]
+        expected += [name for fmt in formats for name in self.FILES[command].get(fmt, [])]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
 
 
 class TestOutputDirectory:

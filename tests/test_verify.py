@@ -2,13 +2,16 @@
 progress callback.  The individual checks are exercised one-per-criterion in
 test_acceptance.py."""
 
+import itertools
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fhnlse.dynamics as dynamics_module
 import fhnlse.rearrange as rearrange_module
+import fhnlse.stability as stability_module
 import fhnlse.verify as verify_module
 from fhnlse.cli import main
 from fhnlse.fields import Field
@@ -17,10 +20,13 @@ from fhnlse.verify import (
     CHECKS,
     CheckResult,
     VerifyContext,
+    check_conservation,
+    check_euler_lagrange,
     check_gradient_pairing,
     check_groundstate_convergence,
     check_hartree_oracle,
     check_rearrangement_suite,
+    check_reproducibility,
     check_scaling_slope,
     run_checks,
 )
@@ -205,3 +211,56 @@ class TestGroundstateConvergence:
         assert not result.passed
         assert abs(result.values["drop"]) < 1e-9
         assert result.values["peak_over_mean"] < 1.001
+
+
+class TestPlantedDefects:
+    """Each check must fail on the defect it exists to catch."""
+
+    def test_a_first_order_splitting_fails_conservation(self, monkeypatch):
+        """A Lie step (a full linear step, then a full nonlinear one) has an
+        energy error first order in dt, so halving dt halves it: a factor of
+        2, outside the Strang band [3, 5]."""
+
+        def lie(values, mult, kernel, T, dt, stride):
+            n = max(int(np.ceil(T / dt - 1e-9)), 1 if T > 0 else 0)
+            h = T / max(n, 1)
+            axes = tuple(range(-kernel.grid.d, 0))
+            linear = np.exp(1j * h * mult)
+            psi = values.copy()
+            for k in range(1, n + 1):
+                psi = np.fft.ifftn(linear * np.fft.fftn(psi, axes=axes), axes=axes)
+                psi *= np.exp(-1j * h * kernel.convolve_density(np.abs(psi) ** 2))
+                if k % stride == 0 or k == n:
+                    yield k, (T if k == n else k * h), psi.copy()
+
+        monkeypatch.setattr(dynamics_module, "_strang", lie)
+        result = check_conservation(VerifyContext(seed=1), "quick")
+        assert not result.passed
+        assert result.values["mass_drift"] < 1e-10
+        assert result.values["factor"] == pytest.approx(2.0, abs=0.1)
+
+    def test_an_offset_multiplier_fails_the_euler_lagrange_residual(self, monkeypatch):
+        """An omega off by 1e-3 leaves a residual |G - omega g| / |g| of
+        about 1e-3, against the tolerance 1e-6."""
+        real = verify_module.lagrange_multiplier
+        monkeypatch.setattr(
+            verify_module, "lagrange_multiplier", lambda u, p, kernel: real(u, p, kernel) + 1e-3
+        )
+        result = check_euler_lagrange(VerifyContext(seed=1), "full")
+        assert not result.passed
+        assert result.values["residual"] == pytest.approx(1e-3, rel=1e-2)
+
+    def test_an_unseeded_perturbation_fails_reproducibility(self, monkeypatch):
+        """Noise drawn from fresh seeds on every call, as an unseeded draw
+        would be, makes the two ``stability`` runs differ in every file that
+        follows the perturbed state."""
+        real = stability_module.band_limited_noise
+        fresh = itertools.count(10_000)
+        monkeypatch.setattr(
+            stability_module,
+            "band_limited_noise",
+            lambda grid, seeds, keep: real(grid, [next(fresh) for _ in seeds], keep),
+        )
+        result = check_reproducibility(VerifyContext(seed=1), "full")
+        assert not result.passed
+        assert result.values["mismatches"] == ["distance_series.csv", "report.json"]
