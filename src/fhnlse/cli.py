@@ -128,13 +128,8 @@ def _initial_state(cfg, p, kernel):
         return gs.g
     if init == "gaussian":
         return gaussian(grid, mass=q)
-    if init == "planeWave":
-        mode = tuple(int(c) for c in dyn["planeWaveMode"])
-        if len(mode) != grid.d:
-            raise ValueError(
-                f"dynamics.planeWaveMode must have {grid.d} components (got {mode})"
-            )
-        return with_mass(plane_wave(grid, mode), q)
+    if init == "planeWave":  # validate_config matched the mode to d
+        return with_mass(plane_wave(grid, tuple(dyn["planeWaveMode"])), q)
     # anything else is a snapshot base path
     return read_field(init, grid, p.alpha, p.gamma)
 

@@ -138,7 +138,7 @@ def _require_int(cfg: dict, section: str, key: str, minimum: int | None = None) 
 
 def validate_config(cfg: dict) -> None:
     """Type/range checks; raises ValueError naming the offending constraint."""
-    _require_int(cfg, "physics", "d")
+    d = _require_int(cfg, "physics", "d")
     _require_number(cfg, "physics", "alpha", positive=False)
     _require_number(cfg, "physics", "gamma", positive=False)
     _require_int(cfg, "grid", "n")
@@ -165,6 +165,11 @@ def validate_config(cfg: dict) -> None:
         isinstance(c, int) and not isinstance(c, bool) for c in mode
     ):
         raise ValueError(f"dynamics.planeWaveMode must be a list of integers (got {mode!r})")
+    # only a plane-wave start reads the mode, so only it must match d
+    if cfg["dynamics"]["init"] == "planeWave" and len(mode) != d:
+        raise ValueError(
+            f"dynamics.planeWaveMode must have {d} components (got {tuple(mode)})"
+        )
     delta = _require_number(cfg, "stability", "delta", positive=False)
     if delta < 0:
         raise ValueError(f"stability.delta must be nonnegative (got {delta})")

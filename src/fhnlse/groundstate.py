@@ -7,7 +7,13 @@ nonzero |k|^(2 alpha))``, projected onto the sphere's tangent space.  Each
 iteration steps along it and rescales back to the mass sphere, with a
 backtracking step size that never lets the post-projection energy increase
 (Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017); the gradient-flow
-setting is that of Bao & Du, SIAM J. Sci. Comput. 25 (2004)).
+setting is that of Bao & Du, SIAM J. Sci. Comput. 25 (2004)).  The first
+trial step of an iteration is the two-point step of Barzilai & Borwein
+(IMA J. Numer. Anal. 8 (1988) 141) in the preconditioner's metric,
+``<du, P^(-1) du> / <du, dr>`` for the last move ``du`` of the iterate and
+the change ``dr`` of its residual, so the trial follows the curvature the
+flow has just seen; it falls back to 1.2 times the last step where ``<du,
+dr> <= 0``.
 
 Minimizers are, up to translation and phase, positive symmetric
 nonincreasing functions, so every start is first mapped to the even part of
@@ -200,8 +206,9 @@ def _make_hermitian(x_hat: np.ndarray) -> None:
 
 def _descent(
     terms: HalfSpectrumTerms, shift_floor: float
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """``(omega, residual, d, d_hat)`` at the real field of ``terms``.
+) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(omega, residual, d, d_hat, metric, r_weighted)`` at the real field
+    of ``terms``.
 
     ``d = P r`` is the preconditioned Euler-Lagrange residual
     ``r = G(u) - omega u`` with ``P = (s + |k|^(2 alpha))^(-1)``,
@@ -211,26 +218,37 @@ def _descent(
     (|k|^(2 alpha) - omega) u_hat - DFT((K * |u|^2) u)``, made Hermitian
     where a real field's is, gives ``|r|`` by Parseval, and one inverse
     transform of ``P r_hat`` gives ``d``, so the step costs one real
-    transform pair.
+    transform pair.  ``metric`` is ``P^(-1) = s + |k|^(2 alpha)`` on the
+    half spectrum and ``r_weighted`` is ``r_hat`` times the Hermitian
+    weights, so that ``Re vdot(x_hat, r_weighted)`` is ``<x, r>`` times the
+    grid size for a real ``x``.
+
+    The weights are complex with a zero imaginary part, so the products
+    with half spectra make no cast, but for one: ``P`` is the real
+    reciprocal of ``metric``'s real part, cast to ``x+0j`` by the product,
+    since a complex reciprocal is a complex division, which costs more
+    than that cast (the same bits either way).
     """
     u, u_hat = terms.u, terms.u_hat
     omega = terms.omega
-    r_hat = (terms.multiplier - omega) * u_hat
+    r_hat = terms.multiplier - omega
+    r_hat *= u_hat
     r_hat -= _rfftn(terms.potential * u, u.ndim)
     _make_hermitian(r_hat)
+    r_weighted = terms.hermitian * r_hat
     u_sq = float(np.vdot(u, u))
-    r_sq = float(np.vdot(r_hat, terms.hermitian * r_hat).real)
+    r_sq = float(np.vdot(r_hat, r_weighted).real)
     resid = math.sqrt(r_sq / (u.size * u_sq))
-    shift = max(abs(omega), shift_floor)
+    metric = terms.multiplier + max(abs(omega), shift_floor)
     d_hat = r_hat
     # ``/=`` bit for bit but for the sign of a zero part: NumPy divides a
     # complex array by a real ``x`` as by ``x+0j``, scaling by ``1 / x``
-    d_hat *= 1.0 / (shift + terms.multiplier)
+    d_hat *= 1.0 / metric.real
     d = _irfftn(d_hat.copy(), u.ndim, u.shape[-1])
     beta = float(np.vdot(u, d)) / u_sq
     d -= beta * u
     d_hat -= beta * u_hat
-    return omega, resid, d, d_hat
+    return omega, resid, d, d_hat, metric, r_weighted
 
 
 def minimize(
@@ -245,10 +263,20 @@ def minimize(
     centred on its peak (:func:`_initial_fields`).  Then it iterates ``u <-
     rescale(u - tau * d)`` along the preconditioned, tangent-projected
     residual ``d`` of :func:`_descent`, with backtracking on ``tau``: the
-    first trial step is ``_TAU0``, a step is halved until the
-    post-projection energy does not increase, and the next trial is 1.2x the
-    accepted step, which may grow past ``_TAU0``.  Every iterate, direction and residual is real, and
-    their DFTs are half spectra.  The iterate's ``u_hat`` is carried beside
+    first trial step is ``_TAU0``, and a step is halved until the
+    post-projection energy does not increase.  Each next trial is the
+    Barzilai-Borwein step ``<s, P^(-1) s> / <s, y>`` of the last accepted
+    move ``s = u_new - u_old``, with ``y = r_new - r_old`` the change of
+    the Euler-Lagrange residual and ``P^(-1) = shift + |k|^(2 alpha)`` at
+    ``u_new``, or 1.2x the accepted step where ``<s, y> <= 0`` or the
+    quotient is not finite; a trial may grow past ``_TAU0``.  Both inner
+    products are Hermitian-weighted sums over half spectra the iteration
+    already forms: ``s_hat = v_hat - u_hat`` meets the metric and the new
+    residual of :func:`_descent`, and, since ``s = (c - 1) u - c tau d``
+    and ``<u, r_old> = 0``, ``<s, r_old>`` is ``-c tau <d, r_old>``, a
+    scalar kept from the last descent, so no array outlives its iteration.
+    Every iterate, direction and residual is real, and their DFTs are half
+    spectra.  The iterate's ``u_hat`` is carried beside
     it: a trial ``v = c (u - tau d)``, with ``c`` the mass rescale, has
     ``v_hat = c (u_hat - tau d_hat)``, and is evaluated once, by
     :func:`~fhnlse.spectral.energy` on the half spectrum, whose one density
@@ -285,7 +313,9 @@ def minimize(
     iterations = 0
     rel_change = math.inf
 
-    omega, resid, direction, direction_hat = _descent(cur, shift_floor)
+    omega, resid, direction, direction_hat, metric, r_weighted = _descent(cur, shift_floor)
+    slope = float(np.vdot(direction_hat, r_weighted).real)  # <d, r>, times the size
+    del metric, r_weighted  # only scalars carry over to the trials
     # the rows of GroundState.history
     history: list[tuple[float, float, float, int]] = [(e_now, resid, 0.0, 0)]
     best: tuple[float, np.ndarray, float, float] = (resid, cur.u, e_now, omega)
@@ -306,13 +336,13 @@ def minimize(
             stop_reason = "max_iter"
             break
 
-        u, u_hat = cur.u, cur.u_hat
         step = tau
         for backtracks in range(_MAX_BACKTRACKS):
-            w = u - step * direction
+            w = cur.u - step * direction
             c = _mass_factor(w, grid.cell_volume, opts.q)
+            w *= c
             e_trial, trial = energy(
-                c * w, p, kernel, u_hat=c * (u_hat - step * direction_hat), with_terms=True
+                w, p, kernel, u_hat=c * (cur.u_hat - step * direction_hat), with_terms=True
             )
             if math.isfinite(e_trial) and e_trial <= e_now:
                 break
@@ -322,10 +352,21 @@ def minimize(
             break
 
         iterations += 1
-        rel_change = math.sqrt(_abs_sq(trial.u - u).sum() / _abs_sq(u).sum())
+        rel_change = math.sqrt(_abs_sq(trial.u - cur.u).sum() / _abs_sq(cur.u).sum())
+        s_hat = trial.u_hat - cur.u_hat
         cur, e_now = trial, e_trial
-        tau = 1.2 * step
-        omega, resid, direction, direction_hat = _descent(cur, shift_floor)
+        del direction, direction_hat  # freed before the descent makes the next
+        omega, resid, direction, direction_hat, metric, r_weighted = _descent(cur, shift_floor)
+        # BB1 in the metric P^(-1): <s, P^(-1) s> / <s, y>, y = r_new - r_old.
+        # s = (c - 1) u - c step d and <u, r_old> = 0, so <s, r_old> is
+        # -c step <d, r_old>; every inner product is times the grid size.
+        s_y = float(np.vdot(s_hat, r_weighted).real) + c * step * slope
+        s_s = float(np.vdot(s_hat, cur.hermitian * (metric * s_hat)).real)
+        tau = s_s / s_y if s_y > 0.0 else math.inf
+        if not math.isfinite(tau):
+            tau = 1.2 * step
+        slope = float(np.vdot(direction_hat, r_weighted).real)
+        del s_hat, metric, r_weighted
         history.append((e_now, resid, step, backtracks))
         if resid < best[0]:
             best = (resid, cur.u, e_now, omega)

@@ -135,24 +135,22 @@ def _half_spectrum(grid: Grid, alpha: float) -> tuple[np.ndarray, np.ndarray, np
     (``rfftn``: the last axis cut to its ``n//2 + 1`` nonnegative
     frequencies), read-only.
 
-    ``multiplier`` is ``|k|^(2 alpha)`` there, a contiguous real copy.
-    Parseval's sum over the full spectrum counts every half-spectrum column
-    twice, for itself and its conjugate, except the zero and Nyquist
-    columns, which stand for themselves: ``hermitian`` holds those 2s and
-    1s, and ``seminorm`` is ``hermitian * multiplier`` times the spectral
-    weight.  These two only ever multiply a half spectrum, so they are real
-    values stored as complex128 with a zero imaginary part: NumPy would cast
-    a real factor to ``x+0j`` for the complex loop on every product, and
-    casting once here gives the same bits.
+    ``multiplier`` is ``|k|^(2 alpha)`` there.  Parseval's sum over the
+    full spectrum counts every half-spectrum column twice, for itself and
+    its conjugate, except the zero and Nyquist columns, which stand for
+    themselves: ``hermitian`` holds those 2s and 1s, and ``seminorm`` is
+    ``hermitian * multiplier`` times the spectral weight.  All three only
+    ever meet half spectra, so they are real values stored as contiguous
+    complex128 with a zero imaginary part: NumPy would cast a real factor
+    to ``x+0j`` for the complex loop on every product, and casting once
+    here gives the same bits.
     """
     half = grid.n // 2 + 1
-    multiplier = np.ascontiguousarray(grid.fractional_multiplier(alpha)[..., :half])
+    multiplier = grid.fractional_multiplier(alpha)[..., :half]
     hermitian = np.full(half, 2.0)
     hermitian[[0, -1]] = 1.0
     seminorm = hermitian * multiplier * _spectral_weight(grid)
-    return tuple(
-        _frozen(a) for a in (multiplier, hermitian.astype(complex), seminorm.astype(complex))
-    )
+    return tuple(_frozen(a.astype(complex)) for a in (multiplier, hermitian, seminorm))
 
 
 class HalfSpectrumTerms(EnergyTerms):
@@ -161,8 +159,8 @@ class HalfSpectrumTerms(EnergyTerms):
 
     ``multiplier`` is ``|k|^(2 alpha)`` on the half spectrum and
     ``hermitian`` the Parseval weights of :func:`_half_spectrum`, which come
-    read-only from its cache: ``multiplier`` real, ``hermitian`` complex with
-    a zero imaginary part, so its product with a half spectrum makes no cast.
+    read-only from its cache, complex with a zero imaginary part, so their
+    products with a half spectrum make no cast.
     ``seminorm_sq`` is Parseval's sum over ``u_hat``.  ``energy`` and
     ``omega`` are formed as in :class:`EnergyTerms`.
     """

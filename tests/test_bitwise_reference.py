@@ -2,8 +2,9 @@
 arithmetic, and the NumPy arithmetic that makes the two agree bit for bit.
 
 The solver multiplies half spectra by weights held as complex128 with a zero
-imaginary part (the kernel's half spectrum, the Hermitian and seminorm
-weights) and preconditions by multiplying with ``1 / (s + |k|^(2 alpha))``.
+imaginary part (the kernel's half spectrum, the multiplier ``|k|^(2 alpha)``
+and the Hermitian and seminorm weights) and preconditions by multiplying
+with ``1 / (s + |k|^(2 alpha))``.
 The reference below keeps those weights real and divides, as the solver did
 before, so every solve here must come out byte for byte the same.  The
 guard tests pin the NumPy rules this rests on, on shapes below and above
@@ -66,17 +67,19 @@ def _reference_descent(terms, shift_floor):
     r_hat = (terms.multiplier - omega) * u_hat
     r_hat -= _rfftn(terms.potential * u, u.ndim)
     _reference_make_hermitian(r_hat)
+    r_weighted = terms.hermitian * r_hat
     u_sq = float(np.vdot(u, u))
-    r_sq = float(np.vdot(r_hat, terms.hermitian * r_hat).real)
+    r_sq = float(np.vdot(r_hat, r_weighted).real)
     resid = math.sqrt(r_sq / (u.size * u_sq))
     shift = max(abs(omega), shift_floor)
+    metric = shift + terms.multiplier
     d_hat = r_hat
-    d_hat /= shift + terms.multiplier
+    d_hat /= metric
     d = _irfftn(d_hat.copy(), u.ndim, u.shape[-1])
     beta = float(np.vdot(u, d)) / u_sq
     d -= beta * u
     d_hat -= beta * u_hat
-    return omega, resid, d, d_hat
+    return omega, resid, d, d_hat, metric, r_weighted
 
 
 def _reference_minimize(monkeypatch, p, kernel, opts) -> GroundState:
@@ -155,9 +158,9 @@ def test_cached_weights_are_the_reference_weights_cast_to_complex():
     kernel = HartreeKernel(grid, GAMMA)
     new = (kernel._half_spectrum, *spectral_module._half_spectrum(grid, ALPHA))
     ref = (_reference_kernel_half_spectrum(kernel), *_reference_half_spectrum(grid, ALPHA))
-    for a, b, dtype in zip(new, ref, (complex, float, complex, complex)):
-        assert a.dtype == dtype and not a.flags.writeable
-        assert a.tobytes() == b.astype(dtype).tobytes()
+    for a, b in zip(new, ref):
+        assert a.dtype == complex and not a.flags.writeable
+        assert a.tobytes() == b.astype(complex).tobytes()
     assert new[1].flags.c_contiguous
 
 

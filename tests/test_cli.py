@@ -259,6 +259,28 @@ class TestInvalidInput:
         )
         assert not out.exists()
 
+    def test_plane_wave_mode_is_rejected_before_the_kernel_is_built(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The configuration is rejected as it loads: a kernel build that
+        raises something other than a ValueError would escape ``main``."""
+
+        def no_kernel(cfg):
+            raise AssertionError("the kernel was built")
+
+        monkeypatch.setattr(cli_module, "kernel_from", no_kernel)
+        out = tmp_path / "d"
+        code = run(
+            ["evolve", "--set", "grid.n=256", "--set", "dynamics.init=planeWave",
+             "--set", "dynamics.planeWaveMode=[1]", "--output-dir", str(out)]
+        )
+        assert code == 2
+        assert (
+            "error: dynamics.planeWaveMode must have 2 components (got (1,))"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         code = run(["groundstate", "--config", str(tmp_path / "none.json")])
         assert code == 2

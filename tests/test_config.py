@@ -159,6 +159,21 @@ class TestValidation:
             validate_config(cfg)
         validate_config(self._cfg(**{f"{section}__T": 1e300, f"{section}__dt": 1.0}))
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_plane_wave_mode_must_match_d_only_for_a_plane_wave_start(self, d):
+        """The default mode [1, 0] has two components: a plane-wave start in
+        d = 1 or 3 rejects it, and every other start ignores it."""
+        for init in ("groundstate", "gaussian", "some/snapshot"):
+            validate_config(self._cfg(physics__d=d, dynamics__init=init))
+        with pytest.raises(
+            ValueError,
+            match=rf"dynamics.planeWaveMode must have {d} components \(got \(1, 0\)\)",
+        ):
+            validate_config(self._cfg(physics__d=d, dynamics__init="planeWave"))
+        validate_config(
+            self._cfg(physics__d=d, dynamics__init="planeWave", dynamics__planeWaveMode=[1] * d)
+        )
+
     def test_delta_zero_is_allowed(self):
         validate_config(self._cfg(stability__delta=0.0))
 

@@ -90,15 +90,62 @@ class TestMinimizeDiagnostics:
         assert np.all(np.diff(hist) <= 1e-15)
         assert hist[-1] < hist[0]
 
-    def test_step_history_follows_the_backtracking_rule(self, ground32):
+    @pytest.mark.parametrize(
+        "d, n, L, fallbacks",
+        # the 1-D solve starts where <s, y> <= 0 and falls back four times
+        [
+            pytest.param(2, 32, 25.0, False, id="2d-32"),
+            pytest.param(1, 64, 40.0, True, id="1d-64"),
+        ],
+    )
+    def test_step_history_follows_the_backtracking_rule(self, d, n, L, fallbacks, monkeypatch):
         """The first trial step is _TAU0, a backtrack halves it, and each
-        next trial is 1.2x the accepted step, with no cap at _TAU0."""
-        steps, backtracks = ground32.history["step"], ground32.history["backtracks"]
+        next trial is the Barzilai-Borwein step <s, P^-1 s> / <s, y> of the
+        last accepted move, s = u_new - u_old and y = r_new - r_old, with
+        P^-1 = shift + |k|^(2 alpha) at the new iterate; or 1.2x the accepted
+        step where <s, y> <= 0.  The reference below forms both inner
+        products in real space and on the full spectrum, from the iterates
+        alone."""
+        iterates = []
+        real = groundstate_module._descent
+
+        def recording(terms, shift_floor):
+            iterates.append(terms.u)
+            return real(terms, shift_floor)
+
+        monkeypatch.setattr(groundstate_module, "_descent", recording)
+        p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
+        kernel = HartreeKernel(Grid(d=d, n=n, L=L), GAMMA)
+        gs = minimize(p, kernel, SolveOptions(q=3.0))
+        assert gs.converged
+        grid = kernel.grid
+        multiplier = grid.fractional_multiplier(ALPHA)
+        shift_floor = (2.0 * np.pi / grid.L) ** (2.0 * ALPHA)
+
+        def residual(u):
+            field = Field(grid, u)
+            omega = lagrange_multiplier(field, p, kernel)
+            return energy_gradient(field, p, kernel).values.real - omega * u, omega
+
+        steps, backtracks = gs.history["step"], gs.history["backtracks"]
         assert steps[0] == 0.0 and backtracks[0] == 0
-        trial = _TAU0
-        for step, halvings in zip(steps[1:], backtracks[1:]):
-            assert step == pytest.approx(trial * 0.5**halvings, rel=1e-12, abs=0)
-            trial = 1.2 * step
+        assert len(iterates) == len(steps)
+        trial, rule = _TAU0, []
+        r_old, _ = residual(iterates[0])
+        for k in range(1, len(steps)):
+            # the solver's BB step comes from carried half spectra, which puts
+            # it up to 3e-12 relative off this one
+            assert steps[k] == pytest.approx(trial * 0.5 ** backtracks[k], rel=1e-9, abs=0)
+            s = iterates[k] - iterates[k - 1]
+            r_new, omega = residual(iterates[k])
+            s_y = float(np.sum(s * (r_new - r_old)))
+            metric = max(abs(omega), shift_floor) + multiplier
+            s_s = float(np.sum(metric * np.abs(np.fft.fftn(s)) ** 2)) / grid.size
+            rule.append("bb" if s_y > 0.0 else "fallback")
+            trial = s_s / s_y if s_y > 0.0 else 1.2 * steps[k]
+            r_old = r_new
+        assert rule.count("bb") > len(rule) // 2
+        assert ("fallback" in rule) is fallbacks
         assert steps.max() > _TAU0
 
     def test_history_suppressed_on_request(self, ref_params):
@@ -197,7 +244,7 @@ class TestFusedBookkeeping:
         field = random_band_limited(kernel.grid, seed=3) if which == "random" else ground.g
         u = field.values.real.copy()
         terms = HalfSpectrumTerms(u, np.fft.rfftn(u), ref_params, kernel)
-        _, _, d, d_hat = _descent(terms, shift_floor=1e-3)
+        _, _, d, d_hat, _, _ = _descent(terms, shift_floor=1e-3)
         assert d.dtype == np.float64
         assert abs(np.vdot(u, d)) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(d)
         gradient = energy_gradient(Field(kernel.grid, u), ref_params, kernel).values

@@ -15,6 +15,7 @@ import fhnlse.stability as stability_module
 import fhnlse.verify as verify_module
 from fhnlse.cli import main
 from fhnlse.fields import Field
+from fhnlse.kernel import HartreeKernel
 from fhnlse.spectral import EnergyTerms
 from fhnlse.verify import (
     CHECKS,
@@ -25,9 +26,11 @@ from fhnlse.verify import (
     check_gradient_pairing,
     check_groundstate_convergence,
     check_hartree_oracle,
+    check_radial_symmetry,
     check_rearrangement_suite,
     check_reproducibility,
     check_scaling_slope,
+    check_subadditivity,
     run_checks,
 )
 from fhnlse.groundstate import ScalingResult, ScalingRow
@@ -264,3 +267,46 @@ class TestPlantedDefects:
         result = check_reproducibility(VerifyContext(seed=1), "full")
         assert not result.passed
         assert result.values["mismatches"] == ["distance_series.csv", "report.json"]
+
+    def test_a_repulsive_interaction_fails_subadditivity(self, monkeypatch):
+        """With the Hartree term's sign flipped the interaction repels, the
+        minimizer of every mass is the flat state and E(q) = c q^2 > 0, so
+        E(q/2) + E(q/2) = E(q) / 2: the margin is -E(q) / 2, which is
+        E_flat(q) / 2 for the attractive E_flat of ``groundstate-convergence``."""
+        real = HartreeKernel.convolve_density
+        monkeypatch.setattr(HartreeKernel, "convolve_density", lambda self, rho: -real(self, rho))
+        ctx = VerifyContext(seed=1)
+        result = check_subadditivity(ctx, "full")
+        assert not result.passed
+        flat = verify_module._flat_energy(ctx.kernel, ctx.solve_options.q)
+        assert result.values["margin"] == pytest.approx(0.5 * flat, rel=1e-6)
+
+    @pytest.mark.parametrize("stretch, passed", [(1.0, True), (1.2, False)])
+    def test_an_anisotropic_ground_state_fails_radial_symmetry(
+        self, monkeypatch, stretch, passed
+    ):
+        """The ground state handed to the check is stretched by ``stretch``
+        along the first axis and shrunk by it along the second, by linear
+        interpolation: its level sets are ellipses, which no lattice shift
+        of its rearrangement matches.  Stretched by 1.2 it reads a distance
+        of 0.47 against the tolerance 2.1e-3 (an isotropic stretch by 1.2,
+        whose error is only the interpolation's, reads 2.7e-3); unstretched
+        it passes."""
+        real = verify_module.minimize
+
+        def stretched_minimize(p, kernel, opts):
+            gs = real(p, kernel, opts)
+            coords = kernel.grid.axis_coords
+            values = gs.g.values.real
+            for axis, factor in enumerate((stretch, 1.0 / stretch)):
+                values = np.apply_along_axis(
+                    lambda line: np.interp(coords / factor, coords, line), axis, values
+                )
+            return replace(gs, g=Field(kernel.grid, values))
+
+        monkeypatch.setattr(verify_module, "minimize", stretched_minimize)
+        result = check_radial_symmetry(VerifyContext(seed=1), "full")
+        assert result.passed is passed
+        assert result.values["min_magnitude"] > 0.0
+        if not passed:
+            assert result.values["distance"] > 10 * result.values["tol"]
