@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonConvergenceError, NumericalAbort
-from .fields import Field, _abs_sq, _mass_factor, gaussian
+from .fields import Field, _mass_factor, gaussian
 from .grid import Grid, PhysicsParams, _fftn, _ifftn, _irfftn, _rfftn
 from .kernel import HartreeKernel
 from .rearrange import symmetric_rearrange
@@ -352,8 +352,11 @@ def minimize(
             break
 
         iterations += 1
-        rel_change = math.sqrt(_abs_sq(trial.u - cur.u).sum() / _abs_sq(cur.u).sum())
         s_hat = trial.u_hat - cur.u_hat
+        # |s|^2 / |u|^2 by Parseval: the Hermitian sum is |s|^2 times the
+        # grid size, and mass / cell_volume is |u|^2 of the old iterate
+        s_sq = float(np.vdot(s_hat, cur.hermitian * s_hat).real)
+        rel_change = math.sqrt(s_sq / (grid.size * cur.mass / grid.cell_volume))
         cur, e_now = trial, e_trial
         del direction, direction_hat  # freed before the descent makes the next
         omega, resid, direction, direction_hat, metric, r_weighted = _descent(cur, shift_floor)

@@ -5,10 +5,13 @@ The kernel is sampled on the displacement lattice (aliased FFT layout) with
 every component reduced to the minimum image.  The singular origin sample is
 replaced by the average of ``|x|^(-gamma)`` over the origin cell; because
 that average scales exactly like ``h^(-gamma)``, one dimensionless constant
-per ``(d, gamma)`` serves every grid spacing.
+per ``(d, gamma)`` serves every grid spacing.  Euler's identity for a
+function homogeneous of degree ``-gamma``, ``div(x |x|^(-gamma)) = (d -
+gamma) |x|^(-gamma)``, turns that average into a smooth integral over the
+cell's faces (:func:`origin_cell_average`).
 
 Both the fast convolution (a cached half spectrum + real FFT), from which
-``spectral.EnergyTerms`` forms the Hartree pairing, and the direct double
+``spectral.density_terms`` forms the Hartree pairing, and the direct double
 sum read the same sample array, so they agree by construction up to
 floating-point roundoff.  The direct sum shares no transform with the fast
 path: it forms the density's autocorrelation one shift of the last axis at
@@ -29,7 +32,6 @@ loop reuses its own from step to step.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -52,56 +54,30 @@ DIRECT_SITE_LIMIT = 4096
 _GAUSS_NODES = 24
 
 
-def _gauss_box(lo: np.ndarray, hi: np.ndarray, gamma: float, d: int) -> float:
-    """Tensor Gauss-Legendre quadrature of ``|x|^(-gamma)`` over a box.
-
-    The box must stay clear of the origin, where the integrand is analytic,
-    so the rule converges at spectral rate.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-    axes = []
-    wts = []
-    for a in range(d):
-        half = 0.5 * (hi[a] - lo[a])
-        mid = 0.5 * (hi[a] + lo[a])
-        axes.append(mid + half * nodes)
-        wts.append(half * weights)
-    rsq = np.zeros((_GAUSS_NODES,) * d)
-    wgt = np.ones((_GAUSS_NODES,) * d)
-    for a in range(d):
-        view = [1] * d
-        view[a] = _GAUSS_NODES
-        rsq = rsq + (axes[a] ** 2).reshape(view)
-        wgt = wgt * wts[a].reshape(view)
-    return float(np.sum(wgt * rsq ** (-gamma / 2.0)))
-
-
 @lru_cache(maxsize=None)
 def origin_cell_average(d: int, gamma: float) -> float:
     """Average of ``|x|^(-gamma)`` over the unit cell ``C = [-1/2, 1/2]^d``.
 
-    For d = 1 the integral is ``2^gamma / (1 - gamma)`` in closed form.
-    For d >= 2 it uses the exact self-similarity of the integrand: with
-    ``A = integral over C`` and ``S = integral over the shell C minus C/2``,
-    substituting ``x -> x/2`` gives ``A = 2^(gamma-d) A + S``, hence
-    ``A = S / (1 - 2^(gamma-d))``.  The shell is the union of the outer
-    cells of the regular 4^d partition of C (the inner 2^d cells make up
-    C/2 exactly), each clear of the singularity, so Gauss-Legendre
-    quadrature on each cell is accurate to near machine precision.
+    The integrand is homogeneous of degree ``-gamma``, so Euler's identity
+    gives ``div(x |x|^(-gamma)) = (d - gamma) |x|^(-gamma)``, and the
+    divergence theorem turns the average into a flux through the ``2d``
+    faces of C, on each of which ``x . n = 1/2``:
+    ``A = d / (d - gamma) * integral over [-1/2, 1/2]^(d-1) of
+    (1/4 + |y|^2)^(-gamma/2) dy``.  The face integrand is analytic on the
+    closed face (its nearest complex singularity is at ``|y| = i/2``), so
+    tensor Gauss-Legendre quadrature is accurate to near machine
+    precision.  For d = 1 the face is a point and ``A = 2^gamma / (1 -
+    gamma)``.
     """
     if not (0.0 < gamma < d):
         raise ValueError(f"require 0 < gamma < d for integrability (got {gamma}, d={d})")
-    if d == 1:
-        return 2.0**gamma / (1.0 - gamma)
-    edges = np.linspace(-0.5, 0.5, 5)  # 4 cells of side 1/4 per axis
-    shell = 0.0
-    for cell in itertools.product(range(4), repeat=d):
-        if all(c in (1, 2) for c in cell):
-            continue  # inner 2^d cells form C/2
-        lo = np.array([edges[c] for c in cell])
-        hi = np.array([edges[c + 1] for c in cell])
-        shell += _gauss_box(lo, hi, gamma, d)
-    return shell / (1.0 - 2.0 ** (gamma - d))
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    rsq, wgt = 0.25, 1.0  # |x|^2 = 1/4 + |y|^2 and the weights, one face axis at a time
+    for _ in range(d - 1):
+        rsq = np.add.outer(rsq, (0.5 * nodes) ** 2)
+        wgt = np.multiply.outer(wgt, 0.5 * weights)
+    face = float(np.sum(wgt * rsq ** (-gamma / 2.0)))
+    return d * face / (d - gamma)
 
 
 def kernel_spectrum(samples: np.ndarray) -> np.ndarray:
@@ -137,18 +113,14 @@ class HartreeKernel:
     """
 
     def __init__(self, grid: Grid, gamma: float):
-        if not (0.0 < gamma < grid.d):
-            raise ValueError(
-                f"gamma must satisfy 0 < gamma < d (got gamma={gamma}, d={grid.d})"
-            )
         self.grid = grid
         self.gamma = float(gamma)
+        # raises ValueError unless 0 < gamma < d
+        origin = origin_cell_average(grid.d, self.gamma) * grid.h ** (-self.gamma)
         dist = grid.offset_distance
         with np.errstate(divide="ignore"):
             samples = dist ** (-self.gamma)
-        samples[(0,) * grid.d] = origin_cell_average(grid.d, self.gamma) * grid.h ** (
-            -self.gamma
-        )
+        samples[(0,) * grid.d] = origin
         self.samples = _frozen(samples)
         self.spectrum = _frozen(kernel_spectrum(self.samples))
         # a real density has a Hermitian DFT, so the last axis needs only

@@ -148,6 +148,33 @@ class TestMinimizeDiagnostics:
         assert ("fallback" in rule) is fallbacks
         assert steps.max() > _TAU0
 
+    @pytest.mark.parametrize("factor, stalls", [(1 + 1e-9, True), (1 - 1e-9, False)])
+    def test_a_move_below_the_stall_tolerance_stops_the_solve(
+        self, ref_params, kernel32, monkeypatch, factor, stalls
+    ):
+        """The solver forms the relative move |u_new - u_old| / |u_old| of
+        each accepted step by Parseval from half spectra.  With _STALL_TOL
+        just above the real-space move of the first step the solve stops
+        there with "stalled"; just below it, the solve goes past that
+        iterate."""
+        iterates = []
+        real = groundstate_module._descent
+
+        def recording(terms, shift_floor):
+            iterates.append(terms.u)
+            return real(terms, shift_floor)
+
+        monkeypatch.setattr(groundstate_module, "_descent", recording)
+        minimize(ref_params, kernel32, SolveOptions(q=3.0, max_iter=1))
+        start, first = iterates[:2]
+        move = np.linalg.norm(first - start) / np.linalg.norm(start)
+        monkeypatch.setattr(groundstate_module, "_STALL_TOL", move * factor)
+        gs = minimize(ref_params, kernel32, SolveOptions(q=3.0))
+        if stalls:
+            assert gs.stop_reason == "stalled" and gs.iterations == 1
+        else:
+            assert gs.iterations > 1
+
     def test_history_suppressed_on_request(self, ref_params):
         grid = Grid(d=2, n=16, L=12.0)
         kernel = HartreeKernel(grid, GAMMA)

@@ -5,6 +5,7 @@ test_acceptance.py."""
 import itertools
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from fhnlse.verify import (
     check_rearrangement_suite,
     check_reproducibility,
     check_scaling_slope,
+    check_standing_wave,
     check_subadditivity,
     run_checks,
 )
@@ -241,6 +243,26 @@ class TestPlantedDefects:
         assert not result.passed
         assert result.values["mass_drift"] < 1e-10
         assert result.values["factor"] == pytest.approx(2.0, abs=0.1)
+
+    def test_a_repulsive_flow_fails_the_standing_wave_orbit(self, monkeypatch):
+        """With the Hartree sign flipped in the flow alone, the solver's
+        minimizer is no standing wave of the flow and leaves its orbit: the
+        check reads a max distance of 3.2 over T = 10, against the tolerance
+        2.1e-3.  The flow is handed a kernel whose convolution is negated;
+        the solve is left as it is."""
+        real = dynamics_module._strang
+
+        def repulsive(values, mult, kernel, T, dt, stride):
+            def negated(rho, out=None):
+                return np.negative(kernel.convolve_density(rho, out=out), out=out)
+
+            flipped = SimpleNamespace(grid=kernel.grid, convolve_density=negated)
+            return real(values, mult, flipped, T, dt, stride)
+
+        monkeypatch.setattr(dynamics_module, "_strang", repulsive)
+        result = check_standing_wave(VerifyContext(seed=1), "full")
+        assert not result.passed
+        assert result.values["max_distance"] >= 10 * result.values["tol"]
 
     def test_an_offset_multiplier_fails_the_euler_lagrange_residual(self, monkeypatch):
         """An omega off by 1e-3 leaves a residual |G - omega g| / |g| of
