@@ -1,19 +1,21 @@
 """Mass-constrained energy minimization and ground-state experiments.
 
 The minimizer descends on the mass sphere along the H^alpha-preconditioned
-Euler-Lagrange residual: the direction is ``P (G(u) - omega u)`` with
+Euler-Lagrange residual: the direction ``d`` is ``P (G(u) - omega u)`` with
 ``P = (s + |k|^(2 alpha))^(-1)`` and the shift ``s = max(|omega|, smallest
 nonzero |k|^(2 alpha))``, projected onto the sphere's tangent space.  Each
-iteration steps along it and rescales back to the mass sphere, with a
-backtracking step size that never lets the post-projection energy increase
-(Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017); the gradient-flow
-setting is that of Bao & Du, SIAM J. Sci. Comput. 25 (2004)).  The first
-trial step of an iteration is the two-point step of Barzilai & Borwein
-(IMA J. Numer. Anal. 8 (1988) 141) in the preconditioner's metric,
-``<du, P^(-1) du> / <du, dr>`` for the last move ``du`` of the iterate and
-the change ``dr`` of its residual, so the trial follows the curvature the
-flow has just seen; it falls back to 1.2 times the last step where ``<du,
-dr> <= 0``.
+iteration steps to ``c (u - tau d)``, with ``c`` the rescale back to the
+mass sphere, halving a trial ``tau`` until the post-projection energy does
+not increase (Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017); the
+gradient-flow setting is that of Bao & Du, SIAM J. Sci. Comput. 25
+(2004)).  The first trial from the start is ``_TAU0``; each next one is the
+two-point step of Barzilai & Borwein (IMA J. Numer. Anal. 8 (1988) 141) in
+the preconditioner's metric, ``<s, P^(-1) s> / <s, y>`` for the last
+accepted move ``s = u_new - u_old`` and the change ``y = r_new - r_old`` of
+the residual, with ``P^(-1)`` at ``u_new``, so the trial follows the
+curvature the flow has just seen.  It falls back to 1.2 times the last step
+where ``<s, y> <= 0`` or the quotient is not finite, and may grow past
+``_TAU0``.
 
 Minimizers are, up to translation and phase, positive symmetric
 nonincreasing functions, so every start is first mapped to the even part of
@@ -26,8 +28,14 @@ start real, so the iterate, the direction and the residual are real arrays
 and their DFTs half spectra (``rfftn``).  The iterate's half spectrum is
 carried beside it, so the residual, its norm (by Parseval, with Hermitian
 weights), the direction and every trial field are formed in Fourier space
-as well: an accepted iterate costs one real transform pair, and a trial
-none beyond the real pair of its density convolution.  Convergence is
+as well: a trial has the half spectrum ``c (u_hat - tau d_hat)``, and the
+one density convolution of its energy gives, once it is accepted, its
+residual and the next direction.  An accepted iterate thus costs one real
+transform pair, and a trial none beyond the real pair of its density
+convolution.  The two Barzilai-Borwein products are Hermitian-weighted sums
+over half spectra the iteration forms anyway; since ``s = (c - 1) u - c tau
+d`` and ``<u, r_old> = 0``, ``<s, r_old>`` is ``-c tau <d, r_old>``, a
+scalar kept from the last descent in place of ``r_old``.  Convergence is
 declared on the constrained Euler-Lagrange residual ``|G(u) - omega u|_2 /
 |u|_2``.
 """
@@ -254,45 +262,24 @@ def _descent(
 def minimize(
     p: PhysicsParams, kernel: HartreeKernel, opts: SolveOptions | None = None
 ) -> GroundState:
-    """Minimize the energy over the sphere ``mass(u) == q``.
+    """Minimize the energy over the sphere ``mass(u) == q`` by the flow of
+    the module docstring.
 
-    Maps the start ``opts.init`` (``opts`` defaults to ``SolveOptions()``,
-    and an init of None is the centered L/8 Gaussian) to a real, centred,
-    even field at mass ``q``: the even part of its symmetric-decreasing
-    rearrangement or, if that has the higher energy, of its magnitude
-    centred on its peak (:func:`_initial_fields`).  Then it iterates ``u <-
-    rescale(u - tau * d)`` along the preconditioned, tangent-projected
-    residual ``d`` of :func:`_descent`, with backtracking on ``tau``: the
-    first trial step is ``_TAU0``, and a step is halved until the
-    post-projection energy does not increase.  Each next trial is the
-    Barzilai-Borwein step ``<s, P^(-1) s> / <s, y>`` of the last accepted
-    move ``s = u_new - u_old``, with ``y = r_new - r_old`` the change of
-    the Euler-Lagrange residual and ``P^(-1) = shift + |k|^(2 alpha)`` at
-    ``u_new``, or 1.2x the accepted step where ``<s, y> <= 0`` or the
-    quotient is not finite; a trial may grow past ``_TAU0``.  Both inner
-    products are Hermitian-weighted sums over half spectra the iteration
-    already forms: ``s_hat = v_hat - u_hat`` meets the metric and the new
-    residual of :func:`_descent`, and, since ``s = (c - 1) u - c tau d``
-    and ``<u, r_old> = 0``, ``<s, r_old>`` is ``-c tau <d, r_old>``, a
-    scalar kept from the last descent, so no array outlives its iteration.
-    Every iterate, direction and residual is real, and their DFTs are half
-    spectra.  The iterate's ``u_hat`` is carried beside
-    it: a trial ``v = c (u - tau d)``, with ``c`` the mass rescale, has
-    ``v_hat = c (u_hat - tau d_hat)``, and is evaluated once, by
-    :func:`~fhnlse.spectral.energy` on the half spectrum, whose one density
-    convolution gives its energy and, once it is accepted, the residual and
-    the next direction.  Only the start candidates are transformed; after
-    that an accepted iterate costs the one real transform pair of
-    :func:`_descent` and a trial none.
-    The start and every accepted iterate are tested in this order: a
-    non-finite energy or residual raises :class:`NumericalAbort`; a residual
-    below ``resid_tol`` stops with ``stop_reason`` ``"residual"`` (the one
-    ``converged`` one); a step that moved the iterate by less than
-    ``_STALL_TOL`` relative to its norm stops with ``"stalled"``; and the
-    ``max_iter``-th accepted iterate stops with ``"max_iter"``.  A step
-    that no backtrack makes acceptable stops with ``"backtracking_floor"``.
-    Returns the best (smallest-residual) accepted iterate, as a complex
-    :class:`Field` whose imaginary part is zero.
+    ``opts`` defaults to ``SolveOptions()``.  The start ``opts.init`` (None
+    is the centered L/8 Gaussian) is mapped to a real, centred, even field
+    at mass ``q``: the even part of its symmetric-decreasing rearrangement
+    or, if that has the higher energy, of its magnitude centred on its peak
+    (:func:`_initial_fields`).  The start and every accepted iterate are
+    tested in this order: a non-finite energy or residual raises
+    :class:`NumericalAbort`, which numbers the iterate as the rows of
+    ``history`` do (the start is 0); a residual below ``resid_tol`` stops
+    with ``stop_reason`` ``"residual"`` (the one ``converged`` one); a step
+    that moved the iterate by less than ``_STALL_TOL`` relative to its norm
+    stops with ``"stalled"``; and the ``max_iter``-th accepted iterate stops
+    with ``"max_iter"``.  A step that no backtrack makes acceptable stops
+    with ``"backtracking_floor"``.  Returns the :class:`GroundState` of the
+    best (smallest-residual) iterate, the start included; its ``g`` is a
+    complex :class:`Field` whose imaginary part is zero.
     """
     opts = opts or SolveOptions()
     opts.validate()
@@ -309,21 +296,34 @@ def minimize(
         ),
         key=lambda candidate: candidate[0],
     )
-    tau = _TAU0
+    tau = _TAU0  # the first trial from the start
     iterations = 0
     rel_change = math.inf
-
-    omega, resid, direction, direction_hat, metric, r_weighted = _descent(cur, shift_floor)
-    slope = float(np.vdot(direction_hat, r_weighted).real)  # <d, r>, times the size
-    del metric, r_weighted  # only scalars carry over to the trials
+    step, backtracks = 0.0, 0  # the start takes no step
     # the rows of GroundState.history
-    history: list[tuple[float, float, float, int]] = [(e_now, resid, 0.0, 0)]
-    best: tuple[float, np.ndarray, float, float] = (resid, cur.u, e_now, omega)
+    history: list[tuple[float, float, float, int]] = []
 
     while True:
+        omega, resid, direction, direction_hat, metric, r_weighted = _descent(cur, shift_floor)
+        if iterations:
+            # BB1 in the metric P^(-1): <s, P^(-1) s> / <s, y>, y = r_new - r_old.
+            # s = (c - 1) u - c step d and <u, r_old> = 0, so <s, r_old> is
+            # -c step <d, r_old>; every inner product is times the grid size.
+            s_y = float(np.vdot(s_hat, r_weighted).real) + c * step * slope
+            s_s = float(np.vdot(s_hat, cur.hermitian * (metric * s_hat)).real)
+            tau = s_s / s_y if s_y > 0.0 else math.inf
+            if not math.isfinite(tau):
+                tau = 1.2 * step
+            del s_hat
+        slope = float(np.vdot(direction_hat, r_weighted).real)  # <d, r>, times the size
+        del metric, r_weighted  # only scalars carry over to the trials
+        history.append((e_now, resid, step, backtracks))
+        if iterations == 0 or resid < best[0]:
+            best = (resid, cur.u, e_now, omega)
+
         if not math.isfinite(resid) or not math.isfinite(e_now):
             raise NumericalAbort(
-                f"non-finite diagnostics at iteration {iterations + 1} "
+                f"non-finite diagnostics at iteration {iterations} "
                 f"(energy={e_now}, residual={resid})"
             )
         if resid < opts.resid_tol:
@@ -359,20 +359,6 @@ def minimize(
         rel_change = math.sqrt(s_sq / (grid.size * cur.mass / grid.cell_volume))
         cur, e_now = trial, e_trial
         del direction, direction_hat  # freed before the descent makes the next
-        omega, resid, direction, direction_hat, metric, r_weighted = _descent(cur, shift_floor)
-        # BB1 in the metric P^(-1): <s, P^(-1) s> / <s, y>, y = r_new - r_old.
-        # s = (c - 1) u - c step d and <u, r_old> = 0, so <s, r_old> is
-        # -c step <d, r_old>; every inner product is times the grid size.
-        s_y = float(np.vdot(s_hat, r_weighted).real) + c * step * slope
-        s_s = float(np.vdot(s_hat, cur.hermitian * (metric * s_hat)).real)
-        tau = s_s / s_y if s_y > 0.0 else math.inf
-        if not math.isfinite(tau):
-            tau = 1.2 * step
-        slope = float(np.vdot(direction_hat, r_weighted).real)
-        del s_hat, metric, r_weighted
-        history.append((e_now, resid, step, backtracks))
-        if resid < best[0]:
-            best = (resid, cur.u, e_now, omega)
 
     # the first iterate below resid_tol stops the loop, so a converged
     # solve's best (smallest-residual) iterate is its last one

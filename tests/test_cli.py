@@ -118,6 +118,20 @@ class TestGroundstateCommand:
         assert summary["converged"] is False
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_start_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        """At q = 1e300 the start's Hartree pairing overflows, so its energy
+        is -inf and its residual NaN: the solver aborts at the start, which
+        the message numbers 0 as convergence.csv would, and the command
+        writes no file."""
+        out = tmp_path / "d"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["groundstate", *SMALL, "--set", "solver.q=1e300", "--output-dir", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: non-finite diagnostics at iteration 0 (energy=-inf, residual=nan)\n"
+        )
+        assert not out.exists()
+
     def test_two_runs_produce_identical_bytes(self, tmp_path):
         for sub in ("a", "b"):
             assert run(["groundstate", *SMALL, "--output-dir", str(tmp_path / sub)]) == 0

@@ -78,6 +78,12 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="grid.points"):
             load_config(path)
 
+    def test_non_object_section_raises(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"grid": 5}))
+        with pytest.raises(ValueError, match="^config section grid must be an object$"):
+            load_config(path)
+
 
 class TestOverrides:
     def test_values_parse_as_json(self):
@@ -138,6 +144,11 @@ class TestValidation:
             validate_config(self._cfg(solver__maxIter=0))
         with pytest.raises(ValueError, match="dynamics.dt"):
             validate_config(self._cfg(dynamics__dt=-1e-3))
+        for section in ("dynamics", "stability"):
+            with pytest.raises(
+                ValueError, match=re.escape(f"{section}.T must be nonnegative (got -1.0)")
+            ):
+                validate_config(self._cfg(**{f"{section}__T": -1}))
         with pytest.raises(ValueError, match="planeWaveMode"):
             validate_config(self._cfg(dynamics__planeWaveMode="x"))
         with pytest.raises(ValueError, match="snapshotStride"):

@@ -648,6 +648,25 @@ class TestFailureModes:
         assert (gs.iterations, gs.energy) == (ground32.iterations, ground32.energy)
         np.testing.assert_array_equal(gs.history, ground32.history)
 
+    def test_a_step_no_backtrack_accepts_stops_at_the_start(
+        self, ref_params, kernel32, monkeypatch
+    ):
+        """With a first trial of 1e3 and one trial per step, no trial from
+        the start lowers the energy: the solve stops with
+        "backtracking_floor" and returns the start, whose history row takes
+        no step."""
+        monkeypatch.setattr(groundstate_module, "_MAX_BACKTRACKS", 1)
+        monkeypatch.setattr(groundstate_module, "_TAU0", 1e3)
+        opts = SolveOptions(q=3.0)
+        gs = minimize(ref_params, kernel32, opts)
+        assert gs.stop_reason == "backtracking_floor"
+        assert not gs.converged
+        assert gs.iterations == 0
+        assert gs.history.tolist() == [(gs.energy, gs.residual, 0.0, 0)]
+        assert gs.residual == pytest.approx(0.1286, abs=1e-4)
+        (start,) = _initial_fields(kernel32.grid, opts)
+        np.testing.assert_array_equal(gs.g.values, start)
+
     def test_require_converged_passes_through_good_states(self, ground32):
         assert require_converged(ground32) is ground32
 

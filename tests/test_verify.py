@@ -31,6 +31,7 @@ from fhnlse.verify import (
     check_rearrangement_suite,
     check_reproducibility,
     check_scaling_slope,
+    check_stability_sweep,
     check_standing_wave,
     check_subadditivity,
     run_checks,
@@ -93,6 +94,25 @@ class TestRunChecks:
         assert results[0].passed, results[0].detail
         assert results[0].seconds >= 0.0
         assert seen == results
+
+    def test_a_crashed_check_is_a_failed_check(self, monkeypatch, tmp_path, capsys):
+        """A check that raises is reported as failed, with the exception as
+        its detail, and fails the ``verify`` command, whose report is still
+        written."""
+
+        def crash(ctx, level):
+            raise RuntimeError("planted")
+
+        monkeypatch.setitem(CHECKS, "gradient-pairing", (crash, True))
+        detail = "raised RuntimeError('planted')"
+        (result,) = run_checks("quick", only="gradient-pairing")
+        assert (result.name, result.passed, result.detail) == ("gradient-pairing", False, detail)
+        code = main(["verify", "--only", "gradient-pairing", "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert f"[FAIL] gradient-pairing: {detail}" in capsys.readouterr().out
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert (report["passed"], report["total"]) == (0, 1)
+        assert report["checks"] == [{"name": "gradient-pairing", "passed": False, "detail": detail}]
 
 
 class TestRearrangementVerdict:
@@ -244,12 +264,11 @@ class TestPlantedDefects:
         assert result.values["mass_drift"] < 1e-10
         assert result.values["factor"] == pytest.approx(2.0, abs=0.1)
 
-    def test_a_repulsive_flow_fails_the_standing_wave_orbit(self, monkeypatch):
-        """With the Hartree sign flipped in the flow alone, the solver's
-        minimizer is no standing wave of the flow and leaves its orbit: the
-        check reads a max distance of 3.2 over T = 10, against the tolerance
-        2.1e-3.  The flow is handed a kernel whose convolution is negated;
-        the solve is left as it is."""
+    @staticmethod
+    def plant_repulsive_flow(monkeypatch):
+        """Flip the Hartree sign in the flow alone: the flow is handed a
+        kernel whose convolution is negated, and the solve is left as it
+        is."""
         real = dynamics_module._strang
 
         def repulsive(values, mult, kernel, T, dt, stride):
@@ -260,9 +279,42 @@ class TestPlantedDefects:
             return real(values, mult, flipped, T, dt, stride)
 
         monkeypatch.setattr(dynamics_module, "_strang", repulsive)
+
+    def test_a_repulsive_flow_fails_the_standing_wave_orbit(self, monkeypatch):
+        """With the Hartree sign flipped in the flow alone, the solver's
+        minimizer is no standing wave of the flow and leaves its orbit: the
+        check reads a max distance of 3.2 over T = 10, against the tolerance
+        2.1e-3."""
+        self.plant_repulsive_flow(monkeypatch)
         result = check_standing_wave(VerifyContext(seed=1), "full")
         assert not result.passed
         assert result.values["max_distance"] >= 10 * result.values["tol"]
+
+    @pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
+    def test_a_repulsive_flow_fails_the_stability_sweep(self, monkeypatch, planted):
+        """The sweep's runs are cut from T = 20 to T = 1.  Clean, the sup
+        distances are about delta (4.0e-2, 2.0e-2 and 1.0e-2) and the check
+        passes.  With the Hartree sign flipped in the flow alone, every
+        perturbed state leaves the orbit by about 1.63 whatever its delta:
+        the sups (1.6278, 1.6271, 1.6269) still do not increase, so the
+        bound 10 * 1e-2 = 0.1 is the clause that fails.  Over the check's
+        own T = 20 both clauses fail (3.2526, 3.2529, 3.2530)."""
+        real = verify_module.stability_run
+
+        def short_run(*args, **kwargs):
+            return real(*args, **{**kwargs, "T": 1.0})
+
+        monkeypatch.setattr(verify_module, "stability_run", short_run)
+        if planted:
+            self.plant_repulsive_flow(monkeypatch)
+        result = check_stability_sweep(VerifyContext(seed=1), "full")
+        sups, bound = result.values["sups"], result.values["bound"]
+        assert result.passed is not planted
+        if planted:
+            assert result.values["monotone"]
+            assert sups[-1] >= 10 * bound
+        else:
+            assert sups == pytest.approx([4e-2, 2e-2, 1e-2], rel=0.05)
 
     def test_an_offset_multiplier_fails_the_euler_lagrange_residual(self, monkeypatch):
         """An omega off by 1e-3 leaves a residual |G - omega g| / |g| of
