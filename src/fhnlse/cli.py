@@ -256,7 +256,7 @@ def _cmd_verify(args, cfg: dict, outdir: Path) -> int:
             "passed": passed,
             "total": len(results),
             "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
+                {"name": r.name, "passed": r.passed, "detail": r.detail, "values": r.values}
                 for r in results
             ],
         },

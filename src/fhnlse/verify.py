@@ -1,12 +1,15 @@
 """Self-contained verification checks, shared by the CLI and the test suite.
 
-Each check returns a :class:`CheckResult`; thresholds live here, next to the
-check that enforces them.  :data:`CHECKS` lists the checks in report order
-and marks the fast consistency checks that ``level="quick"`` runs at
-reduced sizes; ``level="full"`` runs them all at reference scale.  The
-reference instance is :data:`config.DEFAULTS` (q = 3 on the 64^2 box of
-length 40, whose ground state is localized), and one shared ground-state
-solve feeds the checks that need it.
+Each check returns a :class:`CheckResult` whose ``values`` record every
+number it measured and every threshold it held them to; its ``detail`` is
+formatted from them by :func:`format_detail`.  Thresholds live here, next to
+the check that enforces them, and those that follow the solver's residual
+tolerance read it from the context's solve options.  :data:`CHECKS` lists
+the checks in report order and marks the fast consistency checks that
+``level="quick"`` runs at reduced sizes; ``level="full"`` runs them all at
+reference scale.  The reference instance is :data:`config.DEFAULTS` (q = 3
+on the 64^2 box of length 40, whose ground state is localized), and one
+shared ground-state solve feeds the checks that need it.
 """
 
 from __future__ import annotations
@@ -107,15 +110,31 @@ Check = Callable[[VerifyContext, str], CheckResult]
 CHECKS: dict[str, tuple[Check, bool]] = {}
 
 
+def _format(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_format, value)) + "]"
+    return str(value)
+
+
+def format_detail(values: dict) -> str:
+    """A check's ``key=value`` pairs in the order of its record: floats to
+    four significant digits, lists element by element, anything else by
+    ``str``."""
+    return ", ".join(f"{key}={_format(value)}" for key, value in values.items())
+
+
 def _check(name: str, quick: bool = False):
-    """Register a check body returning ``(passed, detail, values)`` under
-    ``name``; the registered function returns the :class:`CheckResult`."""
+    """Register a check body returning ``(passed, values)`` under ``name``;
+    the registered function returns the :class:`CheckResult`, whose detail
+    is formatted from the values."""
 
     def register(body) -> Check:
         @wraps(body)
         def check(ctx: VerifyContext, level: str = "full") -> CheckResult:
-            passed, detail, values = body(ctx, level)
-            return CheckResult(name=name, passed=passed, detail=detail, values=values)
+            passed, values = body(ctx, level)
+            return CheckResult(name, passed, format_detail(values), values=values)
 
         CHECKS[name] = (check, quick)
         return check
@@ -153,12 +172,8 @@ def check_hartree_oracle(ctx: VerifyContext, level: str):
             direct = hartree_direct(u, kernel)
             errors.append(abs(fast - direct) / abs(direct))
     # np.max propagates a NaN error, which then fails the check; max() would drop it
-    worst, count = float(np.max(errors)), len(errors)
-    return (
-        worst < tol,
-        f"max rel err {worst:.3e} over {count} fields (tol {tol:.0e})",
-        {"max_rel_err": worst, "tol": tol, "fields": count},
-    )
+    worst = float(np.max(errors))
+    return worst < tol, {"max_rel_err": worst, "fields": len(errors), "tol": tol}
 
 
 @_check("gradient-pairing", quick=True)
@@ -166,11 +181,12 @@ def check_gradient_pairing(ctx: VerifyContext, level: str):
     """Central-difference directional derivatives vs Re<G(u), v>."""
     tol = 1e-6
     eps = 1e-5
+    pairs = 5
     grid = Grid(d=2, n=32, L=40.0)
     p = ctx.params
     kernel = HartreeKernel(grid, p.gamma)
     errors = []
-    for r in range(5):
+    for r in range(pairs):
         u = random_band_limited(grid, seed=ctx.seed + 10 + r)
         v = random_band_limited(grid, seed=ctx.seed + 510 + r)
         plus = Field(grid, u.values + eps * v.values)
@@ -182,11 +198,7 @@ def check_gradient_pairing(ctx: VerifyContext, level: str):
         )
         errors.append(abs(fd - pairing) / max(abs(fd), 1e-30))
     worst = float(np.max(errors))  # a NaN error propagates and fails the check
-    return (
-        worst < tol,
-        f"max rel err {worst:.3e} over 5 pairs (tol {tol:.0e})",
-        {"max_rel_err": worst, "tol": tol},
-    )
+    return worst < tol, {"max_rel_err": worst, "pairs": pairs, "tol": tol}
 
 
 def _flat_energy(kernel: HartreeKernel, q: float) -> float:
@@ -203,7 +215,7 @@ def check_groundstate_convergence(ctx: VerifyContext, level: str):
     energy of the flat state of the same mass on its box, and |g| peaks well
     above its box average.  The flat state reads a drop of 0 and a
     peak/mean of 1; since E_flat < 0, the drop also implies E < 0."""
-    tol = 1e-6
+    tol = ctx.solve_options.resid_tol
     min_drop = 1e-3  # required (E_flat - E) / |E_flat|
     min_peak = 2.0  # required max |g| / mean |g|
     gs = ctx.ground
@@ -212,19 +224,11 @@ def check_groundstate_convergence(ctx: VerifyContext, level: str):
     return (
         gs.converged and gs.residual < tol and drop > min_drop
         and gs.peak_over_mean > min_peak,
-        f"converged={gs.converged} residual={gs.residual:.3e} (tol {tol:.0e}), "
-        f"E={gs.energy:.6e} below E_flat={e_flat:.6e} by {drop:.3e} |E_flat| "
-        f"(required > {min_drop:.0e}), peak/mean {gs.peak_over_mean:.4g} "
-        f"(required > {min_peak:g}), seam ratio {gs.seam_ratio:.3e}, "
-        f"{gs.iterations} iterations",
         {
-            "residual": gs.residual,
-            "energy": gs.energy,
-            "flat_energy": e_flat,
-            "drop": drop,
-            "peak_over_mean": gs.peak_over_mean,
-            "seam_ratio": gs.seam_ratio,
-            "iterations": gs.iterations,
+            "converged": gs.converged, "residual": gs.residual, "tol": tol,
+            "energy": gs.energy, "flat_energy": e_flat, "drop": drop, "min_drop": min_drop,
+            "peak_over_mean": gs.peak_over_mean, "min_peak": min_peak,
+            "seam_ratio": gs.seam_ratio, "iterations": gs.iterations,
         },
     )
 
@@ -232,18 +236,14 @@ def check_groundstate_convergence(ctx: VerifyContext, level: str):
 @_check("euler-lagrange-residual")
 def check_euler_lagrange(ctx: VerifyContext, level: str):
     """Recompute |G(g) - omega g| / |g| from scratch at the returned state."""
-    tol = 1e-6
+    tol = ctx.solve_options.resid_tol
     gs = ctx.ground
     p, kernel = ctx.params, ctx.kernel
     omega = lagrange_multiplier(gs.g, p, kernel)
     grad = energy_gradient(gs.g, p, kernel)
     resid = Field(gs.g.grid, grad.values - omega * gs.g.values)
     rel = np.sqrt(mass(resid) / mass(gs.g))
-    return (
-        rel < tol,
-        f"|G - omega u|/|u| = {rel:.3e} (tol {tol:.0e}), omega={omega:.6f}",
-        {"residual": rel, "omega": omega, "tol": tol},
-    )
+    return rel < tol, {"residual": rel, "tol": tol, "omega": omega}
 
 
 @_check("radial-symmetry")
@@ -258,12 +258,8 @@ def check_radial_symmetry(ctx: VerifyContext, level: str):
     rearranged = symmetric_rearrange(gs.g)
     dist = align(magnitudes, rearranged, alpha).distance
     min_mag = float(np.min(np.abs(gs.g.values)))
-    return (
-        dist < tol and min_mag > 0.0,
-        f"aligned distance {dist:.3e} (tol {tol:.3e} = 1e-3 * |g|), "
-        f"min |g| = {min_mag:.3e} (> 0)",
-        {"distance": dist, "tol": tol, "min_magnitude": min_mag},
-    )
+    values = {"distance": dist, "tol": tol, "min_magnitude": min_mag}
+    return dist < tol and min_mag > 0.0, values
 
 
 @_check("mass-scaling-slope")
@@ -274,30 +270,34 @@ def check_scaling_slope(ctx: VerifyContext, level: str):
     exactly on the lattice, so the slope tests the consistency of the solver
     across the rows, not the discretization error of one box.
     """
+    tol = 0.05
     res = ctx.scaling
     target = res.exponent
     rel = abs(res.slope - target) / target
-    energies = ", ".join(f"{r.lam:g}:{r.energy:.4e}(L={r.L:.3g})" for r in res.rows)
     return (
-        rel < 0.05 and all(r.converged for r in res.rows),
-        f"solver consistency on rescaled boxes: slope {res.slope:.4f} vs "
-        f"{target:.4f} (rel dev {rel:.2%}, tol 5%); E by lambda: {energies}",
-        {"slope": res.slope, "target": target, "rel_dev": rel},
+        rel < tol and all(r.converged for r in res.rows),
+        {
+            "slope": res.slope, "target": target, "rel_dev": rel, "tol": tol,
+            "lambdas": [r.lam for r in res.rows],
+            "energies": [r.energy for r in res.rows],
+            "box_lengths": [r.L for r in res.rows],
+        },
     )
 
 
 @_check("subadditivity")
 def check_subadditivity(ctx: VerifyContext, level: str):
     """E(q) < E(q/2) + E(q/2) on the reference box, margin above solver noise."""
-    min_margin = 10 * 1e-6  # ten times the solver residual tolerance
-    q = ctx.solve_options.q
-    res = subadditivity_check(ctx.params, ctx.kernel, q / 2, q / 2, ctx.solve_options)
-    e1, e2, e12 = (gs.energy for gs in res.states)
+    opts = ctx.solve_options
+    min_margin = 10 * opts.resid_tol
+    res = subadditivity_check(ctx.params, ctx.kernel, opts.q / 2, opts.q / 2, opts)
     return (
         res.all_converged and res.margin > min_margin,
-        f"E({q:g})={e12:.6e} < E({q / 2:g})+E({q / 2:g})={e1 + e2:.6e}, "
-        f"margin {res.margin:.3e} (required > {min_margin:.0e})",
-        {"margin": res.margin, "required": min_margin},
+        {
+            "masses": [gs.q for gs in res.states],
+            "energies": [gs.energy for gs in res.states],
+            "margin": res.margin, "required": min_margin,
+        },
     )
 
 
@@ -314,20 +314,12 @@ def check_rearrangement_suite(ctx: VerifyContext, level: str):
     sweep = rearrangement_sweep(
         grid, ctx.params.alpha, count, ctx.seed + 900, ctx.seed + 2000
     )
-    norms = (
-        "norms exact"
-        if not sweep.changed
-        else f"multiset changed for seeds {sweep.changed[:3]}"
-    )
     return (
         sweep.passed,
-        f"{count} fields on {grid.n}^2: {norms}, worst seminorm excess "
-        f"{sweep.worst_seminorm:.3e}, worst pairing excess {sweep.worst_pairing:.3e} "
-        f"(slack {sweep.slack:.0e})",
         {
+            "fields": count, "n": grid.n, "changed_seeds": sweep.changed,
             "worst_contraction_excess": sweep.worst_seminorm,
-            "worst_riesz_excess": sweep.worst_pairing,
-            "slack": sweep.slack,
+            "worst_riesz_excess": sweep.worst_pairing, "slack": sweep.slack,
         },
     )
 
@@ -358,30 +350,24 @@ def check_conservation(ctx: VerifyContext, level: str):
         kernel = HartreeKernel(grid, ctx.params.gamma)
         psi0 = random_band_limited(grid, seed=ctx.seed + 76) * 2.0  # mass 4
         factor, main = _dt_halving(psi0, ctx.params, kernel, T=1.0, dt=1e-3, stride=10)
-        return (
-            main.mass_drift < mass_tol and factor_lo <= factor <= factor_hi,
-            f"quick: mass drift {main.mass_drift:.3e} (tol {mass_tol:.0e}), "
-            f"dt-halving factor {factor:.2f} (in [{factor_lo}, {factor_hi}])",
-            {"mass_drift": main.mass_drift, "factor": factor},
+        drifts = {"mass_drift": main.mass_drift, "mass_tol": mass_tol}
+        energy_ok = True  # the quick run bounds no energy drift
+    else:
+        main = stability_run(
+            ctx.params, ctx.kernel, delta=1e-2, T=10.0, dt=1e-3, seed=ctx.seed,
+            stride=100, ground=ctx.ground,
         )
-    main = stability_run(
-        ctx.params, ctx.kernel, delta=1e-2, T=10.0, dt=1e-3, seed=ctx.seed,
-        stride=100, ground=ctx.ground,
-    )
-    study = gaussian(ctx.grid, width=2.0, mass=4.0)
-    factor, _ = _dt_halving(study, ctx.params, ctx.kernel, T=2.0, dt=5e-4, stride=20)
+        study = gaussian(ctx.grid, width=2.0, mass=4.0)
+        factor, _ = _dt_halving(study, ctx.params, ctx.kernel, T=2.0, dt=5e-4, stride=20)
+        drifts = {
+            "T": main.T, "dt": main.dt,
+            "mass_drift": main.mass_drift, "mass_tol": mass_tol,
+            "energy_drift": main.energy_drift, "energy_tol": energy_tol,
+        }
+        energy_ok = main.energy_drift < energy_tol
     return (
-        main.mass_drift < mass_tol
-        and main.energy_drift < energy_tol
-        and factor_lo <= factor <= factor_hi,
-        f"10^4 steps at dt=1e-3: mass drift {main.mass_drift:.3e} (tol {mass_tol:.0e}), "
-        f"energy drift {main.energy_drift:.3e} (tol {energy_tol:.0e}); "
-        f"dt-halving factor {factor:.2f} (in [{factor_lo}, {factor_hi}])",
-        {
-            "mass_drift": main.mass_drift,
-            "energy_drift": main.energy_drift,
-            "factor": factor,
-        },
+        main.mass_drift < mass_tol and energy_ok and factor_lo <= factor <= factor_hi,
+        {**drifts, "factor": factor, "factor_band": [factor_lo, factor_hi]},
     )
 
 
@@ -394,17 +380,13 @@ def check_standing_wave(ctx: VerifyContext, level: str):
     )
     worst = report.sup_distance
     tol = 1e-3 * report.ground_norm
-    return (
-        worst < tol,
-        f"max orbit distance {worst:.3e} over T=10 (tol {tol:.3e} = 1e-3 * |g|)",
-        {"max_distance": worst, "tol": tol},
-    )
+    return worst < tol, {"T": report.T, "max_distance": worst, "tol": tol}
 
 
 @_check("stability-sweep")
 def check_stability_sweep(ctx: VerifyContext, level: str):
     """Perturbations stay within 10x their size; sup distance shrinks with delta."""
-    deltas = (4e-2, 2e-2, 1e-2)
+    deltas = [4e-2, 2e-2, 1e-2]
     sups = [
         stability_run(
             ctx.params, ctx.kernel, delta=delta, T=20.0, dt=1e-3, seed=ctx.seed,
@@ -414,12 +396,9 @@ def check_stability_sweep(ctx: VerifyContext, level: str):
     ]
     bound = 10 * deltas[-1]
     monotone = all(sups[i] >= sups[i + 1] for i in range(len(sups) - 1))
-    pairs = ", ".join(f"{d:g}:{s:.4e}" for d, s in zip(deltas, sups))
     return (
         sups[-1] <= bound and monotone,
-        f"sup distance by delta: {pairs}; delta=1e-2 bound {bound:.1e}, "
-        f"nonincreasing={monotone}",
-        {"sups": sups, "bound": bound, "monotone": monotone},
+        {"deltas": deltas, "sups": sups, "bound": bound, "monotone": monotone},
     )
 
 
@@ -445,7 +424,7 @@ def check_reproducibility(ctx: VerifyContext, level: str):
                     ["stability", "--config", str(cfg_path), "--output-dir", str(out)]
                 )
             if code != 0:
-                return False, f"stability command exited with {code}", {}
+                return False, {"exit_code": code}
             outs.append(out)
         names = sorted(p.name for p in outs[0].iterdir())
         mismatches = [
@@ -454,13 +433,7 @@ def check_reproducibility(ctx: VerifyContext, level: str):
             if (outs[0] / name).read_bytes() != (outs[1] / name).read_bytes()
         ]
         ok = not mismatches and len(names) > 0
-    return (
-        ok,
-        f"{len(names)} output files byte-identical across two runs"
-        if ok
-        else f"files differ: {mismatches}",
-        {"files": len(names), "mismatches": mismatches},
-    )
+    return ok, {"files": len(names), "mismatches": mismatches}
 
 
 # ---------------------------------------------------------------------------

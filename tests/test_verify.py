@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import fhnlse.cli as cli_module
 import fhnlse.dynamics as dynamics_module
 import fhnlse.rearrange as rearrange_module
 import fhnlse.stability as stability_module
@@ -34,6 +35,7 @@ from fhnlse.verify import (
     check_stability_sweep,
     check_standing_wave,
     check_subadditivity,
+    format_detail,
     run_checks,
 )
 from fhnlse.groundstate import ScalingResult, ScalingRow
@@ -112,7 +114,101 @@ class TestRunChecks:
         assert f"[FAIL] gradient-pairing: {detail}" in capsys.readouterr().out
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert (report["passed"], report["total"]) == (0, 1)
-        assert report["checks"] == [{"name": "gradient-pairing", "passed": False, "detail": detail}]
+        assert report["checks"] == [
+            {"name": "gradient-pairing", "passed": False, "detail": detail, "values": {}}
+        ]
+
+
+def nan_direct_sum(monkeypatch):
+    monkeypatch.setattr(verify_module, "hartree_direct", lambda u, kernel: float("nan"))
+
+
+def nan_gradient(monkeypatch):
+    monkeypatch.setattr(
+        verify_module,
+        "energy_gradient",
+        lambda u, p, kernel: Field(u.grid, np.full(u.grid.shape, np.nan)),
+    )
+
+
+class TestCheckRecord:
+    """A check states each number once, in ``values``: its detail is
+    formatted from them, and ``verify_report.json`` carries them as they
+    are."""
+
+    def test_the_formatter(self):
+        values = {"x": 1.234567, "tol": 1e-6, "n": 32, "ok": True,
+                  "xs": [0.5, 2.0, float("nan")], "names": ["a.csv"], "empty": []}
+        assert format_detail(values) == (
+            "x=1.235, tol=1e-06, n=32, ok=True, xs=[0.5, 2, nan], names=[a.csv], empty=[]"
+        )
+
+    @staticmethod
+    def verify_records(monkeypatch, tmp_path, argv):
+        """Run ``verify`` with ``argv``; return each check's result beside
+        its entry in the written report."""
+        results = []
+
+        def recording(**kwargs):
+            results.extend(run_checks(**kwargs))
+            return results
+
+        monkeypatch.setattr(cli_module, "run_checks", recording)
+        main(["verify", *argv, "--output-dir", str(tmp_path)])
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert len(report["checks"]) == len(results) > 0
+        return zip(results, report["checks"])
+
+    @staticmethod
+    def assert_one_record(result, entry):
+        assert result.values
+        assert result.detail == format_detail(result.values)
+        json.dumps(result.values)
+        assert entry.keys() == {"name", "passed", "detail", "values"}
+        assert (entry["name"], entry["passed"], entry["detail"]) == (
+            result.name, result.passed, result.detail
+        )
+        # assert_equal compares nested dicts and lists and takes NaN to equal NaN
+        np.testing.assert_equal(entry["values"], result.values)
+
+    def test_every_quick_check(self, monkeypatch, tmp_path):
+        records = list(self.verify_records(monkeypatch, tmp_path, ["--level", "quick"]))
+        assert [result.name for result, _ in records] == [
+            name for name, (_, quick) in CHECKS.items() if quick
+        ]
+        for result, entry in records:
+            assert result.passed, result.detail
+            self.assert_one_record(result, entry)
+
+    @pytest.mark.parametrize(
+        "plant, only, key",
+        [(nan_direct_sum, "hartree", "max_rel_err"), (nan_gradient, "gradient", "max_rel_err")],
+    )
+    def test_a_nan_value(self, monkeypatch, tmp_path, plant, only, key):
+        plant(monkeypatch)
+        (record,) = self.verify_records(monkeypatch, tmp_path, ["--only", only])
+        result, entry = record
+        assert not result.passed
+        assert np.isnan(entry["values"][key])
+        assert f"{key}=nan" in result.detail
+        self.assert_one_record(result, entry)
+
+
+class TestSolverTolerance:
+    @pytest.mark.parametrize(
+        "check", [check_euler_lagrange, check_groundstate_convergence]
+    )
+    def test_the_thresholds_follow_the_solver(self, check, kernel32, ground32):
+        """A check of the solver's residual holds it to the tolerance the
+        context solves to: the 32^2 ground state, solved to 1e-6, fails a
+        context whose solve options ask for 1e-8."""
+        ctx = VerifyContext(seed=1)
+        ctx.solve_options = replace(ctx.solve_options, resid_tol=1e-8)
+        ctx.kernel, ctx.ground = kernel32, ground32
+        result = check(ctx, "full")
+        assert result.values["tol"] == 1e-8
+        assert 1e-8 < result.values["residual"] < 1e-6
+        assert not result.passed
 
 
 class TestRearrangementVerdict:
@@ -187,7 +283,7 @@ class TestHartreeOracle:
     def test_a_nan_direct_sum_fails_the_oracle(self, monkeypatch):
         """A NaN relative error fails the check: it is not dropped in favour
         of the finite ones."""
-        monkeypatch.setattr(verify_module, "hartree_direct", lambda u, kernel: float("nan"))
+        nan_direct_sum(monkeypatch)
         result = check_hartree_oracle(VerifyContext(seed=1), "quick")
         assert not result.passed
         assert np.isnan(result.values["max_rel_err"])
@@ -197,10 +293,7 @@ class TestGradientPairing:
     def test_a_nan_gradient_fails_the_check(self, monkeypatch):
         """A NaN relative error fails the check: it is not dropped in favour
         of the finite ones."""
-        def nan_gradient(u, p, kernel):
-            return Field(u.grid, np.full(u.grid.shape, np.nan))
-
-        monkeypatch.setattr(verify_module, "energy_gradient", nan_gradient)
+        nan_gradient(monkeypatch)
         result = check_gradient_pairing(VerifyContext(seed=1), "quick")
         assert not result.passed
         assert np.isnan(result.values["max_rel_err"])
