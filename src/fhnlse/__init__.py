@@ -23,7 +23,6 @@ from .groundstate import (
     minimize,
     require_converged,
     scaling_experiment,
-    scaling_exponent,
     subadditivity_check,
 )
 from .kernel import HartreeKernel, hartree_direct
@@ -70,7 +69,6 @@ __all__ = [
     "require_converged",
     "run_checks",
     "scaling_experiment",
-    "scaling_exponent",
     "stability_run",
     "subadditivity_check",
     "symmetric_rearrange",

@@ -29,6 +29,8 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import (
     DEFAULTS,
@@ -48,6 +50,9 @@ from .stability import stability_run
 from .verify import run_checks
 
 __all__ = ["main", "build_parser"]
+
+# the exit code of each error a command may raise; none subclasses another
+_EXIT_CODES = {NonConvergenceError: 3, NumericalAbort: 4, ValueError: 2, OSError: 2, MemoryError: 2}
 
 
 def _configure_logging(verbose: bool) -> None:
@@ -324,17 +329,13 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging(args.verbose)
     command, _ = _COMMANDS[args.command]
     try:
-        cfg = load_config(args.config, overrides=args.set or [])
-        return command(args, cfg, Path(args.output_dir))
-    except NonConvergenceError as exc:
+        # NumericalAbort reports non-finite values; NumPy's warnings would repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cfg = load_config(args.config, overrides=args.set or [])
+            return command(args, cfg, Path(args.output_dir))
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalAbort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalAbort
-from .grid import Grid, _axis_sum, _ifftn
+from .grid import Grid, _ifftn
 
 __all__ = [
     "Field",
@@ -93,7 +93,7 @@ def gaussian(grid: Grid, width: float | None = None, mass: float | None = None) 
     w = grid.L / 8.0 if width is None else float(width)
     if not w > 0:
         raise ValueError(f"width must be positive (got {w})")
-    rsq = _axis_sum([grid.axis_coords**2] * grid.d, grid.shape)
+    rsq = sum(np.ix_(*[grid.axis_coords**2] * grid.d))
     vals = np.exp(-rsq / (2.0 * w * w)).astype(np.complex128)
     field = Field(grid, vals)
     return field if mass is None else with_mass(field, mass)
@@ -108,10 +108,7 @@ def plane_wave(grid: Grid, mode: tuple[int, ...]) -> Field:
     m = tuple(int(c) for c in mode)
     if len(m) != grid.d:
         raise ValueError("mode must have one integer per axis")
-    phase = _axis_sum(
-        [(2.0 * np.pi * m[axis] / grid.L) * grid.axis_coords for axis in range(grid.d)],
-        grid.shape,
-    )
+    phase = sum(np.ix_(*[(2.0 * np.pi * c / grid.L) * grid.axis_coords for c in m]))
     return Field(grid, np.exp(1j * phase))
 
 

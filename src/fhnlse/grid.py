@@ -34,16 +34,6 @@ from numpy.fft import _pocketfft_umath
 __all__ = ["Grid", "PhysicsParams"]
 
 
-def _axis_sum(per_axis: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """Broadcast 1-D per-axis arrays to the full lattice and sum them."""
-    out = np.zeros(shape)
-    for axis, arr in enumerate(per_axis):
-        view = [1] * len(shape)
-        view[axis] = shape[axis]
-        out = out + arr.reshape(view)
-    return out
-
-
 # NumPy's own 1-D pocketfft gufuncs, the objects that ``numpy.fft``'s
 # functions call (NumPy >= 2.0).  Each transforms along the one axis named
 # by its ``axes=`` argument, the last by default, scales by an explicit
@@ -216,20 +206,17 @@ class Grid:
     @cached_property
     def k_squared(self) -> np.ndarray:
         """``|k|^2`` on the full wavenumber lattice (zero mode -> 0)."""
-        ksq = [self.axis_wavenumbers**2] * self.d
-        return _frozen(_axis_sum(ksq, self.shape))
+        return _frozen(sum(np.ix_(*[self.axis_wavenumbers**2] * self.d)))
 
     @cached_property
     def offset_distance(self) -> np.ndarray:
         """Minimum-image distance to the origin, displacement (FFT) layout."""
-        sq = [self.axis_offsets**2] * self.d
-        return _frozen(np.sqrt(_axis_sum(sq, self.shape)))
+        return _frozen(np.sqrt(sum(np.ix_(*[self.axis_offsets**2] * self.d))))
 
     @cached_property
     def point_distance(self) -> np.ndarray:
         """Minimum-image distance of each grid point to the coordinate origin."""
-        sq = [self.axis_coords**2] * self.d
-        return _frozen(np.sqrt(_axis_sum(sq, self.shape)))
+        return _frozen(np.sqrt(sum(np.ix_(*[self.axis_coords**2] * self.d))))
 
     @cached_property
     def _multipliers(self) -> dict[float, np.ndarray]:
@@ -278,3 +265,16 @@ class PhysicsParams:
             raise ValueError(
                 f"gamma must be smaller than the dimension (got gamma={self.gamma}, d={self.d})"
             )
+
+    @property
+    def width_exponent(self) -> float:
+        """``1 / (2*alpha - gamma)``: scaling a minimizer's mass by ``lam``
+        divides its length scale by ``lam**width_exponent``."""
+        return 1.0 / (2.0 * self.alpha - self.gamma)
+
+    @property
+    def scaling_exponent(self) -> float:
+        """``sigma`` of the mass-scaling law ``E(lam * q) = lam**sigma * E(q)``,
+        ``(4*alpha - gamma) / (2*alpha - gamma)``: that rescaling scales both
+        energy terms alike."""
+        return (4.0 * self.alpha - self.gamma) / (2.0 * self.alpha - self.gamma)

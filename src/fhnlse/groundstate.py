@@ -66,7 +66,6 @@ __all__ = [
     "SubadditivityResult",
     "minimize",
     "align",
-    "scaling_exponent",
     "scaling_experiment",
     "subadditivity_check",
     "require_converged",
@@ -429,19 +428,6 @@ def align(f: Field, g: Field, alpha: float) -> AlignResult:
 # Experiments
 
 
-def scaling_exponent(alpha: float, gamma: float) -> float:
-    """Mass-scaling exponent sigma with ``E(lambda q) = lambda^sigma E(q)``.
-
-    Derived from the two-parameter rescaling that trades mass against
-    width: both energy terms scale identically, with exponent
-    ``(4*alpha - gamma) / (2*alpha - gamma)``.
-    """
-    denom = 2.0 * alpha - gamma
-    if denom <= 0:
-        raise ValueError("exponent requires gamma < 2*alpha")
-    return (4.0 * alpha - gamma) / denom
-
-
 @dataclass
 class ScalingRow:
     lam: float
@@ -477,16 +463,16 @@ def scaling_experiment(
 
     The law ``E(lam * q) = lam**sigma * E(q)`` relates minimizers of a
     *rescaled family* of problems: mass ``lam * q`` paired with length
-    scale shrunk by ``lam**(1/(2*alpha - gamma))``.  Each row therefore
-    solves on a box of side ``L * lam**(-1/(2*alpha - gamma))`` (same
-    point count), which discretizes that family exactly — the sampled
-    kernel and the origin-cell regularization both commute with the
-    rescaling.  Rows are still fully independent solves from their own
-    Gaussian initializations, so the reported slope of ``log |E|`` versus
-    ``log lam`` is a genuine end-to-end check of solver consistency
-    against :func:`scaling_exponent`, not an identity replay.  Each lambda
-    is solved once; the row whose box is the kernel's (lam = 1) uses
-    ``kernel``, every other row a kernel built on its own box.
+    scale divided by ``lam**p.width_exponent``.  Each row therefore solves
+    on a box of side ``L * lam**-p.width_exponent`` (same point count),
+    which discretizes that family exactly — the sampled kernel and the
+    origin-cell regularization both commute with the rescaling.  Rows are
+    still fully independent solves from their own Gaussian
+    initializations, so the reported slope of ``log |E|`` versus ``log
+    lam`` is a genuine end-to-end check of solver consistency against
+    ``p.scaling_exponent``, not an identity replay.  Each lambda is solved
+    once; the row whose box is the kernel's (lam = 1) uses ``kernel``,
+    every other row a kernel built on its own box.
 
     On a *fixed* box the law degrades at the small-mass end: once the
     minimizer's natural width exceeds the box, the discrete minimizer
@@ -495,12 +481,10 @@ def scaling_experiment(
     """
     if not base_q > 0 or any(lam <= 0 for lam in lambdas):
         raise ValueError("base_q and every lambda must be positive")
-    sigma = scaling_exponent(p.alpha, p.gamma)
     grid = kernel.grid
-    width_power = -1.0 / (2.0 * p.alpha - p.gamma)
     rows: list[ScalingRow] = []
     for lam in lambdas:
-        row_L = grid.L * lam**width_power
+        row_L = grid.L * lam**-p.width_exponent
         row_kernel = (
             kernel if row_L == grid.L
             else HartreeKernel(Grid(d=grid.d, n=grid.n, L=row_L), p.gamma)
@@ -520,7 +504,7 @@ def scaling_experiment(
     logs = np.array([np.log(r.lam) for r in rows])
     vals = np.array([np.log(abs(r.energy)) for r in rows])
     slope = float(np.polyfit(logs, vals, 1)[0]) if len(rows) > 1 else float("nan")
-    return ScalingResult(exponent=sigma, slope=slope, rows=rows)
+    return ScalingResult(exponent=p.scaling_exponent, slope=slope, rows=rows)
 
 
 @dataclass

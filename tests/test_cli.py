@@ -3,6 +3,10 @@ failure class, analytic cross-checks, deliberate fault injection, and
 byte-for-byte reproducibility of results."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from test_snapshots import REJECTED_HEADERS, RUN_ALPHA, RUN_GAMMA, RUN_GRID
 # exit codes: 0 success, 1 check failed, 2 invalid input,
 # 3 no convergence, 4 non-finite values
 SMALL = ["--set", "grid.n=16", "--set", "grid.L=12.0"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(args):
@@ -128,6 +133,24 @@ class TestGroundstateCommand:
             code = run(["groundstate", *SMALL, "--set", "solver.q=1e300", "--output-dir", str(out)])
         assert code == 4
         assert capsys.readouterr().err == (
+            "error: non-finite diagnostics at iteration 0 (energy=-inf, residual=nan)\n"
+        )
+        assert not out.exists()
+
+    def test_non_finite_start_prints_only_the_error_line(self, tmp_path):
+        """Run as a program, with Python's default warning filters, the
+        aborted solve writes its one ``error:`` line to stderr and no NumPy
+        floating-point warning."""
+        out = tmp_path / "d"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fhnlse.cli", "groundstate", *SMALL,
+             "--set", "solver.q=1e300", "--output-dir", str(out)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr == (
             "error: non-finite diagnostics at iteration 0 (energy=-inf, residual=nan)\n"
         )
         assert not out.exists()

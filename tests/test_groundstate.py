@@ -30,7 +30,6 @@ from fhnlse import (
     random_band_limited,
     require_converged,
     scaling_experiment,
-    scaling_exponent,
     subadditivity_check,
     symmetric_rearrange,
     write_field,
@@ -452,12 +451,9 @@ class TestAlign:
 
 class TestScalingLaw:
     def test_exponent_closed_forms(self):
-        assert scaling_exponent(0.6, 0.5) == pytest.approx(19.0 / 7.0, rel=1e-12, abs=0)
-        assert scaling_exponent(0.5, 0.5) == pytest.approx(3.0, rel=1e-12, abs=0)
-
-    def test_exponent_rejects_supercritical_exponents(self):
-        with pytest.raises(ValueError, match="2\\*alpha"):
-            scaling_exponent(0.5, 1.0)
+        for alpha, sigma in [(0.6, 19.0 / 7.0), (0.5, 3.0)]:
+            p = PhysicsParams(alpha=alpha, gamma=0.5, d=2)
+            assert p.scaling_exponent == pytest.approx(sigma, rel=1e-12, abs=0)
 
     def test_experiment_recovers_the_exponent(self, ref_params, kernel32):
         res = scaling_experiment(ref_params, kernel32, base_q=1.0, lambdas=(0.5, 1.0, 2.0))
