@@ -25,7 +25,6 @@ rejected before it writes leaves none.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 
@@ -53,13 +52,6 @@ __all__ = ["main", "build_parser"]
 
 # the exit code of each error a command may raise; none subclasses another
 _EXIT_CODES = {NonConvergenceError: 3, NumericalAbort: 4, ValueError: 2, OSError: 2, MemoryError: 2}
-
-
-def _configure_logging(verbose: bool) -> None:
-    logging.basicConfig(
-        level=logging.INFO if verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
 
 
 def _write_run(args, cfg: dict, outdir: Path, files: dict) -> None:
@@ -297,9 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="out",
         help="directory for result files (default: out)",
     )
-    common.add_argument(
-        "--verbose", action="store_true", help="log solver/integrator progress"
-    )
 
     parser = argparse.ArgumentParser(
         prog="fhnlse",
@@ -326,7 +315,6 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "command", None) is None:
         parser.print_help(sys.stderr)
         return 2
-    _configure_logging(args.verbose)
     command, _ = _COMMANDS[args.command]
     try:
         # NumericalAbort reports non-finite values; NumPy's warnings would repeat it

@@ -42,7 +42,6 @@ declared on the constrained Euler-Lagrange residual ``|G(u) - omega u|_2 /
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass, field as dataclass_field, replace
@@ -70,8 +69,6 @@ __all__ = [
     "subadditivity_check",
     "require_converged",
 ]
-
-logger = logging.getLogger(__name__)
 
 _MAX_BACKTRACKS = 60
 _TAU0 = 0.5  # first trial step size
@@ -362,7 +359,7 @@ def minimize(
     # the first iterate below resid_tol stops the loop, so a converged
     # solve's best (smallest-residual) iterate is its last one
     resid_f, u_f, e_f, omega_f = best
-    gs = GroundState(
+    return GroundState(
         g=Field(grid, u_f),
         q=opts.q,
         energy=e_f,
@@ -372,13 +369,6 @@ def minimize(
         stop_reason=stop_reason,
         history=np.array(history, dtype=_HISTORY_DTYPE) if opts.keep_history else None,
     )
-    logger.info(
-        "minimize: q=%g E=%.10g omega=%.6g residual=%.3e iters=%d (%s) "
-        "seam ratio %.3e, peak/mean %.4g",
-        opts.q, e_f, omega_f, resid_f, iterations, stop_reason,
-        gs.seam_ratio, gs.peak_over_mean,
-    )
-    return gs
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +460,9 @@ def scaling_experiment(
     still fully independent solves from their own Gaussian
     initializations, so the reported slope of ``log |E|`` versus ``log
     lam`` is a genuine end-to-end check of solver consistency against
-    ``p.scaling_exponent``, not an identity replay.  Each lambda is solved
-    once; the row whose box is the kernel's (lam = 1) uses ``kernel``,
-    every other row a kernel built on its own box.
+    ``p.scaling_exponent``, not an identity replay, and ``opts.init`` must
+    be None.  Each lambda is solved once; the row whose box is the kernel's
+    (lam = 1) uses ``kernel``, every other row a kernel built on its own box.
 
     On a *fixed* box the law degrades at the small-mass end: once the
     minimizer's natural width exceeds the box, the discrete minimizer
@@ -481,6 +471,11 @@ def scaling_experiment(
     """
     if not base_q > 0 or any(lam <= 0 for lam in lambdas):
         raise ValueError("base_q and every lambda must be positive")
+    if opts is not None and opts.init is not None:
+        raise ValueError(
+            "scaling_experiment starts each row from its own box's Gaussian; "
+            "opts.init must be None"
+        )
     grid = kernel.grid
     rows: list[ScalingRow] = []
     for lam in lambdas:

@@ -3,7 +3,6 @@ the distance to the orbit ``{exp(i theta) g(. - y)}``."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +15,6 @@ from .kernel import HartreeKernel
 from .spectral import h_alpha_norm
 
 __all__ = ["perturb", "orbit_distance", "stability_run", "StabilityReport"]
-
-logger = logging.getLogger(__name__)
 
 # Band limit of the injected noise: per-axis mode indices above this
 # fraction of the Nyquist index are zeroed (the top third of the spectrum).
@@ -88,10 +85,6 @@ def stability_run(
     traj = evolve(
         psi0, p, kernel, T=T, dt=dt, stride=stride,
         observe=lambda psi: distances.append(orbit_distance(psi, gs.g, p.alpha)),
-    )
-    logger.info(
-        "stability_run: delta=%g sup=%.4e massDrift=%.2e energyDrift=%.2e",
-        delta, float(np.max(distances)), traj.mass_drift, traj.energy_drift,
     )
     return StabilityReport(
         delta=float(delta),

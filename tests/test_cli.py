@@ -589,6 +589,40 @@ class TestStabilityCommand:
         assert "error: stability_run: ground-state solve stopped" in capsys.readouterr().err
 
 
+class TestRunRecord:
+    """A run's record is its files, its stdout and its exit code: the CLI
+    has no log and no option that turns one on."""
+
+    def test_a_run_leaves_the_root_logger_without_a_handler(self, tmp_path):
+        """Run in a fresh process, since pytest's log capture puts handlers
+        on the root logger of this one."""
+        out = tmp_path / "d"
+        script = (
+            "import logging, sys\n"
+            "from fhnlse.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, logging.getLogger().handlers)\n"
+        )
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "rearrange-test", "--set", "grid.n=8",
+             "--set", "grid.L=10.0", "--set", "rearrange.count=2", "--output-dir", str(out)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("command", list(cli_module._COMMANDS))
+    def test_verbose_is_not_an_option(self, command, tmp_path, capsys):
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--verbose", "--output-dir", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRearrangeCommand:
     def test_random_population_passes(self, tmp_path, capsys):
         code = run(

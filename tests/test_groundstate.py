@@ -485,6 +485,13 @@ class TestScalingLaw:
         with pytest.raises(ValueError, match="positive"):
             scaling_experiment(ref_params, kernel32, base_q=1.0, lambdas=(1.0, -2.0))
 
+    def test_rejects_a_start_before_any_solve(self, ref_params, kernel32, ground32, monkeypatch):
+        # a start fits one box only, and every row but lam = 1 has its own box
+        counts = count_calls(monkeypatch, groundstate_module, ("minimize",))
+        with pytest.raises(ValueError, match="starts each row from its own box's Gaussian"):
+            scaling_experiment(ref_params, kernel32, base_q=3.0, opts=SolveOptions(init=ground32.g))
+        assert counts["minimize"] == 0
+
 
 class TestSubadditivity:
     def test_half_masses_cost_more_than_the_whole(self, ref_params, kernel32):

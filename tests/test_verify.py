@@ -358,20 +358,26 @@ class TestPlantedDefects:
         assert result.values["factor"] == pytest.approx(2.0, abs=0.1)
 
     @staticmethod
-    def plant_repulsive_flow(monkeypatch):
-        """Flip the Hartree sign in the flow alone: the flow is handed a
-        kernel whose convolution is negated, and the solve is left as it
-        is."""
+    def plant_scaled_flow(monkeypatch, factor):
+        """Scale the Hartree kernel in the flow alone: the flow is handed a
+        kernel whose convolution is multiplied by ``factor``, and the solve
+        is left as it is."""
         real = dynamics_module._strang
 
-        def repulsive(values, mult, kernel, T, dt, stride):
-            def negated(rho, out=None):
-                return np.negative(kernel.convolve_density(rho, out=out), out=out)
+        def scaled_flow(values, mult, kernel, T, dt, stride):
+            def scaled(rho, out=None):
+                return np.multiply(kernel.convolve_density(rho, out=out), factor, out=out)
 
-            flipped = SimpleNamespace(grid=kernel.grid, convolve_density=negated)
-            return real(values, mult, flipped, T, dt, stride)
+            rescaled = SimpleNamespace(grid=kernel.grid, convolve_density=scaled)
+            return real(values, mult, rescaled, T, dt, stride)
 
-        monkeypatch.setattr(dynamics_module, "_strang", repulsive)
+        monkeypatch.setattr(dynamics_module, "_strang", scaled_flow)
+
+    @classmethod
+    def plant_repulsive_flow(cls, monkeypatch):
+        """Flip the Hartree sign in the flow alone (a factor of -1, which
+        negates exactly)."""
+        cls.plant_scaled_flow(monkeypatch, -1.0)
 
     def test_a_repulsive_flow_fails_the_standing_wave_orbit(self, monkeypatch):
         """With the Hartree sign flipped in the flow alone, the solver's
@@ -382,6 +388,20 @@ class TestPlantedDefects:
         result = check_standing_wave(VerifyContext(seed=1), "full")
         assert not result.passed
         assert result.values["max_distance"] >= 10 * result.values["tol"]
+
+    @pytest.mark.parametrize("eps, passed", [(3.7e-4, True), (4.5e-4, False)])
+    def test_a_flow_kernel_scaled_by_one_plus_eps_fails_the_standing_wave_orbit(
+        self, monkeypatch, eps, passed
+    ):
+        """With the kernel scaled by ``1 + eps`` in the flow alone, the
+        minimizer drifts off its orbit by about 5.2 eps in H^alpha over the
+        check's T = 10.  The smallest eps caught is eps* = 4.096e-4, where
+        the max distance reaches the tolerance 2.123e-3: 3.7e-4 reads
+        1.92e-3 and passes, 4.5e-4 reads 2.33e-3 and fails."""
+        self.plant_scaled_flow(monkeypatch, 1.0 + eps)
+        result = check_standing_wave(VerifyContext(seed=1), "full")
+        assert result.passed is passed
+        assert result.values["max_distance"] == pytest.approx(5.2 * eps, rel=0.05)
 
     @pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
     def test_a_repulsive_flow_fails_the_stability_sweep(self, monkeypatch, planted):
@@ -409,16 +429,25 @@ class TestPlantedDefects:
         else:
             assert sups == pytest.approx([4e-2, 2e-2, 1e-2], rel=0.05)
 
-    def test_an_offset_multiplier_fails_the_euler_lagrange_residual(self, monkeypatch):
-        """An omega off by 1e-3 leaves a residual |G - omega g| / |g| of
-        about 1e-3, against the tolerance 1e-6."""
+    @pytest.mark.parametrize("offset, passed", [(1e-3, False), (9.49e-7, True), (9.69e-7, False)])
+    def test_an_offset_multiplier_fails_the_euler_lagrange_residual(
+        self, monkeypatch, offset, passed
+    ):
+        """The residual r = G(g) - omega g is orthogonal to g, so an omega
+        off by ``offset`` reads |G - (omega + offset) g| / |g| =
+        hypot(r0, offset), with r0 the clean residual (2.840e-7), against
+        the tolerance 1e-6.  The smallest offset caught is
+        eps* = sqrt(tol^2 - r0^2) = 9.588e-7: 9.49e-7 reads 9.908e-7 and
+        passes, 9.69e-7 reads 1.0092e-6 and fails, and 1e-3 reads 1e-3."""
+        ctx = VerifyContext(seed=1)
+        r0 = check_euler_lagrange(ctx, "full").values["residual"]
         real = verify_module.lagrange_multiplier
         monkeypatch.setattr(
-            verify_module, "lagrange_multiplier", lambda u, p, kernel: real(u, p, kernel) + 1e-3
+            verify_module, "lagrange_multiplier", lambda u, p, kernel: real(u, p, kernel) + offset
         )
-        result = check_euler_lagrange(VerifyContext(seed=1), "full")
-        assert not result.passed
-        assert result.values["residual"] == pytest.approx(1e-3, rel=1e-2)
+        result = check_euler_lagrange(ctx, "full")
+        assert result.passed is passed
+        assert result.values["residual"] == pytest.approx(np.hypot(r0, offset), rel=1e-9, abs=0)
 
     def test_an_unseeded_perturbation_fails_reproducibility(self, monkeypatch):
         """Noise drawn from fresh seeds on every call, as an unseeded draw
