@@ -18,7 +18,7 @@ from pathlib import Path
 from .grid import Grid, PhysicsParams
 from .groundstate import SolveOptions
 from .kernel import HartreeKernel
-from .snapshots import read_field
+from .snapshots import read_field, read_json
 
 __all__ = [
     "DEFAULTS",
@@ -83,13 +83,7 @@ def load_config(
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
-        cfg = _merge_checked(cfg, loaded)
+        cfg = _merge_checked(cfg, read_json(path, "config file"))
     if overrides:
         cfg = apply_overrides(cfg, overrides)
     validate_config(cfg)

@@ -51,7 +51,7 @@ from .errors import NumericalAbort
 from .fields import Field
 from .grid import PhysicsParams, _fftn, _ifftn
 from .kernel import HartreeKernel
-from .spectral import check_setup, energy
+from .spectral import energy
 
 __all__ = ["evolve", "Trajectory"]
 
@@ -205,7 +205,6 @@ def evolve(
     order of ``times``, and not kept: the trajectory holds only the last.
     Raises :class:`NumericalAbort` on non-finite values.
     """
-    check_setup(psi0.grid, p, kernel)
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite (got {dt})")
     if not 0 <= T < np.inf:

@@ -25,6 +25,7 @@ its own (``N`` is a power of two, so the folded scaling is exact).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,6 +124,11 @@ def _irfftn(
     return _pass("irfft", x_hat, -1, 1.0 / n if scaled else 1.0, out)
 
 
+def _is_int(x: object) -> bool:
+    """Whether ``x`` is a Python or NumPy integer other than a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -144,9 +150,9 @@ class Grid:
     L: float
 
     def __post_init__(self) -> None:
-        if self.d not in (1, 2, 3):
+        if not _is_int(self.d) or self.d not in (1, 2, 3):
             raise ValueError(f"d must be 1, 2 or 3 (got {self.d})")
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
+        if not _is_int(self.n) or self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8 (got {self.n})")
         if not 0 < self.L < np.inf:
             raise ValueError(f"L must be positive and finite (got {self.L})")

@@ -54,7 +54,7 @@ from .fields import Field, _mass_factor, gaussian
 from .grid import Grid, PhysicsParams, _fftn, _ifftn, _irfftn, _rfftn
 from .kernel import HartreeKernel
 from .rearrange import symmetric_rearrange
-from .spectral import HalfSpectrumTerms, check_setup, energy, h_alpha_norm
+from .spectral import HalfSpectrumTerms, energy, h_alpha_norm
 
 __all__ = [
     "SolveOptions",
@@ -79,10 +79,10 @@ _HISTORY_DTYPE = np.dtype(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for :func:`minimize`; ``config.DEFAULTS["solver"]`` takes its
-    ``q``, ``maxIter`` and ``residTol`` from these defaults.
+    """Knobs for :func:`minimize`, checked when made; ``config.DEFAULTS["solver"]``
+    takes its ``q``, ``maxIter`` and ``residTol`` from these defaults.
 
     init: the start, a Field on the solve's grid, or None (default) for the
     Gaussian of width L/8 centered at the box center.  A snapshot on disk
@@ -97,13 +97,15 @@ class SolveOptions:
     init: Field | None = None
     keep_history: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.q < math.inf:
             raise ValueError(f"q must be positive and finite (got {self.q})")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1 (got {self.max_iter!r})")
         if not 0 < self.resid_tol < math.inf:
             raise ValueError(f"resid_tol must be positive and finite (got {self.resid_tol})")
+        if self.init is not None and not isinstance(self.init, Field):
+            raise ValueError(f"unrecognized init {self.init!r}")
 
 
 @dataclass
@@ -181,8 +183,6 @@ def _initial_fields(grid: Grid, opts: SolveOptions) -> list[np.ndarray]:
     floating point (L = 40, n = 64, say) is the Gaussian bit for bit.
     """
     init = gaussian(grid) if opts.init is None else opts.init
-    if not isinstance(init, Field):
-        raise ValueError(f"unrecognized init {init!r}")
     if init.grid != grid:
         raise ValueError("initial field lives on a different grid")
     axes = tuple(range(grid.d))
@@ -278,8 +278,6 @@ def minimize(
     complex :class:`Field` whose imaginary part is zero.
     """
     opts = opts or SolveOptions()
-    opts.validate()
-    check_setup(kernel.grid, p, kernel)
     grid = kernel.grid
     # the smallest nonzero |k|^(2 alpha) of the grid keeps the
     # preconditioner finite on the zero mode when omega is near 0

@@ -19,7 +19,7 @@ import numpy as np
 from .fields import Field
 from .grid import Grid
 
-__all__ = ["write_field", "read_field", "write_json", "write_csv"]
+__all__ = ["write_field", "read_field", "read_json", "write_json", "write_csv"]
 
 _DATA_SUFFIX = ".f64"
 _HEADER_SUFFIX = ".json"
@@ -66,12 +66,7 @@ def read_field(base: str | Path, grid: Grid, alpha: float, gamma: float) -> Fiel
     data_path, header_path = _paths(Path(base))
     if not data_path.exists() or not header_path.exists():
         raise FileNotFoundError(f"no field snapshot at base path {base}")
-    try:
-        header = json.loads(header_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"snapshot header {header_path} is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ValueError(f"snapshot header {header_path} must hold a JSON object")
+    header = read_json(header_path, "snapshot header")
     for key in ("d", "n", "L", "alpha", "gamma", "label"):
         if key not in header:
             raise ValueError(f"snapshot header {header_path} misses key {key!r}")
@@ -91,6 +86,17 @@ def read_field(base: str | Path, grid: Grid, alpha: float, gamma: float) -> Fiel
         )
     vals = np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(grid.shape)
     return Field(grid, vals)
+
+
+def read_json(path: Path, what: str) -> dict:
+    """The JSON object in the file ``path``; a ``ValueError`` names it ``what``."""
+    try:
+        obj = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return obj
 
 
 def write_json(path: str | Path, obj: dict) -> Path:

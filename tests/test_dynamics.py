@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fhnlse.dynamics as dynamics_module
 from fhnlse import (
     Field,
     Grid,
@@ -414,6 +415,19 @@ class TestValidationAndAborts:
         one_d = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=1)
         with pytest.raises(ValueError, match="dimension"):
             evolve(psi0, one_d, HartreeKernel(grid, GAMMA), T=1e-3, dt=1e-3)
+
+    def test_mismatched_kernel_is_refused_before_any_step(self, monkeypatch):
+        """The energy of the t = 0 record checks the pair, before the first step."""
+
+        def no_steps(*args):
+            raise AssertionError("a step ran before the pair was checked")
+            yield
+
+        monkeypatch.setattr(dynamics_module, "_strang", no_steps)
+        grid, _ = _box(n=16, L=12.0)
+        other_grid = HartreeKernel(Grid(d=2, n=16, L=13.0), GAMMA)
+        with pytest.raises(ValueError, match="different grids"):
+            evolve(random_band_limited(grid, seed=15), P2, other_grid, T=1e-3, dt=1e-3)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_aborts(self):

@@ -181,18 +181,21 @@ class TestOnePath:
 
 
 class TestGridValidation:
-    @pytest.mark.parametrize("d", [0, 4, -1])
+    @pytest.mark.parametrize("d", [0, 4, -1, 2.0, True])
     def test_rejects_bad_dimension(self, d):
         with pytest.raises(ValueError, match="d must be"):
             Grid(d=d, n=16, L=1.0)
 
-    @pytest.mark.parametrize("n", [12, 4, 0, 7, 100])
+    @pytest.mark.parametrize("n", [12, 4, 0, 7, 100, 16.0])
     def test_rejects_bad_point_count(self, n):
         with pytest.raises(ValueError, match="power of two"):
             Grid(d=1, n=n, L=1.0)
 
     def test_accepts_minimum_point_count(self):
         assert Grid(d=1, n=8, L=1.0).n == 8
+
+    def test_accepts_numpy_integers(self):
+        assert Grid(d=np.int64(2), n=np.int32(16), L=1.0).shape == (16, 16)
 
     @pytest.mark.parametrize("L", [0.0, -2.0, float("inf"), float("nan")])
     def test_rejects_nonpositive_or_non_finite_length(self, L):

@@ -2,6 +2,8 @@
 closed-form critical points, orbit alignment, mass-scaling and
 subadditivity experiments, initialization robustness, and failure modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -685,15 +687,23 @@ class TestFailureModes:
          ("max_iter", 0), ("max_iter", 2.5), ("max_iter", 40000.0), ("max_iter", float("inf")),
          ("resid_tol", 0.0), ("resid_tol", float("inf"))],
     )
-    def test_option_validation(self, ref_params, name, value):
+    def test_option_validation(self, name, value):
         """A fractional or infinite cap is never reached, q = inf aborts
         mid-solve and resid_tol = inf accepts the start: each is refused
-        before any work."""
-        opts = SolveOptions(**{name: value})
+        when the options are made, so no solve can be handed them."""
         with pytest.raises(ValueError, match=name):
-            opts.validate()
-        with pytest.raises(ValueError, match=name):
-            minimize(ref_params, HartreeKernel(Grid(d=2, n=8, L=8.0), GAMMA), opts)
+            SolveOptions(**{name: value})
+
+    def test_options_are_frozen(self):
+        opts = SolveOptions()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            opts.q = 1.0
+
+    def test_replace_checks_the_new_options(self):
+        """``dataclasses.replace`` makes new options, checked as any are:
+        the per-mass solves of the experiments get no unchecked mass."""
+        with pytest.raises(ValueError, match="q"):
+            dataclasses.replace(SolveOptions(), q=-1.0)
 
     def test_rejects_mismatched_kernel(self, ref_params, box32):
         wrong_gamma = HartreeKernel(box32, 0.4)
@@ -702,3 +712,15 @@ class TestFailureModes:
         wrong_d = HartreeKernel(Grid(d=1, n=32, L=25.0), GAMMA)
         with pytest.raises(ValueError, match="dimension"):
             minimize(ref_params, wrong_d)
+
+    def test_mismatched_kernel_is_refused_before_any_descent(
+        self, ref_params, box32, monkeypatch
+    ):
+        """The start's energy checks the pair, before the first descent."""
+
+        def no_descent(*args):
+            raise AssertionError("descent ran before the pair was checked")
+
+        monkeypatch.setattr(groundstate_module, "_descent", no_descent)
+        with pytest.raises(ValueError, match="gamma"):
+            minimize(ref_params, HartreeKernel(box32, 0.4))
