@@ -41,7 +41,6 @@ scheme conserves mass to roundoff; the energy error is second order in
 from __future__ import annotations
 
 import itertools
-import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -49,7 +48,7 @@ import numpy as np
 
 from .errors import NumericalAbort
 from .fields import Field
-from .grid import PhysicsParams, _fftn, _ifftn
+from .grid import PhysicsParams, _fftn, _ifftn, _is_int
 from .kernel import HartreeKernel
 from .spectral import energy
 
@@ -211,7 +210,7 @@ def evolve(
         raise ValueError(f"T must be nonnegative and finite (got {T})")
     if not float(T) / float(dt) < np.inf:  # the step count ceil(T/dt) overflows
         raise ValueError(f"T / dt must be finite (got T = {T}, dt = {dt})")
-    if not isinstance(stride, numbers.Integral) or stride < 1:
+    if not _is_int(stride) or stride < 1:
         raise ValueError(f"stride must be an integer >= 1 (got {stride!r})")
 
     grid = psi0.grid

@@ -256,7 +256,7 @@ class PhysicsParams:
     d: int
 
     def __post_init__(self) -> None:
-        if self.d not in (1, 2, 3):
+        if not _is_int(self.d) or self.d not in (1, 2, 3):
             raise ValueError(f"d must be 1, 2 or 3 (got {self.d})")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(

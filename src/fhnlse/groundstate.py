@@ -5,17 +5,22 @@ Euler-Lagrange residual: the direction ``d`` is ``P (G(u) - omega u)`` with
 ``P = (s + |k|^(2 alpha))^(-1)`` and the shift ``s = max(|omega|, smallest
 nonzero |k|^(2 alpha))``, projected onto the sphere's tangent space.  Each
 iteration steps to ``c (u - tau d)``, with ``c`` the rescale back to the
-mass sphere, halving a trial ``tau`` until the post-projection energy does
-not increase (Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017); the
+mass sphere (Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017); the
 gradient-flow setting is that of Bao & Du, SIAM J. Sci. Comput. 25
-(2004)).  The first trial from the start is ``_TAU0``; each next one is the
-two-point step of Barzilai & Borwein (IMA J. Numer. Anal. 8 (1988) 141) in
-the preconditioner's metric, ``<s, P^(-1) s> / <s, y>`` for the last
-accepted move ``s = u_new - u_old`` and the change ``y = r_new - r_old`` of
-the residual, with ``P^(-1)`` at ``u_new``, so the trial follows the
-curvature the flow has just seen.  It falls back to 1.2 times the last step
-where ``<s, y> <= 0`` or the quotient is not finite, and may grow past
-``_TAU0``.
+(2004)), halving a trial ``tau`` until the post-projection energy is
+finite and no higher than the largest of the last ``_NONMONOTONE_WINDOW``
+accepted energies, the start included: the nonmonotone test of Grippo,
+Lampariello & Lucidi (SIAM J. Numer. Anal. 23 (1986) 707), which Raydan
+paired with Barzilai-Borwein steps (SIAM J. Optim. 7 (1997) 26).  The
+energy may thus rise from one iterate to the next, but never above that
+window's maximum, which therefore never increases.  The first trial from
+the start is ``_TAU0``; each next one is the two-point step of Barzilai &
+Borwein (IMA J. Numer. Anal. 8 (1988) 141) in the preconditioner's metric,
+``<s, P^(-1) s> / <s, y>`` for the last accepted move ``s = u_new - u_old``
+and the change ``y = r_new - r_old`` of the residual, with ``P^(-1)`` at
+``u_new``, so the trial follows the curvature the flow has just seen.  It
+falls back to 1.2 times the last step where ``<s, y> <= 0`` or the quotient
+is not finite, and may grow past ``_TAU0``.
 
 Minimizers are, up to translation and phase, positive symmetric
 nonincreasing functions, so every start is first mapped to the even part of
@@ -43,7 +48,7 @@ declared on the constrained Euler-Lagrange residual ``|G(u) - omega u|_2 /
 from __future__ import annotations
 
 import math
-import numbers
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import lru_cache
 
@@ -51,7 +56,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, NumericalAbort
 from .fields import Field, _mass_factor, gaussian
-from .grid import Grid, PhysicsParams, _fftn, _ifftn, _irfftn, _rfftn
+from .grid import Grid, PhysicsParams, _fftn, _ifftn, _irfftn, _is_int, _rfftn
 from .kernel import HartreeKernel
 from .rearrange import symmetric_rearrange
 from .spectral import HalfSpectrumTerms, energy, h_alpha_norm
@@ -71,6 +76,9 @@ __all__ = [
 ]
 
 _MAX_BACKTRACKS = 60
+# a trial is accepted at or below the largest of this many last accepted
+# energies; a window of 1 is the monotone rule
+_NONMONOTONE_WINDOW = 10
 _TAU0 = 0.5  # first trial step size
 _STALL_TOL = 1e-11  # an accepted step moving u by less, relative to |u|, stalls
 # the columns of GroundState.history, one row per accepted iterate
@@ -100,7 +108,7 @@ class SolveOptions:
     def __post_init__(self) -> None:
         if not 0 < self.q < math.inf:
             raise ValueError(f"q must be positive and finite (got {self.q})")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        if not _is_int(self.max_iter) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1 (got {self.max_iter!r})")
         if not 0 < self.resid_tol < math.inf:
             raise ValueError(f"resid_tol must be positive and finite (got {self.resid_tol})")
@@ -272,8 +280,12 @@ def minimize(
     with ``stop_reason`` ``"residual"`` (the one ``converged`` one); a step
     that moved the iterate by less than ``_STALL_TOL`` relative to its norm
     stops with ``"stalled"``; and the ``max_iter``-th accepted iterate stops
-    with ``"max_iter"``.  A step that no backtrack makes acceptable stops
-    with ``"backtracking_floor"``.  Returns the :class:`GroundState` of the
+    with ``"max_iter"``.  A trial is acceptable when its energy is finite
+    and at most the largest of the last ``_NONMONOTONE_WINDOW`` accepted
+    energies, the start included (Grippo, Lampariello & Lucidi 1986;
+    Raydan 1997), so the energy of ``history`` may rise within that
+    window.  A step that no backtrack makes acceptable stops with
+    ``"backtracking_floor"``.  Returns the :class:`GroundState` of the
     best (smallest-residual) iterate, the start included; its ``g`` is a
     complex :class:`Field` whose imaginary part is zero.
     """
@@ -291,6 +303,8 @@ def minimize(
         key=lambda candidate: candidate[0],
     )
     tau = _TAU0  # the first trial from the start
+    # the energies of the last accepted iterates, the start included
+    recent = deque([e_now], maxlen=_NONMONOTONE_WINDOW)
     iterations = 0
     rel_change = math.inf
     step, backtracks = 0.0, 0  # the start takes no step
@@ -331,6 +345,7 @@ def minimize(
             break
 
         step = tau
+        e_ref = max(recent)
         for backtracks in range(_MAX_BACKTRACKS):
             w = cur.u - step * direction
             c = _mass_factor(w, grid.cell_volume, opts.q)
@@ -338,7 +353,7 @@ def minimize(
             e_trial, trial = energy(
                 w, p, kernel, u_hat=c * (cur.u_hat - step * direction_hat), with_terms=True
             )
-            if math.isfinite(e_trial) and e_trial <= e_now:
+            if math.isfinite(e_trial) and e_trial <= e_ref:
                 break
             step *= 0.5
         else:
@@ -352,6 +367,7 @@ def minimize(
         s_sq = float(np.vdot(s_hat, cur.hermitian * s_hat).real)
         rel_change = math.sqrt(s_sq / (grid.size * cur.mass / grid.cell_volume))
         cur, e_now = trial, e_trial
+        recent.append(e_now)
         del direction, direction_hat  # freed before the descent makes the next
 
     # the first iterate below resid_tol stops the loop, so a converged

@@ -388,7 +388,7 @@ class TestValidationAndAborts:
             evolve(psi0, P2, kernel, T=-1.0, dt=1e-3)
         with pytest.raises(ValueError, match="stride"):
             evolve(psi0, P2, kernel, T=1.0, dt=1e-3, stride=0)
-        for bad in (2.5, 1.5, 3.0):
+        for bad in (2.5, 1.5, 3.0, True):
             with pytest.raises(ValueError, match="stride must be an integer"):
                 evolve(psi0, P2, kernel, T=1e-2, dt=1e-3, stride=bad)
         with pytest.raises(ValueError, match="dt"):

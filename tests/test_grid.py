@@ -272,5 +272,8 @@ class TestPhysicsParams:
             PhysicsParams(alpha=0.9, gamma=1.0, d=1)
 
     def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError, match="d must be"):
-            PhysicsParams(alpha=0.6, gamma=0.5, d=5)
+        """A float or bool dimension is refused, as ``Grid`` refuses it,
+        although ``2.0 == 2`` and ``True == 1``."""
+        for d in (5, 2.0, True):
+            with pytest.raises(ValueError, match="d must be"):
+                PhysicsParams(alpha=0.6, gamma=0.5, d=d)

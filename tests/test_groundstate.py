@@ -86,10 +86,42 @@ class TestMinimizeDiagnostics:
         assert len(history) == ground32.iterations + 1
         assert history["residual"][-1] == ground32.residual
 
-    def test_energy_history_is_monotone_nonincreasing(self, ground32):
-        hist = ground32.history["energy"]
-        assert np.all(np.diff(hist) <= 1e-15)
-        assert hist[-1] < hist[0]
+    def test_a_trial_is_accepted_within_the_nonmonotone_window(
+        self, ref_params, kernel32, ground32, monkeypatch
+    ):
+        """A trial is accepted exactly when its energy is finite and at most
+        the largest of the last 10 accepted energies, the start included
+        (Grippo, Lampariello & Lucidi 1986).  Replaying that rule on every
+        energy the solve evaluates gives its history row for row, with the
+        rejected trials as backtracks.  On this solve some accepted
+        energies rise, which the monotone rule would have rejected, and the
+        solve still ends below its start."""
+        evaluated = []
+        real = groundstate_module.energy
+
+        def recording(*args, **kwargs):
+            e, terms = real(*args, **kwargs)
+            evaluated.append(e)
+            return e, terms
+
+        monkeypatch.setattr(groundstate_module, "energy", recording)
+        gs = minimize(ref_params, kernel32, SolveOptions(q=3.0))
+        np.testing.assert_array_equal(gs.history, ground32.history)
+        # the default start has one candidate, evaluated first
+        assert len(_initial_fields(kernel32.grid, SolveOptions(q=3.0))) == 1
+        accepted, backtracks, rejected = [evaluated[0]], [0], 0
+        for e in evaluated[1:]:
+            if np.isfinite(e) and e <= max(accepted[-10:]):
+                accepted.append(e)
+                backtracks.append(rejected)
+                rejected = 0
+            else:
+                rejected += 1
+        assert rejected == 0  # the solve stopped on an accepted iterate
+        assert accepted == list(gs.history["energy"])
+        assert backtracks == list(gs.history["backtracks"])
+        assert np.any(np.diff(accepted) > 0)
+        assert accepted[-1] < accepted[0]
 
     @pytest.mark.parametrize(
         "d, n, L, fallbacks",
@@ -685,12 +717,14 @@ class TestFailureModes:
         "name, value",
         [("q", 0.0), ("q", float("inf")),
          ("max_iter", 0), ("max_iter", 2.5), ("max_iter", 40000.0), ("max_iter", float("inf")),
+         ("max_iter", True),
          ("resid_tol", 0.0), ("resid_tol", float("inf"))],
     )
     def test_option_validation(self, name, value):
-        """A fractional or infinite cap is never reached, q = inf aborts
-        mid-solve and resid_tol = inf accepts the start: each is refused
-        when the options are made, so no solve can be handed them."""
+        """A fractional or infinite cap is never reached, a bool is no
+        count (though True == 1), q = inf aborts mid-solve and resid_tol =
+        inf accepts the start: each is refused when the options are made,
+        so no solve can be handed them."""
         with pytest.raises(ValueError, match=name):
             SolveOptions(**{name: value})
 

@@ -417,9 +417,9 @@ class TestPlantedDefects:
     ):
         """With the kernel scaled by ``1 + eps`` in the flow alone, the
         minimizer drifts off its orbit by about 5.2 eps in H^alpha over the
-        check's T = 10.  The smallest eps caught is eps* = 4.096e-4, where
+        check's T = 10.  The smallest eps caught is eps* = 4.104e-4, where
         the max distance reaches the tolerance 2.123e-3: 3.7e-4 reads
-        1.92e-3 and passes, 4.5e-4 reads 2.33e-3 and fails."""
+        1.91e-3 and passes, 4.5e-4 reads 2.33e-3 and fails."""
         self.plant_scaled_flow(monkeypatch, 1.0 + eps)
         result = check_standing_wave(VerifyContext(seed=1), "full")
         assert result.passed is passed
@@ -451,16 +451,16 @@ class TestPlantedDefects:
         else:
             assert sups == pytest.approx([4e-2, 2e-2, 1e-2], rel=0.05)
 
-    @pytest.mark.parametrize("offset, passed", [(1e-3, False), (9.49e-7, True), (9.69e-7, False)])
+    @pytest.mark.parametrize("offset, passed", [(1e-3, False), (8.60e-7, True), (8.78e-7, False)])
     def test_an_offset_multiplier_fails_the_euler_lagrange_residual(
         self, monkeypatch, offset, passed
     ):
         """The residual r = G(g) - omega g is orthogonal to g, so an omega
         off by ``offset`` reads |G - (omega + offset) g| / |g| =
-        hypot(r0, offset), with r0 the clean residual (2.840e-7), against
+        hypot(r0, offset), with r0 the clean residual (4.952e-7), against
         the tolerance 1e-6.  The smallest offset caught is
-        eps* = sqrt(tol^2 - r0^2) = 9.588e-7: 9.49e-7 reads 9.908e-7 and
-        passes, 9.69e-7 reads 1.0092e-6 and fails, and 1e-3 reads 1e-3."""
+        eps* = sqrt(tol^2 - r0^2) = 8.688e-7: 8.60e-7 reads 9.924e-7 and
+        passes, 8.78e-7 reads 1.0080e-6 and fails, and 1e-3 reads 1e-3."""
         ctx = VerifyContext(seed=1)
         r0 = check_euler_lagrange(ctx, "full").values["residual"]
         real = verify_module.lagrange_multiplier
