@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import NumericalAbort
 from .fields import Field
-from .grid import PhysicsParams, _fftn, _ifftn, _is_int
+from .grid import PhysicsParams, _fftn, _ifftn, _is_bool, _is_int
 from .kernel import HartreeKernel
 from .spectral import energy
 
@@ -204,9 +204,9 @@ def evolve(
     order of ``times``, and not kept: the trajectory holds only the last.
     Raises :class:`NumericalAbort` on non-finite values.
     """
-    if not 0 < dt < np.inf:
+    if _is_bool(dt) or not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite (got {dt})")
-    if not 0 <= T < np.inf:
+    if _is_bool(T) or not 0 <= T < np.inf:
         raise ValueError(f"T must be nonnegative and finite (got {T})")
     if not float(T) / float(dt) < np.inf:  # the step count ceil(T/dt) overflows
         raise ValueError(f"T / dt must be finite (got T = {T}, dt = {dt})")

@@ -25,6 +25,7 @@ its own (``N`` is a power of two, so the folded scaling is exact).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,6 +130,12 @@ def _is_int(x: object) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _is_bool(x: object) -> bool:
+    """Whether ``x`` is a Python or NumPy bool, which compares as 0 or 1
+    but is refused wherever a real number is asked for."""
+    return isinstance(x, (bool, np.bool_))
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -154,7 +161,7 @@ class Grid:
             raise ValueError(f"d must be 1, 2 or 3 (got {self.d})")
         if not _is_int(self.n) or self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8 (got {self.n})")
-        if not 0 < self.L < np.inf:
+        if _is_bool(self.L) or not 0 < self.L < np.inf:
             raise ValueError(f"L must be positive and finite (got {self.L})")
         object.__setattr__(self, "L", float(self.L))
         # the cell volume, its square (the quadrature weight of a double
@@ -262,7 +269,7 @@ class PhysicsParams:
             raise ValueError(
                 f"alpha must satisfy 0 < alpha < 1 (got alpha={self.alpha})"
             )
-        if not (0.0 < self.gamma < 2.0 * self.alpha):
+        if _is_bool(self.gamma) or not (0.0 < self.gamma < 2.0 * self.alpha):
             raise ValueError(
                 "gamma must satisfy 0 < gamma < 2*alpha (mass-subcritical "
                 f"regime); got gamma={self.gamma}, 2*alpha={2.0 * self.alpha}"
@@ -277,6 +284,30 @@ class PhysicsParams:
         """``1 / (2*alpha - gamma)``: scaling a minimizer's mass by ``lam``
         divides its length scale by ``lam**width_exponent``."""
         return 1.0 / (2.0 * self.alpha - self.gamma)
+
+    def gaussian_width(self, q: float) -> float:
+        """The width ``w*`` at which the continuum Gaussian ``exp(-|x|^2 /
+        (2 w^2))`` of mass ``q`` has the least energy (the variational
+        Gaussian ansatz of Perez-Garcia et al., PRL 77 (1996) 5320); inf
+        where it overflows.  That Gaussian's energy is ``E(w) = A q
+        w^(-2 alpha) - B q^2 w^(-gamma)``, with ``A = Gamma(alpha + d/2) /
+        (2 Gamma(d/2))`` from the kinetic term and ``B = 2^(-gamma/2)
+        Gamma((d - gamma)/2) / (4 Gamma(d/2))`` from the Hartree term, so
+        ``E'(w*) = 0`` at ``w* = (2 alpha A / (gamma B q))**width_exponent``,
+        which scales with the mass as a minimizer's length scale does."""
+        if not q > 0:
+            raise ValueError(f"q must be positive (got {q})")
+        half_d = 0.5 * self.d
+        kinetic = math.gamma(self.alpha + half_d) / (2.0 * math.gamma(half_d))
+        hartree = (
+            2.0 ** (-0.5 * self.gamma) * math.gamma(half_d - 0.5 * self.gamma)
+            / (4.0 * math.gamma(half_d))
+        )
+        ratio = 2.0 * self.alpha * kinetic / (self.gamma * hartree * q)
+        try:
+            return ratio**self.width_exponent
+        except OverflowError:
+            return math.inf
 
     @property
     def scaling_exponent(self) -> float:

@@ -22,6 +22,17 @@ and the change ``y = r_new - r_old`` of the residual, with ``P^(-1)`` at
 falls back to 1.2 times the last step where ``<s, y> <= 0`` or the quotient
 is not finite, and may grow past ``_TAU0``.
 
+Without a given start the solve starts from the centred Gaussian whose
+width ``w*`` minimizes the continuum Gaussian's energy at the solve's mass
+(the variational Gaussian ansatz; :meth:`PhysicsParams.gaussian_width`),
+capped at L/8, the default width of :func:`~fhnlse.fields.gaussian`.
+Under the mass-preserving dilation ``u_s = s^(d/2) u(s x)`` the kinetic
+term scales as ``s^(2 alpha)`` and the Hartree term as ``s^gamma``, and for
+a Gaussian both are known in closed form, so the start already has the
+minimizer's length scale (1.6 at q = 3 in d = 2, against L/8 = 5 on the
+reference box) and the flow does not spend its first iterations shrinking
+it.
+
 Minimizers are, up to translation and phase, positive symmetric
 nonincreasing functions, so every start is first mapped to the even part of
 the symmetric-decreasing rearrangement of its magnitude: a real field
@@ -56,7 +67,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, NumericalAbort
 from .fields import Field, _mass_factor, gaussian
-from .grid import Grid, PhysicsParams, _fftn, _ifftn, _irfftn, _is_int, _rfftn
+from .grid import Grid, PhysicsParams, _fftn, _ifftn, _irfftn, _is_bool, _is_int, _rfftn
 from .kernel import HartreeKernel
 from .rearrange import symmetric_rearrange
 from .spectral import HalfSpectrumTerms, energy, h_alpha_norm
@@ -93,10 +104,13 @@ class SolveOptions:
     takes its ``q``, ``maxIter`` and ``residTol`` from these defaults.
 
     init: the start, a Field on the solve's grid, or None (default) for the
-    Gaussian of width L/8 centered at the box center.  A snapshot on disk
-    becomes a Field through :func:`~fhnlse.snapshots.read_field`.  The
-    solver keeps only the start's magnitudes (see :func:`minimize`), so a
-    start's translation and phase are dropped.
+    Gaussian centred at the box centre whose width is the energy-optimal
+    ``w*`` of mass ``q`` (:meth:`~fhnlse.grid.PhysicsParams.gaussian_width`)
+    capped at L/8, the default width of :func:`~fhnlse.fields.gaussian`
+    (see :func:`_initial_fields`).  A snapshot on disk becomes a Field
+    through :func:`~fhnlse.snapshots.read_field`.  The solver keeps only
+    the start's magnitudes (see :func:`minimize`), so a start's translation
+    and phase are dropped.
     """
 
     q: float = 3.0
@@ -106,11 +120,11 @@ class SolveOptions:
     keep_history: bool = True
 
     def __post_init__(self) -> None:
-        if not 0 < self.q < math.inf:
+        if _is_bool(self.q) or not 0 < self.q < math.inf:
             raise ValueError(f"q must be positive and finite (got {self.q})")
         if not _is_int(self.max_iter) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1 (got {self.max_iter!r})")
-        if not 0 < self.resid_tol < math.inf:
+        if _is_bool(self.resid_tol) or not 0 < self.resid_tol < math.inf:
             raise ValueError(f"resid_tol must be positive and finite (got {self.resid_tol})")
         if self.init is not None and not isinstance(self.init, Field):
             raise ValueError(f"unrecognized init {self.init!r}")
@@ -175,11 +189,15 @@ def _even(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _reflect(a, tuple(range(a.ndim))))
 
 
-def _initial_fields(grid: Grid, opts: SolveOptions) -> list[np.ndarray]:
+def _initial_fields(p: PhysicsParams, grid: Grid, opts: SolveOptions) -> list[np.ndarray]:
     """The solver's real start candidates, at mass ``q``: the even part of
-    the symmetric-decreasing rearrangement of ``|init|`` (the L/8 Gaussian
-    when init is None) and, for a given init where it differs, the even part
-    of ``|init|`` rolled on the lattice to put its peak at the box centre.
+    the symmetric-decreasing rearrangement of ``|init|`` and, for a given
+    init where it differs, the even part of ``|init|`` rolled on the lattice
+    to put its peak at the box centre.  When init is None it is the centred
+    Gaussian of width ``min(w*, L/8)``, with ``w*`` the energy-optimal
+    width :meth:`~fhnlse.grid.PhysicsParams.gaussian_width` of mass ``q``;
+    the cap is the default width of :func:`~fhnlse.fields.gaussian`, so
+    where ``w* >= L/8`` the start is that default Gaussian bit for bit.
 
     Both keep only the magnitudes of the start, so its translation and
     phase are dropped.  The rearrangement is the paper's map to a
@@ -189,8 +207,16 @@ def _initial_fields(grid: Grid, opts: SolveOptions) -> list[np.ndarray]:
     lower energy.  The default Gaussian is centred and radial, so it has
     the one candidate, which on a box whose coordinates are symmetric in
     floating point (L = 40, n = 64, say) is the Gaussian bit for bit.
+    Where ``w*`` underflows to 0 (at q = 1e300, say) the floor ``h/64``
+    keeps the width positive; it changes no start, since every Gaussian
+    narrower than ``h/38`` samples to the lattice delta (the neighbours'
+    ``exp(-h^2 / (2 w^2))`` underflow to 0).
     """
-    init = gaussian(grid) if opts.init is None else opts.init
+    if opts.init is None:
+        width = max(min(p.gaussian_width(opts.q), grid.L / 8.0), grid.h / 64.0)
+        init = gaussian(grid, width)
+    else:
+        init = opts.init
     if init.grid != grid:
         raise ValueError("initial field lives on a different grid")
     axes = tuple(range(grid.d))
@@ -270,24 +296,25 @@ def minimize(
     the module docstring.
 
     ``opts`` defaults to ``SolveOptions()``.  The start ``opts.init`` (None
-    is the centered L/8 Gaussian) is mapped to a real, centred, even field
-    at mass ``q``: the even part of its symmetric-decreasing rearrangement
-    or, if that has the higher energy, of its magnitude centred on its peak
-    (:func:`_initial_fields`).  The start and every accepted iterate are
-    tested in this order: a non-finite energy or residual raises
-    :class:`NumericalAbort`, which numbers the iterate as the rows of
-    ``history`` do (the start is 0); a residual below ``resid_tol`` stops
-    with ``stop_reason`` ``"residual"`` (the one ``converged`` one); a step
-    that moved the iterate by less than ``_STALL_TOL`` relative to its norm
-    stops with ``"stalled"``; and the ``max_iter``-th accepted iterate stops
-    with ``"max_iter"``.  A trial is acceptable when its energy is finite
-    and at most the largest of the last ``_NONMONOTONE_WINDOW`` accepted
-    energies, the start included (Grippo, Lampariello & Lucidi 1986;
-    Raydan 1997), so the energy of ``history`` may rise within that
-    window.  A step that no backtrack makes acceptable stops with
-    ``"backtracking_floor"``.  Returns the :class:`GroundState` of the
-    best (smallest-residual) iterate, the start included; its ``g`` is a
-    complex :class:`Field` whose imaginary part is zero.
+    is the centred Gaussian of width ``min(w*, L/8)``, ``w*`` the
+    energy-optimal width of mass ``q``) is mapped to a real, centred, even
+    field at mass ``q``: the even part of its symmetric-decreasing
+    rearrangement or, if that has the higher energy, of its magnitude
+    centred on its peak (:func:`_initial_fields`).  The start and every
+    accepted iterate are tested in this order: a non-finite energy or
+    residual raises :class:`NumericalAbort`, which numbers the iterate as
+    the rows of ``history`` do (the start is 0); a residual below
+    ``resid_tol`` stops with ``stop_reason`` ``"residual"`` (the one
+    ``converged`` one); a step that moved the iterate by less than
+    ``_STALL_TOL`` relative to its norm stops with ``"stalled"``; and the
+    ``max_iter``-th accepted iterate stops with ``"max_iter"``.  A trial is
+    acceptable when its energy is finite and at most the largest of the last
+    ``_NONMONOTONE_WINDOW`` accepted energies, the start included (Grippo,
+    Lampariello & Lucidi 1986; Raydan 1997), so the energy of ``history``
+    may rise within that window.  A step that no backtrack makes acceptable
+    stops with ``"backtracking_floor"``.  Returns the :class:`GroundState`
+    of the best (smallest-residual) iterate, the start included; its ``g``
+    is a complex :class:`Field` whose imaginary part is zero.
     """
     opts = opts or SolveOptions()
     grid = kernel.grid
@@ -298,7 +325,7 @@ def minimize(
     e_now, cur = min(
         (
             energy(s, p, kernel, u_hat=_rfftn(s, grid.d), with_terms=True)
-            for s in _initial_fields(grid, opts)
+            for s in _initial_fields(p, grid, opts)
         ),
         key=lambda candidate: candidate[0],
     )
@@ -475,8 +502,12 @@ def scaling_experiment(
     initializations, so the reported slope of ``log |E|`` versus ``log
     lam`` is a genuine end-to-end check of solver consistency against
     ``p.scaling_exponent``, not an identity replay, and ``opts.init`` must
-    be None.  Each lambda is solved once; the row whose box is the kernel's
-    (lam = 1) uses ``kernel``, every other row a kernel built on its own box.
+    be None.  The default start's width ``min(w*, L/8)`` scales as each
+    row's box does (``w*`` as ``q**-p.width_exponent``), so every row
+    starts from the base row's start rescaled, and each row remains an
+    exactly rescaled problem.  Each lambda is solved once; the row whose
+    box is the kernel's (lam = 1) uses ``kernel``, every other row a kernel
+    built on its own box.
 
     On a *fixed* box the law degrades at the small-mass end: once the
     minimizer's natural width exceeds the box, the discrete minimizer

@@ -9,7 +9,7 @@ import numpy as np
 
 from .dynamics import evolve
 from .fields import Field, band_limited_noise
-from .grid import PhysicsParams
+from .grid import PhysicsParams, _is_bool
 from .groundstate import GroundState, align, require_converged
 from .kernel import HartreeKernel
 from .spectral import h_alpha_norm
@@ -29,7 +29,7 @@ def perturb(g: Field, alpha: float, delta: float, seed: int) -> Field:
     field is normalized in the H^alpha norm, so the injected perturbation
     size is exactly ``delta``.
     """
-    if not 0 <= delta < np.inf:
+    if _is_bool(delta) or not 0 <= delta < np.inf:
         raise ValueError(f"delta must be nonnegative and finite (got {delta})")
     grid = g.grid
     w = Field(grid, band_limited_noise(grid, [seed], NOISE_KEEP_FRACTION)[0])

@@ -398,6 +398,10 @@ class TestValidationAndAborts:
                 evolve(psi0, P2, kernel, T=bad, dt=1e-3)
             with pytest.raises(ValueError, match="dt must be positive and finite"):
                 evolve(psi0, P2, kernel, T=1.0, dt=bad)
+        # a bool is no time, though True == 1: T = dt = True was one step
+        for T, dt in ((True, 1e-3), (1.0, True), (True, True), (np.True_, 1e-3)):
+            with pytest.raises(ValueError, match="must be (positive|nonnegative) and finite"):
+                evolve(psi0, P2, kernel, T=T, dt=dt)
         # a finite T and dt whose step count T/dt overflows
         for T, dt in ((1e300, 1e-300), (np.float64(1e300), np.float64(1e-300))):
             with pytest.raises(ValueError, match="T / dt must be finite"):

@@ -197,8 +197,9 @@ class TestGridValidation:
     def test_accepts_numpy_integers(self):
         assert Grid(d=np.int64(2), n=np.int32(16), L=1.0).shape == (16, 16)
 
-    @pytest.mark.parametrize("L", [0.0, -2.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("L", [0.0, -2.0, float("inf"), float("nan"), True, np.True_])
     def test_rejects_nonpositive_or_non_finite_length(self, L):
+        """A bool is no length, though True == 1."""
         with pytest.raises(ValueError, match="L must be positive and finite"):
             Grid(d=1, n=8, L=L)
 
@@ -266,6 +267,11 @@ class TestPhysicsParams:
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ValueError, match="gamma"):
             PhysicsParams(alpha=0.6, gamma=0.0, d=2)
+
+    def test_rejects_a_bool_gamma(self):
+        """True == 1 lies in (0, 2 alpha) and below d = 2, but is no exponent."""
+        with pytest.raises(ValueError, match="gamma must satisfy"):
+            PhysicsParams(alpha=0.6, gamma=True, d=2)
 
     def test_rejects_gamma_at_or_above_dimension(self):
         with pytest.raises(ValueError, match="dimension"):

@@ -3,6 +3,7 @@ closed-form critical points, orbit alignment, mass-scaling and
 subadditivity experiments, initialization robustness, and failure modes."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ class TestMinimizeDiagnostics:
         gs = minimize(ref_params, kernel32, SolveOptions(q=3.0))
         np.testing.assert_array_equal(gs.history, ground32.history)
         # the default start has one candidate, evaluated first
-        assert len(_initial_fields(kernel32.grid, SolveOptions(q=3.0))) == 1
+        assert len(_initial_fields(ref_params, kernel32.grid, SolveOptions(q=3.0))) == 1
         accepted, backtracks, rejected = [evaluated[0]], [0], 0
         for e in evaluated[1:]:
             if np.isfinite(e) and e <= max(accepted[-10:]):
@@ -124,14 +125,18 @@ class TestMinimizeDiagnostics:
         assert accepted[-1] < accepted[0]
 
     @pytest.mark.parametrize(
-        "d, n, L, fallbacks",
-        # the 1-D solve starts where <s, y> <= 0 and falls back four times
+        "d, n, L, wide_start, fallbacks",
+        # from the L/8 Gaussian, 13 times wider than w* = 0.37, the 1-D solve
+        # starts where <s, y> <= 0 and falls back four times
         [
-            pytest.param(2, 32, 25.0, False, id="2d-32"),
-            pytest.param(1, 64, 40.0, True, id="1d-64"),
+            pytest.param(2, 32, 25.0, False, False, id="2d-32"),
+            pytest.param(1, 64, 40.0, True, True, id="1d-64"),
+            pytest.param(1, 64, 40.0, False, False, id="1d-64-optimal-width"),
         ],
     )
-    def test_step_history_follows_the_backtracking_rule(self, d, n, L, fallbacks, monkeypatch):
+    def test_step_history_follows_the_backtracking_rule(
+        self, d, n, L, wide_start, fallbacks, monkeypatch
+    ):
         """The first trial step is _TAU0, a backtrack halves it, and each
         next trial is the Barzilai-Borwein step <s, P^-1 s> / <s, y> of the
         last accepted move, s = u_new - u_old and y = r_new - r_old, with
@@ -149,7 +154,8 @@ class TestMinimizeDiagnostics:
         monkeypatch.setattr(groundstate_module, "_descent", recording)
         p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
         kernel = HartreeKernel(Grid(d=d, n=n, L=L), GAMMA)
-        gs = minimize(p, kernel, SolveOptions(q=3.0))
+        init = gaussian(kernel.grid) if wide_start else None
+        gs = minimize(p, kernel, SolveOptions(q=3.0, init=init))
         assert gs.converged
         grid = kernel.grid
         multiplier = grid.fractional_multiplier(ALPHA)
@@ -563,9 +569,117 @@ class TestInitialization:
 
     @pytest.mark.parametrize("d, n, L", [(1, 64, 40.0), (2, 32, 25.0), (3, 16, 12.0)])
     def test_gaussian_start_maps_to_itself(self, d, n, L):
+        """The default start is the Gaussian of width min(w*, L/8) at mass
+        q, bit for bit: it is its own even rearrangement."""
+        p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
         grid = Grid(d=d, n=n, L=L)
-        (start,) = _initial_fields(grid, SolveOptions(q=3.0))
-        assert np.array_equal(start, gaussian(grid, mass=3.0).values)
+        (start,) = _initial_fields(p, grid, SolveOptions(q=3.0))
+        width = min(p.gaussian_width(3.0), L / 8)
+        assert np.array_equal(start, gaussian(grid, width, mass=3.0).values)
+
+    @pytest.mark.parametrize(
+        "d, n, L, q",
+        [(1, 128, 40.0, 1.0), (2, 64, 40.0, 3.0), (3, 16, 12.0, 6.0)],
+    )
+    def test_optimal_width_is_near_the_lattice_argmin(self, d, n, L, q):
+        """w* minimizes the continuum Gaussian's energy in closed form; the
+        lattice energy of the Gaussians of mass q is least within 10% of it
+        (1.597 against 1.64 on 64^2, within the scan's 1% steps)."""
+        p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
+        grid = Grid(d=d, n=n, L=L)
+        kernel = HartreeKernel(grid, GAMMA)
+        w_star = p.gaussian_width(q)
+        assert grid.h < w_star < L / 8
+        widths = w_star * np.geomspace(0.5, 2.0, 71)
+        energies = [energy(gaussian(grid, w, mass=q), p, kernel) for w in widths]
+        best = int(np.argmin(energies))
+        assert 0 < best < len(widths) - 1  # an interior minimum
+        assert widths[best] == pytest.approx(w_star, rel=0.1)
+
+    def test_optimal_width_closed_form(self):
+        """w* = (2 alpha A / (gamma B q))^(1 / (2 alpha - gamma)); in d = 2,
+        A = alpha Gamma(alpha) / 2 and B = 2^(-gamma/2) Gamma(1 - gamma/2) / 4;
+        the width scales as q^(-width_exponent) and is inf past overflow and
+        0 past underflow."""
+        p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=2)
+        a = ALPHA * math.gamma(ALPHA) / 2
+        b = 2 ** (-GAMMA / 2) * math.gamma(1 - GAMMA / 2) / 4
+        expected = (2 * ALPHA * a / (GAMMA * b * 3.0)) ** (1 / (2 * ALPHA - GAMMA))
+        assert p.gaussian_width(3.0) == pytest.approx(expected, rel=1e-14, abs=0)
+        assert p.gaussian_width(3.0 * 7.5) == pytest.approx(
+            expected * 7.5**-p.width_exponent, rel=1e-14, abs=0
+        )
+        assert p.gaussian_width(1e-300) == math.inf
+        assert p.gaussian_width(1e300) == 0.0
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="q must be positive"):
+                p.gaussian_width(bad)
+
+    @pytest.mark.parametrize(
+        "d, n, L, q", [(2, 16, 12.0, 1.0), (2, 64, 40.0, 1.2), (1, 64, 40.0, 0.4)]
+    )
+    def test_a_start_wider_than_the_box_default_is_the_old_start(self, d, n, L, q):
+        """Where w* >= L/8 the start is the L/8 Gaussian bit for bit, and
+        the solve is the one from that Gaussian given as init."""
+        p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
+        kernel = HartreeKernel(Grid(d=d, n=n, L=L), GAMMA)
+        assert p.gaussian_width(q) >= L / 8
+        (start,) = _initial_fields(p, kernel.grid, SolveOptions(q=q))
+        assert np.array_equal(start, gaussian(kernel.grid, mass=q).values)
+        default = minimize(p, kernel, SolveOptions(q=q))
+        given = minimize(p, kernel, SolveOptions(q=q, init=gaussian(kernel.grid)))
+        np.testing.assert_array_equal(default.history, given.history)
+        assert np.array_equal(default.g.values, given.g.values)
+
+    def test_an_underflowed_width_starts_from_the_lattice_delta(self, ref_params, box32):
+        """At q = 1e300 w* underflows to 0; the floored width keeps the start
+        finite, all its mass on the centre site."""
+        (start,) = _initial_fields(ref_params, box32, SolveOptions(q=1e300))
+        centre = (box32.n // 2,) * box32.d
+        assert start[centre] == pytest.approx(math.sqrt(1e300 / box32.cell_volume), rel=1e-15)
+        assert np.count_nonzero(start) == 1
+
+    def test_scaling_rows_start_alike_in_lattice_units(self, ref_params, box32):
+        """Each scaling row is the base problem rescaled, mass by lam and
+        length by lam^-width_exponent, and so is its start: the rows' starts
+        agree site by site up to amplitude."""
+        profiles = []
+        for lam in (0.5, 1.0, 2.0, 4.0):
+            grid = Grid(d=2, n=box32.n, L=box32.L * lam**-ref_params.width_exponent)
+            (start,) = _initial_fields(ref_params, grid, SolveOptions(q=3.0 * lam))
+            profiles.append(start / start.max())
+        for profile in profiles[1:]:
+            np.testing.assert_allclose(profile, profiles[0], rtol=1e-12, atol=1e-14)
+
+    # (d, n, L, q): the energy and iterations of the solve from the L/8
+    # Gaussian start, which the width min(w*, L/8) replaced: flat states
+    # (q = 1 on 16^2, 1.2 on 64^2), localized ones through q = 100, and the
+    # d = 3, q = 3.5 state on 32^3 that lies above the flat one, which the
+    # new start reaches too
+    PANEL = [
+        ((2, 16, 12.0, 1.0), -0.12730378297202036, 14),
+        ((2, 64, 40.0, 1.2), -0.10059996899724165, 46),
+        ((2, 64, 40.0, 3.0), -1.0928188528681133, 23),
+        ((2, 64, 40.0, 30.0), -428.6834040938512, 23),
+        ((2, 64, 40.0, 100.0), -5336.168697176102, 22),
+        ((1, 64, 40.0, 1.0), -0.19470568811351668, 18),
+        ((1, 64, 40.0, 3.0), -4.214014357709463, 18),
+        ((3, 16, 12.0, 3.5), -1.3320939604115893, 24),
+        ((3, 32, 20.0, 3.5), -1.0172565159671836, 31),
+        ((3, 32, 20.0, 6.0), -4.293687798728436, 26),
+    ]
+
+    @pytest.mark.parametrize("case, old_energy, old_iterations", PANEL)
+    def test_panel_reaches_the_old_energies_in_no_more_iterations(
+        self, case, old_energy, old_iterations
+    ):
+        d, n, L, q = case
+        p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
+        kernel = HartreeKernel(Grid(d=d, n=n, L=L), GAMMA)
+        gs = minimize(p, kernel, SolveOptions(q=q, keep_history=False))
+        assert gs.converged
+        assert gs.energy == pytest.approx(old_energy, rel=1e-10, abs=0)
+        assert gs.iterations <= old_iterations
 
     def test_lattice_translated_start_returns_the_centred_minimizer(
         self, ref_params, kernel32, box32
@@ -691,7 +805,7 @@ class TestFailureModes:
         """With a first trial of 1e3 and one trial per step, no trial from
         the start lowers the energy: the solve stops with
         "backtracking_floor" and returns the start, whose history row takes
-        no step."""
+        no step: the Gaussian of width w* = 1.596."""
         monkeypatch.setattr(groundstate_module, "_MAX_BACKTRACKS", 1)
         monkeypatch.setattr(groundstate_module, "_TAU0", 1e3)
         opts = SolveOptions(q=3.0)
@@ -700,8 +814,8 @@ class TestFailureModes:
         assert not gs.converged
         assert gs.iterations == 0
         assert gs.history.tolist() == [(gs.energy, gs.residual, 0.0, 0)]
-        assert gs.residual == pytest.approx(0.1286, abs=1e-4)
-        (start,) = _initial_fields(kernel32.grid, opts)
+        assert gs.residual == pytest.approx(0.1599, abs=1e-4)
+        (start,) = _initial_fields(ref_params, kernel32.grid, opts)
         np.testing.assert_array_equal(gs.g.values, start)
 
     def test_require_converged_passes_through_good_states(self, ground32):
@@ -715,16 +829,16 @@ class TestFailureModes:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("q", 0.0), ("q", float("inf")),
+        [("q", 0.0), ("q", float("inf")), ("q", True), ("q", np.True_),
          ("max_iter", 0), ("max_iter", 2.5), ("max_iter", 40000.0), ("max_iter", float("inf")),
          ("max_iter", True),
-         ("resid_tol", 0.0), ("resid_tol", float("inf"))],
+         ("resid_tol", 0.0), ("resid_tol", float("inf")), ("resid_tol", True)],
     )
     def test_option_validation(self, name, value):
         """A fractional or infinite cap is never reached, a bool is no
-        count (though True == 1), q = inf aborts mid-solve and resid_tol =
-        inf accepts the start: each is refused when the options are made,
-        so no solve can be handed them."""
+        count or mass or tolerance (though True == 1), q = inf aborts
+        mid-solve and resid_tol = inf accepts the start: each is refused
+        when the options are made, so no solve can be handed them."""
         with pytest.raises(ValueError, match=name):
             SolveOptions(**{name: value})
 

@@ -60,7 +60,7 @@ class TestPerturb:
         assert np.max(np.abs(perturb(zero, ALPHA, 1.0, seed=7).values - expected)) < 1e-14
 
     def test_rejects_negative_size(self, ground32):
-        for bad in (-1e-3, np.inf, np.nan):
+        for bad in (-1e-3, np.inf, np.nan, True):
             with pytest.raises(ValueError, match="delta"):
                 perturb(ground32.g, ALPHA, bad, seed=1)
 

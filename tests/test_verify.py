@@ -417,9 +417,9 @@ class TestPlantedDefects:
     ):
         """With the kernel scaled by ``1 + eps`` in the flow alone, the
         minimizer drifts off its orbit by about 5.2 eps in H^alpha over the
-        check's T = 10.  The smallest eps caught is eps* = 4.104e-4, where
+        check's T = 10.  The smallest eps caught is eps* = 4.090e-4, where
         the max distance reaches the tolerance 2.123e-3: 3.7e-4 reads
-        1.91e-3 and passes, 4.5e-4 reads 2.33e-3 and fails."""
+        1.92e-3 and passes, 4.5e-4 reads 2.34e-3 and fails."""
         self.plant_scaled_flow(monkeypatch, 1.0 + eps)
         result = check_standing_wave(VerifyContext(seed=1), "full")
         assert result.passed is passed
@@ -457,10 +457,10 @@ class TestPlantedDefects:
     ):
         """The residual r = G(g) - omega g is orthogonal to g, so an omega
         off by ``offset`` reads |G - (omega + offset) g| / |g| =
-        hypot(r0, offset), with r0 the clean residual (4.952e-7), against
+        hypot(r0, offset), with r0 the clean residual (4.891e-7), against
         the tolerance 1e-6.  The smallest offset caught is
-        eps* = sqrt(tol^2 - r0^2) = 8.688e-7: 8.60e-7 reads 9.924e-7 and
-        passes, 8.78e-7 reads 1.0080e-6 and fails, and 1e-3 reads 1e-3."""
+        eps* = sqrt(tol^2 - r0^2) = 8.722e-7: 8.60e-7 reads 9.894e-7 and
+        passes, 8.78e-7 reads 1.0050e-6 and fails, and 1e-3 reads 1e-3."""
         ctx = VerifyContext(seed=1)
         r0 = check_euler_lagrange(ctx, "full").values["residual"]
         real = verify_module.lagrange_multiplier
