@@ -29,7 +29,7 @@ from .kernel import HartreeKernel, hartree_direct
 from .rearrange import symmetric_rearrange
 from .snapshots import read_field, write_csv, write_field, write_json
 from .spectral import energy, energy_gradient, h_alpha_norm, lagrange_multiplier
-from .stability import StabilityReport, orbit_distance, perturb, stability_run
+from .stability import StabilityReport, perturb, stability_run
 from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
@@ -61,7 +61,6 @@ __all__ = [
     "lagrange_multiplier",
     "mass",
     "minimize",
-    "orbit_distance",
     "perturb",
     "plane_wave",
     "random_band_limited",

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .grid import Grid, PhysicsParams
+from .grid import Grid, PhysicsParams, _check_real
 from .groundstate import SolveOptions
 from .kernel import HartreeKernel
 from .snapshots import read_field, read_json
@@ -109,15 +109,15 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
-def _require_number(cfg: dict, section: str, key: str, positive: bool = True) -> float:
-    value = cfg[section][key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{section}.{key} must be a number (got {value!r})")
-    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
-        raise ValueError(f"{section}.{key} must be finite (got {value!r})")
-    if positive and not value > 0:
-        raise ValueError(f"{section}.{key} must be positive (got {value})")
-    return float(value)
+# the real-valued keys and their bound for :func:`~fhnlse.grid._check_real`;
+# PhysicsParams checks the upper bounds of alpha and gamma
+_REAL_KEYS = {
+    "physics": {"alpha": "positive", "gamma": "positive"},
+    "grid": {"L": "positive"},
+    "solver": {"q": "positive", "residTol": "positive"},
+    "dynamics": {"T": "nonnegative", "dt": "positive"},
+    "stability": {"delta": "nonnegative", "T": "nonnegative", "dt": "positive"},
+}
 
 
 def _require_int(cfg: dict, section: str, key: str, minimum: int | None = None) -> int:
@@ -133,20 +133,15 @@ def _require_int(cfg: dict, section: str, key: str, minimum: int | None = None) 
 def validate_config(cfg: dict) -> None:
     """Type/range checks; raises ValueError naming the offending constraint."""
     d = _require_int(cfg, "physics", "d")
-    _require_number(cfg, "physics", "alpha", positive=False)
-    _require_number(cfg, "physics", "gamma", positive=False)
     _require_int(cfg, "grid", "n")
-    _require_number(cfg, "grid", "L", positive=False)
+    for section, keys in _REAL_KEYS.items():
+        for key, bound in keys.items():
+            _check_real(cfg[section][key], f"{section}.{key}", bound)
     params_from(cfg)  # validates physics block and alpha/gamma/d coupling
     grid_from(cfg)  # validates grid block
-    for key in ("q", "residTol"):
-        _require_number(cfg, "solver", key)
     _require_int(cfg, "solver", "maxIter", minimum=1)
     for section in ("dynamics", "stability"):
-        dt = _require_number(cfg, section, "dt")
-        t = _require_number(cfg, section, "T", positive=False)
-        if t < 0:
-            raise ValueError(f"{section}.T must be nonnegative (got {t})")
+        t, dt = float(cfg[section]["T"]), float(cfg[section]["dt"])
         if t / dt > sys.float_info.max:  # the step count ceil(T/dt) overflows
             raise ValueError(f"{section}.T / {section}.dt must be finite (got {t} / {dt})")
         _require_int(cfg, section, "snapshotStride", minimum=1)
@@ -164,9 +159,6 @@ def validate_config(cfg: dict) -> None:
         raise ValueError(
             f"dynamics.planeWaveMode must have {d} components (got {tuple(mode)})"
         )
-    delta = _require_number(cfg, "stability", "delta", positive=False)
-    if delta < 0:
-        raise ValueError(f"stability.delta must be nonnegative (got {delta})")
     _require_int(cfg, "rearrange", "count", minimum=1)
     _require_int(cfg, "rearrange", "seed", minimum=0)
     formats = cfg["output"]["formats"]

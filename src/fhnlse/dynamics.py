@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import NumericalAbort
 from .fields import Field
-from .grid import PhysicsParams, _fftn, _ifftn, _is_bool, _is_int
+from .grid import PhysicsParams, _check_real, _fftn, _ifftn, _is_int
 from .kernel import HartreeKernel
 from .spectral import energy
 
@@ -101,13 +101,14 @@ def _strang(
     """Step from t = 0 to ``T`` in ``n = ceil(T/dt - 1e-9)`` equal steps of
     ``h = T/n`` (one step when that rounds to none for ``T > 0``); yield
     ``(k, t, values)`` after every ``stride``-th step and after the last
-    one, which records exactly ``T``.
+    one, which records exactly ``T``.  ``values`` is one field or a stack
+    ``(B, *grid.shape)`` of them, each of which evolves as if it ran alone.
 
     ``psi_hat`` enters each step with its opening half-step applied, and
-    divided by ``N`` so that the unscaled inverse transform returns the
-    state: a recorded step closes with ``half`` and reopens with
-    ``half / N``, any other with the merged factor over ``N``.  ``N`` is a
-    power of two, so the folded scaling is exact.  One array holds
+    divided by the grid size ``N`` so that the unscaled inverse transform
+    returns the state: a recorded step closes with ``half`` and reopens
+    with ``half / N``, any other with the merged factor over ``N``.  ``N``
+    is a power of two, so the folded scaling is exact.  One array holds
     ``psi_hat`` and the state in turn; the nonlinear substep and the
     finiteness check work in ``rho``, ``phase``, ``work`` and ``finite``,
     allocated once per run (see the module docstring for what each holds
@@ -119,8 +120,8 @@ def _strang(
     # h/2 * mult, the merged factor's (closing half of one step times the
     # opening half of the next) h * mult
     half = _unit_phase(0.25 * h * mult)
-    reopen = half / values.size
-    merged = _unit_phase(0.5 * h * mult) / values.size
+    reopen = half / kernel.grid.size
+    merged = _unit_phase(0.5 * h * mult) / kernel.grid.size
     d = kernel.grid.d
     psi_hat = _fftn(values, d)
     psi_hat *= reopen
@@ -204,10 +205,8 @@ def evolve(
     order of ``times``, and not kept: the trajectory holds only the last.
     Raises :class:`NumericalAbort` on non-finite values.
     """
-    if _is_bool(dt) or not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite (got {dt})")
-    if _is_bool(T) or not 0 <= T < np.inf:
-        raise ValueError(f"T must be nonnegative and finite (got {T})")
+    _check_real(dt, "dt")
+    _check_real(T, "T", "nonnegative")
     if not float(T) / float(dt) < np.inf:  # the step count ceil(T/dt) overflows
         raise ValueError(f"T / dt must be finite (got T = {T}, dt = {dt})")
     if not _is_int(stride) or stride < 1:

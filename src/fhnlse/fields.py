@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalAbort
-from .grid import Grid, _ifftn
+from .grid import Grid, _check_real, _ifftn
 
 __all__ = [
     "Field",
@@ -75,11 +75,10 @@ def _mass_factor(values: np.ndarray, cell_volume: float, q: float) -> float:
 
 
 def with_mass(u: Field, q: float) -> Field:
-    """``u`` rescaled so that ``mass(u) == q``.  A negative or non-finite
-    ``q`` raises ValueError; a zero or non-finite mass of ``u`` raises
-    :class:`NumericalAbort`."""
-    if not 0.0 <= q < np.inf:
-        raise ValueError(f"target mass must be nonnegative and finite (got {q})")
+    """``u`` rescaled so that ``mass(u) == q``.  A ``q`` other than a
+    nonnegative finite real number raises ValueError; a zero or non-finite
+    mass of ``u`` raises :class:`NumericalAbort`."""
+    _check_real(q, "q", "nonnegative")
     return u * _mass_factor(u.values, u.grid.cell_volume, q)
 
 
@@ -90,9 +89,11 @@ def gaussian(grid: Grid, width: float | None = None, mass: float | None = None) 
     ``width`` defaults to ``L/8``.  If ``mass`` is given the result is
     rescaled to it by :func:`with_mass`.
     """
+    if width is not None:
+        _check_real(width, "width")
+    if mass is not None:
+        _check_real(mass, "mass", "nonnegative")
     w = grid.L / 8.0 if width is None else float(width)
-    if not w > 0:
-        raise ValueError(f"width must be positive (got {w})")
     rsq = sum(np.ix_(*[grid.axis_coords**2] * grid.d))
     vals = np.exp(-rsq / (2.0 * w * w)).astype(np.complex128)
     field = Field(grid, vals)
@@ -124,6 +125,7 @@ def band_limited_noise(grid: Grid, seeds: list[int], keep_fraction: float) -> np
     <= keep_fraction * (n/2)``, zero elsewhere; returns their unnormalized
     inverse transforms.  Each slice is bitwise the draw of its seed alone.
     """
+    _check_real(keep_fraction, "keep_fraction", None)
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must lie in (0, 1] (got {keep_fraction})")
     draws = np.empty((len(seeds), 2) + grid.shape)

@@ -136,6 +136,22 @@ def _is_bool(x: object) -> bool:
     return isinstance(x, (bool, np.bool_))
 
 
+def _check_real(x: object, name: str, bound: str | None = "positive") -> None:
+    """Raise ValueError naming ``name`` unless ``x`` is a real number other
+    than a bool, finite (so not an int beyond the float range) and, by
+    ``bound``, ``"positive"`` or ``"nonnegative"``; None leaves the range to
+    the caller.  ``x`` itself is left as given."""
+    try:
+        ok = isinstance(x, numbers.Real) and not _is_bool(x) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if ok and bound is not None:
+        ok = x > 0 if bound == "positive" else x >= 0
+    if not ok:
+        kind = f"{bound} finite" if bound else "finite"
+        raise ValueError(f"{name} must be a {kind} real number (got {x!r})")
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -161,8 +177,7 @@ class Grid:
             raise ValueError(f"d must be 1, 2 or 3 (got {self.d})")
         if not _is_int(self.n) or self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8 (got {self.n})")
-        if _is_bool(self.L) or not 0 < self.L < np.inf:
-            raise ValueError(f"L must be positive and finite (got {self.L})")
+        _check_real(self.L, "L")
         object.__setattr__(self, "L", float(self.L))
         # the cell volume, its square (the quadrature weight of a double
         # sum), L^2 and the largest |k|^2 in float64, where an overflow gives
@@ -240,8 +255,7 @@ class Grid:
 
         Computed once per ``alpha`` and returned read-only thereafter.
         """
-        if not alpha > 0:
-            raise ValueError(f"alpha must be positive (got {alpha})")
+        _check_real(alpha, "alpha")
         mult = self._multipliers.get(alpha)
         if mult is None:
             mult = self._multipliers[alpha] = _frozen(self.k_squared**alpha)
@@ -295,8 +309,7 @@ class PhysicsParams:
         Gamma((d - gamma)/2) / (4 Gamma(d/2))`` from the Hartree term, so
         ``E'(w*) = 0`` at ``w* = (2 alpha A / (gamma B q))**width_exponent``,
         which scales with the mass as a minimizer's length scale does."""
-        if not q > 0:
-            raise ValueError(f"q must be positive (got {q})")
+        _check_real(q, "q")
         half_d = 0.5 * self.d
         kinetic = math.gamma(self.alpha + half_d) / (2.0 * math.gamma(half_d))
         hartree = (

@@ -67,7 +67,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, NumericalAbort
 from .fields import Field, _mass_factor, gaussian
-from .grid import Grid, PhysicsParams, _fftn, _ifftn, _irfftn, _is_bool, _is_int, _rfftn
+from .grid import Grid, PhysicsParams, _check_real, _fftn, _ifftn, _irfftn, _is_int, _rfftn
 from .kernel import HartreeKernel
 from .rearrange import symmetric_rearrange
 from .spectral import HalfSpectrumTerms, energy, h_alpha_norm
@@ -120,12 +120,10 @@ class SolveOptions:
     keep_history: bool = True
 
     def __post_init__(self) -> None:
-        if _is_bool(self.q) or not 0 < self.q < math.inf:
-            raise ValueError(f"q must be positive and finite (got {self.q})")
+        _check_real(self.q, "q")
         if not _is_int(self.max_iter) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1 (got {self.max_iter!r})")
-        if _is_bool(self.resid_tol) or not 0 < self.resid_tol < math.inf:
-            raise ValueError(f"resid_tol must be positive and finite (got {self.resid_tol})")
+        _check_real(self.resid_tol, "resid_tol")
         if self.init is not None and not isinstance(self.init, Field):
             raise ValueError(f"unrecognized init {self.init!r}")
 
@@ -514,8 +512,9 @@ def scaling_experiment(
     crosses over to the box-filling branch whose energy scales like
     ``q**2``, and no resolution can recover the continuum exponent.
     """
-    if not base_q > 0 or any(lam <= 0 for lam in lambdas):
-        raise ValueError("base_q and every lambda must be positive")
+    _check_real(base_q, "base_q")
+    for i, lam in enumerate(lambdas):
+        _check_real(lam, f"lambdas[{i}]")
     if opts is not None and opts.init is not None:
         raise ValueError(
             "scaling_experiment starts each row from its own box's Gaussian; "
@@ -572,8 +571,8 @@ def subadditivity_check(
     opts: SolveOptions | None = None,
 ) -> SubadditivityResult:
     """Compare ``E(q1 + q2)`` with ``E(q1) + E(q2)`` by three direct solves."""
-    if q1 <= 0 or q2 <= 0:
-        raise ValueError(f"masses must be positive (got q1={q1}, q2={q2})")
+    _check_real(q1, "q1")
+    _check_real(q2, "q2")
     gs1 = _solve_mass(p, kernel, q1, opts)
     gs2 = gs1 if q2 == q1 else _solve_mass(p, kernel, q2, opts)
     gs12 = _solve_mass(p, kernel, q1 + q2, opts)

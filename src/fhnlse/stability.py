@@ -9,12 +9,12 @@ import numpy as np
 
 from .dynamics import evolve
 from .fields import Field, band_limited_noise
-from .grid import PhysicsParams, _is_bool
+from .grid import PhysicsParams, _check_real
 from .groundstate import GroundState, align, require_converged
 from .kernel import HartreeKernel
 from .spectral import h_alpha_norm
 
-__all__ = ["perturb", "orbit_distance", "stability_run", "StabilityReport"]
+__all__ = ["perturb", "stability_run", "StabilityReport"]
 
 # Band limit of the injected noise: per-axis mode indices above this
 # fraction of the Nyquist index are zeroed (the top third of the spectrum).
@@ -29,17 +29,11 @@ def perturb(g: Field, alpha: float, delta: float, seed: int) -> Field:
     field is normalized in the H^alpha norm, so the injected perturbation
     size is exactly ``delta``.
     """
-    if _is_bool(delta) or not 0 <= delta < np.inf:
-        raise ValueError(f"delta must be nonnegative and finite (got {delta})")
+    _check_real(delta, "delta", "nonnegative")
     grid = g.grid
     w = Field(grid, band_limited_noise(grid, [seed], NOISE_KEEP_FRACTION)[0])
     w = w * (1.0 / h_alpha_norm(w, alpha))
     return Field(grid, g.values + delta * w.values)
-
-
-def orbit_distance(psi: Field, g: Field, alpha: float) -> float:
-    """H^alpha distance from ``psi`` to the shift/phase orbit of ``g``."""
-    return align(psi, g, alpha).distance
 
 
 @dataclass
@@ -84,7 +78,7 @@ def stability_run(
     distances: list[float] = []
     traj = evolve(
         psi0, p, kernel, T=T, dt=dt, stride=stride,
-        observe=lambda psi: distances.append(orbit_distance(psi, gs.g, p.alpha)),
+        observe=lambda psi: distances.append(align(psi, gs.g, p.alpha).distance),
     )
     return StabilityReport(
         delta=float(delta),

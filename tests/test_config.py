@@ -134,7 +134,7 @@ class TestValidation:
     def test_grid_constraint_messages(self):
         with pytest.raises(ValueError, match="power of two"):
             validate_config(self._cfg(grid__n=31))
-        with pytest.raises(ValueError, match="L must be positive"):
+        with pytest.raises(ValueError, match="grid.L must be a positive finite real number"):
             validate_config(self._cfg(grid__L=-1.0))
 
     def test_solver_and_dynamics_ranges(self):
@@ -146,7 +146,8 @@ class TestValidation:
             validate_config(self._cfg(dynamics__dt=-1e-3))
         for section in ("dynamics", "stability"):
             with pytest.raises(
-                ValueError, match=re.escape(f"{section}.T must be nonnegative (got -1.0)")
+                ValueError,
+                match=re.escape(f"{section}.T must be a nonnegative finite real number (got -1)"),
             ):
                 validate_config(self._cfg(**{f"{section}__T": -1}))
         with pytest.raises(ValueError, match="planeWaveMode"):

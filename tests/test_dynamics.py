@@ -227,6 +227,28 @@ class TestAgainstTheAllocatingLoop:
             assert np.array_equal(got.values, want)
 
 
+class TestStacks:
+    """A stack ``(B, *grid.shape)`` through the loop evolves each field as if
+    it ran alone: the folded ``1/N`` is the grid's, not the stack's."""
+
+    @pytest.mark.parametrize(
+        "d, n, L", [(1, 32, 25.0), (2, 32, 25.0), (3, 8, 10.0)], ids=["d1", "d2", "d3"]
+    )
+    def test_each_slice_is_bitwise_its_single_field_run(self, d, n, L):
+        grid, kernel = _box(n=n, L=L, d=d)
+        mult = grid.fractional_multiplier(ALPHA)
+        stack = np.stack([(random_band_limited(grid, seed=s) * 2.0).values for s in (3, 4)])
+        T, dt, stride = 0.5, 1e-2, 10  # 50 steps, 5 records
+        runs = [list(_strang(v, mult, kernel, T, dt, stride)) for v in stack]
+        stacked = list(_strang(stack, mult, kernel, T, dt, stride))
+        assert len(stacked) == 5
+        for k, (step, t, values) in enumerate(stacked):
+            assert values.shape == stack.shape
+            for b, run in enumerate(runs):
+                assert (step, t) == run[k][:2]
+                assert np.array_equal(values[b], run[k][2])
+
+
 class TestUnitPhase:
     def test_matches_cos_and_sin_and_is_unimodular(self):
         theta = np.concatenate(
@@ -394,13 +416,15 @@ class TestValidationAndAborts:
         with pytest.raises(ValueError, match="dt"):
             evolve(psi0, P2, kernel, T=1.0, dt=-1e-3)
         for bad in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="T must be nonnegative and finite"):
+            with pytest.raises(ValueError, match="T must be a nonnegative finite real number"):
                 evolve(psi0, P2, kernel, T=bad, dt=1e-3)
-            with pytest.raises(ValueError, match="dt must be positive and finite"):
+            with pytest.raises(ValueError, match="dt must be a positive finite real number"):
                 evolve(psi0, P2, kernel, T=1.0, dt=bad)
         # a bool is no time, though True == 1: T = dt = True was one step
         for T, dt in ((True, 1e-3), (1.0, True), (True, True), (np.True_, 1e-3)):
-            with pytest.raises(ValueError, match="must be (positive|nonnegative) and finite"):
+            with pytest.raises(
+                ValueError, match="must be a (positive|nonnegative) finite real number"
+            ):
                 evolve(psi0, P2, kernel, T=T, dt=dt)
         # a finite T and dt whose step count T/dt overflows
         for T, dt in ((1e300, 1e-300), (np.float64(1e300), np.float64(1e-300))):

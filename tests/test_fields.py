@@ -21,7 +21,9 @@ def test_fields_on_two_grids_cannot_be_aligned():
 
 
 def test_gaussian_rejects_a_zero_width():
-    with pytest.raises(ValueError, match=r"width must be positive \(got 0.0\)"):
+    with pytest.raises(
+        ValueError, match=r"width must be a positive finite real number \(got 0\)"
+    ):
         gaussian(GRID, width=0)
 
 

@@ -1,5 +1,6 @@
 """Grid geometry, wavenumber layout, and parameter validation."""
 
+import copy
 import re
 
 import numpy as np
@@ -11,11 +12,17 @@ from fhnlse import (
     PhysicsParams,
     SolveOptions,
     energy_gradient,
+    evolve,
+    gaussian,
     minimize,
     perturb,
     random_band_limited,
+    scaling_experiment,
     stability_run,
+    subadditivity_check,
 )
+from fhnlse.config import DEFAULTS, validate_config
+from fhnlse.fields import band_limited_noise, with_mass
 from fhnlse.grid import _fftn, _ifftn
 from fhnlse.rearrange import rearrangement_sweep
 
@@ -200,7 +207,7 @@ class TestGridValidation:
     @pytest.mark.parametrize("L", [0.0, -2.0, float("inf"), float("nan"), True, np.True_])
     def test_rejects_nonpositive_or_non_finite_length(self, L):
         """A bool is no length, though True == 1."""
-        with pytest.raises(ValueError, match="L must be positive and finite"):
+        with pytest.raises(ValueError, match="L must be a positive finite real number"):
             Grid(d=1, n=8, L=L)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -283,3 +290,76 @@ class TestPhysicsParams:
         for d in (5, 2.0, True):
             with pytest.raises(ValueError, match="d must be"):
                 PhysicsParams(alpha=0.6, gamma=0.5, d=d)
+
+
+_G = Grid(d=2, n=16, L=10.0)
+_P = PhysicsParams(alpha=0.6, gamma=0.5, d=2)
+_K = HartreeKernel(_G, 0.5)
+_U = gaussian(_G)
+
+# every real argument that grid._check_real guards: the call that takes it,
+# its name as the message gives it, a call passing ``x`` to it, and a value
+# below its bound
+_REAL_ARGUMENTS = [
+    ("Grid", "L", lambda x: Grid(d=2, n=16, L=x), 0.0),
+    ("fractional_multiplier", "alpha", lambda x: _G.fractional_multiplier(x), 0.0),
+    ("gaussian_width", "q", lambda x: _P.gaussian_width(x), 0.0),
+    ("SolveOptions", "q", lambda x: SolveOptions(q=x), 0.0),
+    ("SolveOptions", "resid_tol", lambda x: SolveOptions(resid_tol=x), 0.0),
+    ("scaling_experiment", "base_q", lambda x: scaling_experiment(_P, _K, base_q=x), 0.0),
+    ("scaling_experiment", "lambdas[1]",
+     lambda x: scaling_experiment(_P, _K, 1.0, lambdas=(1.0, x)), 0.0),
+    ("subadditivity_check", "q1", lambda x: subadditivity_check(_P, _K, x, 1.0), 0.0),
+    ("subadditivity_check", "q2", lambda x: subadditivity_check(_P, _K, 1.0, x), 0.0),
+    ("evolve", "dt", lambda x: evolve(_U, _P, _K, T=1.0, dt=x), 0.0),
+    ("evolve", "T", lambda x: evolve(_U, _P, _K, T=x, dt=1e-3), -1.0),
+    ("perturb", "delta", lambda x: perturb(_U, 0.6, x, seed=1), -1.0),
+    ("gaussian", "width", lambda x: gaussian(_G, width=x), 0.0),
+    ("gaussian", "mass", lambda x: gaussian(_G, mass=x), -1.0),
+    ("with_mass", "q", lambda x: with_mass(_U, x), -1.0),
+    ("band_limited_noise", "keep_fraction", lambda x: band_limited_noise(_G, [1], x), 0.0),
+] + [
+    ("config", f"{section}.{key}", lambda x, s=section, k=key: validate_config(_with(s, k, x)),
+     below)
+    for section, key, below in [
+        ("physics", "alpha", 0.0),
+        ("physics", "gamma", 0.0),
+        ("grid", "L", 0.0),
+        ("solver", "q", 0.0),
+        ("solver", "residTol", 0.0),
+        ("dynamics", "T", -1.0),
+        ("dynamics", "dt", 0.0),
+        ("stability", "T", -1.0),
+        ("stability", "dt", 0.0),
+        ("stability", "delta", -1.0),
+    ]
+]
+
+
+def _with(section, key, value):
+    cfg = copy.deepcopy(DEFAULTS)
+    cfg[section][key] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "name, call, below",
+    [a[1:] for a in _REAL_ARGUMENTS],
+    ids=[f"{where}-{name.replace('[1]', '')}" for where, name, _, _ in _REAL_ARGUMENTS],
+)
+@pytest.mark.parametrize(
+    "bad", ["below", True, np.True_, np.nan, np.inf, -np.inf, 10**400],
+    ids=["below", "True", "np.True_", "nan", "inf", "-inf", "int-beyond-float"],
+)
+def test_a_real_argument_is_a_finite_real_number_within_its_bound(name, call, below, bad):
+    """One rule for every real argument: a bool, a non-finite value, an int
+    beyond the float range or a value below the bound raises a ValueError
+    whose message starts with the argument's name (``section.key`` in a
+    configuration)."""
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must "):
+        call(below if bad == "below" else bad)
+
+
+def test_a_checked_real_argument_keeps_its_type():
+    opts = SolveOptions(q=3, resid_tol=np.float32(1e-6))
+    assert type(opts.q) is int and type(opts.resid_tol) is np.float32

@@ -8,10 +8,10 @@ from fhnlse import (
     Field,
     NonConvergenceError,
     SolveOptions,
+    align,
     evolve,
     h_alpha_norm,
     minimize,
-    orbit_distance,
     perturb,
     random_band_limited,
     stability_run,
@@ -71,12 +71,12 @@ class TestOrbitDistance:
         for seed in range(5):
             other = random_band_limited(g.grid, seed=60 + seed)
             plain = h_alpha_norm(Field(g.grid, other.values - g.values), ALPHA)
-            assert orbit_distance(other, g, ALPHA) <= plain * (1.0 + 1e-12)
+            assert align(other, g, ALPHA).distance <= plain * (1.0 + 1e-12)
 
     def test_vanishes_on_the_orbit(self, ground32):
         g = ground32.g
         moved = Field(g.grid, np.exp(1.1j) * np.roll(g.values, shift=(4, -6), axis=(0, 1)))
-        assert orbit_distance(moved, g, ALPHA) < 1e-10
+        assert align(moved, g, ALPHA).distance < 1e-10
 
 
 class TestStabilityRun:
@@ -109,7 +109,7 @@ class TestStabilityRun:
         psi0 = perturb(ground32.g, ALPHA, 1e-2, seed=2)
         states = []
         traj = evolve(psi0, ref_params, kernel32, observe=states.append, **kwargs)
-        expected = [orbit_distance(psi, ground32.g, ALPHA) for psi in states]
+        expected = [align(psi, ground32.g, ALPHA).distance for psi in states]
         assert np.array_equal(report.times, traj.times)
         assert np.array_equal(report.distances, expected)
 
