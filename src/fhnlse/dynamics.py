@@ -24,12 +24,13 @@ and in place in one array; the inverse's ``1/N`` is folded into the
 Fourier-space factors instead.  ``N`` is a power of two, so every state is
 bit-for-bit what the normalized ``fftn``/``ifftn`` pair gives.  The
 nonlinear substep and the finiteness check fill work arrays allocated once
-per run: the density, which becomes its potential, then half the phase
-angle ``theta / 2``, then ``2 t`` for ``t = tan(theta / 2)``; the phase,
-which first holds the state's squares; a real pair for ``1 - t^2`` and
-``1 / (1 + t^2)``, so that all the phase arithmetic runs on contiguous
-arrays; and the finiteness mask.
-A step allocates only the convolution's half spectrum.
+per run: the density, which becomes half the phase angle ``theta / 2``
+(the convolution's last pass scales its potential by ``-h/2``), then
+``2 t`` for ``t = tan(theta / 2)``; the convolution's half spectrum; the
+phase, which first holds the state's squares; a real pair for ``1 - t^2``
+and ``1 / (1 + t^2)``, so that all the phase arithmetic runs on contiguous
+arrays; and the finiteness mask, reduced by one ``np.logical_and.reduce``.
+A step between records allocates no array.
 
 The equation written with the opposite sign is the conjugate flow: its
 solution from ``psi0`` is ``conj(evolve(conj(psi0)))``, which also runs
@@ -110,9 +111,9 @@ def _strang(
     with ``half / N``, any other with the merged factor over ``N``.  ``N``
     is a power of two, so the folded scaling is exact.  One array holds
     ``psi_hat`` and the state in turn; the nonlinear substep and the
-    finiteness check work in ``rho``, ``phase``, ``work`` and ``finite``,
-    allocated once per run (see the module docstring for what each holds
-    when).  Raises :class:`NumericalAbort` on non-finite values.
+    finiteness check work in ``rho``, ``rho_hat``, ``phase``, ``work`` and
+    ``finite``, allocated once per run (see the module docstring for what
+    each holds when).  Raises :class:`NumericalAbort` on non-finite values.
     """
     n = max(int(np.ceil(T / dt - 1e-9)), 1 if T > 0 else 0)
     h = T / max(n, 1)
@@ -130,21 +131,23 @@ def _strang(
     phase = np.empty(values.shape, dtype=complex)
     squares = phase.view(np.float64)  # holds the state's x^2 and y^2 first
     x_sq, y_sq = squares[..., 0::2], squares[..., 1::2]
-    # the density, then in place its potential, half the phase angle, 2 t
+    # the density, then in place half the phase angle, then 2 t
     rho = np.empty(values.shape)
+    rho_hat = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
     work = np.empty((2, *values.shape))
     finite = np.empty(squares.shape, dtype=bool)
+    # half the phase angle is the potential times -h/2, bit for bit 0.5 *
+    # ((-h) * potential): scaling by a power of two commutes with rounding
+    # short of underflow
+    angle_scale = -0.5 * h
     for k in range(1, n + 1):
         _ifftn(psi_hat, d, out=psi_hat, scaled=False)
         np.square(components, out=squares)
         np.add(x_sq, y_sq, out=rho)
-        kernel.convolve_density(rho, out=rho)
-        # half the phase angle, bit for bit 0.5 * ((-h) * potential):
-        # scaling by a power of two commutes with rounding short of underflow
-        rho *= -0.5 * h
+        kernel.convolve_density(rho, out=rho, scale=angle_scale, work=rho_hat)
         psi_hat *= _unit_phase(rho, out=phase, work=work)
         _fftn(psi_hat, d, out=psi_hat)
-        if not np.isfinite(components, out=finite).all():
+        if not np.logical_and.reduce(np.isfinite(components, out=finite), axis=None):
             raise NumericalAbort(f"non-finite state at step {k} (t = {k * h:g})")
         if k % stride == 0 or k == n:
             psi_hat *= half

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,6 +125,11 @@ def band_limited_noise(grid: Grid, seeds: list[int], keep_fraction: float) -> np
     ``default_rng(seed)`` on the modes whose per-axis index satisfies ``|m|
     <= keep_fraction * (n/2)``, zero elsewhere; returns their unnormalized
     inverse transforms.  Each slice is bitwise the draw of its seed alone.
+    The modes are selected by one product with the outer product of the
+    per-axis masks, cast to complex, in place of ``d`` products with the
+    per-axis masks: a drawn coefficient is never zero, so ``1 + 0j`` returns
+    it unchanged, and a discarded one may only be a zero of the other sign,
+    which changes no nonzero sample.
     """
     _check_real(keep_fraction, "keep_fraction", None)
     if not 0.0 < keep_fraction <= 1.0:
@@ -136,10 +142,7 @@ def band_limited_noise(grid: Grid, seeds: list[int], keep_fraction: float) -> np
     coeff = draws[:, 0] + 1j * draws[:, 1]
     m = np.fft.fftfreq(grid.n) * grid.n
     keep = np.abs(m) <= keep_fraction * (grid.n / 2.0)
-    for axis in range(1, grid.d + 1):
-        view = [1] * (grid.d + 1)
-        view[axis] = grid.n
-        coeff *= keep.reshape(view)
+    coeff *= functools.reduce(np.multiply.outer, [keep] * grid.d).astype(complex)
     return _ifftn(coeff, grid.d, out=coeff)
 
 

@@ -93,12 +93,13 @@ def _ifftn(
     return out
 
 
-def _rfftn(x: np.ndarray, d: int) -> np.ndarray:
+def _rfftn(x: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
     """``np.fft.rfftn(x, axes=range(-d, 0))``, bit for bit, of a real ``x``
     whose last axis has an even length, as on every lattice: an ``rfft`` of
-    the last axis into a new half spectrum, then ``fft`` passes in place
-    over the others, last first."""
-    out = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=complex)
+    the last axis into the half spectrum ``out`` (a new array if None),
+    then ``fft`` passes in place over the others, last first."""
+    if out is None:
+        out = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=complex)
     _pass("rfft", x, -1, 1.0, out)
     for axis in range(-2, -d - 1, -1):
         _pass("fft", out, axis, 1.0, out)
@@ -111,18 +112,21 @@ def _irfftn(
     n: int,
     out: np.ndarray | None = None,
     scaled: bool = True,
+    scale: float = 1.0,
 ) -> np.ndarray:
     """The real array with half spectrum ``x_hat`` and ``n`` points on the
     last axis, bit for bit ``np.fft.irfftn`` of ``x_hat`` over its last
     ``d`` axes (``norm="forward"`` if not ``scaled``): ``ifft`` passes in
     place over the other ``d - 1`` of them, first first, which overwrite
     ``x_hat``, then an ``irfft`` of the last into ``out`` (a new array if
-    None)."""
+    None).  ``scale`` multiplies the last pass's factor; pocketfft applies
+    that factor after the pass, so unscaled the result is bit for bit
+    ``scale`` times the unit-scale one."""
     for axis in range(-d, -1):
         _pass("ifft", x_hat, axis, 1.0 / x_hat.shape[axis] if scaled else 1.0, x_hat)
     if out is None:
         out = np.empty(x_hat.shape[:-1] + (n,))
-    return _pass("irfft", x_hat, -1, 1.0 / n if scaled else 1.0, out)
+    return _pass("irfft", x_hat, -1, scale / n if scaled else scale, out)
 
 
 def _is_int(x: object) -> bool:

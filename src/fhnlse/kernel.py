@@ -26,8 +26,11 @@ stored read-only as complex128 with a zero imaginary part: NumPy multiplies
 a complex array by a real one by casting the real factor to ``x+0j`` and
 running the complex loop, so casting it once at construction gives the
 same bits as the cast NumPy would otherwise make on every call.  The
-convolution writes into a caller's array when given one, so the Strang
-loop reuses its own from step to step.
+convolution writes into a caller's array when given one, and its half
+spectrum into a caller's ``work`` array, so the Strang loop reuses both
+from step to step.  A real ``scale`` becomes the factor of the inverse's
+last pass, which pocketfft applies after that pass: the result is bit for
+bit ``scale`` times the potential, without a pass over it of its own.
 """
 
 from __future__ import annotations
@@ -134,17 +137,26 @@ class HartreeKernel:
         g = self.grid
         return f"HartreeKernel(d={g.d}, n={g.n}, L={g.L}, gamma={self.gamma})"
 
-    def convolve_density(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``(K * rho)(x) = sum_y K(x - y) rho(y) cell_volume`` for a real
-        density ``rho``, or for each of a stack of them, via the real
-        transform pair over the trailing axes (see the module docstring).
-        Written to ``out`` if given, which may be ``rho`` itself: the
-        forward transform has read all of ``rho`` before ``out`` is
-        written."""
+    def convolve_density(
+        self,
+        rho: np.ndarray,
+        out: np.ndarray | None = None,
+        *,
+        scale: float = 1.0,
+        work: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """``scale * (K * rho)(x)``, with ``(K * rho)(x) = sum_y K(x - y)
+        rho(y) cell_volume``, for a real density ``rho``, or for each of a
+        stack of them, via the real transform pair over the trailing axes
+        (see the module docstring).  Written to ``out`` if given, which may
+        be ``rho`` itself: the forward transform has read all of ``rho``
+        before ``out`` is written.  ``work`` (complex, ``rho``'s shape with
+        ``n // 2 + 1`` points on the last axis) takes the half spectrum, a
+        new array if None."""
         d = self.grid.d
-        rho_hat = _rfftn(rho, d)
+        rho_hat = _rfftn(rho, d, out=work)
         rho_hat *= self._half_spectrum
-        return _irfftn(rho_hat, d, self.grid.n, out=out, scaled=False)
+        return _irfftn(rho_hat, d, self.grid.n, out=out, scaled=False, scale=scale)
 
 
 def hartree_direct(u: Field, kernel: HartreeKernel) -> float:

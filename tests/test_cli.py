@@ -613,6 +613,24 @@ class TestRunRecord:
         assert proc.stdout.splitlines()[-1] == "0 []"
         assert proc.stderr == ""
 
+    def test_two_calls_of_a_process_keep_their_own_overrides(self, tmp_path):
+        """Nothing of one ``main`` call's parsing reaches the next: each of
+        two runs' manifests holds only its own overrides."""
+        argvs = {
+            "a": ["--set", "grid.n=8", "--set", "grid.L=10.0", "--set", "rearrange.count=2"],
+            "b": ["--set", "grid.n=16", "--set", "rearrange.seed=5", "--set", "rearrange.count=3"],
+        }
+        for name, overrides in argvs.items():
+            assert run(["rearrange-test", *overrides, "--output-dir", str(tmp_path / name)]) == 0
+        configs = {
+            name: json.loads((tmp_path / name / "manifest.json").read_text())["config"]
+            for name in argvs
+        }
+        assert configs["a"]["grid"] == {"n": 8, "L": 10.0}
+        assert configs["a"]["rearrange"] == {"count": 2, "seed": DEFAULTS["rearrange"]["seed"]}
+        assert configs["b"]["grid"] == {"n": 16, "L": DEFAULTS["grid"]["L"]}
+        assert configs["b"]["rearrange"] == {"count": 3, "seed": 5}
+
     @pytest.mark.parametrize("command", list(cli_module._COMMANDS))
     def test_verbose_is_not_an_option(self, command, tmp_path, capsys):
         out = tmp_path / "d"

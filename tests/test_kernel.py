@@ -371,6 +371,31 @@ class TestHartreePairings:
         assert kernel.convolve_density(stack, out=buf) is buf
         assert np.array_equal(buf, expected)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid(d=1, n=64, L=40.0), Grid(d=2, n=32, L=20.0), Grid(d=3, n=16, L=10.0)],
+        ids=["d1", "d2", "d3"],
+    )
+    @pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
+    def test_scaled_convolution_in_place_is_bitwise_the_scaled_potential(self, grid, stack):
+        """``scale`` is the factor of the inverse's last pass, applied after
+        it, so ``convolve_density(rho, out=rho, scale=s, work=w)`` is bit for
+        bit ``s * convolve_density(rho)``; the half spectrum ``w`` is reused
+        from call to call, as the Strang loop reuses it.  None of the scales
+        is a power of two, so scaling the density before the transform
+        instead would change bits."""
+        kernel = HartreeKernel(grid, 0.5)
+        lead = (3,) if stack else ()
+        work = np.empty(lead + grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+        for seed, scale in enumerate((-0.5e-3, -0.37, 3.1)):
+            rho = np.abs(np.stack(
+                [random_band_limited(grid, seed=60 + 3 * seed + r).values for r in range(3)]
+            )) ** 2
+            rho = rho if stack else rho[0]
+            expected = scale * kernel.convolve_density(rho)
+            assert kernel.convolve_density(rho, out=rho, scale=scale, work=work) is rho
+            assert rho.tobytes() == expected.tobytes()
+
     def test_doubled_spectrum_desynchronizes_the_fast_pairing(self, monkeypatch):
         """The fast path must read ``spectrum`` as built by ``kernel_spectrum``,
         so a broken transform shows up against the direct double sum."""

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fhnlse import Field, Grid, gaussian, random_band_limited, symmetric_rearrange
+from fhnlse import rearrange as rearrange_module
 from fhnlse.fields import (
     _RANDOM_KEEP_FRACTION,
     _unit_mass,
@@ -160,6 +161,14 @@ class TestRieszPairing:
         assert (rhs - lhs) / rhs > 0.1
 
 
+def _unit_noise(n: int, seed: int, keep: float, real_part: bool) -> Field:
+    """Unit-mass noise on the 1-D box of n points, complex or the magnitude
+    of its real part."""
+    grid = Grid(d=1, n=n, L=10.0)
+    noise = band_limited_noise(grid, [seed], keep)
+    return Field(grid, _unit_mass(np.abs(noise.real) if real_part else noise, grid.cell_volume)[0])
+
+
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     n=st.sampled_from([8, 16]),
@@ -167,18 +176,32 @@ class TestRieszPairing:
     real_part=st.booleans(),
 )
 def test_rearrange_properties_hold_for_arbitrary_fields(seed, n, keep, real_part):
-    """Unit-mass noise, complex or the magnitude of its real part."""
-    grid = Grid(d=1, n=n, L=10.0)
-    noise = band_limited_noise(grid, [seed], keep)
-    u = Field(grid, _unit_mass(np.abs(noise.real) if real_part else noise, grid.cell_volume)[0])
+    """The multiset and idempotence hold on every input.  The seminorm
+    contraction is asserted at n = 16, where no input of this strategy
+    breaks it (the worst excess is -1.0e-4); at n = 8 the lattice breaks it
+    for 26 of the strategy's 120,012 inputs (see the next test)."""
+    u = _unit_noise(n, seed, keep, real_part)
     out = symmetric_rearrange(u)
     assert np.array_equal(
         np.sort(np.abs(u.values).ravel()), np.sort(out.values.real.ravel())
     )
     assert np.array_equal(out.values, symmetric_rearrange(out).values)
-    s_in = sobolev_seminorm_sq(u, ALPHA)
-    s_out = sobolev_seminorm_sq(out, ALPHA)
-    assert s_out <= s_in * (1.0 + 1e-9) + 1e-15
+    if n == 16:
+        s_in = sobolev_seminorm_sq(u, ALPHA)
+        s_out = sobolev_seminorm_sq(out, ALPHA)
+        assert s_out <= s_in * (1.0 + 1e-9) + 1e-15
+
+
+def test_rearranging_eight_sites_can_grow_the_seminorm():
+    """A measured lattice effect, not a defect: the discrete Polya-Szego
+    inequality fails on 8 sites.  The magnitude of the real part of the
+    2/3-band noise of seed 2174 grows in squared seminorm by 4.76% under
+    rearrangement; over the whole strategy above, 26 inputs fail, all at
+    n = 8 and all real parts."""
+    u = _unit_noise(8, 2174, NOISE_KEEP_FRACTION, real_part=True)
+    out = symmetric_rearrange(u)
+    excess = sobolev_seminorm_sq(out, ALPHA) / sobolev_seminorm_sq(u, ALPHA) - 1.0
+    assert excess > 0.04
 
 
 # The reference: one field at a time, through the n-D transforms and
@@ -320,3 +343,16 @@ def test_sweep_of_no_fields_is_refused(count):
     """A sweep of no fields tests nothing, so it must not pass."""
     with pytest.raises(ValueError, match="count"):
         rearrangement_sweep(Grid(d=2, n=16, L=10.0), ALPHA, count, 1, 2)
+
+
+def test_a_layout_that_is_not_a_permutation_changes_every_field(monkeypatch):
+    """The multiset check is made once per sweep, on the one site map that
+    lays out every field: a map that puts one sorted magnitude on two sites
+    and drops another fails every field of the sweep."""
+    grid = Grid(d=2, n=16, L=10.0)
+    source = rearrange_module._radial_source(grid).copy()
+    source[source == 0] = 1
+    monkeypatch.setattr(rearrange_module, "_radial_source", lambda g: source)
+    sweep = rearrangement_sweep(grid, ALPHA, 6, 40, 50)
+    assert sweep.changed == list(range(40, 46))
+    assert not sweep.passed

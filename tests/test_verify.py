@@ -387,8 +387,9 @@ class TestPlantedDefects:
         real = dynamics_module._strang
 
         def scaled_flow(values, mult, kernel, T, dt, stride):
-            def scaled(rho, out=None):
-                return np.multiply(kernel.convolve_density(rho, out=out), factor, out=out)
+            def scaled(rho, out=None, *, scale=1.0, work=None):
+                potential = kernel.convolve_density(rho, out=out, scale=scale, work=work)
+                return np.multiply(potential, factor, out=out)
 
             rescaled = SimpleNamespace(grid=kernel.grid, convolve_density=scaled)
             return real(values, mult, rescaled, T, dt, stride)
