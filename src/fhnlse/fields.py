@@ -52,12 +52,15 @@ class Field:
         return Field(self.grid, self.values * factor)
 
 
-def _abs_sq(values: np.ndarray) -> np.ndarray:
-    """``np.abs(values) ** 2``, a new real array; for a real ``values`` it is
-    the one call ``np.square(values)``, bit for bit the same."""
+def _abs_sq(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.abs(values) ** 2``, written to the real array ``out`` (a new one
+    if None): bit for bit ``np.square(values)`` for a real ``values`` and,
+    for a complex one, ``np.square`` of ``np.abs(values)`` in place, the
+    call that ``** 2`` makes."""
     if values.dtype.kind == "f":
-        return np.square(values)
-    return np.abs(values) ** 2
+        return np.square(values, out=out)
+    magnitude = np.abs(values, out=out)
+    return np.square(magnitude, out=magnitude)
 
 
 def mass(u: Field) -> float:
@@ -65,11 +68,14 @@ def mass(u: Field) -> float:
     return float(np.sum(_abs_sq(u.values)) * u.grid.cell_volume)
 
 
-def _mass_factor(values: np.ndarray, cell_volume: float, q: float) -> float:
+def _mass_factor(
+    values: np.ndarray, cell_volume: float, q: float, work: np.ndarray | None = None
+) -> float:
     """``sqrt(q / m)`` for the mass ``m = sum |values|^2 * cell_volume``, real
     or complex: the factor that puts the samples on the mass sphere ``q``; a
-    zero or non-finite mass raises :class:`NumericalAbort`."""
-    m = float(_abs_sq(values).sum() * cell_volume)
+    zero or non-finite mass raises :class:`NumericalAbort`.  The squares go
+    to ``work`` (real, ``values``' shape; a new array if None)."""
+    m = float(_abs_sq(values, out=work).sum() * cell_volume)
     if m == 0.0 or not math.isfinite(m):
         raise NumericalAbort(f"cannot rescale field with mass {m} to mass {q}")
     return math.sqrt(q / m)

@@ -54,6 +54,35 @@ d`` and ``<u, r_old> = 0``, ``<s, r_old>`` is ``-c tau <d, r_old>``, a
 scalar kept from the last descent in place of ``r_old``.  Convergence is
 declared on the constrained Euler-Lagrange residual ``|G(u) - omega u|_2 /
 |u|_2``.
+
+A solve works in ten arrays, made once when its start is chosen, so that
+an accepted iterate allocates no array of its own but the rare copy of a
+best iterate below.  Two iterate slots each hold a real ``u`` and its half
+spectrum ``u_hat``: the current iterate's, at first the start's, and the
+other, which the trials write and which becomes current when one is
+accepted, so that the slots swap.  One real ``potential`` holds ``K *
+|u|^2`` of the current iterate until :func:`_descent` has read it; the
+descent then forms ``(K * |u|^2) u`` and ``beta u`` there, and each trial's
+energy writes its potential there.  The descent writes the real direction
+``d``, its half spectrum ``d_hat`` and the half spectra ``metric`` and
+``r_weighted``, with the other slot's ``u_hat`` as its scratch: that slot
+is idle from the acceptance that formed ``s_hat`` to the first trial.  The
+Barzilai-Borwein step forms its product ``P^(-1) s_hat`` in ``metric``, in
+place; once it and the slope are taken, ``metric`` and ``r_weighted`` are
+idle: the trials form ``u_hat - tau d_hat`` in ``r_weighted`` and the
+half spectrum of the density convolution, then the seminorm's weighted
+``u_hat``, in ``metric``, and the acceptance forms the weighted ``s_hat``
+of ``|s|^2`` in ``r_weighted``.  The move ``s_hat`` of the last accepted step
+lives from its acceptance to the next Barzilai-Borwein step; during the
+trials its memory, read as a real array of the field's shape, takes ``tau
+d``, the squares of the mass factor and the density.  The best iterate is
+kept by reference and copied only when the trials are about to overwrite
+its slot; the returned field is a new array.  Each operation is the ufunc
+call that an expression on new arrays makes, in the same order, with a
+work array as its ``out``, so the iterates keep their bits.  In d >= 2
+NumPy buffers each of the three products with the Hermitian weights,
+which broadcast along the leading axes: a transient of at most NumPy's
+buffer size (8192 values).
 """
 
 from __future__ import annotations
@@ -241,10 +270,14 @@ def _make_hermitian(x_hat: np.ndarray) -> None:
 
 
 def _descent(
-    terms: HalfSpectrumTerms, shift_floor: float
+    terms: HalfSpectrumTerms,
+    shift_floor: float,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    scratch: np.ndarray,
 ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(omega, residual, d, d_hat, metric, r_weighted)`` at the real field
-    of ``terms``.
+    of ``terms``, the four arrays written into ``out``, in that order: a
+    real array of the field's shape and three half spectra.
 
     ``d = P r`` is the preconditioned Euler-Lagrange residual
     ``r = G(u) - omega u`` with ``P = (s + |k|^(2 alpha))^(-1)``,
@@ -259,31 +292,42 @@ def _descent(
     weights, so that ``Re vdot(x_hat, r_weighted)`` is ``<x, r>`` times the
     grid size for a real ``x``.
 
+    The temporaries go to ``terms.potential``, which is overwritten, and to
+    ``scratch``, a half spectrum: the potential takes ``(K * |u|^2) u`` and
+    then ``beta u`` for the projection's ``beta = <u, d> / <u, u>``;
+    ``scratch`` takes ``P``, then the copy of ``P r_hat`` that the inverse
+    transform consumes, then ``beta u_hat``; the transform of ``(K *
+    |u|^2) u`` goes to ``r_weighted`` before it is formed.
+
     The weights are complex with a zero imaginary part, so the products
-    with half spectra make no cast, but for one: ``P`` is the real
-    reciprocal of ``metric``'s real part, cast to ``x+0j`` by the product,
-    since a complex reciprocal is a complex division, which costs more
-    than that cast (the same bits either way).
+    with half spectra make no cast.  ``P`` is too: its real part is the
+    real reciprocal of ``metric``'s and its imaginary part is set to zero,
+    which is the ``x+0j`` that NumPy's cast of a real factor would make,
+    without the cast's buffer; a complex reciprocal would be a complex
+    division, which costs more (the same bits either way).
     """
-    u, u_hat = terms.u, terms.u_hat
+    u, u_hat, potential = terms.u, terms.u_hat, terms.potential
+    d, d_hat, metric, r_weighted = out
     omega = terms.omega
-    r_hat = terms.multiplier - omega
+    r_hat = np.subtract(terms.multiplier, omega, out=d_hat)
     r_hat *= u_hat
-    r_hat -= _rfftn(terms.potential * u, u.ndim)
+    r_hat -= _rfftn(np.multiply(potential, u, out=potential), u.ndim, out=r_weighted)
     _make_hermitian(r_hat)
-    r_weighted = terms.hermitian * r_hat
+    np.multiply(terms.hermitian, r_hat, out=r_weighted)
     u_sq = float(np.vdot(u, u))
     r_sq = float(np.vdot(r_hat, r_weighted).real)
     resid = math.sqrt(r_sq / (u.size * u_sq))
-    metric = terms.multiplier + max(abs(omega), shift_floor)
-    d_hat = r_hat
+    np.add(terms.multiplier, max(abs(omega), shift_floor), out=metric)
     # ``/=`` bit for bit but for the sign of a zero part: NumPy divides a
     # complex array by a real ``x`` as by ``x+0j``, scaling by ``1 / x``
-    d_hat *= 1.0 / metric.real
-    d = _irfftn(d_hat.copy(), u.ndim, u.shape[-1])
+    np.divide(1.0, metric.real, out=scratch.real)
+    scratch.imag = 0.0
+    d_hat *= scratch
+    np.copyto(scratch, d_hat)
+    _irfftn(scratch, u.ndim, u.shape[-1], out=d)
     beta = float(np.vdot(u, d)) / u_sq
-    d -= beta * u
-    d_hat -= beta * u_hat
+    d -= np.multiply(beta, u, out=potential)
+    d_hat -= np.multiply(beta, u_hat, out=scratch)
     return omega, resid, d, d_hat, metric, r_weighted
 
 
@@ -312,7 +356,12 @@ def minimize(
     may rise within that window.  A step that no backtrack makes acceptable
     stops with ``"backtracking_floor"``.  Returns the :class:`GroundState`
     of the best (smallest-residual) iterate, the start included; its ``g``
-    is a complex :class:`Field` whose imaginary part is zero.
+    is a complex :class:`Field` whose imaginary part is zero, a copy that
+    shares no memory with the solve's work arrays.
+
+    The solve works in the arrays of the module docstring, made once per
+    call.  It reads the four arrays :func:`_descent` returns, whichever
+    they are, and writes only into its own.
     """
     opts = opts or SolveOptions()
     grid = kernel.grid
@@ -327,30 +376,41 @@ def minimize(
         ),
         key=lambda candidate: candidate[0],
     )
+    # the work arrays of the module docstring: the iterate slots, the
+    # current one first, and the potential, which the start's terms fill;
+    # the descent's four outputs; and the move s_hat, whose memory the
+    # trials' real temporaries share
+    slots = [(cur.u, cur.u_hat), (np.empty_like(cur.u), np.empty_like(cur.u_hat))]
+    potential = cur.potential
+    out = (np.empty_like(cur.u), *(np.empty_like(cur.u_hat) for _ in range(3)))
+    s_hat = np.empty_like(cur.u_hat)
+    spare = s_hat.view(float).reshape(-1)[: cur.u.size].reshape(cur.u.shape)
     tau = _TAU0  # the first trial from the start
     # the energies of the last accepted iterates, the start included
     recent = deque([e_now], maxlen=_NONMONOTONE_WINDOW)
     iterations = 0
     rel_change = math.inf
     step, backtracks = 0.0, 0  # the start takes no step
-    # the rows of GroundState.history
-    history: list[tuple[float, float, float, int]] = []
+    # the rows of GroundState.history, None when it is not kept
+    history: list[tuple[float, float, float, int]] | None = [] if opts.keep_history else None
 
     while True:
-        omega, resid, direction, direction_hat, metric, r_weighted = _descent(cur, shift_floor)
+        omega, resid, direction, direction_hat, metric, r_weighted = _descent(
+            cur, shift_floor, out, slots[1][1]
+        )
         if iterations:
             # BB1 in the metric P^(-1): <s, P^(-1) s> / <s, y>, y = r_new - r_old.
             # s = (c - 1) u - c step d and <u, r_old> = 0, so <s, r_old> is
             # -c step <d, r_old>; every inner product is times the grid size.
             s_y = float(np.vdot(s_hat, r_weighted).real) + c * step * slope
-            s_s = float(np.vdot(s_hat, cur.hermitian * (metric * s_hat)).real)
+            weighted = np.multiply(metric, s_hat, out=out[2])
+            s_s = float(np.vdot(s_hat, np.multiply(cur.hermitian, weighted, out=weighted)).real)
             tau = s_s / s_y if s_y > 0.0 else math.inf
             if not math.isfinite(tau):
                 tau = 1.2 * step
-            del s_hat
         slope = float(np.vdot(direction_hat, r_weighted).real)  # <d, r>, times the size
-        del metric, r_weighted  # only scalars carry over to the trials
-        history.append((e_now, resid, step, backtracks))
+        if history is not None:
+            history.append((e_now, resid, step, backtracks))
         if iterations == 0 or resid < best[0]:
             best = (resid, cur.u, e_now, omega)
 
@@ -369,14 +429,20 @@ def minimize(
             stop_reason = "max_iter"
             break
 
+        u_next, u_hat_next = slots[1]
+        if best[1] is u_next:  # the trials overwrite the best iterate's slot
+            best = (best[0], u_next.copy(), *best[2:])
+        spectrum, half = out[2], out[3]  # idle until the next descent
         step = tau
         e_ref = max(recent)
         for backtracks in range(_MAX_BACKTRACKS):
-            w = cur.u - step * direction
-            c = _mass_factor(w, grid.cell_volume, opts.q)
+            w = np.subtract(cur.u, np.multiply(step, direction, out=spare), out=u_next)
+            c = _mass_factor(w, grid.cell_volume, opts.q, work=spare)
             w *= c
+            np.subtract(cur.u_hat, np.multiply(step, direction_hat, out=half), out=half)
             e_trial, trial = energy(
-                w, p, kernel, u_hat=c * (cur.u_hat - step * direction_hat), with_terms=True
+                w, p, kernel, u_hat=np.multiply(c, half, out=u_hat_next), with_terms=True,
+                out=potential, work=(spare, spectrum),
             )
             if math.isfinite(e_trial) and e_trial <= e_ref:
                 break
@@ -386,14 +452,14 @@ def minimize(
             break
 
         iterations += 1
-        s_hat = trial.u_hat - cur.u_hat
+        np.subtract(trial.u_hat, cur.u_hat, out=s_hat)
         # |s|^2 / |u|^2 by Parseval: the Hermitian sum is |s|^2 times the
         # grid size, and mass / cell_volume is |u|^2 of the old iterate
-        s_sq = float(np.vdot(s_hat, cur.hermitian * s_hat).real)
+        s_sq = float(np.vdot(s_hat, np.multiply(cur.hermitian, s_hat, out=half)).real)
         rel_change = math.sqrt(s_sq / (grid.size * cur.mass / grid.cell_volume))
         cur, e_now = trial, e_trial
+        slots.reverse()
         recent.append(e_now)
-        del direction, direction_hat  # freed before the descent makes the next
 
     # the first iterate below resid_tol stops the loop, so a converged
     # solve's best (smallest-residual) iterate is its last one
@@ -406,7 +472,7 @@ def minimize(
         residual=resid_f,
         iterations=iterations,
         stop_reason=stop_reason,
-        history=np.array(history, dtype=_HISTORY_DTYPE) if opts.keep_history else None,
+        history=None if history is None else np.array(history, dtype=_HISTORY_DTYPE),
     )
 
 

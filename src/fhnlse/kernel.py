@@ -27,10 +27,11 @@ a complex array by a real one by casting the real factor to ``x+0j`` and
 running the complex loop, so casting it once at construction gives the
 same bits as the cast NumPy would otherwise make on every call.  The
 convolution writes into a caller's array when given one, and its half
-spectrum into a caller's ``work`` array, so the Strang loop reuses both
-from step to step.  A real ``scale`` becomes the factor of the inverse's
-last pass, which pocketfft applies after that pass: the result is bit for
-bit ``scale`` times the potential, without a pass over it of its own.
+spectrum into a caller's ``work`` array, so the Strang loop and the
+ground-state solver reuse both from step to step.  A real ``scale``
+becomes the factor of the inverse's last pass, which pocketfft applies
+after that pass: the result is bit for bit ``scale`` times the potential,
+without a pass over it of its own.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ asserted about these functionals (multiplier action, self-adjointness,
 gradient pairing) is independent of the transform normalization.
 A real field's terms also come from its half spectrum (``_rfftn``) with
 Hermitian Parseval weights, in :class:`HalfSpectrumTerms`, the evaluation
-the ground-state solver makes through :func:`energy`.
+the ground-state solver makes through :func:`energy`, in its own work
+arrays.
 
 Sign conventions: the energy is ``E(u) = 1/2 |u|_{H^alpha-dot}^2 -
 1/4 P(u)`` (focusing), where ``P(u) = sum_x sum_y K(x-y) |u(x)|^2 |u(y)|^2
@@ -75,21 +76,35 @@ def h_alpha_norm(u: Field, alpha: float) -> float:
     return math.sqrt(mass(u) + sobolev_seminorm_sq(u, alpha))
 
 
-def density_terms(values: np.ndarray, kernel: HartreeKernel) -> tuple[np.ndarray, float, float]:
+def density_terms(
+    values: np.ndarray,
+    kernel: HartreeKernel,
+    out: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, float, float]:
     """``(K * |u|^2, P(u), mass(u))`` from the samples ``values`` of ``u``,
     real or complex: one density convolution gives the potential, and the
     potential and density give the Hartree pairing and the mass.
+
+    The potential is written to ``out`` (real, ``values``' shape), and
+    ``work`` is a real array of that shape for the density and a half
+    spectrum for the convolution's (see
+    :meth:`~fhnlse.kernel.HartreeKernel.convolve_density`); each is a new
+    array where None.  The density is summed first and then overwritten by
+    its products with the potential, which sum to the pairing.
 
     :class:`EnergyTerms` and :class:`HalfSpectrumTerms`, and through them
     :func:`energy` and the ground-state solver, read these three from here,
     so the pairing checked against ``kernel.hartree_direct`` is the one the
     solver uses.
     """
-    rho = _abs_sq(values)
-    potential = kernel.convolve_density(rho)
+    rho, spectrum = (None, None) if work is None else work
+    rho = _abs_sq(values, out=rho)
     cell_volume = kernel.grid.cell_volume
-    pairing = float((rho * potential).sum() * cell_volume)
-    return potential, pairing, float(rho.sum() * cell_volume)
+    total = float(rho.sum() * cell_volume)
+    potential = kernel.convolve_density(rho, out=out, work=spectrum)
+    pairing = float(np.multiply(rho, potential, out=rho).sum() * cell_volume)
+    return potential, pairing, total
 
 
 class EnergyTerms:
@@ -162,17 +177,26 @@ class HalfSpectrumTerms(EnergyTerms):
     read-only from its cache, complex with a zero imaginary part, so their
     products with a half spectrum make no cast.
     ``seminorm_sq`` is Parseval's sum over ``u_hat``.  ``energy`` and
-    ``omega`` are formed as in :class:`EnergyTerms`.
+    ``omega`` are formed as in :class:`EnergyTerms`.  ``out`` and ``work``
+    are those of :func:`density_terms`; the half spectrum of ``work`` then
+    also takes the weighted ``u_hat`` of Parseval's sum.
     """
 
     def __init__(
-        self, u: np.ndarray, u_hat: np.ndarray, p: PhysicsParams, kernel: HartreeKernel
+        self,
+        u: np.ndarray,
+        u_hat: np.ndarray,
+        p: PhysicsParams,
+        kernel: HartreeKernel,
+        out: np.ndarray | None = None,
+        work: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         check_setup(kernel.grid, p, kernel)
         self.u, self.u_hat = u, u_hat
         self.multiplier, self.hermitian, seminorm = _half_spectrum(kernel.grid, p.alpha)
-        self.potential, self.pairing, self.mass = density_terms(u, kernel)
-        self.seminorm_sq = float(np.vdot(u_hat, seminorm * u_hat).real)
+        self.potential, self.pairing, self.mass = density_terms(u, kernel, out, work)
+        weighted = np.multiply(seminorm, u_hat, out=None if work is None else work[1])
+        self.seminorm_sq = float(np.vdot(u_hat, weighted).real)
 
 
 def energy(
@@ -182,20 +206,23 @@ def energy(
     *,
     u_hat: np.ndarray | None = None,
     with_terms: bool = False,
+    out: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float | tuple[float, EnergyTerms]:
     """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 P(u)``.
 
     ``u`` is a :class:`Field`, or, with ``u_hat``, the samples of a real
     field and ``u_hat`` their half spectrum: then the terms are
-    :class:`HalfSpectrumTerms` and no transform of ``u`` is made.  With
-    ``with_terms`` the result is ``(E, terms)``: a caller that goes on to
-    need ``omega`` or the parts of ``G`` at ``u`` reads them from ``terms``
-    without a second transform or convolution.
+    :class:`HalfSpectrumTerms`, made in the arrays ``out`` and ``work`` if
+    given, and no transform of ``u`` is made.  With ``with_terms`` the
+    result is ``(E, terms)``: a caller that goes on to need ``omega`` or the
+    parts of ``G`` at ``u`` reads them from ``terms`` without a second
+    transform or convolution.
     """
     if u_hat is None:
         terms = EnergyTerms(u, p, kernel)
     else:
-        terms = HalfSpectrumTerms(u, u_hat, p, kernel)
+        terms = HalfSpectrumTerms(u, u_hat, p, kernel, out, work)
     return (terms.energy, terms) if with_terms else terms.energy
 
 

@@ -4,6 +4,7 @@ subadditivity experiments, initialization robustness, and failure modes."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,9 +147,9 @@ class TestMinimizeDiagnostics:
         iterates = []
         real = groundstate_module._descent
 
-        def recording(terms, shift_floor):
-            iterates.append(terms.u)
-            return real(terms, shift_floor)
+        def recording(terms, shift_floor, *work):
+            iterates.append(terms.u.copy())  # the solver reuses its arrays
+            return real(terms, shift_floor, *work)
 
         monkeypatch.setattr(groundstate_module, "_descent", recording)
         p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
@@ -198,9 +199,9 @@ class TestMinimizeDiagnostics:
         iterates = []
         real = groundstate_module._descent
 
-        def recording(terms, shift_floor):
-            iterates.append(terms.u)
-            return real(terms, shift_floor)
+        def recording(terms, shift_floor, *work):
+            iterates.append(terms.u.copy())  # the solver reuses its arrays
+            return real(terms, shift_floor, *work)
 
         monkeypatch.setattr(groundstate_module, "_descent", recording)
         minimize(ref_params, kernel32, SolveOptions(q=3.0, max_iter=1))
@@ -309,7 +310,8 @@ class TestFusedBookkeeping:
         field = random_band_limited(kernel.grid, seed=3) if which == "random" else ground.g
         u = field.values.real.copy()
         terms = HalfSpectrumTerms(u, np.fft.rfftn(u), ref_params, kernel)
-        _, _, d, d_hat, _, _ = _descent(terms, shift_floor=1e-3)
+        out = (np.empty_like(u), *(np.empty_like(terms.u_hat) for _ in range(3)))
+        _, _, d, d_hat, _, _ = _descent(terms, 1e-3, out, np.empty_like(terms.u_hat))
         assert d.dtype == np.float64
         assert abs(np.vdot(u, d)) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(d)
         gradient = energy_gradient(Field(kernel.grid, u), ref_params, kernel).values
@@ -447,6 +449,128 @@ class TestTransformCount:
         counts = count_calls(monkeypatch, groundstate_module, ("energy",))
         gs = minimize(ref_params, kernel32, SolveOptions(q=3.0, keep_history=True))
         assert counts["energy"] == 1 + gs.iterations + int(np.sum(gs.history["backtracks"]))
+
+
+def traced_peak(solve) -> int:
+    """The peak of the memory ``tracemalloc`` traces while ``solve()`` runs."""
+    tracemalloc.start()
+    try:
+        solve()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkArrays:
+    """A solve works in arrays made once, which its iterates reuse: its
+    memory does not grow with its iterations, an iterate allocates no field
+    of its own, the best iterate outlives the reuse of its slot, and the
+    returned field is the caller's alone."""
+
+    def test_a_solves_traced_peak_does_not_grow_with_its_iterations(self, ref_params, localized):
+        """A 64^2 solve stopped at 4 iterates and one that runs 16 to
+        convergence peak within an eighth of a field (4 KiB) of each other:
+        what differs is Python's and NumPy's small bookkeeping, about 1.4
+        KiB here.  An array kept per iterate would add a field, 32 KiB, for
+        each of the 12 further iterates."""
+        _, kernel = localized
+
+        def peak(max_iter):
+            opts = SolveOptions(q=3.0, max_iter=max_iter, keep_history=False)
+            return traced_peak(lambda: minimize(ref_params, kernel, opts))
+
+        peak(40)  # the grid's cached weights and NumPy's first-call caches
+        assert abs(peak(40) - peak(4)) < kernel.grid.size * 8 // 8
+
+    def test_the_benchmarks_128_solve_peaks_at_most_13_1_fields(self, ref_params):
+        """The 128^2 solve of the benchmark's ``groundstate`` workload, from
+        the L/8 Gaussian shifted as its seed 1 shifts it, peaks at or below
+        13.1 fields (1,678 KiB), its traced peak when every iterate made new
+        arrays; with the work arrays it peaks at 12.1 fields here."""
+        grid = Grid(d=2, n=128, L=40.0)
+        kernel = HartreeKernel(grid, GAMMA)
+        shift = tuple(int(s) for s in np.random.default_rng(1).integers(0, grid.n, size=2))
+        init = Field(grid, np.roll(gaussian(grid).values, shift, axis=(0, 1)))
+        opts = SolveOptions(q=3.0, init=init, keep_history=False)
+        gs = minimize(ref_params, kernel, opts)  # warm the caches
+        assert gs.converged
+        assert traced_peak(lambda: minimize(ref_params, kernel, opts)) <= 13.1 * grid.size * 8
+
+    @pytest.mark.parametrize(
+        "d, n, L",
+        [pytest.param(1, 4096, 40.0, id="1d"), pytest.param(2, 64, 40.0, id="2d"),
+         pytest.param(3, 16, 40.0, id="3d")],
+    )
+    def test_an_iterate_allocates_no_field(self, d, n, L, monkeypatch):
+        """From one descent to the next (the step, its trials and its
+        acceptance) the traced peak rises less than 4 KiB above the memory
+        traced when the descent began, NumPy's and Python's bookkeeping,
+        plus in d >= 2 the buffer NumPy makes for a product with the
+        Hermitian weights, which broadcast along the leading axes: at most
+        NumPy's buffer size of complex values.  Each grid's field is 32
+        KiB; when every iterate made new arrays, the rise was several
+        fields.  Iterates 0 to 4 lower the residual, so no trial overwrites
+        the best iterate, which would be copied."""
+        p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
+        kernel = HartreeKernel(Grid(d=d, n=n, L=L), GAMMA)
+        opts = SolveOptions(q=3.0, max_iter=5)
+        minimize(p, kernel, opts)
+        marks = []
+        real = groundstate_module._descent
+
+        def traced(*args):
+            marks.append(tracemalloc.get_traced_memory())  # (current, peak since the last)
+            tracemalloc.reset_peak()
+            return real(*args)
+
+        monkeypatch.setattr(groundstate_module, "_descent", traced)
+        tracemalloc.start()
+        try:
+            gs = minimize(p, kernel, opts)
+        finally:
+            tracemalloc.stop()
+        assert gs.iterations == 5 and np.all(np.diff(gs.history["residual"][:5]) < 0)
+        half_size = kernel.grid.size // n * (n // 2 + 1)
+        buffered = 0 if d == 1 else min(half_size, np.getbufsize()) * 16
+        rise = [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
+        assert len(rise) == 5 and max(rise) < buffered + 4096
+
+    def test_the_best_iterate_survives_the_reuse_of_its_slot(self, ref_params, localized):
+        """On the 64^2 box the residual rises at iterates 11 and 12, so a
+        solve stopped at 12 returns iterate 10, whose slot the trials of
+        iterate 12 overwrite: it comes back bit for bit as the solve stopped
+        at 10 returns it, with its own energy, residual and omega."""
+        _, kernel = localized
+        stopped = minimize(ref_params, kernel, SolveOptions(q=3.0, max_iter=12))
+        best = int(np.argmin(stopped.history["residual"]))
+        assert stopped.stop_reason == "max_iter" and best == 10
+        at_best = minimize(ref_params, kernel, SolveOptions(q=3.0, max_iter=best))
+        assert at_best.g.values.tobytes() == stopped.g.values.tobytes()
+        row = stopped.history[best]
+        assert (stopped.energy, stopped.residual) == (row["energy"], row["residual"])
+        assert (at_best.energy, at_best.residual) == (row["energy"], row["residual"])
+        assert stopped.omega == at_best.omega
+
+    def test_a_returned_field_shares_no_memory_with_a_later_solve(
+        self, ref_params, kernel32, monkeypatch
+    ):
+        """The returned field is a new array: no work array of its own
+        solve or of a later one on the same grid is, or overlaps, it, and
+        the later solve leaves its values as they were."""
+        arrays = []
+        real = groundstate_module._descent
+
+        def recording(terms, shift_floor, out, scratch):
+            arrays.extend([terms.u, terms.u_hat, terms.potential, *out, scratch])
+            return real(terms, shift_floor, out, scratch)
+
+        monkeypatch.setattr(groundstate_module, "_descent", recording)
+        first = minimize(ref_params, kernel32, SolveOptions(q=3.0))
+        values = first.g.values.copy()
+        later = minimize(ref_params, kernel32, SolveOptions(q=3.0))
+        assert later.iterations > 0
+        assert not any(np.shares_memory(first.g.values, a) for a in [*arrays, later.g.values])
+        assert first.g.values.tobytes() == values.tobytes()
 
 
 class TestClosedFormCriticalPoint:

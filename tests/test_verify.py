@@ -500,7 +500,11 @@ class TestPlantedDefects:
         E(q/2) + E(q/2) = E(q) / 2: the margin is -E(q) / 2, which is
         E_flat(q) / 2 for the attractive E_flat of ``groundstate-convergence``."""
         real = HartreeKernel.convolve_density
-        monkeypatch.setattr(HartreeKernel, "convolve_density", lambda self, rho: -real(self, rho))
+
+        def repulsive(self, rho, out=None, *, scale=1.0, work=None):
+            return real(self, rho, out=out, scale=-scale, work=work)  # exactly -potential
+
+        monkeypatch.setattr(HartreeKernel, "convolve_density", repulsive)
         ctx = VerifyContext(seed=1)
         result = check_subadditivity(ctx, "full")
         assert not result.passed
