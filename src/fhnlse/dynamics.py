@@ -19,18 +19,29 @@ goes to the caller's ``observe`` as it is made and is not kept: the
 trajectory holds the conserved-quantity series and the final state, so its
 memory does not grow with the number of records.
 
+A record's mass and energy come from the spectrum the loop already holds:
+:func:`~fhnlse.spectral.energy` of the recorded state with that spectrum
+(:class:`~fhnlse.spectral.SpectrumTerms`) forms the seminorm by Parseval
+over it, the mass from the state's density and the Hartree pairing by
+Parseval over the density's half spectrum.  A record therefore costs two
+transforms, the inverse that makes the state and the density's real
+forward one, where ``energy`` of the state alone would take four.  The
+t = 0 record is made the same way from the transform that starts the loop.
+
 The step's complex pair is the transforms of :mod:`fhnlse.grid`, unscaled
 and in place in one array; the inverse's ``1/N`` is folded into the
 Fourier-space factors instead.  ``N`` is a power of two, so every state is
 bit-for-bit what the normalized ``fftn``/``ifftn`` pair gives.  The
-nonlinear substep and the finiteness check fill work arrays allocated once
-per run: the density, which becomes half the phase angle ``theta / 2``
-(the convolution's last pass scales its potential by ``-h/2``), then
+nonlinear substep fills work arrays allocated once per run: the density,
+which becomes half the phase angle ``theta / 2`` (the convolution's last
+pass scales its potential by ``-h/2``), then
 ``2 t`` for ``t = tan(theta / 2)``; the convolution's half spectrum; the
 phase, which first holds the state's squares; a real pair for ``1 - t^2``
 and ``1 / (1 + t^2)``, so that all the phase arithmetic runs on contiguous
-arrays; and the finiteness mask, reduced by one ``np.logical_and.reduce``.
-A step between records allocates no array.
+arrays.  A step tests only the zero mode of each field's spectrum for
+finiteness (see :func:`_strang`), and a step between records allocates no
+array; a record works in the density and its half spectrum, idle between
+steps, and allocates only the state it hands on.
 
 The equation written with the opposite sign is the conjugate flow: its
 solution from ``psi0`` is ``conj(evolve(conj(psi0)))``, which also runs
@@ -41,7 +52,7 @@ scheme conserves mass to roundoff; the energy error is second order in
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -51,7 +62,7 @@ from .errors import NumericalAbort
 from .fields import Field
 from .grid import PhysicsParams, _check_real, _fftn, _ifftn, _is_int
 from .kernel import HartreeKernel
-from .spectral import energy
+from .spectral import check_setup, energy
 
 __all__ = ["evolve", "Trajectory"]
 
@@ -93,30 +104,43 @@ def _unit_phase(
 
 def _strang(
     values: np.ndarray,
-    mult: np.ndarray,
+    p: PhysicsParams,
     kernel: HartreeKernel,
     T: float,
     dt: float,
     stride: int,
-) -> Iterator[tuple[int, float, np.ndarray]]:
+) -> Iterator[tuple[int, float, np.ndarray, float | np.ndarray, float | np.ndarray]]:
     """Step from t = 0 to ``T`` in ``n = ceil(T/dt - 1e-9)`` equal steps of
     ``h = T/n`` (one step when that rounds to none for ``T > 0``); yield
-    ``(k, t, values)`` after every ``stride``-th step and after the last
-    one, which records exactly ``T``.  ``values`` is one field or a stack
-    ``(B, *grid.shape)`` of them, each of which evolves as if it ran alone.
+    the record ``(k, t, values, mass, energy)`` at t = 0 (a copy of
+    ``values``), after every ``stride``-th step and after the last one,
+    which records exactly ``T``.  ``values`` is one field or a stack ``(B,
+    *grid.shape)`` of them, each of which evolves as if it ran alone; for a
+    stack, ``mass`` and ``energy`` hold one value per field.
 
     ``psi_hat`` enters each step with its opening half-step applied, and
     divided by the grid size ``N`` so that the unscaled inverse transform
     returns the state: a recorded step closes with ``half`` and reopens
     with ``half / N``, any other with the merged factor over ``N``.  ``N``
     is a power of two, so the folded scaling is exact.  One array holds
-    ``psi_hat`` and the state in turn; the nonlinear substep and the
-    finiteness check work in ``rho``, ``rho_hat``, ``phase``, ``work`` and
-    ``finite``, allocated once per run (see the module docstring for what
-    each holds when).  Raises :class:`NumericalAbort` on non-finite values.
+    ``psi_hat`` and the state in turn; the nonlinear substep works in
+    ``rho``, ``rho_hat``, ``phase`` and ``work``, allocated once per run
+    (see the module docstring for what each holds when), and a record's
+    :class:`~fhnlse.spectral.SpectrumTerms` work in ``rho`` and
+    ``rho_hat``, which are idle between steps.
+
+    Raises :class:`NumericalAbort` at the first step whose spectrum holds a
+    non-finite value; for a stack, a non-finite value in any one field
+    aborts the whole run.  Each step tests only the zero mode of each
+    field, which is the test of every coefficient: a non-finite value at
+    any site makes every coefficient of the forward transform non-finite,
+    the zero mode (the sum of the values) among them, and every substep is
+    unitary or unimodular, so a finite state of finite mass transforms to
+    finite coefficients.
     """
     n = max(int(np.ceil(T / dt - 1e-9)), 1 if T > 0 else 0)
     h = T / max(n, 1)
+    mult = kernel.grid.fractional_multiplier(p.alpha)
     # _unit_phase takes half the angle: the half-step factor's angle is
     # h/2 * mult, the merged factor's (closing half of one step times the
     # opening half of the next) h * mult
@@ -124,10 +148,6 @@ def _strang(
     reopen = half / kernel.grid.size
     merged = _unit_phase(0.5 * h * mult) / kernel.grid.size
     d = kernel.grid.d
-    psi_hat = _fftn(values, d)
-    psi_hat *= reopen
-    # psi_hat and the state in turn, as interleaved real and imaginary parts
-    components = psi_hat.view(np.float64)
     phase = np.empty(values.shape, dtype=complex)
     squares = phase.view(np.float64)  # holds the state's x^2 and y^2 first
     x_sq, y_sq = squares[..., 0::2], squares[..., 1::2]
@@ -135,7 +155,21 @@ def _strang(
     rho = np.empty(values.shape)
     rho_hat = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
     work = np.empty((2, *values.shape))
-    finite = np.empty(squares.shape, dtype=bool)
+    psi_hat = _fftn(values, d)
+
+    def record(k: int, t: float, state: np.ndarray) -> tuple:
+        """The record of ``state``, whose unnormalized spectrum ``psi_hat`` holds."""
+        e, terms = energy(state, p, kernel, u_hat=psi_hat, with_terms=True, work=(rho, rho_hat))
+        return k, t, state, terms.mass, e
+
+    yield record(0, 0.0, values.copy())
+    psi_hat *= reopen
+    # psi_hat and the state in turn, as interleaved real and imaginary parts
+    components = psi_hat.view(np.float64)
+    # the flat indices in components of each field's zero mode, its real and
+    # its imaginary part, which each step reads as Python floats
+    component = components.item
+    zero_modes = [i for j in range(0, components.size, 2 * kernel.grid.size) for i in (j, j + 1)]
     # half the phase angle is the potential times -h/2, bit for bit 0.5 *
     # ((-h) * potential): scaling by a power of two commutes with rounding
     # short of underflow
@@ -147,11 +181,11 @@ def _strang(
         kernel.convolve_density(rho, out=rho, scale=angle_scale, work=rho_hat)
         psi_hat *= _unit_phase(rho, out=phase, work=work)
         _fftn(psi_hat, d, out=psi_hat)
-        if not np.logical_and.reduce(np.isfinite(components, out=finite), axis=None):
+        if not all(map(math.isfinite, map(component, zero_modes))):
             raise NumericalAbort(f"non-finite state at step {k} (t = {k * h:g})")
         if k % stride == 0 or k == n:
             psi_hat *= half
-            yield k, (T if k == n else k * h), _ifftn(psi_hat, d)
+            yield record(k, T if k == n else k * h, _ifftn(psi_hat, d))
             psi_hat *= reopen
         else:
             psi_hat *= merged
@@ -216,13 +250,11 @@ def evolve(
         raise ValueError(f"stride must be an integer >= 1 (got {stride!r})")
 
     grid = psi0.grid
-    mult = grid.fractional_multiplier(p.alpha)
-    records = _strang(psi0.values, mult, kernel, T, dt, stride)
+    check_setup(grid, p, kernel)
     series = []
-    for steps, t, vals in itertools.chain([(0, 0.0, psi0.values.copy())], records):
+    for steps, t, vals, m, e in _strang(psi0.values, p, kernel, T, dt, stride):
         state = Field(grid, vals)
-        e, terms = energy(state, p, kernel, with_terms=True)
-        series.append((t, terms.mass, e))
+        series.append((t, m, e))
         if observe is not None:
             observe(state)
     times, masses, energies = map(np.asarray, zip(*series))

@@ -12,15 +12,15 @@ goes through four helpers of this module, each over the **last ``d``
 axes** of its argument and bit for bit NumPy's n-D function on them:
 ``_fftn``, ``_ifftn``, ``_rfftn`` and ``_irfftn`` (``np.fft.fftn``,
 ``ifftn``, ``rfftn`` and ``irfftn`` with ``axes=range(-d, 0)``).  Each
-strings 1-D passes, in the axis order of NumPy's n-D function, through the
-one pass helper ``_pass``, which calls NumPy's own pocketfft gufunc
-(``_POCKETFFT``) with a precomputed ``axes=`` argument (none for the
-last axis, the gufunc's default) and an explicit scale factor: the call
-``numpy.fft``'s 1-D function makes, without its per-call wrapper.  An
-inverse is ``scaled`` by default, each pass by one over its length as in
-NumPy's default norm; ``scaled=False`` leaves every pass unscaled, NumPy's
-``norm="forward"``, for a caller that folds the ``1/N`` into a factor of
-its own (``N`` is a power of two, so the folded scaling is exact).
+strings 1-D passes, in the axis order of NumPy's n-D function, as direct
+calls of NumPy's own pocketfft gufuncs (``_POCKETFFT``) with a precomputed
+``axes=`` argument (none for the last axis, the gufunc's default) and an
+explicit scale factor: the call ``numpy.fft``'s 1-D function makes,
+without its per-call wrapper.  An inverse is ``scaled`` by default, each
+pass by one over its length as in NumPy's default norm; ``scaled=False``
+leaves every pass unscaled, NumPy's ``norm="forward"``, for a caller that
+folds the ``1/N`` into a factor of its own (``N`` is a power of two, so
+the folded scaling is exact).
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ __all__ = ["Grid", "PhysicsParams"]
 # factor ``fct`` and writes to ``out``; calling it directly skips the
 # per-call Python wrapper (norm handling, axis normalization, output
 # allocation).  The last axis of a lattice has an even number of points,
-# so ``rfft_n_even`` serves.  Every per-axis pass goes through
-# :func:`_pass`, and only the four n-D helpers below call it.
+# so ``rfft_n_even`` serves.  Only the four n-D helpers below call them,
+# and they look each one up here at call time.
 _POCKETFFT = {
     "fft": _pocketfft_umath.fft,
     "ifft": _pocketfft_umath.ifft,
@@ -51,20 +51,10 @@ _POCKETFFT = {
     "irfft": _pocketfft_umath.irfft,
 }
 
-# the gufuncs' ``axes=`` argument for a pass along lattice axis -2 or -3
-_PASS_AXES = {axis: [(axis,), (), (axis,)] for axis in (-2, -3)}
-
-
-def _pass(kind: str, a: np.ndarray, axis: int, fct: float, out: np.ndarray) -> np.ndarray:
-    """One 1-D transform (``kind`` one of ``"fft"``, ``"ifft"``, ``"rfft"``,
-    ``"irfft"``) of ``a`` along ``axis``, scaled by ``fct`` and written to
-    ``out``, which may be ``a`` for the complex kinds.  The gufunc call that
-    ``np.fft.<kind>(a, axis=axis, out=out)`` makes for the norm whose factor
-    is ``fct``, so bit for bit its result.  A last-axis pass passes no
-    ``axes=``: the gufunc's default core axis is the last."""
-    if axis == -1:
-        return _POCKETFFT[kind](a, fct, out)
-    return _POCKETFFT[kind](a, fct, out, axes=_PASS_AXES[axis])
+# the gufuncs' ``axes=`` arguments for the passes along the lattice axes
+# before the last of a d-dimensional lattice, last first (-2, then -3); a
+# last-axis pass passes no ``axes=``, the gufunc's default core axis
+_LEADING_AXES = {d: [[(a,), (), (a,)] for a in range(-2, -d - 1, -1)] for d in (1, 2, 3)}
 
 
 def _fftn(a: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -74,9 +64,10 @@ def _fftn(a: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
     rest in place."""
     if out is None:
         out = np.empty(a.shape, dtype=complex)
-    for axis in range(-1, -d - 1, -1):
-        _pass("fft", a, axis, 1.0, out)
-        a = out
+    fft = _POCKETFFT["fft"]
+    fft(a, 1.0, out)
+    for axes in _LEADING_AXES[d]:
+        fft(out, 1.0, out, axes=axes)
     return out
 
 
@@ -84,12 +75,14 @@ def _ifftn(
     a: np.ndarray, d: int, out: np.ndarray | None = None, scaled: bool = True
 ) -> np.ndarray:
     """``np.fft.ifftn(a, axes=range(-d, 0))``, or with ``norm="forward"`` if
-    not ``scaled``, bit for bit: :func:`_fftn`'s passes with ``ifft``."""
+    not ``scaled``, bit for bit: :func:`_fftn`'s passes with ``ifft``, each
+    scaled by one over the lattice's ``n`` points per axis if ``scaled``."""
     if out is None:
         out = np.empty(a.shape, dtype=complex)
-    for axis in range(-1, -d - 1, -1):
-        _pass("ifft", a, axis, 1.0 / a.shape[axis] if scaled else 1.0, out)
-        a = out
+    ifft, fct = _POCKETFFT["ifft"], 1.0 / a.shape[-1] if scaled else 1.0
+    ifft(a, fct, out)
+    for axes in _LEADING_AXES[d]:
+        ifft(out, fct, out, axes=axes)
     return out
 
 
@@ -100,9 +93,10 @@ def _rfftn(x: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
     then ``fft`` passes in place over the others, last first."""
     if out is None:
         out = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=complex)
-    _pass("rfft", x, -1, 1.0, out)
-    for axis in range(-2, -d - 1, -1):
-        _pass("fft", out, axis, 1.0, out)
+    _POCKETFFT["rfft"](x, 1.0, out)
+    fft = _POCKETFFT["fft"]
+    for axes in _LEADING_AXES[d]:
+        fft(out, 1.0, out, axes=axes)
     return out
 
 
@@ -122,11 +116,22 @@ def _irfftn(
     None).  ``scale`` multiplies the last pass's factor; pocketfft applies
     that factor after the pass, so unscaled the result is bit for bit
     ``scale`` times the unit-scale one."""
-    for axis in range(-d, -1):
-        _pass("ifft", x_hat, axis, 1.0 / x_hat.shape[axis] if scaled else 1.0, x_hat)
+    ifft, fct = _POCKETFFT["ifft"], 1.0 / n if scaled else 1.0
+    for axes in reversed(_LEADING_AXES[d]):
+        ifft(x_hat, fct, x_hat, axes=axes)
     if out is None:
         out = np.empty(x_hat.shape[:-1] + (n,))
-    return _pass("irfft", x_hat, -1, scale / n if scaled else scale, out)
+    return _POCKETFFT["irfft"](x_hat, scale / n if scaled else scale, out)
+
+
+def _hermitian_weights(n: int) -> np.ndarray:
+    """Parseval's weights on the last axis of a half spectrum (``n // 2 + 1``
+    points): the sum over the full spectrum counts every column twice, for
+    itself and its conjugate, except the zero and Nyquist columns, which
+    stand for themselves."""
+    weights = np.full(n // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    return weights
 
 
 def _is_int(x: object) -> bool:

@@ -11,12 +11,14 @@ gamma) |x|^(-gamma)``, turns that average into a smooth integral over the
 cell's faces (:func:`origin_cell_average`).
 
 Both the fast convolution (a cached half spectrum + real FFT), from which
-``spectral.density_terms`` forms the Hartree pairing, and the direct double
-sum read the same sample array, so they agree by construction up to
-floating-point roundoff.  The direct sum shares no transform with the fast
-path: it forms the density's autocorrelation one shift of the last axis at
-a time, from small matrix products and wrapped diagonal sums, and pairs it
-with the samples.
+``spectral.density_terms`` forms the Hartree pairing, the pairing by
+Parseval over the density's half spectrum
+(:meth:`HartreeKernel.half_spectrum_pairing`, which the evolution's
+records use) and the direct double sum read the same sample array, so they
+agree by construction up to floating-point roundoff.  The direct sum
+shares no transform with the fast path: it forms the density's
+autocorrelation one shift of the last axis at a time, from small matrix
+products and wrapped diagonal sums, and pairs it with the samples.
 
 The fast convolution runs the real transform pair of :mod:`fhnlse.grid`
 over the trailing ``d`` axes, so it convolves one density or each of a
@@ -36,12 +38,12 @@ without a pass over it of its own.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .fields import Field
-from .grid import Grid, _fftn, _frozen, _irfftn, _rfftn
+from .grid import Grid, _fftn, _frozen, _hermitian_weights, _irfftn, _rfftn
 
 __all__ = [
     "HartreeKernel",
@@ -158,6 +160,30 @@ class HartreeKernel:
         rho_hat = _rfftn(rho, d, out=work)
         rho_hat *= self._half_spectrum
         return _irfftn(rho_hat, d, self.grid.n, out=out, scaled=False, scale=scale)
+
+    @cached_property
+    def _pairing_weights(self) -> np.ndarray:
+        """Parseval's weights of :meth:`half_spectrum_pairing`, flat and
+        read-only: ``cell_volume^2 / N`` times the kernel's half spectrum
+        and the Hermitian weights, twice each (real and imaginary part)."""
+        grid = self.grid
+        half = self.spectrum[..., : grid.n // 2 + 1] * _hermitian_weights(grid.n)
+        half *= grid.cell_volume * grid.cell_volume / grid.size
+        return _frozen(np.repeat(half.reshape(-1), 2))
+
+    def half_spectrum_pairing(
+        self, rho_hat: np.ndarray, work: np.ndarray | None = None
+    ) -> float | np.ndarray:
+        """The Hartree pairing ``P(u)`` from ``rho_hat``, the half spectrum
+        (``rfftn``) of the density ``|u|^2``, or one per field of a stack, by
+        Parseval: ``cell_volume^2 / N sum_k K_hat(k) |rho_hat(k)|^2`` over
+        the full spectrum, folded onto the half by the Hermitian weights.
+        The squared parts go to ``work`` (real, ``rho_hat.view(np.float64)``'s
+        shape; a new array if None), which may be that view itself, for a
+        caller that needs ``rho_hat`` no more."""
+        squares = np.square(rho_hat.view(np.float64), out=work)
+        fields = rho_hat.shape[: rho_hat.ndim - self.grid.d] + (-1,)
+        return np.vecdot(squares.reshape(fields), self._pairing_weights)
 
 
 def hartree_direct(u: Field, kernel: HartreeKernel) -> float:

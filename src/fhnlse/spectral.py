@@ -10,7 +10,9 @@ gradient pairing) is independent of the transform normalization.
 A real field's terms also come from its half spectrum (``_rfftn``) with
 Hermitian Parseval weights, in :class:`HalfSpectrumTerms`, the evaluation
 the ground-state solver makes through :func:`energy`, in its own work
-arrays.
+arrays.  Any field's energy and mass, or each of a stack's, also come from
+a spectrum its caller already holds, in :class:`SpectrumTerms`: the
+evolution's records, made in the Strang loop's idle arrays.
 
 Sign conventions: the energy is ``E(u) = 1/2 |u|_{H^alpha-dot}^2 -
 1/4 P(u)`` (focusing), where ``P(u) = sum_x sum_y K(x-y) |u(x)|^2 |u(y)|^2
@@ -27,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field, _abs_sq, mass
-from .grid import Grid, PhysicsParams, _fftn, _frozen, _ifftn
+from .grid import Grid, PhysicsParams, _fftn, _frozen, _hermitian_weights, _ifftn, _rfftn
 from .kernel import HartreeKernel
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "h_alpha_norm",
     "EnergyTerms",
     "HalfSpectrumTerms",
+    "SpectrumTerms",
     "energy",
     "energy_gradient",
     "lagrange_multiplier",
@@ -150,20 +153,17 @@ def _half_spectrum(grid: Grid, alpha: float) -> tuple[np.ndarray, np.ndarray, np
     (``rfftn``: the last axis cut to its ``n//2 + 1`` nonnegative
     frequencies), read-only.
 
-    ``multiplier`` is ``|k|^(2 alpha)`` there.  Parseval's sum over the
-    full spectrum counts every half-spectrum column twice, for itself and
-    its conjugate, except the zero and Nyquist columns, which stand for
-    themselves: ``hermitian`` holds those 2s and 1s, and ``seminorm`` is
-    ``hermitian * multiplier`` times the spectral weight.  All three only
-    ever meet half spectra, so they are real values stored as contiguous
-    complex128 with a zero imaginary part: NumPy would cast a real factor
-    to ``x+0j`` for the complex loop on every product, and casting once
-    here gives the same bits.
+    ``multiplier`` is ``|k|^(2 alpha)`` there, ``hermitian`` holds
+    Parseval's weights (:func:`~fhnlse.grid._hermitian_weights`: 2s, and 1s
+    on the zero and Nyquist columns), and ``seminorm`` is ``hermitian *
+    multiplier`` times the spectral weight.  All three only ever meet half
+    spectra, so they are real values stored as contiguous complex128 with a
+    zero imaginary part: NumPy would cast a real factor to ``x+0j`` for the
+    complex loop on every product, and casting once here gives the same
+    bits.
     """
-    half = grid.n // 2 + 1
-    multiplier = grid.fractional_multiplier(alpha)[..., :half]
-    hermitian = np.full(half, 2.0)
-    hermitian[[0, -1]] = 1.0
+    multiplier = grid.fractional_multiplier(alpha)[..., : grid.n // 2 + 1]
+    hermitian = _hermitian_weights(grid.n)
     seminorm = hermitian * multiplier * _spectral_weight(grid)
     return tuple(_frozen(a.astype(complex)) for a in (multiplier, hermitian, seminorm))
 
@@ -199,6 +199,48 @@ class HalfSpectrumTerms(EnergyTerms):
         self.seminorm_sq = float(np.vdot(u_hat, weighted).real)
 
 
+class SpectrumTerms(EnergyTerms):
+    """The energy's parts and the mass of the samples ``u`` of a field, real
+    or complex, from ``u_hat``, their unnormalized spectrum (``_fftn``),
+    which is kept, not copied; ``u`` may be a stack ``(B, *grid.shape)``,
+    and then ``seminorm_sq``, ``pairing``, ``mass`` and ``energy`` hold one
+    value per field (``omega`` is formed for one field only).  No transform
+    of ``u`` is made and no potential is formed, so the terms have no
+    ``potential``.
+
+    ``seminorm_sq`` is Parseval's sum over ``u_hat``, formed as in
+    :class:`EnergyTerms`; ``mass`` has the bits of
+    :func:`~fhnlse.fields.mass`; the pairing comes from the density's half
+    spectrum by Parseval
+    (:meth:`~fhnlse.kernel.HartreeKernel.half_spectrum_pairing`), so the
+    terms cost one real transform.  ``work`` is a real array of ``u``'s
+    shape, which takes ``|u_hat|^2`` and then the density, and a half
+    spectrum, which takes the density's and then its squared parts; each is
+    a new array where None.
+    """
+
+    def __init__(
+        self,
+        u: np.ndarray,
+        u_hat: np.ndarray,
+        p: PhysicsParams,
+        kernel: HartreeKernel,
+        work: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        grid = kernel.grid
+        check_setup(grid, p, kernel)
+        rho, rho_hat = (None, None) if work is None else work
+        self.u, self.u_hat = u, u_hat
+        self.multiplier = grid.fractional_multiplier(p.alpha)
+        fields = u.shape[: u.ndim - grid.d] + (-1,)
+        weighted = np.multiply(_abs_sq(u_hat, out=rho), self.multiplier, out=rho)
+        self.seminorm_sq = weighted.reshape(fields).sum(axis=-1) * _spectral_weight(grid)
+        rho = _abs_sq(u, out=weighted)
+        self.mass = rho.reshape(fields).sum(axis=-1) * grid.cell_volume
+        rho_hat = _rfftn(rho, grid.d, out=rho_hat)
+        self.pairing = kernel.half_spectrum_pairing(rho_hat, rho_hat.view(np.float64))
+
+
 def energy(
     u: Field | np.ndarray,
     p: PhysicsParams,
@@ -211,16 +253,21 @@ def energy(
 ) -> float | tuple[float, EnergyTerms]:
     """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 P(u)``.
 
-    ``u`` is a :class:`Field`, or, with ``u_hat``, the samples of a real
-    field and ``u_hat`` their half spectrum: then the terms are
+    ``u`` is a :class:`Field`, or, with ``u_hat``, samples and a spectrum
+    of them, and then no transform of ``u`` is made.  A ``u_hat`` of
+    ``u``'s shape is the full spectrum of one field or of each of a stack,
+    real or complex: the terms are :class:`SpectrumTerms`, made in ``work``
+    if given, and for a stack the energy is one per field.  Any other
+    ``u_hat`` is the half spectrum of a real ``u``: the terms are
     :class:`HalfSpectrumTerms`, made in the arrays ``out`` and ``work`` if
-    given, and no transform of ``u`` is made.  With ``with_terms`` the
-    result is ``(E, terms)``: a caller that goes on to need ``omega`` or the
-    parts of ``G`` at ``u`` reads them from ``terms`` without a second
-    transform or convolution.
+    given.  With ``with_terms`` the result is ``(E, terms)``: a caller that
+    goes on to need the mass, ``omega`` or the parts of ``G`` at ``u``
+    reads them from ``terms`` without a second transform or convolution.
     """
     if u_hat is None:
         terms = EnergyTerms(u, p, kernel)
+    elif u_hat.shape == u.shape:
+        terms = SpectrumTerms(u, u_hat, p, kernel, work)
     else:
         terms = HalfSpectrumTerms(u, u_hat, p, kernel, out, work)
     return (terms.energy, terms) if with_terms else terms.energy

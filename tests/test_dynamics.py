@@ -1,6 +1,7 @@
 """Split-step evolution: exact solutions, conservation, symmetry
 covariances, time reversal, second-order accuracy, and bookkeeping."""
 
+import itertools
 import tracemalloc
 from types import SimpleNamespace
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 import fhnlse.dynamics as dynamics_module
+import fhnlse.kernel as kernel_module
+import fhnlse.spectral as spectral_module
 from fhnlse import (
     Field,
     Grid,
@@ -15,6 +18,7 @@ from fhnlse import (
     NumericalAbort,
     PhysicsParams,
     Trajectory,
+    energy,
     evolve,
     lagrange_multiplier,
     mass,
@@ -22,6 +26,7 @@ from fhnlse import (
     random_band_limited,
 )
 from fhnlse.dynamics import _strang, _unit_phase
+from fhnlse.grid import _fftn
 
 ALPHA = 0.6
 GAMMA = 0.5
@@ -230,24 +235,28 @@ class TestAgainstTheAllocatingLoop:
 
 class TestStacks:
     """A stack ``(B, *grid.shape)`` through the loop evolves each field as if
-    it ran alone: the folded ``1/N`` is the grid's, not the stack's."""
+    it ran alone: the folded ``1/N`` is the grid's, not the stack's.  Each
+    record holds one mass and one energy per field, bit for bit its single
+    run's."""
 
     @pytest.mark.parametrize(
         "d, n, L", [(1, 32, 25.0), (2, 32, 25.0), (3, 8, 10.0)], ids=["d1", "d2", "d3"]
     )
     def test_each_slice_is_bitwise_its_single_field_run(self, d, n, L):
         grid, kernel = _box(n=n, L=L, d=d)
-        mult = grid.fractional_multiplier(ALPHA)
+        p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
         stack = np.stack([(random_band_limited(grid, seed=s) * 2.0).values for s in (3, 4)])
-        T, dt, stride = 0.5, 1e-2, 10  # 50 steps, 5 records
-        runs = [list(_strang(v, mult, kernel, T, dt, stride)) for v in stack]
-        stacked = list(_strang(stack, mult, kernel, T, dt, stride))
-        assert len(stacked) == 5
-        for k, (step, t, values) in enumerate(stacked):
+        T, dt, stride = 0.5, 1e-2, 10  # 50 steps, 6 records with t = 0's
+        runs = [list(_strang(v, p, kernel, T, dt, stride)) for v in stack]
+        stacked = list(_strang(stack, p, kernel, T, dt, stride))
+        assert len(stacked) == 6
+        for k, (step, t, values, masses, energies) in enumerate(stacked):
             assert values.shape == stack.shape
+            assert masses.shape == energies.shape == (2,)
             for b, run in enumerate(runs):
                 assert (step, t) == run[k][:2]
                 assert np.array_equal(values[b], run[k][2])
+                assert (masses[b], energies[b]) == run[k][3:]
 
 
 class TestUnitPhase:
@@ -320,6 +329,68 @@ class TestBookkeeping:
         traj = evolve(psi0, P2, kernel, T=10e-3, dt=1e-3, stride=3, observe=observed.append)
         assert traj.mass_series.tolist() == [mass(s) for s in observed]
 
+    @pytest.mark.parametrize("seed", [11, 22])
+    @pytest.mark.parametrize(
+        "d, n, L",
+        [(1, 64, 40.0), (2, 32, 25.0), (3, 16, 12.0), (3, 8, 10.0)],
+        ids=["d1", "d2", "d3-n16", "d3-n8"],
+    )
+    def test_each_record_is_the_energy_of_its_state(self, d, n, L, seed):
+        """Each record's energy, from the loop's own spectrum, is within
+        1e-14 of :func:`energy` of the state it records, relative to the
+        size of the energy's two terms, ``1/2 |u|^2_{H^alpha-dot} + 1/4
+        P(u)``; the t = 0 and final records included.  Relative to ``|E|``
+        itself the two can differ by more where the terms cancel: on the
+        64-point box seed 11 starts at E = -0.021 against terms of 4.2 and
+        reads 4.2e-14 (at most 6.7e-16 against the terms, over 20 seeds on
+        these four boxes)."""
+        grid, kernel = _box(n=n, L=L, d=d)
+        p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
+        psi0 = random_band_limited(grid, seed=seed) * 2.0  # mass 4: strongly nonlinear
+        observed = []
+        traj = evolve(psi0, p, kernel, T=0.1, dt=1e-2, stride=3, observe=observed.append)
+        assert len(observed) == len(traj.energy_series) == 5  # t = 0, 3, 6, 9 and 10 steps
+        for state, recorded in zip(observed, traj.energy_series):
+            expected, terms = energy(state, p, kernel, with_terms=True)
+            size = 0.5 * terms.seminorm_sq + 0.25 * terms.pairing
+            assert abs(recorded - expected) <= 1e-14 * size
+
+    def test_a_step_costs_four_transforms_and_a_record_two(self, monkeypatch):
+        """A step makes the complex pair and the convolution's real pair; a
+        record adds the inverse that makes its state and the forward real
+        transform of its density.  The t = 0 record reads the transform
+        that starts the loop and adds its density's."""
+        grid, kernel = _box(n=16, L=12.0)
+        psi0 = random_band_limited(grid, seed=23)
+        counts = {}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+                counts[key] = counts.get(key, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("_fftn", "_ifftn"):
+            counted(dynamics_module, name)
+        for name in ("_fftn", "_ifftn", "_rfftn"):
+            counted(spectral_module, name)
+        for name in ("_rfftn", "_irfftn"):
+            counted(kernel_module, name)
+        traj = evolve(psi0, P2, kernel, T=10e-3, dt=1e-3, stride=3)
+        steps, records = traj.steps, len(traj.times) - 1  # 10 steps, 4 records past t = 0
+        assert (steps, records) == (10, 4)
+        assert counts == {
+            "dynamics._fftn": steps + 1,  # the steps' and the loop's start
+            "dynamics._ifftn": steps + records,
+            "spectral._rfftn": records + 1,
+            "kernel._rfftn": steps,
+            "kernel._irfftn": steps,
+        }
+
     def test_a_numpy_integer_stride_is_accepted(self):
         grid, kernel = _box(n=16, L=12.0)
         psi0 = random_band_limited(grid, seed=9)
@@ -382,12 +453,11 @@ class TestBookkeeping:
         step keeps anything for the next."""
         grid, kernel = _box()
         psi0 = random_band_limited(grid, seed=19)
-        mult = grid.fractional_multiplier(ALPHA)
 
         def peak(steps):
             tracemalloc.start()
             try:
-                for _ in _strang(psi0.values, mult, kernel, T=steps * 1e-3, dt=1e-3, stride=steps):
+                for _ in _strang(psi0.values, P2, kernel, T=steps * 1e-3, dt=1e-3, stride=steps):
                     pass
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -405,7 +475,6 @@ class TestBookkeeping:
         values) would add 8.5 KiB."""
         grid, kernel = _box()
         psi0 = random_band_limited(grid, seed=19)
-        mult = grid.fractional_multiplier(ALPHA)
         marks = []
 
         def traced(rho, out=None, *, scale=1.0, work=None):
@@ -413,10 +482,15 @@ class TestBookkeeping:
             tracemalloc.reset_peak()
             return kernel.convolve_density(rho, out=out, scale=scale, work=work)
 
-        watched = SimpleNamespace(grid=grid, convolve_density=traced)
+        watched = SimpleNamespace(
+            grid=grid,
+            gamma=kernel.gamma,
+            convolve_density=traced,
+            half_spectrum_pairing=kernel.half_spectrum_pairing,
+        )
         tracemalloc.start()
         try:
-            for _ in _strang(psi0.values, mult, watched, T=0.05, dt=1e-3, stride=50):
+            for _ in _strang(psi0.values, P2, watched, T=0.05, dt=1e-3, stride=50):
                 pass
         finally:
             tracemalloc.stop()
@@ -531,11 +605,73 @@ class TestValidationAndAborts:
             return pot
 
         monkeypatch.setattr(HartreeKernel, "convolve_density", poisoned)
-        mult = grid.fractional_multiplier(ALPHA)
         recorded = []
         with pytest.raises(NumericalAbort, match=r"non-finite state at step 3 \("):
-            for k, _, vals in _strang(psi0.values, mult, kernel, T=1e-2, dt=1e-3, stride=1):
+            for k, _, vals, *_ in _strang(psi0.values, P2, kernel, T=1e-2, dt=1e-3, stride=1):
                 recorded.append(k)
                 assert np.all(np.isfinite(vals))
-        assert recorded == [1, 2]
+        assert recorded == [0, 1, 2]
+        assert calls[0] == 3
+
+
+class TestZeroModeRule:
+    """Between records the loop tests only each field's zero mode: a
+    non-finite value at any site of a field makes every coefficient of its
+    forward transform non-finite, the zero mode among them."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_non_finite_value_makes_the_zero_mode_non_finite(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        shape = (n,) * d
+        base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        size = base.size
+        # every site on grids of up to 1,024 sites, else 8 drawn ones and both ends,
+        # in stacks of at most 2^16 values
+        sites = np.arange(size) if size <= 1024 else np.unique(
+            np.concatenate([[0, size - 1], rng.choice(size, 8, replace=False)])
+        )
+        per_block = max(1, 2**16 // size)
+        blocks = [sites[i : i + per_block] for i in range(0, len(sites), per_block)]
+        for value, part, block in itertools.product((np.nan, np.inf, -np.inf), (0, 1), blocks):
+            stack = np.repeat(base[None], len(block), axis=0)
+            parts = stack.view(np.float64).reshape(len(block), -1)
+            parts[np.arange(len(block)), 2 * block + part] = value  # part 1 is imaginary
+            with np.errstate(invalid="ignore"):
+                spectra = _fftn(stack, d)
+            assert not np.isfinite(spectra.reshape(len(block), -1)[:, 0]).any()
+            assert not np.isfinite(spectra).any()
+
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)], ids=["d1", "d2", "d3"])
+    def test_one_bad_field_of_a_stack_makes_only_its_zero_mode_non_finite(self, d, n):
+        rng = np.random.default_rng(7 + d)
+        stack = rng.standard_normal((3,) + (n,) * d) + 0j
+        stack[(1,) + (n // 3,) * d] = complex(0.0, np.nan)
+        with np.errstate(invalid="ignore"):
+            zero_modes = _fftn(stack, d).reshape(3, -1)[:, 0]
+        assert np.isfinite(zero_modes).tolist() == [True, False, True]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("stride", [1, 4, 100])
+    def test_a_bad_field_of_a_stack_aborts_the_run_at_its_step(self, monkeypatch, stride):
+        """A NaN potential in one field of a stack, in the third step,
+        aborts the whole run at that step, recorded or not."""
+        grid, kernel = _box(n=16, L=12.0)
+        stack = np.stack([(random_band_limited(grid, seed=s)).values for s in (31, 32)])
+        convolve = HartreeKernel.convolve_density
+        calls = [0]
+
+        def poisoned(self, rho, out=None, *, scale=1.0, work=None):
+            calls[0] += 1
+            pot = convolve(self, rho, out=out, scale=scale, work=work)
+            if calls[0] == 3:
+                pot[1, 5, 9] = np.nan
+            return pot
+
+        monkeypatch.setattr(HartreeKernel, "convolve_density", poisoned)
+        recorded = []
+        with pytest.raises(NumericalAbort, match=r"non-finite state at step 3 \("):
+            for k, *_ in _strang(stack, P2, kernel, T=1e-2, dt=1e-3, stride=stride):
+                recorded.append(k)
+        assert recorded == [k for k in (0, 1, 2) if k % stride == 0]
         assert calls[0] == 3

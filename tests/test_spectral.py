@@ -20,7 +20,8 @@ from fhnlse import (
     random_band_limited,
 )
 from fhnlse.fields import _abs_sq, with_mass
-from fhnlse.spectral import EnergyTerms, HalfSpectrumTerms, sobolev_seminorm_sq
+from fhnlse.grid import _fftn
+from fhnlse.spectral import EnergyTerms, HalfSpectrumTerms, SpectrumTerms, sobolev_seminorm_sq
 
 ALPHA = 0.6
 GAMMA = 0.5
@@ -224,6 +225,40 @@ class TestEnergyFunctionals:
         assert half.energy == pytest.approx(full.energy, rel=1e-13, abs=0)
         assert half.omega == pytest.approx(full.omega, rel=1e-13, abs=0)
         assert np.array_equal(half.potential, full.potential)
+
+    @pytest.mark.parametrize("d, n, L", [(1, 64, 40.0), (2, 16, 12.0), (3, 8, 8.0)])
+    def test_spectrum_terms_match_energy_terms(self, d, n, L):
+        """Given a field's full spectrum, :func:`energy` forms
+        :class:`SpectrumTerms`: the seminorm and the mass have the bits of
+        :class:`EnergyTerms`' and :func:`mass`, the pairing (by Parseval over
+        the density's half spectrum) and the energy agree to roundoff, and a
+        stack, with or without work arrays, gives each field's bits."""
+        p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
+        grid = Grid(d=d, n=n, L=L)
+        kernel = HartreeKernel(grid, GAMMA)
+        fields = [random_band_limited(grid, seed=s) * 1.5 for s in (4, 5)]
+        singles = []
+        for u in fields:
+            e, terms = energy(u.values, p, kernel, u_hat=_fftn(u.values, d), with_terms=True)
+            full = EnergyTerms(u, p, kernel)
+            assert isinstance(terms, SpectrumTerms) and e == terms.energy
+            assert terms.seminorm_sq == full.seminorm_sq
+            assert terms.mass == mass(u)
+            assert terms.pairing == pytest.approx(full.pairing, rel=1e-13, abs=0)
+            assert e == pytest.approx(full.energy, rel=1e-13, abs=0)
+            singles.append((terms.mass, e))
+        stack = np.stack([u.values for u in fields])
+        rho_hat = np.empty(stack.shape[:-1] + (n // 2 + 1,), dtype=complex)
+        for work in (None, (np.empty(stack.shape), rho_hat)):
+            e, terms = energy(stack, p, kernel, u_hat=_fftn(stack, d), with_terms=True, work=work)
+            assert list(zip(terms.mass.tolist(), e.tolist())) == singles
+
+    def test_spectrum_terms_of_a_real_field(self):
+        """A real field's full spectrum serves as well as a complex one's."""
+        p, grid, kernel = self._setup(n=16, L=12.0)
+        u = random_band_limited(grid, seed=6).values.real.copy()
+        e = energy(u, p, kernel, u_hat=_fftn(u, grid.d))
+        assert e == pytest.approx(energy(Field(grid, u), p, kernel), rel=1e-13, abs=0)
 
     def test_rejects_mismatched_kernel_exponent(self):
         p, grid, _ = self._setup(n=16, L=12.0)

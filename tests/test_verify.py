@@ -18,7 +18,7 @@ import fhnlse.verify as verify_module
 from fhnlse.cli import main
 from fhnlse.fields import Field
 from fhnlse.kernel import HartreeKernel
-from fhnlse.spectral import EnergyTerms
+from fhnlse.spectral import EnergyTerms, energy
 from fhnlse.verify import (
     CHECKS,
     CheckResult,
@@ -340,21 +340,31 @@ class TestPlantedDefects:
         ``(1 + eps) h / 2``, the full nonlinear step, then a linear step of
         ``(1 - eps) h / 2``.  ``eps = 0`` is Strang and ``eps = 1`` is Lie
         (a full linear step, then a full nonlinear one); ``eps`` adds an
-        energy error first order in dt."""
+        energy error first order in dt.  Each record's mass and energy come
+        from the state's forward transform, as the flow's own records do
+        (``energy`` with ``u_hat``), and t = 0 is recorded too."""
 
-        def blended(values, mult, kernel, T, dt, stride):
+        def blended(values, p, kernel, T, dt, stride):
             n = max(int(np.ceil(T / dt - 1e-9)), 1 if T > 0 else 0)
             h = T / max(n, 1)
             axes = tuple(range(-kernel.grid.d, 0))
+            mult = kernel.grid.fractional_multiplier(p.alpha)
             opening = np.exp(0.5j * (1.0 + eps) * h * mult)
             closing = np.exp(0.5j * (1.0 - eps) * h * mult)
+
+            def record(k, t, psi):
+                spectrum = np.fft.fftn(psi, axes=axes)
+                e, terms = energy(psi, p, kernel, u_hat=spectrum, with_terms=True)
+                return k, t, psi.copy(), terms.mass, e
+
             psi = values.copy()
+            yield record(0, 0.0, psi)
             for k in range(1, n + 1):
                 psi = np.fft.ifftn(opening * np.fft.fftn(psi, axes=axes), axes=axes)
                 psi *= np.exp(-1j * h * kernel.convolve_density(np.abs(psi) ** 2))
                 psi = np.fft.ifftn(closing * np.fft.fftn(psi, axes=axes), axes=axes)
                 if k % stride == 0 or k == n:
-                    yield k, (T if k == n else k * h), psi.copy()
+                    yield record(k, T if k == n else k * h, psi)
 
         monkeypatch.setattr(dynamics_module, "_strang", blended)
 
@@ -365,13 +375,15 @@ class TestPlantedDefects:
     def test_a_first_order_splitting_fails_conservation(self, monkeypatch, eps, passed):
         """A Lie step (eps = 1) has an energy error first order in dt, so
         halving dt halves it: a factor of 2, outside the Strang band [3, 5].
-        Unplanted the factor reads 3.991.  A small eps > 0 first cancels the
+        Unplanted the factor reads 3.998.  A small eps > 0 first cancels the
         Strang error at dt and the factor rises, through 5 near eps* =
-        +2.94e-5 (2.7e-5 reads 4.885, 3.1e-5 reads 5.087); an eps < 0 makes
-        it fall, through 3 at eps* = -8.707e-5 (-7e-5 reads 3.109, -9e-5
-        reads 2.982).  Near +2.94e-5 the factor is jagged at the 1e-2 level
-        (2.937e-5 reads 5.010, 2.938e-5 reads 4.999), so each crossing is
-        bracketed by inputs at least 5% away from it."""
+        +2.93e-5 (2.7e-5 reads 4.885, 3.1e-5 reads 5.087); an eps < 0 makes
+        it fall, through 3 near eps* = -8.71e-5 (-7e-5 reads 3.109, -9e-5
+        reads 2.982).  Each crossing is jagged at the 1e-2 level: the factor
+        crosses 5 several times between 2.92e-5 and 2.94e-5 (2.925e-5 reads
+        5.002, 2.938e-5 reads 4.999), and it reads 2.998 to 3.003 from
+        -8.72e-5 to -8.69e-5.  So each crossing
+        is bracketed by inputs at least 3% outside its jagged band."""
         self.plant_blended_step(monkeypatch, eps)
         result = check_conservation(VerifyContext(seed=1), "quick")
         assert result.passed is passed
@@ -386,13 +398,18 @@ class TestPlantedDefects:
         is left as it is."""
         real = dynamics_module._strang
 
-        def scaled_flow(values, mult, kernel, T, dt, stride):
+        def scaled_flow(values, p, kernel, T, dt, stride):
             def scaled(rho, out=None, *, scale=1.0, work=None):
                 potential = kernel.convolve_density(rho, out=out, scale=scale, work=work)
                 return np.multiply(potential, factor, out=out)
 
-            rescaled = SimpleNamespace(grid=kernel.grid, convolve_density=scaled)
-            return real(values, mult, rescaled, T, dt, stride)
+            rescaled = SimpleNamespace(
+                grid=kernel.grid,
+                gamma=kernel.gamma,
+                convolve_density=scaled,
+                half_spectrum_pairing=kernel.half_spectrum_pairing,
+            )
+            return real(values, p, rescaled, T, dt, stride)
 
         monkeypatch.setattr(dynamics_module, "_strang", scaled_flow)
 
