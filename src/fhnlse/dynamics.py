@@ -21,12 +21,12 @@ memory does not grow with the number of records.
 
 A record's mass and energy come from the spectrum the loop already holds:
 :func:`~fhnlse.spectral.energy` of the recorded state with that spectrum
-(:class:`~fhnlse.spectral.SpectrumTerms`) forms the seminorm by Parseval
-over it, the mass from the state's density and the Hartree pairing by
-Parseval over the density's half spectrum.  A record therefore costs two
-transforms, the inverse that makes the state and the density's real
-forward one, where ``energy`` of the state alone would take four.  The
-t = 0 record is made the same way from the transform that starts the loop.
+forms the seminorm by Parseval over it, the mass from the state's density
+and the Hartree pairing by Parseval over the density's half spectrum.  A
+record therefore costs two transforms, the inverse that makes the state
+and the density's real forward one, where ``energy`` of the state alone
+would take four.  The t = 0 record is made the same way from the
+transform that starts the loop.
 
 The step's complex pair is the transforms of :mod:`fhnlse.grid`, unscaled
 and in place in one array; the inverse's ``1/N`` is folded into the
@@ -126,8 +126,8 @@ def _strang(
     ``psi_hat`` and the state in turn; the nonlinear substep works in
     ``rho``, ``rho_hat``, ``phase`` and ``work``, allocated once per run
     (see the module docstring for what each holds when), and a record's
-    :class:`~fhnlse.spectral.SpectrumTerms` work in ``rho`` and
-    ``rho_hat``, which are idle between steps.
+    :func:`~fhnlse.spectral.energy` works in ``rho`` and ``rho_hat``, which
+    are idle between steps.
 
     Raises :class:`NumericalAbort` at the first step whose spectrum holds a
     non-finite value; for a stack, a non-finite value in any one field

@@ -99,7 +99,7 @@ from .fields import Field, _mass_factor, gaussian
 from .grid import Grid, PhysicsParams, _check_real, _fftn, _ifftn, _irfftn, _is_int, _rfftn
 from .kernel import HartreeKernel
 from .rearrange import symmetric_rearrange
-from .spectral import HalfSpectrumTerms, energy, h_alpha_norm
+from .spectral import EnergyTerms, energy, h_alpha_norm
 
 __all__ = [
     "SolveOptions",
@@ -270,7 +270,7 @@ def _make_hermitian(x_hat: np.ndarray) -> None:
 
 
 def _descent(
-    terms: HalfSpectrumTerms,
+    terms: EnergyTerms,
     shift_floor: float,
     out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     scratch: np.ndarray,

@@ -10,12 +10,12 @@ function homogeneous of degree ``-gamma``, ``div(x |x|^(-gamma)) = (d -
 gamma) |x|^(-gamma)``, turns that average into a smooth integral over the
 cell's faces (:func:`origin_cell_average`).
 
-Both the fast convolution (a cached half spectrum + real FFT), from which
-``spectral.density_terms`` forms the Hartree pairing, the pairing by
-Parseval over the density's half spectrum
+The fast convolution (a cached half spectrum + real FFT), from whose
+potential :class:`~fhnlse.spectral.EnergyTerms` forms the Hartree pairing,
+the pairing by Parseval over the density's half spectrum
 (:meth:`HartreeKernel.half_spectrum_pairing`, which the evolution's
-records use) and the direct double sum read the same sample array, so they
-agree by construction up to floating-point roundoff.  The direct sum
+records use) and the direct double sum all read the same sample array, so
+they agree by construction up to floating-point roundoff.  The direct sum
 shares no transform with the fast path: it forms the density's
 autocorrelation one shift of the last axis at a time, from small matrix
 products and wrapped diagonal sums, and pairs it with the samples.
@@ -207,7 +207,7 @@ def hartree_direct(u: Field, kernel: HartreeKernel) -> float:
     if grid.size > DIRECT_SITE_LIMIT:
         raise ValueError(
             f"direct double sum limited to {DIRECT_SITE_LIMIT} sites "
-            f"(grid has {grid.size}); use spectral.EnergyTerms instead"
+            f"(grid has {grid.size}); use fhnlse.energy instead"
         )
     n, d = grid.n, grid.d
     rows = (np.abs(u.values) ** 2).reshape(-1, n)  # rho[x', x_last]

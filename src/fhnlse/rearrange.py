@@ -186,8 +186,8 @@ def rearrangement_sweep(
             grid.cell_volume,
         )
         out = _rearranged(u, grid)
-        s_in = np.sqrt(_seminorm_sq(u, grid, alpha))
-        s_out = np.sqrt(_seminorm_sq(out, grid, alpha))
+        s_in = np.sqrt(_seminorm_sq(_fftn(u, grid.d), grid, alpha))
+        s_out = np.sqrt(_seminorm_sq(_fftn(out, grid.d), grid, alpha))
         seminorm_excess += ((s_out - s_in) / s_in).tolist()
         del u, out  # freed before the triples are drawn: a lower peak
         triple = [

@@ -7,18 +7,42 @@ size``, which makes the discrete Parseval identity ``mass(u) == spectral
 mass(u)`` hold to roundoff.  Every identity
 asserted about these functionals (multiplier action, self-adjointness,
 gradient pairing) is independent of the transform normalization.
-A real field's terms also come from its half spectrum (``_rfftn``) with
-Hermitian Parseval weights, in :class:`HalfSpectrumTerms`, the evaluation
-the ground-state solver makes through :func:`energy`, in its own work
-arrays.  Any field's energy and mass, or each of a stack's, also come from
-a spectrum its caller already holds, in :class:`SpectrumTerms`: the
-evolution's records, made in the Strang loop's idle arrays.
 
 Sign conventions: the energy is ``E(u) = 1/2 |u|_{H^alpha-dot}^2 -
 1/4 P(u)`` (focusing), where ``P(u) = sum_x sum_y K(x-y) |u(x)|^2 |u(y)|^2
 cell_volume^2`` is the Hartree pairing, and its L^2 gradient is
 ``G(u) = (-Lap)^alpha u - (K * |u|^2) u`` so that
 ``d/de E(u + e v)|_0 = Re <G(u), v>_{L^2}``.
+
+One evaluation, :class:`EnergyTerms`, forms these parts from the samples
+``u`` and a spectrum ``u_hat`` of them: the full spectrum (``_fftn``) of
+one field or of each of a stack, real or complex, or the half spectrum
+(``_rfftn``: the last axis cut to its ``n//2 + 1`` nonnegative
+frequencies, ``n >= 8``) of one real field, which :func:`_is_half` tells
+apart by the last axis.  The mass is ``sum |u|^2 cell_volume`` and the
+seminorm Parseval's sum over ``u_hat`` (:func:`_seminorm_sq`), each one
+value per field of a stack.  The pairing takes one of two routes:
+
+- through the potential ``K * |u|^2`` (one density convolution) as ``sum
+  |u|^2 (K * |u|^2) cell_volume``, for one field whose spectrum
+  :mod:`spectral` makes itself (a :class:`Field`'s: :func:`energy`,
+  :func:`energy_gradient`, :func:`lagrange_multiplier`) or that comes as a
+  half spectrum (the ground-state solver), whose callers go on to read the
+  potential for ``G``;
+- by Parseval over the density's half spectrum
+  (:meth:`~fhnlse.kernel.HartreeKernel.half_spectrum_pairing`, one real
+  transform and no potential) for a full spectrum its caller already holds:
+  the evolution's records, made in the Strang loop's idle arrays.
+
+An evaluation writes into its caller's arrays where given, and into new
+ones where None: ``out`` (real, ``u``'s shape) takes the potential, and
+``work`` is a pair ``(rho, spectrum)``.  ``rho`` (real, ``u``'s shape)
+takes the density, then its products with the potential (which sum to the
+pairing), then ``|k|^(2 alpha) |u_hat|^2`` for a full spectrum's seminorm.
+``spectrum`` (complex, ``u``'s shape with ``n//2 + 1`` points on the last
+axis) takes the convolution's half spectrum, or on the Parseval route the
+density's and then its squared parts, then the weighted ``u_hat`` of a half
+spectrum's seminorm.
 """
 
 from __future__ import annotations
@@ -36,8 +60,6 @@ __all__ = [
     "check_setup",
     "h_alpha_norm",
     "EnergyTerms",
-    "HalfSpectrumTerms",
-    "SpectrumTerms",
     "energy",
     "energy_gradient",
     "lagrange_multiplier",
@@ -56,107 +78,28 @@ def check_setup(grid: Grid, p: PhysicsParams, kernel: HartreeKernel) -> None:
         )
 
 
-def _spectral_weight(grid: Grid) -> float:
-    return grid.cell_volume / grid.size
+def _is_half(u_hat: np.ndarray, grid: Grid) -> bool:
+    """Whether ``u_hat`` is a half spectrum rather than a full one."""
+    return u_hat.shape[-1] != grid.n
 
 
-def _seminorm_sq(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
-    """:func:`sobolev_seminorm_sq` of each field of the stack ``values``
-    (shape ``(B, *grid.shape)``, real or complex), transformed on its
-    trailing axes."""
-    uhat = _fftn(values, grid.d)
-    weighted = grid.fractional_multiplier(alpha) * np.abs(uhat) ** 2
-    return weighted.reshape(len(values), -1).sum(axis=1) * _spectral_weight(grid)
-
-
-def sobolev_seminorm_sq(u: Field, alpha: float) -> float:
-    """Squared homogeneous seminorm ``sum |k|^(2*alpha) |u_hat|^2`` (Parseval weight)."""
-    return float(_seminorm_sq(u.values[None], u.grid, alpha)[0])
-
-
-def h_alpha_norm(u: Field, alpha: float) -> float:
-    """Inhomogeneous norm ``sqrt(|u|_2^2 + |u|_{H^alpha-dot}^2)``."""
-    return math.sqrt(mass(u) + sobolev_seminorm_sq(u, alpha))
-
-
-def density_terms(
-    values: np.ndarray,
-    kernel: HartreeKernel,
-    out: np.ndarray | None = None,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, float, float]:
-    """``(K * |u|^2, P(u), mass(u))`` from the samples ``values`` of ``u``,
-    real or complex: one density convolution gives the potential, and the
-    potential and density give the Hartree pairing and the mass.
-
-    The potential is written to ``out`` (real, ``values``' shape), and
-    ``work`` is a real array of that shape for the density and a half
-    spectrum for the convolution's (see
-    :meth:`~fhnlse.kernel.HartreeKernel.convolve_density`); each is a new
-    array where None.  The density is summed first and then overwritten by
-    its products with the potential, which sum to the pairing.
-
-    :class:`EnergyTerms` and :class:`HalfSpectrumTerms`, and through them
-    :func:`energy` and the ground-state solver, read these three from here,
-    so the pairing checked against ``kernel.hartree_direct`` is the one the
-    solver uses.
-    """
-    rho, spectrum = (None, None) if work is None else work
-    rho = _abs_sq(values, out=rho)
-    cell_volume = kernel.grid.cell_volume
-    total = float(rho.sum() * cell_volume)
-    potential = kernel.convolve_density(rho, out=out, work=spectrum)
-    pairing = float(np.multiply(rho, potential, out=rho).sum() * cell_volume)
-    return potential, pairing, total
-
-
-class EnergyTerms:
-    """The parts of ``E``, ``omega`` and ``G`` at one field, from one transform
-    of ``u`` and one convolution of its density.
-
-    ``u_hat`` is the unnormalized DFT of ``u``, ``potential`` is
-    ``K * |u|^2``, ``seminorm_sq`` is ``|u|_{H^alpha-dot}^2``, ``pairing`` is
-    the Hartree pairing ``P(u)`` and ``mass`` is ``|u|_2^2``.
-    """
-
-    def __init__(self, u: Field, p: PhysicsParams, kernel: HartreeKernel):
-        check_setup(u.grid, p, kernel)
-        grid = u.grid
-        self.u = u
-        self.multiplier = grid.fractional_multiplier(p.alpha)
-        self.u_hat = _fftn(u.values, grid.d)
-        self.potential, self.pairing, self.mass = density_terms(u.values, kernel)
-        self.seminorm_sq = float(
-            np.sum(self.multiplier * np.abs(self.u_hat) ** 2) * _spectral_weight(grid)
-        )
-
-    @property
-    def energy(self) -> float:
-        """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 P(u)``."""
-        return 0.5 * self.seminorm_sq - 0.25 * self.pairing
-
-    @property
-    def omega(self) -> float:
-        """Frequency ``omega = (|u|_{H^alpha-dot}^2 - P(u)) / mass(u)``.
-
-        Pairing the gradient with ``u`` shows ``omega * mass == Re <G(u), u>``,
-        so at a constrained critical point ``G(u) = omega * u``.
-        """
-        if self.mass == 0.0:
-            raise ValueError("lagrange_multiplier undefined for the zero field")
-        return (self.seminorm_sq - self.pairing) / self.mass
+def _field_sums(a: np.ndarray, grid: Grid) -> float | np.ndarray:
+    """The sum of ``a`` over each field's ``grid.d`` trailing axes: a float
+    for one field, an array for a stack."""
+    if a.ndim == grid.d:
+        return float(a.sum())
+    return a.reshape(a.shape[: a.ndim - grid.d] + (-1,)).sum(axis=-1)
 
 
 @lru_cache(maxsize=16)
 def _half_spectrum(grid: Grid, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(multiplier, hermitian, seminorm)`` on the half spectrum of ``grid``
-    (``rfftn``: the last axis cut to its ``n//2 + 1`` nonnegative
-    frequencies), read-only.
+    """``(multiplier, hermitian, seminorm)`` on the half spectrum of ``grid``,
+    read-only.
 
     ``multiplier`` is ``|k|^(2 alpha)`` there, ``hermitian`` holds
     Parseval's weights (:func:`~fhnlse.grid._hermitian_weights`: 2s, and 1s
     on the zero and Nyquist columns), and ``seminorm`` is ``hermitian *
-    multiplier`` times the spectral weight.  All three only ever meet half
+    multiplier * cell_volume / size``.  All three only ever meet half
     spectra, so they are real values stored as contiguous complex128 with a
     zero imaginary part: NumPy would cast a real factor to ``x+0j`` for the
     complex loop on every product, and casting once here gives the same
@@ -164,81 +107,97 @@ def _half_spectrum(grid: Grid, alpha: float) -> tuple[np.ndarray, np.ndarray, np
     """
     multiplier = grid.fractional_multiplier(alpha)[..., : grid.n // 2 + 1]
     hermitian = _hermitian_weights(grid.n)
-    seminorm = hermitian * multiplier * _spectral_weight(grid)
+    seminorm = hermitian * multiplier * (grid.cell_volume / grid.size)
     return tuple(_frozen(a.astype(complex)) for a in (multiplier, hermitian, seminorm))
 
 
-class HalfSpectrumTerms(EnergyTerms):
-    """:class:`EnergyTerms` of a real field ``u``, a real array, from its half
-    spectrum ``u_hat`` (``rfftn``), which is kept, not copied.
+def _seminorm_sq(
+    u_hat: np.ndarray, grid: Grid, alpha: float, work: np.ndarray | None = None
+) -> float | np.ndarray:
+    """``|u|_{H^alpha-dot}^2`` by Parseval over the spectrum ``u_hat``, one
+    value per field of a full spectrum's stack.  ``work`` takes the
+    weighted spectrum (see the module docstring; a new array if None)."""
+    if _is_half(u_hat, grid):
+        weighted = np.multiply(_half_spectrum(grid, alpha)[2], u_hat, out=work)
+        return float(np.vdot(u_hat, weighted).real)
+    squares = _abs_sq(u_hat, out=work)
+    weighted = np.multiply(squares, grid.fractional_multiplier(alpha), out=squares)
+    return _field_sums(weighted, grid) * (grid.cell_volume / grid.size)
 
-    ``multiplier`` is ``|k|^(2 alpha)`` on the half spectrum and
-    ``hermitian`` the Parseval weights of :func:`_half_spectrum`, which come
-    read-only from its cache, complex with a zero imaginary part, so their
-    products with a half spectrum make no cast.
-    ``seminorm_sq`` is Parseval's sum over ``u_hat``.  ``energy`` and
-    ``omega`` are formed as in :class:`EnergyTerms`.  ``out`` and ``work``
-    are those of :func:`density_terms`; the half spectrum of ``work`` then
-    also takes the weighted ``u_hat`` of Parseval's sum.
+
+def sobolev_seminorm_sq(u: Field, alpha: float) -> float:
+    """Squared homogeneous seminorm ``sum |k|^(2*alpha) |u_hat|^2`` (Parseval weight)."""
+    return _seminorm_sq(_fftn(u.values, u.grid.d), u.grid, alpha)
+
+
+def h_alpha_norm(u: Field, alpha: float) -> float:
+    """Inhomogeneous norm ``sqrt(|u|_2^2 + |u|_{H^alpha-dot}^2)``."""
+    return math.sqrt(mass(u) + sobolev_seminorm_sq(u, alpha))
+
+
+class EnergyTerms:
+    """The parts of ``E``, ``omega`` and ``G`` of ``u``: a :class:`Field`
+    alone, or samples with their spectrum ``u_hat``, which is kept, not
+    copied.  The module docstring gives the pairing's routes and the arrays
+    ``out`` and ``work``.
+
+    ``u`` holds the samples and ``u_hat`` the spectrum.  On a half spectrum,
+    ``multiplier`` is ``|k|^(2 alpha)`` there and ``hermitian`` holds
+    Parseval's weights, both from :func:`_half_spectrum`, for the
+    ground-state solver's descent.
+    ``potential`` is ``K * |u|^2``, None on the Parseval route.
+    ``seminorm_sq`` is ``|u|_{H^alpha-dot}^2``, ``pairing`` is ``P(u)`` and
+    ``mass`` is ``|u|_2^2``: floats, or one value per field of a stack.
     """
 
     def __init__(
         self,
-        u: np.ndarray,
-        u_hat: np.ndarray,
+        u: Field | np.ndarray,
         p: PhysicsParams,
         kernel: HartreeKernel,
+        *,
+        u_hat: np.ndarray | None = None,
         out: np.ndarray | None = None,
         work: tuple[np.ndarray, np.ndarray] | None = None,
     ):
-        check_setup(kernel.grid, p, kernel)
-        self.u, self.u_hat = u, u_hat
-        self.multiplier, self.hermitian, seminorm = _half_spectrum(kernel.grid, p.alpha)
-        self.potential, self.pairing, self.mass = density_terms(u, kernel, out, work)
-        weighted = np.multiply(seminorm, u_hat, out=None if work is None else work[1])
-        self.seminorm_sq = float(np.vdot(u_hat, weighted).real)
-
-
-class SpectrumTerms(EnergyTerms):
-    """The energy's parts and the mass of the samples ``u`` of a field, real
-    or complex, from ``u_hat``, their unnormalized spectrum (``_fftn``),
-    which is kept, not copied; ``u`` may be a stack ``(B, *grid.shape)``,
-    and then ``seminorm_sq``, ``pairing``, ``mass`` and ``energy`` hold one
-    value per field (``omega`` is formed for one field only).  No transform
-    of ``u`` is made and no potential is formed, so the terms have no
-    ``potential``.
-
-    ``seminorm_sq`` is Parseval's sum over ``u_hat``, formed as in
-    :class:`EnergyTerms`; ``mass`` has the bits of
-    :func:`~fhnlse.fields.mass`; the pairing comes from the density's half
-    spectrum by Parseval
-    (:meth:`~fhnlse.kernel.HartreeKernel.half_spectrum_pairing`), so the
-    terms cost one real transform.  ``work`` is a real array of ``u``'s
-    shape, which takes ``|u_hat|^2`` and then the density, and a half
-    spectrum, which takes the density's and then its squared parts; each is
-    a new array where None.
-    """
-
-    def __init__(
-        self,
-        u: np.ndarray,
-        u_hat: np.ndarray,
-        p: PhysicsParams,
-        kernel: HartreeKernel,
-        work: tuple[np.ndarray, np.ndarray] | None = None,
-    ):
+        if isinstance(u, Field) != (u_hat is None):
+            raise TypeError("energy takes a Field alone, or samples with their spectrum u_hat")
         grid = kernel.grid
-        check_setup(grid, p, kernel)
-        rho, rho_hat = (None, None) if work is None else work
+        made_here = u_hat is None  # a Field, whose spectrum is made here
+        check_setup(u.grid if made_here else grid, p, kernel)
+        if made_here:
+            u, u_hat = u.values, _fftn(u.values, grid.d)
+        half = _is_half(u_hat, grid)
         self.u, self.u_hat = u, u_hat
-        self.multiplier = grid.fractional_multiplier(p.alpha)
-        fields = u.shape[: u.ndim - grid.d] + (-1,)
-        weighted = np.multiply(_abs_sq(u_hat, out=rho), self.multiplier, out=rho)
-        self.seminorm_sq = weighted.reshape(fields).sum(axis=-1) * _spectral_weight(grid)
-        rho = _abs_sq(u, out=weighted)
-        self.mass = rho.reshape(fields).sum(axis=-1) * grid.cell_volume
-        rho_hat = _rfftn(rho, grid.d, out=rho_hat)
-        self.pairing = kernel.half_spectrum_pairing(rho_hat, rho_hat.view(np.float64))
+        if half:
+            self.multiplier, self.hermitian, _ = _half_spectrum(grid, p.alpha)
+        rho, spectrum = (None, None) if work is None else work
+        rho = _abs_sq(u, out=rho)
+        self.mass = _field_sums(rho, grid) * grid.cell_volume
+        if made_here or half:
+            potential = self.potential = kernel.convolve_density(rho, out=out, work=spectrum)
+            self.pairing = float(np.multiply(rho, potential, out=rho).sum() * grid.cell_volume)
+        else:
+            self.potential = None
+            spectrum = _rfftn(rho, grid.d, out=spectrum)
+            self.pairing = kernel.half_spectrum_pairing(spectrum, spectrum.view(np.float64))
+        self.seminorm_sq = _seminorm_sq(u_hat, grid, p.alpha, spectrum if half else rho)
+
+    @property
+    def energy(self) -> float | np.ndarray:
+        """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 P(u)``."""
+        return 0.5 * self.seminorm_sq - 0.25 * self.pairing
+
+    @property
+    def omega(self) -> float:
+        """Frequency ``omega = (|u|_{H^alpha-dot}^2 - P(u)) / mass(u)`` of one field.
+
+        Pairing the gradient with ``u`` shows ``omega * mass == Re <G(u), u>``,
+        so at a constrained critical point ``G(u) = omega * u``.
+        """
+        if self.mass == 0.0:
+            raise ValueError("lagrange_multiplier undefined for the zero field")
+        return (self.seminorm_sq - self.pairing) / self.mass
 
 
 def energy(
@@ -251,32 +210,24 @@ def energy(
     out: np.ndarray | None = None,
     work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float | tuple[float, EnergyTerms]:
-    """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 P(u)``.
-
-    ``u`` is a :class:`Field`, or, with ``u_hat``, samples and a spectrum
-    of them, and then no transform of ``u`` is made.  A ``u_hat`` of
-    ``u``'s shape is the full spectrum of one field or of each of a stack,
-    real or complex: the terms are :class:`SpectrumTerms`, made in ``work``
-    if given, and for a stack the energy is one per field.  Any other
-    ``u_hat`` is the half spectrum of a real ``u``: the terms are
-    :class:`HalfSpectrumTerms`, made in the arrays ``out`` and ``work`` if
-    given.  With ``with_terms`` the result is ``(E, terms)``: a caller that
-    goes on to need the mass, ``omega`` or the parts of ``G`` at ``u``
-    reads them from ``terms`` without a second transform or convolution.
+    """``E(u) = 1/2 |u|_{H^alpha-dot}^2 - 1/4 P(u)`` of a :class:`Field`
+    alone, or of samples with their spectrum ``u_hat`` (full, of one field or
+    of each of a stack, or half, of one real field), of which no transform
+    is made; for a stack the energy is one per field.  Any other call
+    raises TypeError.  The terms are made in the arrays ``out`` and ``work``
+    if given (:class:`EnergyTerms`).  With ``with_terms`` the result is
+    ``(E, terms)``: a caller that goes on to need the mass, ``omega`` or the
+    parts of ``G`` at ``u`` reads them from ``terms`` without a second
+    transform or convolution.
     """
-    if u_hat is None:
-        terms = EnergyTerms(u, p, kernel)
-    elif u_hat.shape == u.shape:
-        terms = SpectrumTerms(u, u_hat, p, kernel, work)
-    else:
-        terms = HalfSpectrumTerms(u, u_hat, p, kernel, out, work)
+    terms = EnergyTerms(u, p, kernel, u_hat=u_hat, out=out, work=work)
     return (terms.energy, terms) if with_terms else terms.energy
 
 
 def energy_gradient(u: Field, p: PhysicsParams, kernel: HartreeKernel) -> Field:
     """L^2 gradient ``G(u) = (-Lap)^alpha u - (K * |u|^2) u``."""
     terms = EnergyTerms(u, p, kernel)
-    kinetic = _ifftn(terms.multiplier * terms.u_hat, u.grid.d)
+    kinetic = _ifftn(u.grid.fractional_multiplier(p.alpha) * terms.u_hat, u.grid.d)
     return Field(u.grid, kinetic - terms.potential * u.values)
 
 

@@ -148,10 +148,10 @@ def _check(name: str, quick: bool = False):
 
 @_check("hartree-oracle-equivalence", quick=True)
 def check_hartree_oracle(ctx: VerifyContext, level: str):
-    """The pairing ``EnergyTerms`` feeds to ``energy`` vs the brute-force
-    double sum on every small-grid family.  ``EnergyTerms`` and the
-    solver's ``HalfSpectrumTerms`` read the pairing from one routine,
-    ``spectral.density_terms``."""
+    """The pairing ``EnergyTerms`` forms through the potential ``K * |u|^2``
+    vs the brute-force double sum on every small-grid family: the route of
+    ``energy`` of a field, of ``energy_gradient`` and of the ground-state
+    solver."""
     tol = 1e-10
     cases = [
         (Grid(d=2, n=16, L=20.0), 17),

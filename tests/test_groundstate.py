@@ -39,7 +39,7 @@ from fhnlse import (
 )
 from fhnlse.groundstate import _TAU0, _descent, _initial_fields, _reflect
 from fhnlse.snapshots import read_field
-from fhnlse.spectral import HalfSpectrumTerms
+from fhnlse.spectral import EnergyTerms
 
 ALPHA = 0.6
 GAMMA = 0.5
@@ -309,7 +309,7 @@ class TestFusedBookkeeping:
         ground, kernel = localized
         field = random_band_limited(kernel.grid, seed=3) if which == "random" else ground.g
         u = field.values.real.copy()
-        terms = HalfSpectrumTerms(u, np.fft.rfftn(u), ref_params, kernel)
+        terms = EnergyTerms(u, ref_params, kernel, u_hat=np.fft.rfftn(u))
         out = (np.empty_like(u), *(np.empty_like(terms.u_hat) for _ in range(3)))
         _, _, d, d_hat, _, _ = _descent(terms, 1e-3, out, np.empty_like(terms.u_hat))
         assert d.dtype == np.float64

@@ -224,7 +224,7 @@ class TestHartreePairings:
         self, grid
     ):
         """The pairing by Parseval over the density's half spectrum, which the
-        evolution's records use, agrees with the pairing ``density_terms``
+        evolution's records use, agrees with the pairing ``EnergyTerms``
         forms from the potential and with the direct double sum, within the
         oracle check's 1e-10; for a stack it gives each field's, bit for bit,
         and a given ``work`` array gives the same bits."""

@@ -1,9 +1,15 @@
 """Spectral operators and energy functionals: eigenvalue and closed-form
-oracles, Parseval and adjointness identities, and the exact two-parameter
-rescaling of all functionals."""
+oracles, Parseval and adjointness identities, the exact two-parameter
+rescaling of all functionals, and every evaluation route against a
+reference copy of the arithmetic it had before the routes shared one
+class."""
+
+import math
 
 import numpy as np
 import pytest
+
+import fhnlse.rearrange as rearrange_module
 
 from fhnlse import (
     Field,
@@ -19,9 +25,10 @@ from fhnlse import (
     plane_wave,
     random_band_limited,
 )
-from fhnlse.fields import _abs_sq, with_mass
-from fhnlse.grid import _fftn
-from fhnlse.spectral import EnergyTerms, HalfSpectrumTerms, SpectrumTerms, sobolev_seminorm_sq
+from fhnlse.fields import _RANDOM_KEEP_FRACTION, _abs_sq, _unit_mass, band_limited_noise, with_mass
+from fhnlse.grid import _fftn, _rfftn
+from fhnlse.rearrange import rearrangement_sweep
+from fhnlse.spectral import EnergyTerms, _half_spectrum, sobolev_seminorm_sq
 
 ALPHA = 0.6
 GAMMA = 0.5
@@ -62,7 +69,7 @@ def frac_laplacian(u: Field, alpha: float) -> Field:
         mult = grid.fractional_multiplier(1.0)
         return Field(grid, np.fft.ifftn(mult * np.fft.fftn(u.values)))
     terms = EnergyTerms(u, PhysicsParams(alpha, GAMMA, grid.d), HartreeKernel(grid, GAMMA))
-    return Field(grid, np.fft.ifftn(terms.multiplier * terms.u_hat))
+    return Field(grid, np.fft.ifftn(grid.fractional_multiplier(alpha) * terms.u_hat))
 
 
 class TestFractionalLaplacian:
@@ -213,23 +220,23 @@ class TestEnergyFunctionals:
     def test_half_spectrum_terms_match_energy_terms(self, d, n, L):
         """The energy, frequency and potential of a real field formed from
         its half spectrum are those :class:`EnergyTerms` forms from its full
-        complex DFT, and :func:`energy` forms the former when given the half
-        spectrum."""
+        complex DFT, and :func:`energy` forms the former, through the
+        potential, when given the half spectrum."""
         p = PhysicsParams(alpha=ALPHA, gamma=GAMMA, d=d)
         grid = Grid(d=d, n=n, L=L)
         kernel = HartreeKernel(grid, GAMMA)
         u = random_band_limited(grid, seed=4).values.real.copy()
         e, half = energy(u, p, kernel, u_hat=np.fft.rfftn(u), with_terms=True)
         full = EnergyTerms(Field(grid, u), p, kernel)
-        assert isinstance(half, HalfSpectrumTerms) and e == half.energy
+        assert half.potential is not None and e == half.energy
         assert half.energy == pytest.approx(full.energy, rel=1e-13, abs=0)
         assert half.omega == pytest.approx(full.omega, rel=1e-13, abs=0)
         assert np.array_equal(half.potential, full.potential)
 
     @pytest.mark.parametrize("d, n, L", [(1, 64, 40.0), (2, 16, 12.0), (3, 8, 8.0)])
     def test_spectrum_terms_match_energy_terms(self, d, n, L):
-        """Given a field's full spectrum, :func:`energy` forms
-        :class:`SpectrumTerms`: the seminorm and the mass have the bits of
+        """Given a field's full spectrum, :func:`energy` forms its terms
+        without a potential: the seminorm and the mass have the bits of
         :class:`EnergyTerms`' and :func:`mass`, the pairing (by Parseval over
         the density's half spectrum) and the energy agree to roundoff, and a
         stack, with or without work arrays, gives each field's bits."""
@@ -241,7 +248,7 @@ class TestEnergyFunctionals:
         for u in fields:
             e, terms = energy(u.values, p, kernel, u_hat=_fftn(u.values, d), with_terms=True)
             full = EnergyTerms(u, p, kernel)
-            assert isinstance(terms, SpectrumTerms) and e == terms.energy
+            assert terms.potential is None and e == terms.energy
             assert terms.seminorm_sq == full.seminorm_sq
             assert terms.mass == mass(u)
             assert terms.pairing == pytest.approx(full.pairing, rel=1e-13, abs=0)
@@ -275,6 +282,18 @@ class TestEnergyFunctionals:
         with pytest.raises(ValueError, match="d="):
             energy(u, p, kernel)
 
+    def test_rejects_samples_without_their_spectrum(self):
+        p, grid, kernel = self._setup(n=16, L=12.0)
+        u = random_band_limited(grid, seed=1)
+        with pytest.raises(TypeError, match="a Field alone, or samples with their spectrum u_hat"):
+            energy(u.values, p, kernel)
+
+    def test_rejects_a_field_with_a_spectrum(self):
+        p, grid, kernel = self._setup(n=16, L=12.0)
+        u = random_band_limited(grid, seed=1)
+        with pytest.raises(TypeError, match="a Field alone, or samples with their spectrum u_hat"):
+            energy(u, p, kernel, u_hat=_fftn(u.values, grid.d))
+
     def test_multiplier_rejects_zero_field(self):
         p, grid, kernel = self._setup(n=16, L=12.0)
         zero = Field(grid, np.zeros(grid.shape, dtype=complex))
@@ -302,3 +321,206 @@ class TestExactRescaling:
         assert EnergyTerms(v, p, k_small).pairing == pytest.approx(
             c**4 * mu ** (4.0 - GAMMA) * EnergyTerms(u, p, k_base).pairing, rel=1e-13, abs=0
         )
+
+
+# ---------------------------------------------------------------------------
+# every route against a reference copy of its earlier arithmetic: the terms
+# of a Field, of samples with a full spectrum (one field or a stack) and of
+# a real field with its half spectrum, and the seminorm of a stack of
+# samples, each as its own class or function formed them
+
+
+def _ref_seminorm_sq(values, grid, alpha):
+    """The seminorm of each field of the stack of samples ``values``."""
+    uhat = _fftn(values, grid.d)
+    weighted = grid.fractional_multiplier(alpha) * np.abs(uhat) ** 2
+    return weighted.reshape(len(values), -1).sum(axis=1) * (grid.cell_volume / grid.size)
+
+
+def _ref_density_terms(values, kernel):
+    """``(potential, pairing, mass)`` through the potential."""
+    rho = _abs_sq(values)
+    cell_volume = kernel.grid.cell_volume
+    total = float(rho.sum() * cell_volume)
+    potential = kernel.convolve_density(rho)
+    pairing = float(np.multiply(rho, potential, out=rho).sum() * cell_volume)
+    return potential, pairing, total
+
+
+def _ref_field_terms(u, kernel, alpha):
+    """``(seminorm, mass, pairing, potential)`` of a Field."""
+    grid = u.grid
+    multiplier = grid.fractional_multiplier(alpha)
+    u_hat = _fftn(u.values, grid.d)
+    potential, pairing, total = _ref_density_terms(u.values, kernel)
+    seminorm = float(np.sum(multiplier * np.abs(u_hat) ** 2) * (grid.cell_volume / grid.size))
+    return seminorm, total, pairing, potential
+
+
+def _ref_spectrum_terms(u, u_hat, kernel, alpha):
+    """``(seminorm, mass, pairing, None)`` of samples with their full
+    spectrum, one value per field of a stack."""
+    grid = kernel.grid
+    fields = u.shape[: u.ndim - grid.d] + (-1,)
+    weighted = np.multiply(_abs_sq(u_hat), grid.fractional_multiplier(alpha))
+    seminorm = weighted.reshape(fields).sum(axis=-1) * (grid.cell_volume / grid.size)
+    rho = _abs_sq(u)
+    total = rho.reshape(fields).sum(axis=-1) * grid.cell_volume
+    rho_hat = _rfftn(rho, grid.d)
+    pairing = kernel.half_spectrum_pairing(rho_hat, rho_hat.view(np.float64))
+    return seminorm, total, pairing, None
+
+
+def _ref_half_terms(u, u_hat, kernel, alpha):
+    """``(seminorm, mass, pairing, potential)`` of a real field with its
+    half spectrum."""
+    potential, pairing, total = _ref_density_terms(u, kernel)
+    seminorm = float(np.vdot(u_hat, _half_spectrum(kernel.grid, alpha)[2] * u_hat).real)
+    return seminorm, total, pairing, potential
+
+
+def _bytes(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _assert_terms_are(terms, e, ref):
+    seminorm, total, pairing, potential = ref
+    assert _bytes(terms.seminorm_sq) == _bytes(seminorm)
+    assert _bytes(terms.mass) == _bytes(total)
+    assert _bytes(terms.pairing) == _bytes(pairing)
+    assert _bytes(e) == _bytes(terms.energy) == _bytes(0.5 * seminorm - 0.25 * pairing)
+    if potential is None:
+        assert terms.potential is None
+    else:
+        assert terms.potential.tobytes() == potential.tobytes()
+
+
+ROUTE_GRIDS = [
+    pytest.param(Grid(d=1, n=64, L=40.0), id="1d"),
+    pytest.param(Grid(d=2, n=16, L=12.0), id="2d"),
+    pytest.param(Grid(d=3, n=8, L=8.0), id="3d"),
+]
+
+
+def _route_samples(grid):
+    """The samples of a complex field of ``grid`` and a real array of their
+    real parts (a Field holds either as complex)."""
+    u = random_band_limited(grid, seed=11).values * 1.3
+    return {"complex": u, "real": u.real.copy()}
+
+
+class TestRoutesAreTheReference:
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    @pytest.mark.parametrize("grid", ROUTE_GRIDS)
+    def test_a_field(self, grid, kind):
+        """A Field's terms, through the potential, and the frequency and
+        gradient read from them."""
+        kernel = HartreeKernel(grid, GAMMA)
+        p = PhysicsParams(ALPHA, GAMMA, grid.d)
+        u = Field(grid, _route_samples(grid)[kind])
+        e, terms = energy(u, p, kernel, with_terms=True)
+        ref = _ref_field_terms(u, kernel, ALPHA)
+        _assert_terms_are(terms, e, ref)
+        seminorm, total, pairing, potential = ref
+        assert _bytes(lagrange_multiplier(u, p, kernel)) == _bytes((seminorm - pairing) / total)
+        kinetic = np.fft.ifftn(grid.fractional_multiplier(ALPHA) * _fftn(u.values, grid.d))
+        assert energy_gradient(u, p, kernel).values.tobytes() == (
+            kinetic - potential * u.values
+        ).tobytes()
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    @pytest.mark.parametrize("grid", ROUTE_GRIDS)
+    def test_samples_with_their_full_spectrum(self, grid, kind):
+        """One field's terms by Parseval over the density's half spectrum."""
+        kernel = HartreeKernel(grid, GAMMA)
+        p = PhysicsParams(ALPHA, GAMMA, grid.d)
+        u = _route_samples(grid)[kind]
+        u_hat = _fftn(u, grid.d)
+        e, terms = energy(u, p, kernel, u_hat=u_hat, with_terms=True)
+        assert terms.u is u and terms.u_hat is u_hat
+        _assert_terms_are(terms, e, _ref_spectrum_terms(u, u_hat, kernel, ALPHA))
+
+    @pytest.mark.parametrize("with_work", [False, True])
+    @pytest.mark.parametrize("grid", ROUTE_GRIDS)
+    def test_a_stack_with_its_full_spectrum(self, grid, with_work):
+        """A two-field stack's terms, one per field, in new arrays or in the
+        caller's ``work``."""
+        kernel = HartreeKernel(grid, GAMMA)
+        p = PhysicsParams(ALPHA, GAMMA, grid.d)
+        stack = np.stack(list(_route_samples(grid).values())).astype(complex)
+        u_hat = _fftn(stack, grid.d)
+        work = None
+        if with_work:
+            half = stack.shape[:-1] + (grid.n // 2 + 1,)
+            work = (np.empty(stack.shape), np.empty(half, dtype=complex))
+        e, terms = energy(stack, p, kernel, u_hat=u_hat, with_terms=True, work=work)
+        assert e.shape == terms.mass.shape == (2,)
+        _assert_terms_are(terms, e, _ref_spectrum_terms(stack, u_hat, kernel, ALPHA))
+
+    @pytest.mark.parametrize("with_work", [False, True])
+    @pytest.mark.parametrize("grid", ROUTE_GRIDS)
+    def test_a_real_field_with_its_half_spectrum(self, grid, with_work):
+        """The solver's terms, through the potential, in new arrays or in the
+        caller's ``out`` and ``work``."""
+        kernel = HartreeKernel(grid, GAMMA)
+        p = PhysicsParams(ALPHA, GAMMA, grid.d)
+        u = _route_samples(grid)["real"]
+        u_hat = _rfftn(u, grid.d)
+        out = work = None
+        if with_work:
+            out = np.empty(u.shape)
+            work = (np.empty(u.shape), np.empty_like(u_hat))
+        e, terms = energy(u, p, kernel, u_hat=u_hat, with_terms=True, out=out, work=work)
+        assert out is None or terms.potential is out
+        _assert_terms_are(terms, e, _ref_half_terms(u, u_hat, kernel, ALPHA))
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    @pytest.mark.parametrize("grid", ROUTE_GRIDS)
+    def test_seminorm_and_h_alpha_norm(self, grid, kind):
+        u = Field(grid, _route_samples(grid)[kind])
+        seminorm = _ref_seminorm_sq(u.values[None], grid, ALPHA)[0]
+        assert _bytes(sobolev_seminorm_sq(u, ALPHA)) == _bytes(seminorm)
+        assert _bytes(h_alpha_norm(u, ALPHA)) == _bytes(math.sqrt(mass(u) + float(seminorm)))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            pytest.param(Grid(d=1, n=64, L=40.0), id="1d-64"),
+            pytest.param(Grid(d=2, n=32, L=20.0), id="2d-32"),  # blocks of 4 fields
+            pytest.param(Grid(d=2, n=64, L=40.0), id="2d-64"),  # blocks of 1
+            pytest.param(Grid(d=3, n=8, L=10.0), id="3d-8"),
+        ],
+    )
+    def test_rearrangement_sweep_excess_lists(self, monkeypatch, grid):
+        """The sweep's seminorm excesses, read from the lists it takes the
+        maximum of, are those of the reference seminorm on its blocks."""
+        count, seed = 6, 40
+        lists = []
+
+        class MaxSpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def max(values):
+                lists.append(list(values))
+                return np.max(values)
+
+        monkeypatch.setattr(rearrange_module, "np", MaxSpy())
+        result = rearrangement_sweep(grid, ALPHA, count, seed, pair_seed=500)
+        monkeypatch.undo()
+        seminorm_excess, pairing_excess = lists
+        assert len(seminorm_excess) == len(pairing_excess) == count
+        block = max(1, rearrange_module._BLOCK_BYTES // (16 * grid.size))
+        reference = []
+        for start in range(0, count, block):
+            seeds = [seed + r for r in range(start, min(start + block, count))]
+            u = _unit_mass(
+                band_limited_noise(grid, seeds, _RANDOM_KEEP_FRACTION), grid.cell_volume
+            )
+            s_in = np.sqrt(_ref_seminorm_sq(u, grid, ALPHA))
+            s_out = np.sqrt(_ref_seminorm_sq(rearrange_module._rearranged(u, grid), grid, ALPHA))
+            reference += ((s_out - s_in) / s_in).tolist()
+        assert _bytes(seminorm_excess) == _bytes(reference)
+        assert _bytes(result.worst_seminorm) == _bytes(max(reference))
+        assert _bytes(result.worst_pairing) == _bytes(max(pairing_excess))
