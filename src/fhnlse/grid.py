@@ -16,18 +16,18 @@ strings 1-D passes, in the axis order of NumPy's n-D function, as direct
 calls of NumPy's own pocketfft gufuncs (``_POCKETFFT``) with a precomputed
 ``axes=`` argument (none for the last axis, the gufunc's default) and an
 explicit scale factor: the call ``numpy.fft``'s 1-D function makes,
-without its per-call wrapper.  An inverse is ``scaled`` by default, each
-pass by one over its length as in NumPy's default norm; ``scaled=False``
-leaves every pass unscaled, NumPy's ``norm="forward"``, for a caller that
-folds the ``1/N`` into a factor of its own (``N`` is a power of two, so
-the folded scaling is exact).
+without its per-call wrapper.  An inverse scales each pass by one over its
+length, NumPy's default norm, unless ``_ifftn`` is given ``scaled=False``
+or ``_irfftn`` a ``scale``: then every pass is unscaled (``norm="forward"``)
+and ``_irfftn``'s last pass takes ``scale`` as its factor, for a caller that
+folds the ``1/N`` into its own factor (exact: ``N`` is a power of two).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -105,23 +105,22 @@ def _irfftn(
     d: int,
     n: int,
     out: np.ndarray | None = None,
-    scaled: bool = True,
-    scale: float = 1.0,
+    scale: float | None = None,
 ) -> np.ndarray:
     """The real array with half spectrum ``x_hat`` and ``n`` points on the
     last axis, bit for bit ``np.fft.irfftn`` of ``x_hat`` over its last
-    ``d`` axes (``norm="forward"`` if not ``scaled``): ``ifft`` passes in
-    place over the other ``d - 1`` of them, first first, which overwrite
-    ``x_hat``, then an ``irfft`` of the last into ``out`` (a new array if
-    None).  ``scale`` multiplies the last pass's factor; pocketfft applies
-    that factor after the pass, so unscaled the result is bit for bit
-    ``scale`` times the unit-scale one."""
-    ifft, fct = _POCKETFFT["ifft"], 1.0 / n if scaled else 1.0
+    ``d`` axes: ``ifft`` passes in place over the other ``d - 1`` of them,
+    first first, which overwrite ``x_hat``, then an ``irfft`` of the last
+    into ``out`` (a new array if None).  A number ``scale`` leaves every
+    pass unscaled (``norm="forward"``) and is the last pass's factor, which
+    pocketfft applies after it: the result is bit for bit ``scale`` times
+    the forward-norm one."""
+    ifft, fct = _POCKETFFT["ifft"], 1.0 / n if scale is None else 1.0
     for axes in reversed(_LEADING_AXES[d]):
         ifft(x_hat, fct, x_hat, axes=axes)
     if out is None:
         out = np.empty(x_hat.shape[:-1] + (n,))
-    return _POCKETFFT["irfft"](x_hat, scale / n if scaled else scale, out)
+    return _POCKETFFT["irfft"](x_hat, fct if scale is None else scale, out)
 
 
 def _hermitian_weights(n: int) -> np.ndarray:
@@ -180,6 +179,12 @@ class Grid:
     d: int
     n: int
     L: float
+    # set by the constructor from the validated d, n and L: shape (n,)*d,
+    # size n**d, the spacing h = L/n and the cell volume h**d
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
+    h: float = field(init=False, repr=False, compare=False)
+    cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _is_int(self.d) or self.d not in (1, 2, 3):
@@ -203,24 +208,8 @@ class Grid:
                 "volume h**d, its square, L**2 or the largest |k|**2 overflows "
                 "float64, or the cell volume or its square underflows to 0"
             )
-
-    # -- scalar geometry -------------------------------------------------
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.n,) * self.d
-
-    @property
-    def size(self) -> int:
-        return self.n**self.d
-
-    @property
-    def h(self) -> float:
-        """Lattice spacing."""
-        return self.L / self.n
-
-    @property
-    def cell_volume(self) -> float:
-        return self.h**self.d
+        vars(self).update(shape=(self.n,) * self.d, size=self.n**self.d, h=float(h),
+                          cell_volume=float(volume), _multipliers={})
 
     # -- per-axis lattices -----------------------------------------------
     @cached_property
@@ -254,10 +243,6 @@ class Grid:
     def point_distance(self) -> np.ndarray:
         """Minimum-image distance of each grid point to the coordinate origin."""
         return _frozen(np.sqrt(sum(np.ix_(*[self.axis_coords**2] * self.d))))
-
-    @cached_property
-    def _multipliers(self) -> dict[float, np.ndarray]:
-        return {}
 
     def fractional_multiplier(self, alpha: float) -> np.ndarray:
         """Fourier multiplier ``|k|^(2*alpha)`` (zero mode maps to 0).

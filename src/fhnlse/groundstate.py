@@ -96,7 +96,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, NumericalAbort
 from .fields import Field, _mass_factor, gaussian
-from .grid import Grid, PhysicsParams, _check_real, _fftn, _ifftn, _irfftn, _is_int, _rfftn
+from .grid import Grid, PhysicsParams, _check_real, _fftn, _frozen, _ifftn, _irfftn, _is_int, _rfftn
 from .kernel import HartreeKernel
 from .rearrange import symmetric_rearrange
 from .spectral import EnergyTerms, energy, h_alpha_norm
@@ -195,9 +195,7 @@ class GroundState:
 @lru_cache(maxsize=None)
 def _negated(n: int) -> np.ndarray:
     """The indices ``(n - j) mod n`` for ``j = 0..n-1``, read-only."""
-    index = -np.arange(n) % n
-    index.flags.writeable = False
-    return index
+    return _frozen(-np.arange(n) % n)
 
 
 def _reflect(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:

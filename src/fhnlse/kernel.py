@@ -23,17 +23,17 @@ products and wrapped diagonal sums, and pairs it with the samples.
 The fast convolution runs the real transform pair of :mod:`fhnlse.grid`
 over the trailing ``d`` axes, so it convolves one density or each of a
 stack ``(B, *grid.shape)`` alike, and folds the inverse's ``1/N`` into the
-cached half spectrum (an unscaled inverse).  That half spectrum is real but
-stored read-only as complex128 with a zero imaginary part: NumPy multiplies
-a complex array by a real one by casting the real factor to ``x+0j`` and
-running the complex loop, so casting it once at construction gives the
-same bits as the cast NumPy would otherwise make on every call.  The
-convolution writes into a caller's array when given one, and its half
-spectrum into a caller's ``work`` array, so the Strang loop and the
-ground-state solver reuse both from step to step.  A real ``scale``
-becomes the factor of the inverse's last pass, which pocketfft applies
-after that pass: the result is bit for bit ``scale`` times the potential,
-without a pass over it of its own.
+cached half spectrum (the inverse is given a ``scale``, so no pass is
+scaled by ``1/n``).  That half spectrum is real but stored read-only as
+complex128 with a zero imaginary part: NumPy multiplies a complex array by
+a real one by casting the real factor to ``x+0j`` and running the complex
+loop, so casting it once at construction gives the same bits as the cast
+NumPy would otherwise make on every call.  The convolution writes into a
+caller's array when given one, and its half spectrum into a caller's
+``work`` array, so the Strang loop and the ground-state solver reuse both
+from step to step.  A real ``scale`` becomes the factor of the inverse's
+last pass, which pocketfft applies after that pass: the result is bit for
+bit ``scale`` times the potential, without a pass over it of its own.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fields import Field
-from .grid import Grid, _fftn, _frozen, _hermitian_weights, _irfftn, _rfftn
+from .grid import Grid, _check_real, _fftn, _frozen, _hermitian_weights, _irfftn, _rfftn
 
 __all__ = [
     "HartreeKernel",
@@ -119,9 +119,10 @@ class HartreeKernel:
     """
 
     def __init__(self, grid: Grid, gamma: float):
+        _check_real(gamma, "gamma")
         self.grid = grid
         self.gamma = float(gamma)
-        # raises ValueError unless 0 < gamma < d
+        # raises ValueError unless gamma < d
         origin = origin_cell_average(grid.d, self.gamma) * grid.h ** (-self.gamma)
         dist = grid.offset_distance
         with np.errstate(divide="ignore"):
@@ -135,10 +136,6 @@ class HartreeKernel:
         # and the cast to complex NumPy would make on every product is made once
         half = self.spectrum[..., : grid.n // 2 + 1] * grid.cell_volume / grid.size
         self._half_spectrum = _frozen(half.astype(np.complex128))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        g = self.grid
-        return f"HartreeKernel(d={g.d}, n={g.n}, L={g.L}, gamma={self.gamma})"
 
     def convolve_density(
         self,
@@ -159,7 +156,7 @@ class HartreeKernel:
         d = self.grid.d
         rho_hat = _rfftn(rho, d, out=work)
         rho_hat *= self._half_spectrum
-        return _irfftn(rho_hat, d, self.grid.n, out=out, scaled=False, scale=scale)
+        return _irfftn(rho_hat, d, self.grid.n, out=out, scale=scale)
 
     @cached_property
     def _pairing_weights(self) -> np.ndarray:

@@ -51,7 +51,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fields import _RANDOM_KEEP_FRACTION, Field, _unit_mass, band_limited_noise
-from .grid import Grid, _fftn, _ifftn
+from .grid import Grid, _fftn, _frozen, _ifftn, _is_int
 from .spectral import _seminorm_sq
 
 __all__ = [
@@ -78,9 +78,7 @@ def radial_order(grid: Grid) -> np.ndarray:
     # np.lexsort sorts by the last key first: distance is primary, then the
     # index tuple in lexicographic order.
     keys = tuple(idx[a] for a in reversed(range(grid.d))) + (dist,)
-    order = np.lexsort(keys)
-    order.flags.writeable = False
-    return order
+    return _frozen(np.lexsort(keys))
 
 
 @lru_cache(maxsize=None)
@@ -90,8 +88,7 @@ def _radial_source(grid: Grid) -> np.ndarray:
     ``radial_order(grid)[j]`` takes the ``j``-th largest, at ``size - 1 - j``."""
     source = np.empty(grid.size, dtype=np.intp)
     source[radial_order(grid)] = np.arange(grid.size - 1, -1, -1)
-    source.flags.writeable = False
-    return source
+    return _frozen(source)
 
 
 def _rearranged(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -163,11 +160,11 @@ def rearrangement_sweep(
     nonnegative triples with seeds ``pair_seed + 3r + (0, 1, 2)`` must not
     lose triple pairing.  The fields are drawn and tested in blocks of
     indices ``r`` (see the module docstring); the result does not depend on
-    the block size.  A ``count`` below 1 raises ValueError: a sweep of no
-    fields tests nothing.
+    the block size.  A ``count`` other than an integer >= 1 raises
+    ValueError: a sweep of no fields tests nothing.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1 (got {count})")
+    if not _is_int(count) or count < 1:
+        raise ValueError(f"count must be an integer >= 1 (got {count})")
     block = max(1, _BLOCK_BYTES // (16 * grid.size))
     # the multiset check: every field is laid out through the one site map
     # _radial_source, so each keeps its magnitudes exactly if that map is a

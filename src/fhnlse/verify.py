@@ -81,10 +81,6 @@ class VerifyContext:
     def kernel(self) -> HartreeKernel:
         return kernel_from(DEFAULTS)
 
-    @property
-    def grid(self) -> Grid:
-        return self.kernel.grid
-
     @cached_property
     def solve_options(self) -> SolveOptions:
         return solve_options_from(DEFAULTS)
@@ -309,7 +305,7 @@ def check_rearrangement_suite(ctx: VerifyContext, level: str):
         grid = Grid(d=2, n=32, L=40.0)
         count = 30
     else:
-        grid = ctx.grid
+        grid = ctx.kernel.grid
         count = 100
     sweep = rearrangement_sweep(
         grid, ctx.params.alpha, count, ctx.seed + 900, ctx.seed + 2000
@@ -357,7 +353,7 @@ def check_conservation(ctx: VerifyContext, level: str):
             ctx.params, ctx.kernel, delta=1e-2, T=10.0, dt=1e-3, seed=ctx.seed,
             stride=100, ground=ctx.ground,
         )
-        study = gaussian(ctx.grid, width=2.0, mass=4.0)
+        study = gaussian(ctx.kernel.grid, width=2.0, mass=4.0)
         factor, _ = _dt_halving(study, ctx.params, ctx.kernel, T=2.0, dt=5e-4, stride=20)
         drifts = {
             "T": main.T, "dt": main.dt,

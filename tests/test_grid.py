@@ -1,6 +1,8 @@
 """Grid geometry, wavenumber layout, and parameter validation."""
 
 import copy
+import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -25,6 +27,20 @@ from fhnlse.config import DEFAULTS, validate_config
 from fhnlse.fields import band_limited_noise, with_mass
 from fhnlse.grid import _fftn, _ifftn
 from fhnlse.rearrange import rearrangement_sweep
+
+
+# every box that the CLI defaults (d = 2, n = 64, L = 40), the CI runs, the
+# ``verify`` checks and the benchmark workloads build, with the rows of the
+# mass-scaling experiment on the 64^2 box: L * lam**-(1 / (2 alpha - gamma))
+_BUILT_BOXES = sorted({
+    (1, 64, 40.0), (1, 512, 40.0),
+    (2, 16, 12.0), (2, 16, 20.0), (2, 16, 40.0), (2, 32, 20.0), (2, 32, 25.0),
+    (2, 32, 40.0), (2, 64, 40.0), (2, 128, 40.0), (2, 256, 40.0),
+    (3, 8, 10.0), (3, 32, 20.0),
+} | {
+    (2, 64, 40.0 * lam**-PhysicsParams(alpha=0.6, gamma=0.5, d=2).width_exponent)
+    for lam in (0.5, 1.0, 2.0, 4.0)
+})
 
 
 class TestGridGeometry:
@@ -115,6 +131,39 @@ class TestGridGeometry:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Grid(d=2, n=32, L=26.0)
+
+    def test_stored_geometry_leaves_repr_eq_and_hash_as_the_three_parameters(self):
+        grid = Grid(d=2, n=64, L=40.0)
+        assert repr(grid) == "Grid(d=2, n=64, L=40.0)"
+        other = Grid(d=2, n=64, L=40.0)
+        object.__setattr__(other, "h", 1.0)  # a stored value is not compared
+        object.__setattr__(other, "cell_volume", 1.0)
+        assert grid == other and hash(grid) == hash(other)
+
+    def test_replace_recomputes_and_pickle_keeps_the_stored_geometry(self):
+        grid = Grid(d=3, n=8, L=10.0)
+        wider = dataclasses.replace(grid, L=20.0)
+        assert (wider.h, wider.cell_volume) == (2.5, 15.625)
+        assert (wider.shape, wider.size) == ((8, 8, 8), 512)
+        copied = pickle.loads(pickle.dumps(grid))
+        assert copied == grid
+        assert (copied.shape, copied.size, copied.h, copied.cell_volume) == (
+            (8, 8, 8), 512, 1.25, 1.953125)
+
+    def test_stored_geometry_is_frozen(self):
+        grid = Grid(d=2, n=16, L=10.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.h = 1.0
+
+    @pytest.mark.parametrize("d, n, L", _BUILT_BOXES)
+    def test_stored_spacing_and_cell_volume_are_bitwise_the_formulas(self, d, n, L):
+        """On every box that the CLI defaults, CI, ``verify`` and the
+        benchmark build, ``h`` and ``cell_volume`` are bit for bit ``L / n``
+        and ``(L / n) ** d`` in Python floats."""
+        grid = Grid(d, n, L)
+        assert grid.h == L / n
+        assert grid.cell_volume == (L / n) ** d
+        assert grid.shape == (n,) * d and grid.size == n**d
 
 
 STACK_GRIDS = pytest.mark.parametrize(
@@ -318,6 +367,7 @@ _REAL_ARGUMENTS = [
     ("gaussian", "mass", lambda x: gaussian(_G, mass=x), -1.0),
     ("with_mass", "q", lambda x: with_mass(_U, x), -1.0),
     ("band_limited_noise", "keep_fraction", lambda x: band_limited_noise(_G, [1], x), 0.0),
+    ("HartreeKernel", "gamma", lambda x: HartreeKernel(_G, x), 0.0),
 ] + [
     ("config", f"{section}.{key}", lambda x, s=section, k=key: validate_config(_with(s, k, x)),
      below)

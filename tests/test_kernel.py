@@ -362,14 +362,14 @@ class TestHartreePairings:
     def test_real_passes_equal_rfftn_and_irfftn_bitwise(self, grid, norm, with_out):
         """The passes through NumPy's pocketfft gufuncs give the very bits of
         the public n-D real pair, the inverse into a given array or a new
-        one; ``scaled`` is the backward norm, unscaled the forward one."""
+        one; no ``scale`` is the backward norm, a unit one the forward norm."""
         x = np.random.default_rng(6).standard_normal(grid.shape)
         expected_hat = np.fft.rfftn(x)
         x_hat = _rfftn(x, grid.d)
         assert np.array_equal(x_hat, expected_hat)
         expected = np.fft.irfftn(x_hat, s=grid.shape, axes=range(grid.d), norm=norm)
         out = np.empty(grid.shape) if with_out else None
-        back = _irfftn(x_hat, grid.d, grid.n, out=out, scaled=norm == "backward")
+        back = _irfftn(x_hat, grid.d, grid.n, out=out, scale=None if norm == "backward" else 1.0)
         assert np.array_equal(back, expected)
         if with_out:
             assert back is out

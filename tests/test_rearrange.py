@@ -345,6 +345,13 @@ def test_sweep_of_no_fields_is_refused(count):
         rearrangement_sweep(Grid(d=2, n=16, L=10.0), ALPHA, count, 1, 2)
 
 
+@pytest.mark.parametrize("count", [True, 2.5])
+def test_a_sweep_count_must_be_an_integer(count):
+    """A bool or a fractional count is not a number of fields."""
+    with pytest.raises(ValueError, match=r"^count must be an integer >= 1 \(got "):
+        rearrangement_sweep(Grid(d=2, n=16, L=10.0), ALPHA, count, 1, 2)
+
+
 def test_a_layout_that_is_not_a_permutation_changes_every_field(monkeypatch):
     """The multiset check is made once per sweep, on the one site map that
     lays out every field: a map that puts one sorted magnitude on two sites
